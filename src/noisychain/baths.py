@@ -223,7 +223,7 @@ def boson_correlators(bath, grid):
     """Equilibrium boson correlators of an ohmic bath on a frequency grid.
 
     Returns 1x1 FreqGreens: retarded with Im = -J/2 and Re from the on-grid
-    principal-value transform, advanced its conjugate, Keldysh -i*S. Warns
+    principal-value transform (advanced its conjugate), Keldysh -i*S. Warns
     when the grid stops short of ~5 cutoffs on either side, where the
     truncated transform starts to distort the real part.
     """
@@ -243,9 +243,8 @@ def boson_correlators(bath, grid):
     s = power_spectral_density(bath, w)
     re_dr = principal_value_transform(j, w) / (2.0 * np.pi)
     dr = (re_dr - 0.5j * j)[:, None, None]
-    da = np.conj(dr)
     dk = (-1j * s)[:, None, None].astype(complex)
-    return FreqGreens(grid=grid, retarded=dr, advanced=da, keldysh=dk)
+    return FreqGreens(grid=grid, retarded=dr, keldysh=dk)
 
 
 def tls_spectral_density(bath, omega, smearing):

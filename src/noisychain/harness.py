@@ -75,31 +75,33 @@ _REQUIRED = object()
 # ---------------------------------------------------------------- config --
 
 
+def _coerce(val, kind, field):
+    """val as kind, else a ConfigError naming field; bools are never numbers."""
+
+    try:
+        if kind is float:
+            if isinstance(val, bool):
+                raise TypeError
+            return float(val)
+        if kind is int:
+            if isinstance(val, bool) or (
+                isinstance(val, float) and not float(val).is_integer()
+            ):
+                raise TypeError
+            return int(val)
+        if not isinstance(val, kind):
+            raise TypeError
+        return val
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"expected {kind.__name__}, got {val!r}") from None
+
+
 def _get(section, path, key, kind, default=_REQUIRED, choices=None):
     if key not in section:
         if default is _REQUIRED:
             raise ConfigError(f"{path}.{key}", "missing required field")
         return default
-    val = section[key]
-    try:
-        if kind is float:
-            if isinstance(val, bool):
-                raise TypeError
-            val = float(val)
-        elif kind is int:
-            if isinstance(val, bool) or (
-                isinstance(val, float) and not float(val).is_integer()
-            ):
-                raise TypeError
-            val = int(val)
-        elif kind is bool:
-            if not isinstance(val, bool):
-                raise TypeError
-        elif kind is str:
-            if not isinstance(val, str):
-                raise TypeError
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}, got {val!r}")
+    val = _coerce(section[key], kind, f"{path}.{key}")
     if choices is not None and val not in choices:
         raise ConfigError(f"{path}.{key}", f"must be one of {sorted(choices)}")
     return val
@@ -267,7 +269,7 @@ def _parse_grid(raw):
     for p in pairs:
         if not isinstance(p, (list, tuple)) or len(p) != 2:
             raise ConfigError("grid.pairs", f"bad pair {p!r}, expected [i, j]")
-        cooked.append((int(p[0]), int(p[1])))
+        cooked.append(tuple(_coerce(v, int, "grid.pairs") for v in p))
     eta = sec.get("eta")
     return GridConfig(
         omega_min=_get(sec, "grid", "omega_min", float),
@@ -384,8 +386,8 @@ def config_from_dict(raw, name=None):
         vals = sweep.get("gamma2")
         if not isinstance(vals, (list, tuple)) or not vals:
             raise ConfigError("sweep.gamma2", "must be a nonempty list of widths")
-        sweep_gamma2 = tuple(float(v) for v in vals)
-        if any(v <= 0 for v in sweep_gamma2):
+        sweep_gamma2 = tuple(_coerce(v, float, "sweep.gamma2") for v in vals)
+        if not all(v > 0 for v in sweep_gamma2):
             raise ConfigError("sweep.gamma2", "widths must be positive")
 
     system = _parse_system(raw)
@@ -470,6 +472,12 @@ def _cross_validate(cfg):
             raise ConfigError("engines", "width sweeps run the keldysh engine only")
         if cfg.bath.alpha is not None:
             raise ConfigError("bath.alpha", "leave alpha unset when sweeping widths")
+    register_caps = {"lindblad": qme.SPARSE_MAX_SITES, "blochredfield": qme.DENSE_MAX_SITES}
+    for e, cap in register_caps.items():
+        if e in cfg.engines and cfg.system.n_sites > cap:
+            raise ConfigError(
+                "system.n_sites", f"engine '{e}' runs registers of at most {cap} sites"
+            )
     for e in ("lindblad", "blochredfield"):
         if e in cfg.engines and cfg.grid is not None:
             for key in ("tau_max", "d_tau", "warmup_time"):

@@ -508,6 +508,5 @@ def late_time_spectrum(greens, grid):
         phase = np.exp(1j * np.outer(omegas[start:stop], taus))
         ret[start:stop] = (phase @ flat_r).reshape(stop - start, n, n)
         half_k[start:stop] = (phase @ flat_k).reshape(stop - start, n, n)
-    adv = np.conj(np.swapaxes(ret, 1, 2))
     kel = half_k - np.conj(np.swapaxes(half_k, 1, 2))
-    return FreqGreens(grid=grid, retarded=ret, advanced=adv, keldysh=kel)
+    return FreqGreens(grid=grid, retarded=ret, keldysh=kel)

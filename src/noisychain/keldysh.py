@@ -1,11 +1,14 @@
 """Steady-state Keldysh solver on the frequency grid.
 
-Self-energies are stored site-diagonal with the textbook sign layout:
-retarded = shift - i*gamma/2 with gamma >= 0, advanced its hermitian
-conjugate, and an anti-hermitian Keldysh component. The dressed Green
-functions follow from the one-shot Dyson equation; the Keldysh component
-carries an explicit 2*eta boundary term at the system temperature so the
-bare limit is recovered exactly when the self-energy vanishes.
+Each site couples to its own bath, so every self-energy here is
+site-diagonal and is stored as its diagonal only: retarded and Keldysh
+components of shape (n_points, n_sites), with the textbook sign layout
+retarded = shift - i*gamma/2 (gamma >= 0) and an imaginary Keldysh part.
+Advanced components are never stored; they are hermitian conjugates of the
+retarded ones. The dressed Green functions come from a direct Dyson solve,
+G^+ = (omega + i*eta - h - Sigma^+)^-1, whose Keldysh component carries an
+explicit 2*eta boundary term at the system temperature so the bare limit is
+recovered exactly when the self-energy vanishes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .baths import (
     principal_value_transform,
     spectral_function,
     power_spectral_density,
-    tls_spectral_density,
 )
 from .errors import SingularFrequencyError
 from .lattice import (
@@ -38,7 +40,6 @@ from .lattice import (
 __all__ = [
     "SelfEnergy",
     "RateFunction",
-    "diagonal_self_energy",
     "extract_rates",
     "dephasing_self_energy",
     "dephasing_rate_function",
@@ -51,43 +52,28 @@ __all__ = [
 RATE_FLOOR = -1e-10
 
 
-def _assert_site_diagonal(arr, name):
-    if arr.shape[1] == 1:
-        return
-    tmp = arr.copy()
-    np.einsum("wii->wi", tmp)[...] = 0.0
-    if np.any(tmp):
-        raise ValueError(f"{name} must be site-diagonal (off-diagonals exactly zero)")
-
-
 @dataclass
 class SelfEnergy:
-    """Site-diagonal self-energy sampled on a FreqGrid."""
+    """Site-diagonal self-energy sampled on a FreqGrid.
+
+    retarded and keldysh are the per-site diagonals, complex arrays of shape
+    (n_points, n_sites); off-diagonal entries cannot be represented.
+    """
 
     grid: FreqGrid
     retarded: np.ndarray
-    advanced: np.ndarray
     keldysh: np.ndarray
 
     def __post_init__(self):
         self.retarded = np.asarray(self.retarded, dtype=complex)
-        self.advanced = np.asarray(self.advanced, dtype=complex)
         self.keldysh = np.asarray(self.keldysh, dtype=complex)
         shape = self.retarded.shape
-        if len(shape) != 3 or shape[1] != shape[2]:
-            raise ValueError("expected arrays of shape (n_points, n, n)")
+        if len(shape) != 2:
+            raise ValueError("expected site diagonals of shape (n_points, n_sites)")
         if shape[0] != self.grid.n_points:
             raise ValueError("array length does not match grid.n_points")
-        if self.advanced.shape != shape or self.keldysh.shape != shape:
+        if self.keldysh.shape != shape:
             raise ValueError("component shapes disagree")
-        for arr, name in (
-            (self.retarded, "retarded"),
-            (self.advanced, "advanced"),
-            (self.keldysh, "keldysh"),
-        ):
-            _assert_site_diagonal(arr, name)
-        if np.max(np.abs(self.advanced - np.conj(np.swapaxes(self.retarded, 1, 2)))) > 1e-12:
-            raise ValueError("advanced must be the hermitian conjugate of retarded")
 
     @property
     def n_sites(self):
@@ -139,21 +125,7 @@ class RateFunction:
             sk_diag = -1j * self.gamma * (
                 thermal[:, None] if thermal.ndim == 1 else thermal
             )
-        return diagonal_self_energy(self.grid, sr_diag, sk_diag)
-
-
-def diagonal_self_energy(grid, retarded_diag, keldysh_diag):
-    """Embed per-site diagonal samples (n_points, n_sites) into a SelfEnergy."""
-
-    retarded_diag = np.asarray(retarded_diag, dtype=complex)
-    keldysh_diag = np.asarray(keldysh_diag, dtype=complex)
-    n_w, n = retarded_diag.shape
-    sr = np.zeros((n_w, n, n), dtype=complex)
-    sk = np.zeros((n_w, n, n), dtype=complex)
-    np.einsum("wii->wi", sr)[...] = retarded_diag
-    np.einsum("wii->wi", sk)[...] = keldysh_diag
-    sa = np.conj(np.swapaxes(sr, 1, 2))
-    return SelfEnergy(grid=grid, retarded=sr, advanced=sa, keldysh=sk)
+        return SelfEnergy(grid=self.grid, retarded=sr_diag, keldysh=sk_diag)
 
 
 def extract_rates(sigma):
@@ -162,8 +134,8 @@ def extract_rates(sigma):
     gamma = -2 Im Sigma^+ (positive for decay), shift = Re Sigma^+.
     """
 
-    diag = np.einsum("wii->wi", sigma.retarded)
-    return RateFunction(grid=sigma.grid, gamma=-2.0 * diag.imag, shift=diag.real.copy())
+    sr = sigma.retarded
+    return RateFunction(grid=sigma.grid, gamma=-2.0 * sr.imag, shift=sr.real.copy())
 
 
 def _site_spectral_diag(h, grid):
@@ -177,14 +149,17 @@ def _site_spectral_diag(h, grid):
     return lor @ weights.T, eig
 
 
-def _tail_points(grid, pad):
+def _tail_points(grid, baths):
     """Geometric tail grids flanking the main window, with trapezoid weights.
 
-    Spacing starts at the main grid spacing and grows by 15% per cell so the
-    1/(omega - nu) kernel stays resolved near the junction while the far
-    background is covered in O(100) points per side.
+    The tails reach 12 cutoffs of the widest bath plus one window width
+    beyond each edge. Spacing starts at the main grid spacing and grows by
+    15% per cell so the 1/(omega - nu) kernel stays resolved near the
+    junction while the far background is covered in O(100) points per side.
     """
 
+    max_cut = max((b.cutoff for b in baths if b is not None), default=1.0)
+    pad = 12.0 * max_cut + (grid.omega_max - grid.omega_min)
     h0 = grid.spacing
     steps = [h0]
     total = h0
@@ -210,19 +185,22 @@ def _tail_points(grid, pad):
 
 
 def _shift_from_gamma(grid, gamma_main, tail_nu, tail_wts, gamma_tail):
-    """Kramers-Kronig shift of a rate profile, tails included.
+    """Kramers-Kronig shift of rate profiles, tails included.
 
     Delta(omega) = (1/2pi) P int Gamma(nu)/(omega - nu) d nu, split into the
     on-grid principal-value transform plus the pole-free tail quadrature.
-    Truncating to the output window instead would bias peak positions by a
-    spurious log background whenever the rate profile is wider than the
-    window, which it always is for ohmic baths.
+    Profiles are the columns of gamma_main (n_points, n) and gamma_tail
+    (n_tail, n). Truncating to the output window instead would bias peak
+    positions by a spurious log background whenever the rate profile is
+    wider than the window, which it always is for ohmic baths.
     """
 
-    main = principal_value_transform(gamma_main, grid.omegas)
+    main = np.stack(
+        [principal_value_transform(col, grid.omegas) for col in gamma_main.T], axis=1
+    )
     if tail_nu.size:
         kernel = 1.0 / (grid.omegas[:, None] - tail_nu[None, :])
-        main = main + kernel @ (tail_wts * gamma_tail)
+        main = main + kernel @ (tail_wts[:, None] * gamma_tail)
     return main / (2.0 * np.pi)
 
 
@@ -238,6 +216,16 @@ def _bath_list(baths, n_sites, allowed, what):
     return baths
 
 
+def _bath_groups(baths):
+    """{bath: [site, ...]}, grouping sites whose baths are equal; None skipped."""
+
+    groups = {}
+    for i, bath in enumerate(baths):
+        if bath is not None:
+            groups.setdefault(bath, []).append(i)
+    return groups
+
+
 def dephasing_self_energy(h, baths, beta_sys, grid):
     """Born dephasing self-energy from frequency-domain convolution.
 
@@ -251,7 +239,9 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     and the Keldysh part is the same combination with a relative minus sign
     (times -i). The level shift is the Kramers-Kronig transform of gamma
     with geometric tail grids so the wide ohmic background is not truncated
-    at the output window.
+    at the output window. Sites with equal baths are computed together on
+    (n_points, n_group) arrays, so the bath noise power is sampled once per
+    distinct bath. Returns the diagonals as a SelfEnergy.
     """
 
     baths = _bath_list(baths, h.n_sites, OhmicBath, "dephasing")
@@ -269,53 +259,39 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     f = fermi_occupation(w, beta_sys)
     edge = np.ones(n_pts)
     edge[0] = edge[-1] = 0.5
+    tail_nu, tail_wts = _tail_points(grid, baths)
 
-    max_cut = max((b.cutoff for b in baths if b is not None), default=1.0)
-    pad = 12.0 * max_cut + (w[-1] - w[0])
-    tail_nu, tail_wts = _tail_points(grid, pad)
-
-    # difference grids for the convolution and for the tail quadrature
+    # difference grid of the convolution and the part of it that lands on w
     m = np.arange(-(n_pts - 1), n_pts) * hstep
+    on_grid = slice(n_pts - 1, 2 * n_pts - 1)
+    scale = hstep / (2.0 * np.pi)
 
     gamma = np.zeros((n_pts, h.n_sites))
     sk_diag = np.zeros((n_pts, h.n_sites), dtype=complex)
     shift = np.zeros((n_pts, h.n_sites))
-
-    cache = {}
-    for i, bath in enumerate(baths):
-        if bath is None:
-            continue
-        key = (bath, np.round(a0[:, i], 12).tobytes())
-        if key in cache:
-            g_row, k_row, s_row = cache[key]
-        else:
-            c_diff = noise_power(bath, m)
-            empty = a0[:, i] * (1.0 - f) * edge
-            occ = a0[:, i] * f * edge
-            conv_e = np.convolve(empty, c_diff)[n_pts - 1 : 2 * n_pts - 1]
-            conv_o = np.convolve(occ, c_diff[::-1])[n_pts - 1 : 2 * n_pts - 1]
-            scale = hstep / (2.0 * np.pi)
-            g_row = scale * (conv_e + conv_o)
-            k_row = -1j * scale * (conv_e - conv_o)
-            # same convolution integral evaluated at the tail frequencies
-            g_tail = np.empty(tail_nu.size)
-            for start in range(0, tail_nu.size, 64):
-                stop = min(start + 64, tail_nu.size)
-                nu = tail_nu[start:stop, None]
-                g_tail[start:stop] = scale * (
-                    (noise_power(bath, nu - w[None, :]) @ empty)
-                    + (noise_power(bath, w[None, :] - nu) @ occ)
-                )
-            s_row = _shift_from_gamma(grid, g_row, tail_nu, tail_wts, g_tail)
-            cache[key] = (g_row, k_row, s_row)
-        gamma[:, i] = g_row
-        sk_diag[:, i] = k_row
-        shift[:, i] = s_row
+    for bath, sites in _bath_groups(baths).items():
+        c_diff = noise_power(bath, m)
+        empty = a0[:, sites] * (1.0 - f)[:, None] * edge[:, None]
+        occ = a0[:, sites] * f[:, None] * edge[:, None]
+        conv_e = np.stack([np.convolve(col, c_diff)[on_grid] for col in empty.T], axis=1)
+        conv_o = np.stack([np.convolve(col, c_diff[::-1])[on_grid] for col in occ.T], axis=1)
+        g_main = scale * (conv_e + conv_o)
+        # same convolution integral evaluated at the tail frequencies
+        g_tail = np.empty((tail_nu.size, len(sites)))
+        for start in range(0, tail_nu.size, 64):
+            stop = min(start + 64, tail_nu.size)
+            nu = tail_nu[start:stop, None]
+            g_tail[start:stop] = scale * (
+                (noise_power(bath, nu - w[None, :]) @ empty)
+                + (noise_power(bath, w[None, :] - nu) @ occ)
+            )
+        gamma[:, sites] = g_main
+        sk_diag[:, sites] = -1j * scale * (conv_e - conv_o)
+        shift[:, sites] = _shift_from_gamma(grid, g_main, tail_nu, tail_wts, g_tail)
 
     # a0, f, edge weights and the noise power are all nonnegative, so the
     # discrete convolution cannot go negative even at roundoff level
-    sr_diag = shift - 0.5j * gamma
-    return diagonal_self_energy(grid, sr_diag, sk_diag)
+    return SelfEnergy(grid=grid, retarded=shift - 0.5j * gamma, keldysh=sk_diag)
 
 
 def dephasing_rate_function(h, baths, beta_sys, grid):
@@ -332,33 +308,21 @@ def dephasing_rate_function(h, baths, beta_sys, grid):
     w = grid.omegas
     weights = np.abs(eig.transform) ** 2  # (site, k)
     f_k = thermal_factor(eig.energies, beta_sys)
+    tail_nu, tail_wts = _tail_points(grid, baths)
 
-    max_cut = max((b.cutoff for b in baths if b is not None), default=1.0)
-    pad = 12.0 * max_cut + (w[-1] - w[0])
-    tail_nu, tail_wts = _tail_points(grid, pad)
-
-    def closed_form(bath, site, nu_grid):
+    def closed_form(bath, sites, nu_grid):
         diff = nu_grid[:, None] - eig.energies[None, :]
         s = power_spectral_density(bath, diff)
         j = spectral_function(bath, diff)
-        return 0.5 * ((s + j * f_k[None, :]) @ weights[site])
+        return 0.5 * ((s + j * f_k[None, :]) @ weights[sites].T)
 
     gamma = np.zeros((grid.n_points, h.n_sites))
     shift = np.zeros_like(gamma)
-    cache = {}
-    for i, bath in enumerate(baths):
-        if bath is None:
-            continue
-        key = (bath, np.round(weights[i], 12).tobytes())
-        if key in cache:
-            g_row, s_row = cache[key]
-        else:
-            g_row = closed_form(bath, i, w)
-            g_tail = closed_form(bath, i, tail_nu)
-            s_row = _shift_from_gamma(grid, g_row, tail_nu, tail_wts, g_tail)
-            cache[key] = (g_row, s_row)
-        gamma[:, i] = g_row
-        shift[:, i] = s_row
+    for bath, sites in _bath_groups(baths).items():
+        g_main = closed_form(bath, sites, w)
+        g_tail = closed_form(bath, sites, tail_nu)
+        gamma[:, sites] = g_main
+        shift[:, sites] = _shift_from_gamma(grid, g_main, tail_nu, tail_wts, g_tail)
     return RateFunction(grid=grid, gamma=gamma, shift=shift)
 
 
@@ -398,55 +362,46 @@ def tls_embedding_self_energy(baths, grid, smearing=None):
         tf = thermal_factor(w, np.inf if bath.temperature == 0 else 1.0 / bath.temperature)
         sr_diag[:, i] = sr
         sk_diag[:, i] = -1j * gamma * tf
-    return diagonal_self_energy(grid, sr_diag, sk_diag)
+    return SelfEnergy(grid=grid, retarded=sr_diag, keldysh=sk_diag)
 
 
-def dyson_solve(g0, sigma):
-    """Dress free Green functions with a self-energy on the same grid.
+def dyson_solve(h, beta_sys, sigma):
+    """Dressed Green functions of the chain h under a site-diagonal self-energy.
 
-    Retarded: G = (1 - G0 Sigma)^-1 G0. Advanced by hermitian conjugation.
+    Retarded: G^+ = (omega + i*eta - h - Sigma^+)^-1, solved directly on
+    every grid point; the advanced component is its hermitian conjugate.
     Keldysh: G^K = G^+ (Sigma^K - 2i*eta*F_sys) G^-, where the boundary term
-    carries the grid broadening at the system thermal factor recovered from
-    g0 itself (trace ratio of its Keldysh and spectral parts); it is what
-    makes the sigma = 0 limit return g0 identically and keeps the
-    fluctuation-dissipation identity exact at matched temperatures.
+    carries the grid broadening at the system thermal factor
+    F_sys = tanh(beta_sys*omega/2); it is what makes the sigma = 0 limit the
+    bare equilibrium propagator and keeps the fluctuation-dissipation
+    identity exact at matched temperatures. A vanishing self-energy returns
+    ideal_greens(h, beta_sys, grid) itself.
     """
 
-    grid = g0.grid
-    if sigma.grid != grid:
-        raise ValueError("self-energy and Green functions live on different grids")
-    if sigma.n_sites != g0.n_sites:
+    grid = sigma.grid
+    if sigma.n_sites != h.n_sites:
         raise ValueError("site counts disagree")
     if not (np.any(sigma.retarded) or np.any(sigma.keldysh)):
-        return FreqGreens(
-            grid=grid,
-            retarded=g0.retarded.copy(),
-            advanced=g0.advanced.copy(),
-            keldysh=g0.keldysh.copy(),
-        )
+        return ideal_greens(h, beta_sys, grid)
 
-    n = g0.n_sites
-    eye = np.eye(n)
-    tr_spec = np.einsum("wii->w", g0.retarded) - np.einsum("wii->w", g0.advanced)
-    f_sys = (np.einsum("wii->w", g0.keldysh) / tr_spec).real
-
-    lhs = eye[None, :, :] - g0.retarded @ sigma.retarded
+    w = grid.omegas
+    lhs = (w + 1j * grid.eta)[:, None, None] * np.eye(h.n_sites) - h.matrix
+    np.einsum("wii->wi", lhs)[...] -= sigma.retarded
     try:
-        gr = np.linalg.solve(lhs, g0.retarded)
+        gr = np.linalg.inv(lhs)
     except np.linalg.LinAlgError:
         for k in range(grid.n_points):
             try:
-                np.linalg.solve(lhs[k], g0.retarded[k])
+                np.linalg.inv(lhs[k])
             except np.linalg.LinAlgError:
-                raise SingularFrequencyError(grid.omegas[k]) from None
+                raise SingularFrequencyError(w[k]) from None
         raise
     bad = ~np.isfinite(gr).all(axis=(1, 2))
     if np.any(bad):
-        raise SingularFrequencyError(grid.omegas[int(np.argmax(bad))])
-    ga = np.conj(np.swapaxes(gr, 1, 2))
-    kern = sigma.keldysh + (-2j * grid.eta * f_sys)[:, None, None] * eye
-    gk = gr @ kern @ ga
-    return FreqGreens(grid=grid, retarded=gr, advanced=ga, keldysh=gk)
+        raise SingularFrequencyError(w[int(np.argmax(bad))])
+    kern = sigma.keldysh - (2j * grid.eta * thermal_factor(w, beta_sys))[:, None]
+    gk = (gr * kern[:, None, :]) @ np.conj(np.swapaxes(gr, 1, 2))
+    return FreqGreens(grid=grid, retarded=gr, keldysh=gk)
 
 
 def spectral_weight(g):
@@ -456,7 +411,7 @@ def spectral_weight(g):
 
 
 def steady_state_greens(h, baths, beta_sys, grid, smearing=None):
-    """Convenience pipeline: free propagators, self-energy, Dyson solve.
+    """Convenience pipeline: self-energy, then the direct Dyson solve.
 
     Bath types pick the self-energy: ohmic baths go through the dephasing
     convolution, TLS/wide-band baths through the embedding form. Returns
@@ -467,17 +422,13 @@ def steady_state_greens(h, baths, beta_sys, grid, smearing=None):
         baths = [baths] * h.n_sites
     baths = list(baths)
     kinds = {type(b) for b in baths if b is not None}
-    g0 = ideal_greens(h, beta_sys, grid)
     if not kinds:
-        sigma = diagonal_self_energy(
-            grid,
-            np.zeros((grid.n_points, h.n_sites), dtype=complex),
-            np.zeros((grid.n_points, h.n_sites), dtype=complex),
-        )
+        zeros = np.zeros((grid.n_points, h.n_sites), dtype=complex)
+        sigma = SelfEnergy(grid=grid, retarded=zeros, keldysh=zeros)
     elif kinds <= {OhmicBath}:
         sigma = dephasing_self_energy(h, baths, beta_sys, grid)
     elif kinds <= {TlsBath, WideBandBath}:
         sigma = tls_embedding_self_energy(baths, grid, smearing=smearing)
     else:
         raise ValueError("cannot mix dephasing and embedding baths in one solve")
-    return dyson_solve(g0, sigma), sigma
+    return dyson_solve(h, beta_sys, sigma), sigma

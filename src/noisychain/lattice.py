@@ -2,8 +2,8 @@
 
 Single-particle Hamiltonians live here as plain hermitian matrices wrapped in
 a small dataclass, together with the uniform frequency grid used by every
-frequency-domain solver in the package and the ideal (bath-free) retarded,
-advanced and Keldysh components built from the eigendecomposition.
+frequency-domain solver in the package and the ideal (bath-free) retarded and
+Keldysh components built from the eigendecomposition; advanced ones are derived.
 
 Units: energies in units of the chain hopping unless stated otherwise.
 """
@@ -68,30 +68,30 @@ class FreqGrid:
 
 @dataclass
 class FreqGreens:
-    """Retarded/advanced/Keldysh components sampled on a FreqGrid.
+    """Retarded and Keldysh components, arrays (n_points, n, n) on a FreqGrid.
 
-    Arrays have shape (n_points, n, n). The advanced component is the
-    elementwise hermitian conjugate of the retarded one and the Keldysh
-    component is anti-hermitian; constructors in this package enforce both,
-    the dataclass itself only checks shapes.
+    Keldysh is anti-hermitian by construction (the dataclass checks shapes
+    only); advanced is the retarded hermitian conjugate, derived on access.
     """
 
     grid: FreqGrid
     retarded: np.ndarray
-    advanced: np.ndarray
     keldysh: np.ndarray
 
     def __post_init__(self):
         self.retarded = np.asarray(self.retarded, dtype=complex)
-        self.advanced = np.asarray(self.advanced, dtype=complex)
         self.keldysh = np.asarray(self.keldysh, dtype=complex)
         shape = self.retarded.shape
         if len(shape) != 3 or shape[1] != shape[2]:
             raise ValueError("expected arrays of shape (n_points, n, n)")
         if shape[0] != self.grid.n_points:
             raise ValueError("array length does not match grid.n_points")
-        if self.advanced.shape != shape or self.keldysh.shape != shape:
+        if self.keldysh.shape != shape:
             raise ValueError("component shapes disagree")
+
+    @property
+    def advanced(self):
+        return np.conj(np.swapaxes(self.retarded, 1, 2))
 
     @property
     def n_sites(self):
@@ -194,7 +194,7 @@ def thermal_factor(omega, beta):
 def ideal_greens(h, beta, grid):
     """Bath-free Green functions of the chain at inverse temperature beta.
 
-    Retarded/advanced resolvents carry the grid's eta broadening; the Keldysh
+    The retarded resolvent carries the grid's eta broadening; the Keldysh
     component is the equilibrium combination (G+ - G-)*tanh(beta*omega/2).
     """
 
@@ -203,6 +203,5 @@ def ideal_greens(h, beta, grid):
     denom = 1.0 / (w[:, None] + 1j * grid.eta - eig.energies[None, :])
     u = eig.transform
     gr = np.einsum("ik,wk,jk->wij", u, denom, u.conj(), optimize=True)
-    ga = np.conj(np.swapaxes(gr, 1, 2))
-    gk = (gr - ga) * thermal_factor(w, beta)[:, None, None]
-    return FreqGreens(grid=grid, retarded=gr, advanced=ga, keldysh=gk)
+    gk = (gr - np.conj(np.swapaxes(gr, 1, 2))) * thermal_factor(w, beta)[:, None, None]
+    return FreqGreens(grid=grid, retarded=gr, keldysh=gk)

@@ -9,6 +9,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisychain import qme
 from noisychain.cli import main
 from noisychain.errors import ConfigError
 from noisychain.harness import (
@@ -124,10 +125,39 @@ def test_sweep_rules():
     bad["engines"] = ["keldysh", "lindblad"]
     with pytest.raises(ConfigError, match="engines"):
         config_from_dict(bad)
-    bad = copy.deepcopy(base)
-    bad["sweep"]["gamma2"] = []
-    with pytest.raises(ConfigError, match="sweep.gamma2"):
-        config_from_dict(bad)
+    for widths in ([], ["x"], [True], [0.1, float("nan")]):
+        bad = copy.deepcopy(base)
+        bad["sweep"]["gamma2"] = widths
+        with pytest.raises(ConfigError, match="sweep.gamma2"):
+            config_from_dict(bad)
+    # pair entries are site indices: integers, never bools or fractions
+    for pair in ([0.7, 1.9], [True, 1], ["a", 1], [0, None]):
+        bad = copy.deepcopy(base)
+        bad["grid"]["pairs"] = [pair]
+        with pytest.raises(ConfigError, match="grid.pairs"):
+            config_from_dict(bad)
+    ok = copy.deepcopy(base)
+    ok["grid"]["pairs"] = [[1.0, 2]]
+    assert config_from_dict(ok).grid.pairs == ((1, 2),)
+
+
+def test_register_caps_rejected_before_any_output(tmp_path, capsys):
+    # register engines beyond their site caps fail validation, so the
+    # keldysh engine listed first never writes a run directory
+    for preset, cap in (("fig2-lower", qme.SPARSE_MAX_SITES),
+                        ("fig2-upper", qme.DENSE_MAX_SITES)):
+        raw = preset_config(preset)
+        raw["system"]["n_sites"] = cap
+        config_from_dict(copy.deepcopy(raw))
+        raw["system"]["n_sites"] = cap + 1
+        with pytest.raises(ConfigError, match="system.n_sites"):
+            config_from_dict(copy.deepcopy(raw))
+        path = tmp_path / f"{preset}.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / f"out-{preset}"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "system.n_sites" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_all_presets_validate():

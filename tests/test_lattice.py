@@ -133,9 +133,9 @@ def test_freq_greens_shape_checks():
     grid = FreqGrid(0.0, 1.0, 11)
     zeros = np.zeros((11, 2, 2), dtype=complex)
     with pytest.raises(ValueError):
-        FreqGreens(grid=grid, retarded=zeros[:5], advanced=zeros[:5], keldysh=zeros[:5])
+        FreqGreens(grid=grid, retarded=zeros[:5], keldysh=zeros[:5])
     with pytest.raises(ValueError):
-        FreqGreens(grid=grid, retarded=zeros, advanced=zeros[:, :1, :1], keldysh=zeros)
+        FreqGreens(grid=grid, retarded=zeros, keldysh=zeros[:, :1, :1])
 
 
 @settings(max_examples=25, deadline=None)
