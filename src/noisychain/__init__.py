@@ -48,7 +48,6 @@ from .keldysh import (
 from .lattice import FreqGreens, FreqGrid, build_chain, ideal_greens
 from .presets import preset_config, preset_names
 from .qme import (
-    LindbladGenerator,
     bloch_redfield_generator,
     exact_tls_evolve,
     lindblad_evolve,
@@ -98,7 +97,6 @@ __all__ = [
     "ideal_greens",
     "preset_config",
     "preset_names",
-    "LindbladGenerator",
     "bloch_redfield_generator",
     "exact_tls_evolve",
     "lindblad_evolve",

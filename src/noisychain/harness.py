@@ -45,7 +45,7 @@ from .kbe import (
     occupations,
     tls_memory_self_energy,
 )
-from .keldysh import extract_rates, spectral_weight, steady_state_greens
+from .keldysh import extract_rates, steady_state_greens
 from .lattice import FreqGrid, build_chain
 
 __all__ = [
@@ -76,17 +76,15 @@ _REQUIRED = object()
 
 
 def _coerce(val, kind, field):
-    """val as kind, else a ConfigError naming field; bools are never numbers."""
+    """val as kind, else a ConfigError naming field; bools and strings are never numbers."""
 
     try:
+        if kind in (float, int) and isinstance(val, (bool, str)):
+            raise TypeError
         if kind is float:
-            if isinstance(val, bool):
-                raise TypeError
             return float(val)
         if kind is int:
-            if isinstance(val, bool) or (
-                isinstance(val, float) and not float(val).is_integer()
-            ):
+            if isinstance(val, float) and not float(val).is_integer():
                 raise TypeError
             return int(val)
         if not isinstance(val, kind):
@@ -472,15 +470,16 @@ def _cross_validate(cfg):
             raise ConfigError("engines", "width sweeps run the keldysh engine only")
         if cfg.bath.alpha is not None:
             raise ConfigError("bath.alpha", "leave alpha unset when sweeping widths")
-    register_caps = {"lindblad": qme.SPARSE_MAX_SITES, "blochredfield": qme.DENSE_MAX_SITES}
-    for e, cap in register_caps.items():
-        if e in cfg.engines and cfg.system.n_sites > cap:
-            raise ConfigError(
-                "system.n_sites", f"engine '{e}' runs registers of at most {cap} sites"
-            )
-    for e in ("lindblad", "blochredfield"):
+    if "blochredfield" in cfg.engines and cfg.system.n_sites > qme.DENSE_MAX_SITES:
+        raise ConfigError(
+            "system.n_sites",
+            f"engine 'blochredfield' runs registers of at most {qme.DENSE_MAX_SITES} sites",
+        )
+    spectra_keys = {"lindblad": ("tau_max", "d_tau"),
+                    "blochredfield": ("tau_max", "d_tau", "warmup_time")}
+    for e, keys in spectra_keys.items():
         if e in cfg.engines and cfg.grid is not None:
-            for key in ("tau_max", "d_tau", "warmup_time"):
+            for key in keys:
                 if getattr(cfg.qme, key) is None:
                     raise ConfigError(
                         f"qme.{key}", f"required for '{e}' spectra"
@@ -778,12 +777,12 @@ def peak_table_from_csv(path, prominence=0.01, window=3):
 
 
 def _spectra_from_freq_greens(greens, pairs):
-    a = spectral_weight(greens)
+    # copies of the requested pairs only, so the full arrays die with greens
     ret, kel, spe = {}, {}, {}
     for i, j in pairs:
-        ret[(i, j)] = greens.retarded[:, i, j]
-        kel[(i, j)] = greens.keldysh[:, i, j]
-        spe[(i, j)] = a[:, i, j].real
+        ret[(i, j)] = greens.retarded[:, i, j].copy()
+        kel[(i, j)] = greens.keldysh[:, i, j].copy()
+        spe[(i, j)] = (1j * (greens.retarded[:, i, j] - np.conj(greens.retarded[:, j, i]))).real
     return ret, kel, spe
 
 
@@ -813,6 +812,7 @@ def _run_keldysh(plan, run_dir):
             plan.h, [bath] * cfg.system.n_sites, cfg.system.beta, plan.grid
         )
         ret, kel, spe = _spectra_from_freq_greens(greens, pairs)
+        del greens
         name = f"keldysh_spectra_gamma2_{g2:g}.csv"
         _write_spectra_csv(run_dir / name, plan.grid.omegas, pairs, ret, kel, spe)
         files.append(name)
@@ -834,43 +834,31 @@ def _run_keldysh(plan, run_dir):
     return files
 
 
-def _qme_generator(plan, kind):
-    cfg = plan.cfg
-    if kind == "blochredfield":
-        return qme.bloch_redfield_generator(
-            plan.h,
-            plan.site_baths,
-            secular=cfg.qme.secular,
-            lamb_shift=cfg.qme.lamb_shift,
-        )
-    g1, g2 = plan.gamma_rates()
-    hs = qme.spin_hamiltonian(plan.h)
-    return qme.LindbladGenerator(
-        n_sites=cfg.system.n_sites, hamiltonian=hs, gamma1=g1, gamma2star=g2
+def _redfield_generator(plan):
+    return qme.bloch_redfield_generator(
+        plan.h,
+        plan.site_baths,
+        secular=plan.cfg.qme.secular,
+        lamb_shift=plan.cfg.qme.lamb_shift,
     )
 
 
 def _run_qme_spectra(plan, run_dir, kind):
     cfg = plan.cfg
-    gen = _qme_generator(plan, kind)
     tau = np.arange(0.0, cfg.qme.tau_max + 1e-9 * cfg.qme.d_tau, cfg.qme.d_tau)
-    results = []  # (sites tuple, QmeGreens) computed so far, reused across pairs
+    sites = [s for pair in cfg.grid.pairs for s in pair]  # one solve covers every pair
+    if kind == "lindblad":
+        g1, g2 = plan.gamma_rates()
+        res = qme.lindblad_greens(plan.h, g1, g2, sites, tau, plan.grid)
+    else:
+        gen = _redfield_generator(plan)
+        res = qme.qme_greens(gen, sites, tau, cfg.qme.warmup_time, plan.grid)
     ret, kel, spe = {}, {}, {}
-    ordered = sorted(cfg.grid.pairs, key=lambda p: p[0] == p[1])
-    for i, j in ordered:
-        hit = None
-        for res in results:
-            if i in res.sites and j in res.sites:
-                hit = res
-                break
-        if hit is None:
-            hit = qme.qme_greens(gen, (i, j), tau, cfg.qme.warmup_time, plan.grid)
-            results.append(hit)
-        a = hit.sites.index(i)
-        b = hit.sites.index(j)
-        ret[(i, j)] = hit.retarded[:, a, b]
-        kel[(i, j)] = hit.keldysh[:, a, b]
-        spe[(i, j)] = hit.spectral[:, a, b].real
+    for i, j in cfg.grid.pairs:
+        a, b = res.sites.index(i), res.sites.index(j)
+        ret[(i, j)] = res.retarded[:, a, b]
+        kel[(i, j)] = res.keldysh[:, a, b]
+        spe[(i, j)] = res.spectral[:, a, b].real
     name = f"{kind}_spectra.csv"
     _write_spectra_csv(run_dir / name, plan.grid.omegas, cfg.grid.pairs, ret, kel, spe)
     return [name]
@@ -881,22 +869,25 @@ def _equal_time_keldysh(occ):
     return 1j * (2.0 * occ - 1.0)
 
 
-def _run_qme_trajectory(plan, run_dir, kind):
-    cfg = plan.cfg
-    n = cfg.system.n_sites
-    gen = _qme_generator(plan, kind)
+def _register_occupations(plan):
+    n = plan.cfg.system.n_sites
     c_ops = [qme.jw_fermion(i, n) for i in range(n)]
-    dim = 2**n
-    vac = np.zeros(dim)
+    vac = np.zeros(2**n)
     vac[0] = 1.0
-    psi = c_ops[cfg.initial.excited_site].conj().T @ vac
-    rho0 = np.outer(psi, psi.conj())
-    rhos = qme.lindblad_evolve(gen, rho0, plan.t_grid)
+    psi = c_ops[plan.cfg.initial.excited_site].conj().T @ vac
+    rhos = qme.lindblad_evolve(_redfield_generator(plan), np.outer(psi, psi.conj()), plan.t_grid)
     numbers = [c.conj().T @ c for c in c_ops]
-    occ = np.empty((plan.t_grid.size, n))
-    for k, rho in enumerate(rhos):
-        for i, num in enumerate(numbers):
-            occ[k, i] = float(np.real(np.trace(num @ rho)))
+    return np.einsum("kab,iba->ki", rhos, numbers).real
+
+
+def _run_qme_trajectory(plan, run_dir, kind):
+    if kind == "lindblad":
+        g1, g2 = plan.gamma_rates()
+        occ = qme.lindblad_occupations(
+            plan.h, g1, g2, plan.cfg.initial.excited_site, plan.t_grid
+        )
+    else:
+        occ = _register_occupations(plan)
     name = f"{kind}_trajectory.csv"
     _write_trajectory_csv(run_dir / name, plan.t_grid, occ, _equal_time_keldysh(occ))
     return [name]

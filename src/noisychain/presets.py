@@ -53,7 +53,7 @@ PRESETS = {
         beta=1.0 / 300.0,
         n_points=4001,
         engines=["keldysh", "lindblad"],
-        qme={"tau_max": 400.0, "d_tau": 0.15, "warmup_time": 200.0},
+        qme={"tau_max": 400.0, "d_tau": 0.15},
         tol={"position": "grid", "fwhm": 0.10},
     ),
     # cold ohmic bath, structured noise: Bloch-Redfield against Keldysh.

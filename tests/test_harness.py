@@ -103,6 +103,10 @@ def test_engine_section_cross_rules():
     del raw["time"]
     with pytest.raises(ConfigError, match="time"):
         config_from_dict(raw)
+    raw = preset_config("fig2-upper")
+    del raw["qme"]["warmup_time"]
+    with pytest.raises(ConfigError, match="qme.warmup_time"):
+        config_from_dict(raw)  # the register steady state needs a warmup
 
 
 def test_sweep_rules():
@@ -125,13 +129,13 @@ def test_sweep_rules():
     bad["engines"] = ["keldysh", "lindblad"]
     with pytest.raises(ConfigError, match="engines"):
         config_from_dict(bad)
-    for widths in ([], ["x"], [True], [0.1, float("nan")]):
+    for widths in ([], ["x"], ["0.1"], [True], [0.1, float("nan")]):
         bad = copy.deepcopy(base)
         bad["sweep"]["gamma2"] = widths
         with pytest.raises(ConfigError, match="sweep.gamma2"):
             config_from_dict(bad)
     # pair entries are site indices: integers, never bools or fractions
-    for pair in ([0.7, 1.9], [True, 1], ["a", 1], [0, None]):
+    for pair in ([0.7, 1.9], [True, 1], ["a", 1], ["0", "1"], [0, None]):
         bad = copy.deepcopy(base)
         bad["grid"]["pairs"] = [pair]
         with pytest.raises(ConfigError, match="grid.pairs"):
@@ -139,25 +143,40 @@ def test_sweep_rules():
     ok = copy.deepcopy(base)
     ok["grid"]["pairs"] = [[1.0, 2]]
     assert config_from_dict(ok).grid.pairs == ((1, 2),)
+    # a quoted number is a string, never read as the number it spells
+    for key, value in (("n_sites", "4"), ("beta", "inf")):
+        bad = copy.deepcopy(base)
+        bad["system"][key] = value
+        with pytest.raises(ConfigError, match=f"system.{key}"):
+            config_from_dict(bad)
 
 
 def test_register_caps_rejected_before_any_output(tmp_path, capsys):
-    # register engines beyond their site caps fail validation, so the
+    # the register engine beyond its site cap fails validation, so the
     # keldysh engine listed first never writes a run directory
-    for preset, cap in (("fig2-lower", qme.SPARSE_MAX_SITES),
-                        ("fig2-upper", qme.DENSE_MAX_SITES)):
-        raw = preset_config(preset)
-        raw["system"]["n_sites"] = cap
+    raw = preset_config("fig2-upper")
+    raw["system"]["n_sites"] = qme.DENSE_MAX_SITES
+    config_from_dict(copy.deepcopy(raw))
+    raw["system"]["n_sites"] = qme.DENSE_MAX_SITES + 1
+    with pytest.raises(ConfigError, match="system.n_sites"):
         config_from_dict(copy.deepcopy(raw))
-        raw["system"]["n_sites"] = cap + 1
-        with pytest.raises(ConfigError, match="system.n_sites"):
-            config_from_dict(copy.deepcopy(raw))
-        path = tmp_path / f"{preset}.yaml"
-        path.write_text(yaml.safe_dump(raw))
-        out = tmp_path / f"out-{preset}"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-        assert "system.n_sites" in capsys.readouterr().err
-        assert not out.exists()
+    path = tmp_path / "fig2-upper.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out-fig2-upper"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "system.n_sites" in capsys.readouterr().err
+    assert not out.exists()
+    # the lindblad engine has no register and no site cap
+    raw = preset_config("fig2-lower")
+    raw["system"]["n_sites"] = 40
+    raw["engines"] = ["lindblad"]
+    path = tmp_path / "fig2-lower.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out-fig2-lower"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    spectra = read_artifact(out / "fig2-lower" / "lindblad_spectra.csv")
+    assert spectra["columns"]["omega"].size == 2 * raw["grid"]["n_points"]
 
 
 def test_all_presets_validate():

@@ -11,11 +11,7 @@ from noisychain.baths import FlatNoise, TlsBath
 from noisychain.errors import CapacityError
 from noisychain.lattice import FreqGrid, build_chain
 
-
-def _dense(superop):
-    import scipy.sparse as sp
-
-    return np.asarray(superop.todense()) if sp.issparse(superop) else np.asarray(superop)
+from register_oracle import LindbladGenerator, null_steady_state, regression_correlator
 
 
 def test_fermion_anticommutators():
@@ -44,8 +40,8 @@ def test_spin_register_spectrum_is_subset_sums():
 
 def test_single_site_dephasing_rate():
     # coherence of one spin decays at exactly gamma2star
-    gen = qme.LindbladGenerator(n_sites=1, hamiltonian=np.zeros((2, 2)),
-                                gamma1=0.0, gamma2star=0.3)
+    gen = LindbladGenerator(n_sites=1, hamiltonian=np.zeros((2, 2)),
+                            gamma1=0.0, gamma2star=0.3)
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     t = np.linspace(0.0, 5.0, 26)
     rhos = qme.lindblad_evolve(gen, plus, t)
@@ -55,8 +51,8 @@ def test_single_site_dephasing_rate():
 
 def test_single_site_decay_rates():
     # excited population decays at gamma1, coherence at gamma1/2
-    gen = qme.LindbladGenerator(n_sites=1, hamiltonian=np.zeros((2, 2)),
-                                gamma1=0.4, gamma2star=0.0)
+    gen = LindbladGenerator(n_sites=1, hamiltonian=np.zeros((2, 2)),
+                            gamma1=0.4, gamma2star=0.0)
     rho0 = np.array([[0.3, 0.4], [0.4, 0.7]], dtype=complex)
     t = np.linspace(0.0, 5.0, 26)
     rhos = qme.lindblad_evolve(gen, rho0, t)
@@ -67,7 +63,7 @@ def test_single_site_decay_rates():
 def test_zero_rates_reduce_to_unitary():
     h = build_chain(3, 0.5, 1.0)
     hs = qme.spin_hamiltonian(h)
-    gen = qme.LindbladGenerator(n_sites=3, hamiltonian=hs, gamma1=0.0, gamma2star=0.0)
+    gen = LindbladGenerator(n_sites=3, hamiltonian=hs, gamma1=0.0, gamma2star=0.0)
     rng = np.random.default_rng(3)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho0 = m @ m.conj().T
@@ -87,17 +83,17 @@ def test_flat_noise_redfield_is_dephasing_lindblad():
     h = build_chain(2, 1.0, 0.6)
     level = 0.4
     br = qme.bloch_redfield_generator(h, FlatNoise(level=level, halfwidth=1e8))
-    lb = qme.LindbladGenerator(n_sites=2, hamiltonian=qme.spin_hamiltonian(h),
-                               gamma1=0.0, gamma2star=level / 2.0)
-    assert np.max(np.abs(_dense(br.superoperator()) - _dense(lb.superoperator()))) < 1e-8
+    lb = LindbladGenerator(n_sites=2, hamiltonian=qme.spin_hamiltonian(h),
+                           gamma1=0.0, gamma2star=level / 2.0)
+    assert np.max(np.abs(br.superoperator() - lb.superoperator())) < 1e-8
 
 
 def test_steady_state_routes_agree():
-    gen = qme.LindbladGenerator(
+    gen = LindbladGenerator(
         n_sites=2, hamiltonian=qme.spin_hamiltonian(build_chain(2, 0.5, 0.6)),
         gamma1=0.3, gamma2star=0.1)
     rho_w = qme.steady_state(gen, np.eye(4) / 4.0, warmup_time=80.0)
-    rho_n, ev = qme.null_steady_state(gen)
+    rho_n, ev = null_steady_state(gen)
     assert abs(ev) < 1e-10
     assert np.max(np.abs(rho_w - rho_n)) < 1e-8
     # decay-only fixed point is the vacuum
@@ -105,25 +101,25 @@ def test_steady_state_routes_agree():
 
 
 def test_regression_correlator_equal_time():
-    gen = qme.LindbladGenerator(
+    gen = LindbladGenerator(
         n_sites=2, hamiltonian=qme.spin_hamiltonian(build_chain(2, 0.5, 0.6)),
         gamma1=0.0, gamma2star=0.25)
-    rho_ss, _ = qme.null_steady_state(gen)
+    rho_ss, _ = null_steady_state(gen)
     a = qme.jw_fermion(0, 2)
     b = a.conj().T
     tau = np.linspace(0.0, 2.0, 21)
-    fwd, rev = qme.regression_correlator(gen, rho_ss, a, b, tau)
+    fwd, rev = regression_correlator(gen, rho_ss, a, b, tau)
     direct = np.trace(a @ b @ rho_ss)
     assert fwd[0] == pytest.approx(direct, abs=1e-12)
     assert rev[0] == pytest.approx(direct, abs=1e-12)
 
 
 def test_regression_correlator_needs_zero_start():
-    gen = qme.LindbladGenerator(n_sites=1, hamiltonian=np.zeros((2, 2)),
-                                gamma1=0.1, gamma2star=0.0)
+    gen = LindbladGenerator(n_sites=1, hamiltonian=np.zeros((2, 2)),
+                            gamma1=0.1, gamma2star=0.0)
     a = qme.jw_fermion(0, 1)
     with pytest.raises(ValueError):
-        qme.regression_correlator(gen, np.eye(2) / 2.0, a, a.conj().T,
+        regression_correlator(gen, np.eye(2) / 2.0, a, a.conj().T,
                                   np.linspace(1.0, 2.0, 11))
 
 
@@ -131,8 +127,8 @@ def test_dephased_site_line_shape():
     # single dephased level: line at the onsite energy, hermitian spectral
     # weight, near-unit weight (window and grid tails eat a few percent)
     h = build_chain(1, 1.0, 0.0, boundary="open")
-    gen = qme.LindbladGenerator(n_sites=1, hamiltonian=qme.spin_hamiltonian(h),
-                                gamma1=0.0, gamma2star=0.2)
+    gen = LindbladGenerator(n_sites=1, hamiltonian=qme.spin_hamiltonian(h),
+                            gamma1=0.0, gamma2star=0.2)
     tau = np.arange(0.0, 400.0001, 0.05)
     grid = FreqGrid(-1.0, 3.0, 2001)
     gg = qme.qme_greens(gen, (0, 0), tau, 50.0, grid)
@@ -143,6 +139,41 @@ def test_dephased_site_line_shape():
     assert grid.omegas[int(np.argmax(diag))] == pytest.approx(1.0, abs=grid.spacing)
     norm = np.trapezoid(diag, grid.omegas) / (2.0 * np.pi)
     assert 0.85 < norm < 1.05
+
+
+def test_single_particle_route_matches_register_oracle():
+    # the N x N closure against the brute-force register: spectra from the
+    # identity start (gamma1 = 0) and from a warmup long enough to reach the
+    # vacuum (gamma1 T = 40), then occupations with decay and dephasing
+    n = 4
+    h = build_chain(n, 0.3, 1.0, boundary="open")
+    hs = qme.spin_hamiltonian(h)
+    tau = np.arange(0.0, 30.0001, 0.1)
+    grid = FreqGrid(-3.0, 3.0, 301)
+    for g1, warmup in ((0.0, 1.0), (0.2, 200.0)):
+        gen = LindbladGenerator(n_sites=n, hamiltonian=hs, gamma1=g1, gamma2star=0.15)
+        for pair in ((0, 0), (0, 1)):
+            ref = qme.qme_greens(gen, pair, tau, warmup, grid)
+            got = qme.lindblad_greens(h, g1, 0.15, pair, tau, grid)
+            assert got.sites == ref.sites
+            for name in ("greater", "lesser", "retarded", "keldysh", "spectral"):
+                want = getattr(ref, name)
+                scale = np.max(np.abs(ref.retarded if name in ("keldysh", "spectral")
+                                      else ref.greater))
+                err = np.max(np.abs(getattr(got, name) - want)) / scale
+                assert err <= 1e-12, (g1, pair, name, err)
+
+    gen = LindbladGenerator(n_sites=n, hamiltonian=hs, gamma1=0.2, gamma2star=0.15)
+    t = np.linspace(0.0, 8.0, 81)
+    c_ops = [qme.jw_fermion(i, n) for i in range(n)]
+    psi = c_ops[1].conj().T[:, 0]
+    rhos = qme.lindblad_evolve(gen, np.outer(psi, psi.conj()), t)
+    ref = np.einsum("kab,iba->ki", rhos, [c.conj().T @ c for c in c_ops]).real
+    got = qme.lindblad_occupations(h, 0.2, 0.15, 1, t)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+    with pytest.raises(ValueError, match="nonnegative"):
+        qme.lindblad_occupations(h, 0.1, -0.1, 0, t)
 
 
 def test_exact_tls_rabi():
@@ -168,19 +199,19 @@ def test_exact_tls_rejects_multi_excitation():
 
 def test_generator_validation():
     with pytest.raises(ValueError):
-        qme.LindbladGenerator(n_sites=2, hamiltonian=np.zeros((2, 2)),
-                              gamma1=0.1, gamma2star=0.0)
+        LindbladGenerator(n_sites=2, hamiltonian=np.zeros((2, 2)),
+                          gamma1=0.1, gamma2star=0.0)
     with pytest.raises(ValueError):
-        qme.LindbladGenerator(n_sites=2, hamiltonian=np.zeros((4, 4)),
-                              gamma1=-0.1, gamma2star=0.0)
+        LindbladGenerator(n_sites=2, hamiltonian=np.zeros((4, 4)),
+                          gamma1=-0.1, gamma2star=0.0)
     with pytest.raises(ValueError):
-        qme.LindbladGenerator(n_sites=2, hamiltonian=np.zeros((4, 4)),
-                              gamma1=np.array([0.1, 0.2, 0.3]), gamma2star=0.0)
+        LindbladGenerator(n_sites=2, hamiltonian=np.zeros((4, 4)),
+                          gamma1=np.array([0.1, 0.2, 0.3]), gamma2star=0.0)
 
 
 def test_evolve_validates_state_and_grid():
-    gen = qme.LindbladGenerator(n_sites=1, hamiltonian=np.zeros((2, 2)),
-                                gamma1=0.1, gamma2star=0.0)
+    gen = LindbladGenerator(n_sites=1, hamiltonian=np.zeros((2, 2)),
+                            gamma1=0.1, gamma2star=0.0)
     good = np.eye(2) / 2.0
     with pytest.raises(ValueError, match="hermitian"):
         qme.lindblad_evolve(gen, np.array([[0.5, 0.3], [0.0, 0.5]]), np.linspace(0, 1, 5))
@@ -191,10 +222,6 @@ def test_evolve_validates_state_and_grid():
 
 
 def test_register_capacity_guards():
-    gen = qme.LindbladGenerator(n_sites=9, hamiltonian=np.zeros((512, 512)),
-                                gamma1=0.1, gamma2star=0.0)
-    with pytest.raises(CapacityError):
-        gen.superoperator()
     with pytest.raises(CapacityError):
         qme.bloch_redfield_generator(build_chain(6, 1.0, 0.5),
                                      FlatNoise(level=0.1, halfwidth=1e6))
@@ -211,8 +238,8 @@ def test_register_capacity_guards():
 )
 def test_evolution_preserves_state_structure(onsite, hopping, gamma1, gamma2star):
     h = build_chain(2, onsite, hopping)
-    gen = qme.LindbladGenerator(n_sites=2, hamiltonian=qme.spin_hamiltonian(h),
-                                gamma1=gamma1, gamma2star=gamma2star)
+    gen = LindbladGenerator(n_sites=2, hamiltonian=qme.spin_hamiltonian(h),
+                            gamma1=gamma1, gamma2star=gamma2star)
     rho0 = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
     rhos = qme.lindblad_evolve(gen, rho0, np.linspace(0.0, 3.0, 16))
     for rho in rhos:
