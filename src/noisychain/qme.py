@@ -5,7 +5,10 @@ at gamma1 per site) keeps the two-point correlators closed (Znidaric,
 J. Stat. Mech. (2010) L05002): its spectra and single-excitation occupations
 are computed on N x N matrices at any chain length. The Bloch-Redfield
 equation has no such closure and runs densely on the 2^N Jordan-Wigner spin
-register, through N = 5. Site densities map onto (sigma^z + 1)/2 there, so a
+register, through N = 5. Its spectra come from one eigendecomposition of the
+fixed generator (Minganti et al., PRA 98, 042118 (2018)), so they need a
+diagonalizable generator, guarded by cond(V); its trajectories step the
+propagator. Site densities map onto (sigma^z + 1)/2 there, so a
 density-coupled bath acts through sigma^z/2 (the identity part commutes out
 of every dissipator) and linewidths line up with the frequency-domain solver
 without any rescaling.
@@ -34,7 +37,6 @@ __all__ = [
     "BlochRedfieldGenerator",
     "bloch_redfield_generator",
     "lindblad_evolve",
-    "steady_state",
     "QmeGreens",
     "qme_greens",
     "lindblad_greens",
@@ -46,6 +48,7 @@ __all__ = [
 JW_MAX_SITES = 12
 DENSE_MAX_SITES = 5
 EXACT_MAX_SPINS = 16
+COND_MAX = 1e8
 
 _SZ = sp.csr_matrix(np.diag([1.0, -1.0]))
 _SM = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))  # lowers |1> -> |0>
@@ -154,31 +157,29 @@ class BlochRedfieldGenerator:
         return self._superop
 
 
-def _half_transform(bath, gap, cache):
-    """C(gap)/2 - (i/2pi) P int C(nu)/(gap - nu) d nu for one gap."""
+def _half_transform(bath, gaps):
+    """C(gap)/2 - (i/2pi) P int C(nu)/(gap - nu) d nu at every gap, rounded to 1e-12."""
 
-    key = round(float(gap), 12)
-    if key in cache:
-        return cache[key]
-    c_here = float(noise_power(bath, np.asarray(key)))
     half = support_halfwidth(bath)
-    if abs(key) < half:
-        def regular(nu):
-            d = key - nu
-            if d == 0.0:
-                return 0.0
-            return (float(noise_power(bath, np.asarray(nu))) - c_here) / d
+    table = {}
+    for key in dict.fromkeys(round(float(g), 12) for g in gaps.ravel()):
+        c_here = float(noise_power(bath, np.asarray(key)))
+        if abs(key) < half:
+            def regular(nu):
+                d = key - nu
+                if d == 0.0:
+                    return 0.0
+                return (float(noise_power(bath, np.asarray(nu))) - c_here) / d
 
-        pv, _ = quad(regular, -half, half, points=[key], limit=400)
-        pv += c_here * np.log(abs((key + half) / (half - key)))
-    else:
-        def plain(nu):
-            return float(noise_power(bath, np.asarray(nu))) / (key - nu)
+            pv, _ = quad(regular, -half, half, points=[key], limit=400)
+            pv += c_here * np.log(abs((key + half) / (half - key)))
+        else:
+            def plain(nu):
+                return float(noise_power(bath, np.asarray(nu))) / (key - nu)
 
-        pv, _ = quad(plain, -half, half, limit=400)
-    value = 0.5 * c_here - 1j * pv / (2.0 * np.pi)
-    cache[key] = value
-    return value
+            pv, _ = quad(plain, -half, half, limit=400)
+        table[key] = 0.5 * c_here - 1j * pv / (2.0 * np.pi)
+    return np.array([table[round(float(g), 12)] for g in gaps.ravel()]).reshape(gaps.shape)
 
 
 def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
@@ -188,8 +189,8 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
     part). Each eigenbasis element picks up the half Fourier transform of
     the bath correlation at its own gap: C(gap)/2 plus, when lamb_shift is
     on, -i/(2 pi) times the principal-value integral of C across the bath
-    support. The principal values are what moves peak positions; dropping
-    them leaves pure linewidths.
+    support, tabulated once per distinct bath. The principal values are
+    what moves peak positions; dropping them leaves pure linewidths.
     """
 
     n = h.n_sites
@@ -204,22 +205,19 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
     gaps = energies[:, None] - energies[None, :]
     coupling_ops = []
     lambda_ops = []
+    thetas = {}  # one gap table per distinct (frozen, hashable) bath
     for i, bath in enumerate(baths):
         if bath is None:
             continue
         if not isinstance(bath, (OhmicBath, FlatNoise)):
             raise TypeError(f"unsupported bath type {type(bath).__name__}")
+        if bath not in thetas:
+            thetas[bath] = (_half_transform(bath, gaps) if lamb_shift
+                            else 0.5 * noise_power(bath, gaps))
         a_site = 0.5 * np.asarray(_site_pauli(_SZ, i, n).todense(), dtype=complex)
         a_eig = v.conj().T @ a_site @ v
-        if lamb_shift:
-            cache = {}
-            theta = np.empty_like(gaps, dtype=complex)
-            for (a, b), gap in np.ndenumerate(gaps):
-                theta[a, b] = _half_transform(bath, gap, cache)
-        else:
-            theta = 0.5 * noise_power(bath, gaps)
         coupling_ops.append(a_eig)
-        lambda_ops.append(a_eig * theta)
+        lambda_ops.append(a_eig * thetas[bath])
     return BlochRedfieldGenerator(
         n_sites=n,
         hamiltonian=hs,
@@ -281,25 +279,6 @@ def lindblad_evolve(gen, rho0, t_grid):
     return _propagate(gen.superoperator(), rho0.reshape(-1), t_grid).reshape(-1, dim, dim)
 
 
-def steady_state(gen, rho0, warmup_time, residual_tol=1e-7):
-    """Steady state by straight time evolution, with a residual warning."""
-
-    dim = gen.hamiltonian.shape[0]
-    rho0 = _check_density_matrix(rho0, dim)
-    lv = gen.superoperator()
-    v = sla.expm(lv * float(warmup_time)) @ rho0.reshape(-1)
-    residual = float(np.max(np.abs(lv @ v)))
-    if residual > residual_tol:
-        warnings.warn(
-            f"steady-state residual {residual:.2e} above {residual_tol:.0e}; "
-            "increase warmup_time",
-            stacklevel=2,
-        )
-    rho = v.reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
-
-
 @dataclass
 class QmeGreens:
     """Master-equation Green functions among sites: (n_tau or n_w, s, s) arrays."""
@@ -355,33 +334,51 @@ def _windowed_greens(sites, tau_grid, dtau, greater, lesser, omegas):
 def qme_greens(gen, sites, tau_grid, warmup_time, grid):
     """Steady-state Green functions among sites from quantum regression on the register.
 
-    The identity state relaxes for warmup_time; the correlators
-    <c_n(tau) c_m^dag> and <c_m^dag c_n(tau)> then go through
+    The generator is diagonalized once, L = V diag(lam) V^-1, so its domain
+    is diagonalizable generators: a 1-norm cond(V) above COND_MAX raises
+    LinAlgError. The identity state relaxes to V exp(lam warmup_time) V^-1
+    rho0, exactly exp(L warmup_time) rho0, with a warning when max|L rho|
+    exceeds 1e-7. The correlators <c_n(tau) c_m^dag> and
+    <c_m^dag c_n(tau)> are exponential sums over lam, which then go through
     _windowed_greens. tau_grid should span about 20 inverse linewidths for
     clean line shapes; shorter windows leave the lines window-limited.
     """
 
-    n_sites = gen.n_sites
-    sites, tau_grid, dtau = _regression_setup(sites, n_sites, tau_grid)
-    dim = 2**n_sites
-    rho_ss = steady_state(gen, np.eye(dim) / dim, warmup_time)
+    sites, tau_grid, dtau = _regression_setup(sites, gen.n_sites, tau_grid)
+    dim = 2**gen.n_sites
+    lv = gen.superoperator()
+    lam, vecs = np.linalg.eig(lv)
+    vinv = np.linalg.inv(vecs)
+    cond = np.linalg.norm(vecs, 1) * np.linalg.norm(vinv, 1)
+    if not cond <= COND_MAX:
+        raise np.linalg.LinAlgError(f"generator not safely diagonalizable: cond(V) = "
+                                    f"{cond:.3g} exceeds {COND_MAX:.0e}")
+    v = vecs @ (np.exp(lam * float(warmup_time)) * (vinv @ np.eye(dim).reshape(-1) / dim))
+    residual = float(np.max(np.abs(lv @ v)))
+    if residual > 1e-7:
+        warnings.warn(
+            f"steady-state residual {residual:.2e} above 1e-07; increase warmup_time",
+            stacklevel=2,
+        )
+    rho = v.reshape(dim, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    rho = rho / np.trace(rho).real
 
-    cs = [jw_fermion(s, n_sites) for s in sites]
-    # columns c_p^dag rho, rho c_p^dag per site p, carried along by the generator
+    cs = [jw_fermion(s, gen.n_sites) for s in sites]
+    # columns c_p^dag rho, rho c_p^dag per site p, read by the meters c_q
     cols = np.stack(
-        [x.reshape(-1) for c in cs for x in (c.conj().T @ rho_ss, rho_ss @ c.conj().T)], axis=1
+        [x.reshape(-1) for c in cs for x in (c.conj().T @ rho, rho @ c.conj().T)], axis=1
     )
-    greater = np.empty((tau_grid.size, len(sites), len(sites)), dtype=complex)
-    lesser = np.empty_like(greater)
-    meters = [c.T.reshape(-1) for c in cs]
-    prop = sla.expm(gen.superoperator() * dtau)
-    for k in range(tau_grid.size):
-        for qi, meter in enumerate(meters):
-            vals = meter @ cols
-            greater[k, qi] = -1j * vals[0::2]
-            lesser[k, qi] = 1j * vals[1::2]
-        cols = prop @ cols
-    return _windowed_greens(sites, tau_grid, dtau, greater, lesser, grid.omegas)
+    meters = np.stack([c.T.reshape(-1) for c in cs])
+    # weights[m, q * 2s + col] = (meter_q V)_m (V^-1 col)_m
+    weights = ((meters @ vecs).T[:, :, None] * (vinv @ cols)[:, None, :]).reshape(lam.size, -1)
+    del vecs, vinv  # the decomposition is not held through the Fourier transform
+    vals = np.empty((tau_grid.size, weights.shape[1]), dtype=complex)
+    for start in range(0, tau_grid.size, 512):  # chunks bound the exponential table
+        vals[start:start + 512] = np.exp(np.outer(tau_grid[start:start + 512], lam)) @ weights
+    vals = vals.reshape(tau_grid.size, len(sites), len(sites), 2)
+    return _windowed_greens(sites, tau_grid, dtau, -1j * vals[..., 0], 1j * vals[..., 1],
+                            grid.omegas)
 
 
 def _check_rates(gamma1, gamma2star):

@@ -1,17 +1,29 @@
-"""The chain's Lindblad equation on the 4^N spin register, by brute force.
+"""Register master equations by brute force, as test oracles.
 
-noisychain.qme computes the same spectra and occupations on N x N matrices;
-these helpers (dense through N = 5) exist to check that it does.
+noisychain.qme computes the chain's Lindblad spectra and occupations on
+N x N matrices, and register spectra from one eigendecomposition of the
+generator; these helpers (dense through N = 5) reach the same numbers by
+time stepping, to check that it does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import warnings
+
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
-from noisychain.qme import _SM, _SZ, _propagate, _register_guard, _site_pauli
+from noisychain.qme import (
+    _SM,
+    _SZ,
+    _check_density_matrix,
+    _propagate,
+    _register_guard,
+    _site_pauli,
+)
 
 
 @dataclass
@@ -94,6 +106,25 @@ def null_steady_state(gen):
     if np.min(np.linalg.eigvalsh(rho)) < -1e-8:
         raise ValueError("null vector is not a positive state")
     return rho, vals[idx]
+
+
+def steady_state(gen, rho0, warmup_time, residual_tol=1e-7):
+    """Steady state by straight time evolution, with a residual warning."""
+
+    dim = gen.hamiltonian.shape[0]
+    rho0 = _check_density_matrix(rho0, dim)
+    lv = gen.superoperator()
+    v = sla.expm(lv * float(warmup_time)) @ rho0.reshape(-1)
+    residual = float(np.max(np.abs(lv @ v)))
+    if residual > residual_tol:
+        warnings.warn(
+            f"steady-state residual {residual:.2e} above {residual_tol:.0e}; "
+            "increase warmup_time",
+            stacklevel=2,
+        )
+    rho = v.reshape(dim, dim)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
 
 
 def regression_correlator(gen, rho_ss, a, b, tau_grid):

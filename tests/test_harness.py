@@ -109,6 +109,24 @@ def test_engine_section_cross_rules():
         config_from_dict(raw)  # the register steady state needs a warmup
 
 
+def test_qme_numbers_rejected():
+    # rates, the correlation window and the warmup are checked before any
+    # engine runs; a negative warmup would grow the decaying modes
+    base = preset_config("fig2-upper")
+    config_from_dict(copy.deepcopy(base))
+    for key, value in (("gamma1", -0.1), ("gamma2star", -0.1), ("tau_max", 0.0),
+                       ("tau_max", -5.0), ("d_tau", 0.0), ("d_tau", -0.2),
+                       ("warmup_time", -1.0), ("warmup_time", float("nan")),
+                       ("warmup_time", float("inf")), ("gamma1", float("inf"))):
+        bad = copy.deepcopy(base)
+        bad["qme"][key] = value
+        with pytest.raises(ConfigError, match=f"qme.{key}"):
+            config_from_dict(bad)
+    ok = copy.deepcopy(base)
+    ok["qme"].update(gamma1=0.0, gamma2star=0.0, warmup_time=0.0)
+    config_from_dict(ok)
+
+
 def test_sweep_rules():
     base = {
         "version": 1,
@@ -177,6 +195,23 @@ def test_register_caps_rejected_before_any_output(tmp_path, capsys):
     capsys.readouterr()
     spectra = read_artifact(out / "fig2-lower" / "lindblad_spectra.csv")
     assert spectra["columns"]["omega"].size == 2 * raw["grid"]["n_points"]
+
+
+def test_lindblad_trajectory_memory_rejected_before_any_output(tmp_path, capsys):
+    # the dense N^2 x N^2 trajectory generator is sized against the memory
+    # cap at validation, so the kbe engine listed first never writes
+    raw = preset_config("fig4-bottom")
+    raw["system"]["n_sites"] = 40
+    config_from_dict(copy.deepcopy(raw))
+    raw["system"]["n_sites"] = 80
+    with pytest.raises(ConfigError, match="system.n_sites"):
+        config_from_dict(copy.deepcopy(raw))
+    path = tmp_path / "fig4-bottom.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out-fig4-bottom"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "system.n_sites" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_all_presets_validate():

@@ -1,5 +1,7 @@
 """Spin-register master equations and the exact few-level reference."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,11 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisychain import qme
-from noisychain.baths import FlatNoise, TlsBath
+from noisychain.baths import FlatNoise, OhmicBath, TlsBath
 from noisychain.errors import CapacityError
 from noisychain.lattice import FreqGrid, build_chain
 
-from register_oracle import LindbladGenerator, null_steady_state, regression_correlator
+from register_oracle import (
+    LindbladGenerator,
+    null_steady_state,
+    regression_correlator,
+    steady_state,
+)
 
 
 def test_fermion_anticommutators():
@@ -92,7 +99,7 @@ def test_steady_state_routes_agree():
     gen = LindbladGenerator(
         n_sites=2, hamiltonian=qme.spin_hamiltonian(build_chain(2, 0.5, 0.6)),
         gamma1=0.3, gamma2star=0.1)
-    rho_w = qme.steady_state(gen, np.eye(4) / 4.0, warmup_time=80.0)
+    rho_w = steady_state(gen, np.eye(4) / 4.0, warmup_time=80.0)
     rho_n, ev = null_steady_state(gen)
     assert abs(ev) < 1e-10
     assert np.max(np.abs(rho_w - rho_n)) < 1e-8
@@ -174,6 +181,76 @@ def test_single_particle_route_matches_register_oracle():
 
     with pytest.raises(ValueError, match="nonnegative"):
         qme.lindblad_occupations(h, 0.1, -0.1, 0, t)
+
+
+def test_eigen_route_matches_stepping_oracle():
+    # the one-eigendecomposition correlators against expm warmup plus
+    # propagator stepping, on every secular / Lamb-shift variant
+    n = 3
+    h = build_chain(n, 0.2, 1.0, boundary="open")
+    bath = OhmicBath(alpha=0.05, cutoff=2.0, temperature=0.3)
+    tau = np.arange(0.0, 40.0001, 0.1)
+    grid = FreqGrid(-3.0, 3.0, 241)
+    sites = (2, 0, 1)
+    c_ops = [qme.jw_fermion(s, n) for s in sites]
+    for secular in (False, True):
+        for lamb_shift in (True, False):
+            gen = qme.bloch_redfield_generator(h, bath, secular=secular, lamb_shift=lamb_shift)
+            got = qme.qme_greens(gen, sites, tau, 3000.0, grid)
+            rho = steady_state(gen, np.eye(2**n) / 2**n, 3000.0)
+            greater = np.empty((tau.size, n, n), dtype=complex)
+            lesser = np.empty_like(greater)
+            for qi, cq in enumerate(c_ops):
+                for pi, cp in enumerate(c_ops):
+                    greater[:, qi, pi] = -1j * regression_correlator(
+                        gen, rho, cq, cp.conj().T, tau)[0]
+                    lesser[:, qi, pi] = 1j * regression_correlator(
+                        gen, rho, cp.conj().T, cq, tau)[1]
+            ref = qme._windowed_greens(sites, tau, 0.1, greater, lesser, grid.omegas)
+            assert got.sites == ref.sites
+            for name in ("greater", "lesser", "retarded", "keldysh", "spectral"):
+                scale = np.max(np.abs(ref.greater if name in ("greater", "lesser")
+                                      else ref.retarded))
+                err = np.max(np.abs(getattr(got, name) - getattr(ref, name))) / scale
+                assert err <= 1e-10, (secular, lamb_shift, name, err)
+
+    # a Jordan block has no eigenbasis: refused, naming the conditioning
+    jordan = -np.eye(4) + np.diag(np.ones(3), 1)
+    stub = SimpleNamespace(n_sites=1, superoperator=lambda: jordan)
+    with pytest.raises(np.linalg.LinAlgError, match=r"cond\(V\)"):
+        qme.qme_greens(stub, (0,), tau, 1.0, grid)
+
+
+def test_gap_table_shared_across_equal_baths(monkeypatch):
+    # one gap table per distinct bath, and lambda_ops bit-identical to
+    # building each site's bath on its own; the half transforms are costly
+    # at N = 5, so the Lamb-shifted tables run on N = 3
+    tables = []
+    half_transform = qme._half_transform
+    monkeypatch.setattr(qme, "_half_transform",
+                        lambda bath, gaps: tables.append(bath) or half_transform(bath, gaps))
+    cold = OhmicBath(alpha=0.002, cutoff=4.0, temperature=0.2)
+    hot = OhmicBath(alpha=0.01, cutoff=2.0, temperature=1.0)
+    for n, lamb_shift in ((5, False), (3, True)):
+        h = build_chain(n, 0.0, 1.0)
+
+        def single(i, bath):
+            baths = [None] * n
+            baths[i] = bath
+            return qme.bloch_redfield_generator(h, baths, lamb_shift=lamb_shift).lambda_ops[0]
+
+        refs = {(i, b): single(i, b) for i in range(n) for b in (cold, hot)}
+        mixed = ([cold, hot, None] + [cold, hot])[:n]
+        equal = [OhmicBath(alpha=0.002, cutoff=4.0, temperature=0.2) for _ in range(n)]
+        for baths, n_tables in ((cold, 1), (equal, 1), (mixed, 2)):
+            tables.clear()
+            gen = qme.bloch_redfield_generator(h, baths, lamb_shift=lamb_shift)
+            per_site = baths if isinstance(baths, list) else [baths] * n
+            want = [refs[(i, b)] for i, b in enumerate(per_site) if b is not None]
+            assert len(gen.lambda_ops) == len(want)
+            for got, ref in zip(gen.lambda_ops, want):
+                assert np.array_equal(got, ref)
+            assert len(tables) == (n_tables if lamb_shift else 0)
 
 
 def test_exact_tls_rabi():
