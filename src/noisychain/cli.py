@@ -11,11 +11,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import yaml
 
 from .errors import ConfigError
 from .harness import (
     OUT_ENV_VAR,
+    CompareConfig,
+    PeaksConfig,
+    ToleranceConfig,
+    _parse,
     compare_artifacts,
     config_from_dict,
     load_config,
@@ -25,25 +32,23 @@ from .harness import (
 from .presets import DESCRIPTIONS, preset_config, preset_names
 
 
-def _parse_tolerances(pairs):
-    out = {}
-    for item in pairs or ():
+def _tolerances(items):
+    """KEY=VALUE items, each value read as YAML, through the tolerance table."""
+
+    raw = {}
+    for item in items or ():
         key, sep, val = item.partition("=")
         if not sep:
             raise ConfigError("--tolerance", f"expected key=value, got {item!r}")
-        if key not in ("position", "fwhm", "trajectory", "sumrule"):
-            raise ConfigError("--tolerance", f"unknown tolerance {key!r}")
-        if key == "position" and val == "grid":
-            out[key] = "grid"
-            continue
         try:
-            num = float(val)
-        except ValueError:
-            raise ConfigError("--tolerance", f"{key}: not a number: {val!r}")
-        if num < 0:
-            raise ConfigError("--tolerance", f"{key}: must be nonnegative")
-        out[key] = num
-    return out
+            raw[key] = yaml.safe_load(val)
+        except yaml.YAMLError:
+            raise ConfigError(f"compare.tolerance.{key}", f"not a YAML value: {val!r}")
+    return _parse(raw, "compare.tolerance", ToleranceConfig)
+
+
+def _peaks(args):
+    return _parse({"prominence": args.prominence, "window": args.window}, "peaks", PeaksConfig)
 
 
 def _resolve_config(ref):
@@ -59,7 +64,8 @@ def _resolve_config(ref):
 
 def _cmd_run(args):
     cfg = _resolve_config(args.config)
-    cfg.tolerances.update(_parse_tolerances(args.tolerance))
+    tol = replace(cfg.compare.tolerance, **_tolerances(args.tolerance).given())
+    cfg = replace(cfg, compare=CompareConfig(tolerance=tol))
     result = run_experiment(cfg, out_root=args.out, seed=args.seed, jobs=args.jobs)
     print(f"run dir: {result.run_dir}")
     for name in result.artifacts:
@@ -73,12 +79,13 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
+    opts = _peaks(args)
     report = compare_artifacts(
         args.file_a,
         args.file_b,
-        tolerances=_parse_tolerances(args.tolerance),
-        prominence=args.prominence,
-        window=args.window,
+        tolerances=_tolerances(args.tolerance).given(),
+        prominence=opts.prominence,
+        window=opts.window,
     )
     for line in report.summary_lines():
         print(line)
@@ -86,9 +93,8 @@ def _cmd_compare(args):
 
 
 def _cmd_peaks(args):
-    tables = peak_table_from_csv(
-        args.file, prominence=args.prominence, window=args.window
-    )
+    opts = _peaks(args)
+    tables = peak_table_from_csv(args.file, prominence=opts.prominence, window=opts.window)
     print("pair,position,height,fwhm")
     for tag, peaks in tables.items():
         for p in peaks:
@@ -135,18 +141,15 @@ def build_parser():
     cmp_.add_argument("file_a")
     cmp_.add_argument("file_b")
     cmp_.add_argument("--tolerance", action="append", metavar="KEY=VALUE")
-    cmp_.add_argument("--prominence", type=float, default=0.01)
-    cmp_.add_argument("--window", type=int, default=3)
     cmp_.set_defaults(handler=_cmd_compare)
 
     peaks = sub.add_parser("peaks", help="peak table of a spectra artifact, as CSV")
     peaks.add_argument("file")
-    peaks.add_argument(
-        "--prominence", type=float, default=0.01,
-        help="minimum prominence as a fraction of the curve maximum",
-    )
-    peaks.add_argument("--window", type=int, default=3, help="odd smoothing window")
     peaks.set_defaults(handler=_cmd_peaks)
+    for verb in (cmp_, peaks):
+        verb.add_argument("--prominence", type=float, help="minimum prominence as a "
+                          "fraction of the curve maximum (default 0.01)")
+        verb.add_argument("--window", type=int, help="odd smoothing window (default 3)")
 
     lp = sub.add_parser("list-presets", help="list the shipped presets")
     lp.set_defaults(handler=_cmd_list_presets)
@@ -157,10 +160,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,12 @@
 A run turns one validated config into CSV artifacts plus a manifest and,
 when several engines produce the same kind of artifact, a comparison
 report. Configs are YAML with nested sections (schema version 1, documented
-in the README); every parameter is checked against the owning module's
-preconditions before any computation starts, so an invalid config never
-leaves half-written artifacts behind.
+in the README). Each section is a frozen dataclass whose fields declare
+their type, default and bounds once, in a `_spec`; one parser, `_parse`,
+checks every section against that table, `_cross_validate` adds the rules
+that span sections, and the run plan builds every module object. So an
+invalid config is rejected, naming its field, before any computation
+starts, and never leaves half-written artifacts behind.
 
 Artifact kinds and their schemas:
   spectra     omega, pair, re_retarded, im_retarded, re_keldysh,
@@ -25,11 +28,13 @@ import hashlib
 import importlib.metadata
 import json
 import math
+import numbers
 import platform
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from types import UnionType
 
 import numpy as np
 import yaml
@@ -76,377 +81,234 @@ _REQUIRED = object()
 # ---------------------------------------------------------------- config --
 
 
-def _coerce(val, kind, field):
-    """val as kind, else a ConfigError naming field; bools and strings are never numbers."""
+def _spec(kind, default=_REQUIRED, check=None, kinds=None):
+    """A config field: its kind (see _coerce), its default (none: required),
+    a (predicate, rule) check on the coerced value, and the bath kinds that
+    take it. Floats must be finite; a field whose default is inf may be inf."""
 
-    try:
-        if kind in (float, int) and isinstance(val, (bool, str)):
-            raise TypeError
-        if kind is float:
-            return float(val)
-        if kind is int:
-            if isinstance(val, float) and not float(val).is_integer():
-                raise TypeError
-            return int(val)
-        if not isinstance(val, kind):
-            raise TypeError
+    meta = {"kind": kind, "default": default, "check": check, "kinds": kinds}
+    if default is _REQUIRED:
+        return field(metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, f"one of {list(choices)}")
+
+
+_POSITIVE = (lambda v: v > 0, "positive")
+_NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
+
+
+def _coerce(val, kind, field, inf_ok=False):
+    """val as kind, else a ConfigError naming field.
+
+    kind is a type, a union of types, a config section class, [t] for a
+    nonempty list of t, or (t, t, ...) for a list of exactly that many
+    entries; lists come back as tuples. Bools and strings are never numbers,
+    and a float is finite unless inf_ok lets it be +inf.
+    """
+
+    if isinstance(kind, (list, tuple)):
+        n = len(val) if isinstance(val, (list, tuple)) else 0
+        if n == 0 or isinstance(kind, tuple) and n != len(kind):
+            what = "a nonempty list" if isinstance(kind, list) else f"a list of {len(kind)}"
+            raise ConfigError(field, f"expected {what}, got {val!r}")
+        kinds = kind * n if isinstance(kind, list) else kind
+        return tuple(_coerce(v, k, field) for v, k in zip(val, kinds))
+    if is_dataclass(kind):
+        return _parse(val, field, kind)
+    if isinstance(kind, UnionType):
+        for k in kind.__args__:
+            try:
+                return _coerce(val, k, field, inf_ok)
+            except ConfigError:
+                pass
+    elif kind in (int, float):
+        if isinstance(val, numbers.Real) and not isinstance(val, bool):
+            if kind is int and (isinstance(val, numbers.Integral) or float(val).is_integer()):
+                return int(val)
+            if kind is float and (math.isfinite(val) or inf_ok and val == math.inf):
+                return float(val)
+    elif isinstance(val, kind):
         return val
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected {kind.__name__}, got {val!r}") from None
+    name = "finite float" if kind is float and not inf_ok else getattr(kind, "__name__", kind)
+    raise ConfigError(field, f"expected {name}, got {val!r}")
 
 
-def _get(section, path, key, kind, default=_REQUIRED, choices=None):
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
-    val = _coerce(section[key], kind, f"{path}.{key}")
-    if choices is not None and val not in choices:
-        raise ConfigError(f"{path}.{key}", f"must be one of {sorted(choices)}")
-    return val
+def _parse(section, path, cls):
+    """The cls instance that a raw mapping describes, by cls's field table.
 
+    Rejects unknown keys and missing required fields; a null value counts as
+    omitted. Every value goes through _coerce and its check. A field whose
+    kinds leave out the section's `kind` may not be given.
+    """
 
-def _reject_unknown(section, path, known):
+    if not isinstance(section, dict):
+        raise ConfigError(path or "<root>", "must be a mapping")
+    specs = {f.name: f.metadata for f in fields(cls) if f.metadata}
+    prefix = f"{path}." if path else ""
     for key in section:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}", "unknown field")
+        if key not in specs:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+    values = {}
+    for name, spec in specs.items():
+        val, default, where = section.get(name), spec["default"], prefix + name
+        taken = spec["kinds"] is None or values["kind"] in spec["kinds"]
+        if val is None:
+            if default is _REQUIRED and taken:
+                raise ConfigError(where, "missing required field")
+            values[name] = None if default is _REQUIRED else default
+            continue
+        if not taken:
+            raise ConfigError(where, f"unknown field for {path} kind {values['kind']!r}")
+        val = _coerce(val, spec["kind"], where, inf_ok=default == math.inf)
+        if spec["check"] is not None and not spec["check"][0](val):
+            raise ConfigError(where, f"must be {spec['check'][1]}")
+        values[name] = val
+    return cls(**values)
 
 
-def _section(raw, path, key, required=False):
-    sec = raw.get(key)
-    if sec is None:
-        if required:
-            raise ConfigError(f"{path}{key}", "missing required section")
-        return None
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{path}{key}", "must be a mapping")
-    return sec
-
-
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class SystemConfig:
-    n_sites: int
-    onsite: float
-    hopping: float
-    boundary: str = "periodic"
-    beta: float = math.inf
+    n_sites: int = _spec(int, check=_POSITIVE)
+    onsite: float = _spec(float)
+    hopping: float = _spec(float)
+    boundary: str = _spec(str, "periodic", _one_of("periodic", "open"))
+    beta: float = _spec(float, math.inf, (lambda v: v > 0, "positive (inf allowed)"))
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class BathConfig:
-    kind: str
-    alpha: float = None
-    cutoff: float = None
-    temperature: float = 0.0
-    target_rate: float = None
-    n_tls: int = None
-    band: tuple = None
-    rate: float = None
+    kind: str = _spec(str, check=_one_of("ohmic", "tls", "wideband"))
+    # required unless sweeping widths, which is a cross-section rule
+    alpha: float = _spec(float, None, _NONNEGATIVE, kinds=("ohmic",))
+    cutoff: float = _spec(float, check=_POSITIVE, kinds=("ohmic",))
+    temperature: float = _spec(float, 0.0, _NONNEGATIVE, kinds=("ohmic", "tls"))
+    target_rate: float = _spec(float, check=_NONNEGATIVE, kinds=("tls",))
+    n_tls: int = _spec(int, check=_POSITIVE, kinds=("tls",))
+    band: tuple = _spec(
+        (float, float), check=(lambda b: 0 < b[0] <= b[1], "[lo, hi] with 0 < lo <= hi"),
+        kinds=("tls",),
+    )
+    rate: float = _spec(float, check=_NONNEGATIVE, kinds=("wideband",))
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class GridConfig:
-    omega_min: float
-    omega_max: float
-    n_points: int
-    eta: float = None
-    pairs: tuple = ((0, 0), (0, 1))
+    omega_min: float = _spec(float)
+    omega_max: float = _spec(float)
+    n_points: int = _spec(int, check=(lambda v: v >= 2, "at least 2"))
+    eta: float = _spec(float, None, _POSITIVE)  # None: four grid spacings
+    pairs: tuple = _spec([(int, int)], ((0, 0), (0, 1)))
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class TimeConfig:
-    t_max: float
-    dt: float
+    t_max: float = _spec(float, check=_POSITIVE)
+    dt: float = _spec(float, check=_POSITIVE)
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class InitialConfig:
-    excited_site: int = 0
+    excited_site: int = _spec(int, 0)
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class QmeConfig:
-    gamma1: float = None
-    gamma2star: float = None
-    tau_max: float = None
-    d_tau: float = None
-    warmup_time: float = None
-    secular: bool = False
-    lamb_shift: bool = True
+    gamma1: float = _spec(float, None, _NONNEGATIVE)  # None: derived from the bath
+    gamma2star: float = _spec(float, None, _NONNEGATIVE)
+    tau_max: float = _spec(float, None, _POSITIVE)
+    d_tau: float = _spec(float, None, _POSITIVE)
+    warmup_time: float = _spec(float, None, _NONNEGATIVE)
+    secular: bool = _spec(bool, False)
+    lamb_shift: bool = _spec(bool, True)
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class PeaksConfig:
-    prominence: float = 0.01
-    window: int = 3
+    prominence: float = _spec(float, 0.01, (lambda v: 0 < v < 1, "in (0, 1)"))
+    window: int = _spec(int, 3, (lambda v: v >= 1 and v % 2 == 1, "an odd positive integer"))
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
+class ToleranceConfig:
+    position: float | str = _spec(  # 'grid': one grid spacing
+        float | str, None,
+        (lambda v: v == "grid" if isinstance(v, str) else v >= 0, "nonnegative or 'grid'"),
+    )
+    fwhm: float = _spec(float, None, _NONNEGATIVE)
+    trajectory: float = _spec(float, None, _NONNEGATIVE)
+    sumrule: float = _spec(float, None, _NONNEGATIVE)
+
+    def given(self):
+        """The tolerances that are set, by metric family."""
+
+        return {k: v for k, v in vars(self).items() if v is not None}
+
+
+@dataclass(frozen=True, kw_only=True)
+class CompareConfig:
+    tolerance: ToleranceConfig = _spec(ToleranceConfig, ToleranceConfig())
+
+
+@dataclass(frozen=True, kw_only=True)
+class SweepConfig:
+    gamma2: tuple = _spec([float], check=(lambda v: min(v) > 0, "positive widths"))
+
+
+def _plain_name(name):
+    return name not in ("", ".", "..") and "/" not in name and "\\" not in name
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    name: str
-    system: SystemConfig
-    bath: BathConfig
-    engines: tuple
-    grid: GridConfig = None
-    time: TimeConfig = None
-    initial: InitialConfig = field(default_factory=InitialConfig)
-    qme: QmeConfig = field(default_factory=QmeConfig)
-    peaks: PeaksConfig = field(default_factory=PeaksConfig)
-    tolerances: dict = field(default_factory=dict)
-    sweep_gamma2: tuple = None
-    seed: int = 0
-    out: str = None
-    raw: dict = None
-
-
-def _parse_system(raw):
-    sec = _section(raw, "", "system", required=True)
-    _reject_unknown(sec, "system", {"n_sites", "onsite", "hopping", "boundary", "beta"})
-    cfg = SystemConfig(
-        n_sites=_get(sec, "system", "n_sites", int),
-        onsite=_get(sec, "system", "onsite", float),
-        hopping=_get(sec, "system", "hopping", float),
-        boundary=_get(
-            sec, "system", "boundary", str, "periodic", choices={"periodic", "open"}
-        ),
-        beta=_get(sec, "system", "beta", float, math.inf),
+    version: int = _spec(int, check=(lambda v: v == CONFIG_VERSION, f"{CONFIG_VERSION}"))
+    name: str = _spec(
+        str, "experiment", (_plain_name, "a directory name: no '/' or '\\', not '', '.' or '..'")
     )
-    if cfg.n_sites < 1:
-        raise ConfigError("system.n_sites", "must be at least 1")
-    if not cfg.beta > 0:
-        raise ConfigError("system.beta", "must be positive (inf allowed)")
-    return cfg
-
-
-def _parse_bath(raw, sweeping):
-    sec = _section(raw, "", "bath", required=True)
-    kind = _get(sec, "bath", "kind", str, choices={"ohmic", "tls", "wideband"})
-    if kind == "ohmic":
-        _reject_unknown(sec, "bath", {"kind", "alpha", "cutoff", "temperature"})
-        alpha = sec.get("alpha")
-        if alpha is None and not sweeping:
-            raise ConfigError("bath.alpha", "missing required field")
-        if alpha is not None:
-            alpha = _get(sec, "bath", "alpha", float)
-            if alpha < 0:
-                raise ConfigError("bath.alpha", "must be nonnegative")
-        return BathConfig(
-            kind=kind,
-            alpha=alpha,
-            cutoff=_get(sec, "bath", "cutoff", float),
-            temperature=_get(sec, "bath", "temperature", float, 0.0),
-        )
-    if kind == "tls":
-        _reject_unknown(sec, "bath", {"kind", "target_rate", "n_tls", "band", "temperature"})
-        band = sec.get("band")
-        if (
-            not isinstance(band, (list, tuple))
-            or len(band) != 2
-            or not all(isinstance(x, (int, float)) for x in band)
-        ):
-            raise ConfigError("bath.band", "must be a [lo, hi] pair of numbers")
-        return BathConfig(
-            kind=kind,
-            target_rate=_get(sec, "bath", "target_rate", float),
-            n_tls=_get(sec, "bath", "n_tls", int),
-            band=(float(band[0]), float(band[1])),
-            temperature=_get(sec, "bath", "temperature", float, 0.0),
-        )
-    _reject_unknown(sec, "bath", {"kind", "rate"})
-    return BathConfig(kind=kind, rate=_get(sec, "bath", "rate", float))
-
-
-def _parse_grid(raw):
-    sec = _section(raw, "", "grid")
-    if sec is None:
-        return None
-    _reject_unknown(sec, "grid", {"omega_min", "omega_max", "n_points", "eta", "pairs"})
-    pairs = sec.get("pairs", [[0, 0], [0, 1]])
-    if not isinstance(pairs, (list, tuple)) or not pairs:
-        raise ConfigError("grid.pairs", "must be a nonempty list of [i, j] pairs")
-    cooked = []
-    for p in pairs:
-        if not isinstance(p, (list, tuple)) or len(p) != 2:
-            raise ConfigError("grid.pairs", f"bad pair {p!r}, expected [i, j]")
-        cooked.append(tuple(_coerce(v, int, "grid.pairs") for v in p))
-    eta = sec.get("eta")
-    return GridConfig(
-        omega_min=_get(sec, "grid", "omega_min", float),
-        omega_max=_get(sec, "grid", "omega_max", float),
-        n_points=_get(sec, "grid", "n_points", int),
-        eta=None if eta is None else _get(sec, "grid", "eta", float),
-        pairs=tuple(cooked),
+    system: SystemConfig = _spec(SystemConfig)
+    bath: BathConfig = _spec(BathConfig)
+    engines: tuple = _spec(
+        [str],
+        check=(lambda v: set(v) <= set(ENGINES) and len(set(v)) == len(v),
+               f"distinct engines from {list(ENGINES)}"),
     )
+    grid: GridConfig = _spec(GridConfig, None)
+    time: TimeConfig = _spec(TimeConfig, None)
+    initial: InitialConfig = _spec(InitialConfig, InitialConfig())
+    qme: QmeConfig = _spec(QmeConfig, QmeConfig())
+    peaks: PeaksConfig = _spec(PeaksConfig, PeaksConfig())
+    compare: CompareConfig = _spec(CompareConfig, CompareConfig())
+    sweep: SweepConfig = _spec(SweepConfig, None)
+    seed: int = _spec(int, 0, _NONNEGATIVE)
+    out: str = _spec(str, None)
+    raw: dict = None  # the mapping as given; the manifest records it
 
+    @property
+    def tolerances(self):
+        return self.compare.tolerance.given()
 
-def _parse_time(raw):
-    sec = _section(raw, "", "time")
-    if sec is None:
-        return None
-    _reject_unknown(sec, "time", {"t_max", "dt"})
-    return TimeConfig(
-        t_max=_get(sec, "time", "t_max", float), dt=_get(sec, "time", "dt", float)
-    )
-
-
-def _parse_qme(raw):
-    sec = _section(raw, "", "qme")
-    if sec is None:
-        return QmeConfig()
-    _reject_unknown(
-        sec,
-        "qme",
-        {"gamma1", "gamma2star", "tau_max", "d_tau", "warmup_time", "secular", "lamb_shift"},
-    )
-    opt = lambda key: (
-        None if sec.get(key) is None else _get(sec, "qme", key, float)
-    )
-    cfg = QmeConfig(
-        gamma1=opt("gamma1"),
-        gamma2star=opt("gamma2star"),
-        tau_max=opt("tau_max"),
-        d_tau=opt("d_tau"),
-        warmup_time=opt("warmup_time"),
-        secular=_get(sec, "qme", "secular", bool, False),
-        lamb_shift=_get(sec, "qme", "lamb_shift", bool, True),
-    )
-    for key in ("gamma1", "gamma2star", "tau_max", "d_tau", "warmup_time"):
-        val = getattr(cfg, key)
-        positive = key in ("tau_max", "d_tau")
-        if val is not None and (not math.isfinite(val) or (val <= 0 if positive else val < 0)):
-            what = "positive" if positive else "nonnegative"
-            raise ConfigError(f"qme.{key}", f"must be a finite {what} number")
-    return cfg
-
-
-def _parse_tolerances(raw):
-    sec = _section(raw, "", "compare")
-    if sec is None:
-        return {}
-    _reject_unknown(sec, "compare", {"tolerance"})
-    tol = sec.get("tolerance") or {}
-    if not isinstance(tol, dict):
-        raise ConfigError("compare.tolerance", "must be a mapping")
-    known = {"position", "fwhm", "trajectory", "sumrule"}
-    out = {}
-    for key, val in tol.items():
-        if key not in known:
-            raise ConfigError(f"compare.tolerance.{key}", "unknown tolerance")
-        if key == "position" and val == "grid":
-            out[key] = "grid"
-        elif isinstance(val, (int, float)) and not isinstance(val, bool) and val >= 0:
-            out[key] = float(val)
-        else:
-            what = "a nonnegative number or 'grid'" if key == "position" else "a nonnegative number"
-            raise ConfigError(f"compare.tolerance.{key}", f"must be {what}")
-    return out
+    @property
+    def sweep_gamma2(self):
+        return None if self.sweep is None else self.sweep.gamma2
 
 
 def config_from_dict(raw, name=None):
     """Validate a raw config mapping into an ExperimentConfig.
 
-    Raises ConfigError naming the offending field. Cross-section rules
-    (which engines need which sections, bath-kind restrictions) are
-    enforced here; numeric preconditions of the physics modules are
-    enforced by building the module objects in the run plan.
+    Every field is checked against its section's field table, then the
+    cross-section rules (which engines need which sections and bath kinds,
+    site and memory caps) are enforced. Raises ConfigError naming the
+    offending field. Numeric preconditions of the physics modules are
+    enforced again by building the module objects in the run plan. `name`
+    is the default run name, used when the mapping gives none.
     """
 
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a mapping")
-    known = {
-        "version",
-        "name",
-        "system",
-        "bath",
-        "engines",
-        "grid",
-        "time",
-        "initial",
-        "qme",
-        "peaks",
-        "compare",
-        "sweep",
-        "seed",
-        "out",
-    }
-    _reject_unknown(raw, "<root>", known)
-    version = _get(raw, "<root>", "version", int)
-    if version != CONFIG_VERSION:
-        raise ConfigError("version", f"unsupported config version {version}")
-    name = _get(raw, "<root>", "name", str, name or "experiment")
-
-    engines = raw.get("engines")
-    if not isinstance(engines, (list, tuple)) or not engines:
-        raise ConfigError("engines", "must be a nonempty list")
-    for e in engines:
-        if e not in ENGINES:
-            raise ConfigError("engines", f"unknown engine {e!r}; known: {list(ENGINES)}")
-    if len(set(engines)) != len(engines):
-        raise ConfigError("engines", "engines listed twice")
-    engines = tuple(engines)
-
-    sweep = _section(raw, "", "sweep")
-    sweep_gamma2 = None
-    if sweep is not None:
-        _reject_unknown(sweep, "sweep", {"gamma2"})
-        vals = sweep.get("gamma2")
-        if not isinstance(vals, (list, tuple)) or not vals:
-            raise ConfigError("sweep.gamma2", "must be a nonempty list of widths")
-        sweep_gamma2 = tuple(_coerce(v, float, "sweep.gamma2") for v in vals)
-        if not all(v > 0 for v in sweep_gamma2):
-            raise ConfigError("sweep.gamma2", "widths must be positive")
-
-    system = _parse_system(raw)
-    bath = _parse_bath(raw, sweeping=sweep_gamma2 is not None)
-    grid = _parse_grid(raw)
-    time_cfg = _parse_time(raw)
-
-    init_sec = _section(raw, "", "initial")
-    initial = InitialConfig()
-    if init_sec is not None:
-        _reject_unknown(init_sec, "initial", {"excited_site"})
-        initial = InitialConfig(
-            excited_site=_get(init_sec, "initial", "excited_site", int, 0)
-        )
-    if not 0 <= initial.excited_site < system.n_sites:
-        raise ConfigError("initial.excited_site", "outside the chain")
-
-    qme_cfg = _parse_qme(raw)
-    peaks_sec = _section(raw, "", "peaks")
-    peaks = PeaksConfig()
-    if peaks_sec is not None:
-        _reject_unknown(peaks_sec, "peaks", {"prominence", "window"})
-        peaks = PeaksConfig(
-            prominence=_get(peaks_sec, "peaks", "prominence", float, 0.01),
-            window=_get(peaks_sec, "peaks", "window", int, 3),
-        )
-    if not 0 < peaks.prominence < 1:
-        raise ConfigError("peaks.prominence", "must be in (0, 1)")
-    if peaks.window < 1 or peaks.window % 2 == 0:
-        raise ConfigError("peaks.window", "must be an odd positive integer")
-
-    tolerances = _parse_tolerances(raw)
-    seed = _get(raw, "<root>", "seed", int, 0)
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out", "must be a string path")
-
-    cfg = ExperimentConfig(
-        name=name,
-        system=system,
-        bath=bath,
-        engines=engines,
-        grid=grid,
-        time=time_cfg,
-        initial=initial,
-        qme=qme_cfg,
-        peaks=peaks,
-        tolerances=tolerances,
-        sweep_gamma2=sweep_gamma2,
-        seed=seed,
-        out=out,
-        raw=copy.deepcopy(raw),
-    )
+    named = raw if raw.get("name") is not None else {**raw, "name": name}
+    cfg = replace(_parse(named, "", ExperimentConfig), raw=copy.deepcopy(raw))
     _cross_validate(cfg)
     return cfg
 
@@ -461,6 +323,8 @@ def _cross_validate(cfg):
             raise ConfigError("time", f"engine '{e}' needs the time section")
         if e in ("lindblad", "blochredfield") and cfg.grid is None and cfg.time is None:
             raise ConfigError("engines", f"engine '{e}' needs a grid or time section")
+    if not 0 <= cfg.initial.excited_site < cfg.system.n_sites:
+        raise ConfigError("initial.excited_site", "outside the chain")
     if "kbe" in cfg.engines and cfg.bath.kind == "ohmic":
         raise ConfigError(
             "bath.kind", "the two-time integrator takes wideband or tls baths only"
@@ -469,7 +333,9 @@ def _cross_validate(cfg):
         raise ConfigError("bath.kind", "exact_tls needs a tls bath")
     if "blochredfield" in cfg.engines and cfg.bath.kind != "ohmic":
         raise ConfigError("bath.kind", "blochredfield needs an ohmic bath")
-    if cfg.sweep_gamma2 is not None:
+    if cfg.sweep is None and cfg.bath.kind == "ohmic" and cfg.bath.alpha is None:
+        raise ConfigError("bath.alpha", "missing required field")
+    if cfg.sweep is not None:
         if cfg.bath.kind != "ohmic":
             raise ConfigError("sweep", "width sweeps need an ohmic bath")
         if cfg.bath.temperature <= 0:
@@ -502,6 +368,13 @@ def _cross_validate(cfg):
                     raise ConfigError(
                         f"qme.{key}", f"required for '{e}' spectra"
                     )
+            # the length of the engine's np.arange(0, tau_max + 1e-9 d_tau, d_tau)
+            n_tau = math.ceil((cfg.qme.tau_max + 1e-9 * cfg.qme.d_tau) / cfg.qme.d_tau)
+            if n_tau < qme.MIN_TAU_POINTS:
+                raise ConfigError(
+                    "qme.tau_max",
+                    f"'{e}' spectra need at least {qme.MIN_TAU_POINTS - 1} steps of d_tau",
+                )
     if cfg.grid is not None:
         for i, j in cfg.grid.pairs:
             if not (0 <= i < cfg.system.n_sites and 0 <= j < cfg.system.n_sites):
@@ -553,8 +426,6 @@ class _Plan:
         self.t_grid = None
         if cfg.time is not None:
             steps = cfg.time.t_max / cfg.time.dt
-            if cfg.time.dt <= 0 or cfg.time.t_max <= 0:
-                raise ConfigError("time", "t_max and dt must be positive")
             if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
                 raise ConfigError("time.t_max", "must be an integer multiple of dt")
             self.t_grid = np.arange(int(round(steps)) + 1) * cfg.time.dt
@@ -1238,8 +1109,7 @@ def run_experiment(cfg, out_root=None, seed=None, jobs=1):
     """
 
     if seed is not None:
-        cfg = copy.deepcopy(cfg)
-        cfg.seed = int(seed)
+        cfg = replace(cfg, seed=int(seed))
     plan = _Plan(cfg)  # validates everything before any file is written
     run_dir = resolve_out_root(cfg.out, out_root) / cfg.name
     run_dir.mkdir(parents=True, exist_ok=True)

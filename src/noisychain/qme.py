@@ -49,6 +49,7 @@ JW_MAX_SITES = 12
 DENSE_MAX_SITES = 5
 EXACT_MAX_SPINS = 16
 COND_MAX = 1e8
+MIN_TAU_POINTS = 8  # regression window points, tau = 0 included
 
 _SZ = sp.csr_matrix(np.diag([1.0, -1.0]))
 _SM = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))  # lowers |1> -> |0>
@@ -299,7 +300,7 @@ def _regression_setup(sites, n_sites, tau_grid):
         if not 0 <= s < n_sites:
             raise ValueError(f"site {s} outside register of {n_sites}")
     tau_grid, dtau = _uniform_spacing(tau_grid, "tau_grid")
-    if tau_grid[0] != 0.0 or tau_grid.size < 8:
+    if tau_grid[0] != 0.0 or tau_grid.size < MIN_TAU_POINTS:
         raise ValueError("tau_grid must start at 0 with a reasonable length")
     return sites, tau_grid, dtau
 

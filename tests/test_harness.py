@@ -2,6 +2,7 @@
 
 import copy
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from noisychain.harness import (
     CONFIG_VERSION,
     ENGINES,
     OUT_ENV_VAR,
+    ExperimentConfig,
+    _Plan,
     compare_artifacts,
     config_from_dict,
     find_spectral_peaks,
@@ -67,6 +70,17 @@ def test_yaml_roundtrip(tmp_path):
     assert cfg.seed == 3
 
 
+def _set(raw, path, value):
+    """raw with the dotted field path set to value, creating sections."""
+
+    *sections, key = path.split(".")
+    for name in sections:
+        if not isinstance(raw.get(name), dict):
+            raw[name] = {}
+        raw = raw[name]
+    raw[key] = value
+
+
 def test_unknown_field_is_named():
     raw = _tiny_trajectory_config()
     raw["system"]["flavor"] = "up"
@@ -75,6 +89,30 @@ def test_unknown_field_is_named():
     raw2 = _tiny_trajectory_config(typo_section={"a": 1})
     with pytest.raises(ConfigError, match="typo_section"):
         config_from_dict(raw2)
+    # every float is finite (beta may be inf), zero steps and bools are
+    # rejected, and each rejection names its field
+    nan, inf = float("nan"), float("inf")
+    for preset, path, value in (
+        ("fig4-bottom", "time.dt", 0), ("fig4-bottom", "time.t_max", nan),
+        ("fig4-bottom", "time.dt", inf), ("fig4-bottom", "bath.rate", nan),
+        ("fig2-lower", "system.onsite", nan), ("fig2-lower", "system.hopping", inf),
+        ("fig2-lower", "bath.temperature", nan), ("fig2-lower", "bath.alpha", nan),
+        ("fig2-lower", "bath.alpha", inf), ("fig2-lower", "grid.eta", nan),
+        ("fig2-lower", "compare.tolerance.fwhm", inf), ("fig2-lower", "system.beta", -inf),
+        ("fig2-lower", "bath.rate", 0.1), ("fig4-top", "bath.band", [nan, 2.0]),
+        ("fig4-top", "bath.band", [True, 2]), ("fig3-top", "sweep.gamma2", [0.1, inf]),
+    ):
+        bad = preset_config(preset)
+        _set(bad, path, value)
+        with pytest.raises(ConfigError, match=path):
+            _Plan(config_from_dict(bad))
+    # a null value counts as omitted
+    raw = preset_config("fig4-top")
+    for path in ("system.beta", "qme.gamma1", "bath.temperature", "name", "initial"):
+        _set(raw, path, None)
+    cfg = config_from_dict(raw)
+    assert (cfg.system.beta, cfg.qme.gamma1, cfg.bath.temperature) == (float("inf"), None, 0.0)
+    assert (cfg.name, cfg.initial.excited_site) == ("experiment", 0)
 
 
 def test_version_required_and_checked():
@@ -117,13 +155,14 @@ def test_qme_numbers_rejected():
     for key, value in (("gamma1", -0.1), ("gamma2star", -0.1), ("tau_max", 0.0),
                        ("tau_max", -5.0), ("d_tau", 0.0), ("d_tau", -0.2),
                        ("warmup_time", -1.0), ("warmup_time", float("nan")),
-                       ("warmup_time", float("inf")), ("gamma1", float("inf"))):
+                       ("warmup_time", float("inf")), ("gamma1", float("inf")),
+                       ("tau_max", 1.0)):  # fewer than the 8 regression points
         bad = copy.deepcopy(base)
         bad["qme"][key] = value
         with pytest.raises(ConfigError, match=f"qme.{key}"):
             config_from_dict(bad)
     ok = copy.deepcopy(base)
-    ok["qme"].update(gamma1=0.0, gamma2star=0.0, warmup_time=0.0)
+    ok["qme"].update(gamma1=0.0, gamma2star=0.0, warmup_time=0.0, tau_max=1.4)
     config_from_dict(ok)
 
 
@@ -402,7 +441,48 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("a,b\n1,2\n")
     assert main(["compare", str(a), str(bad)]) == 2
     capsys.readouterr()
-    assert main(["compare", str(a), str(b), "--tolerance", "bogus=1"]) == 2
+    for flags in (["--tolerance", "bogus=1"], ["--tolerance", "fwhm=nan"],
+                  ["--tolerance", "position=-1"], ["--window", "2"], ["--prominence", "7"]):
+        assert main(["compare", str(a), str(b), *flags]) == 2
+        assert "config field" in capsys.readouterr().err
+    assert main(["peaks", str(a), "--window", "2"]) == 2
+    assert "peaks.window" in capsys.readouterr().err
+    # a run name is one directory below the output root, never a path
+    for name in ("../escape", "", ".", "..", "a/b", "a\\b"):
+        path = tmp_path / "named.yaml"
+        path.write_text(yaml.safe_dump(_tiny_trajectory_config(name=name)))
+        out = tmp_path / "runs" / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "'name'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+
+def _schema_paths(cls, prefix=""):
+    for f in fields(cls):
+        if f.metadata:
+            yield prefix + f.name
+            if is_dataclass(f.metadata["kind"]):
+                yield from _schema_paths(f.metadata["kind"], f"{prefix}{f.name}.")
+
+
+_ROOT_KEYS = {f.name for f in fields(ExperimentConfig) if f.metadata}
+
+
+# hostile values only: no large integers, so no case allocates much or runs long
+@settings(max_examples=400, deadline=None)
+@given(
+    preset=st.sampled_from(preset_names()),
+    path=st.sampled_from(sorted(_schema_paths(ExperimentConfig))),
+    value=st.sampled_from([float("nan"), float("inf"), float("-inf"), -1, 0, True, "1",
+                           None, [], {}, [1]]),
+)
+def test_mutated_preset_validates_or_names_a_field(preset, path, value):
+    raw = preset_config(preset)
+    _set(raw, path, copy.deepcopy(value))
+    try:
+        _Plan(config_from_dict(raw))
+    except ConfigError as exc:
+        assert exc.field.split(".")[0] in _ROOT_KEYS, exc
 
 
 @settings(max_examples=25, deadline=None)
