@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 __all__ = [
     "OhmicBath",
@@ -187,17 +188,22 @@ def principal_value_transform(values, omegas):
     the constant part. The two endpoints use a half-cell-extended interval
     to keep the log finite; values in the outer few percent of the grid are
     less reliable, as is anything this close to the integration boundary.
+
+    values is one profile (n,) or a block of profiles (n, k), transformed
+    column by column. The off-pole sum is a Toeplitz product in the grid
+    index: with trapezoid weights w and k_m = 1/m (k_0 = 0) it equals
+    (w f) * k - f (w * k), and both discrete convolutions run as one FFT
+    convolution over the whole block.
     """
 
     f = np.asarray(values)
     omegas = np.asarray(omegas, dtype=float)
     n = omegas.size
-    if f.shape != omegas.shape:
-        raise ValueError("values and omegas must have the same shape")
+    if omegas.ndim != 1 or f.ndim not in (1, 2) or f.shape[0] != n:
+        raise ValueError("values must have shape (n,) or (n, k) on the n omegas")
     if n < 3:
         raise ValueError("need at least 3 grid points")
     h = omegas[1] - omegas[0]
-    df = np.gradient(f, h)
     lo = omegas - omegas[0]
     hi = omegas[-1] - omegas
     lo[0] = hi[-1] = 0.5 * h
@@ -205,18 +211,15 @@ def principal_value_transform(values, omegas):
 
     weights = np.ones(n)
     weights[0] = weights[-1] = 0.5
-    out = np.empty(n, dtype=f.dtype)
-    block = 512
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        wi = omegas[start:stop, None]
-        kernel = wi - omegas[None, :]
-        idx = np.arange(start, stop)
-        kernel[idx - start, idx] = 1.0  # pole cell patched below
-        integrand = (f[None, :] - f[start:stop, None]) / kernel
-        integrand[idx - start, idx] = -df[start:stop]
-        out[start:stop] = integrand @ weights
-    return out * h + f * log_term
+    m = np.arange(-(n - 1), n, dtype=float)
+    kernel = np.divide(1.0, m, out=np.zeros_like(m), where=m != 0)
+    cols = f.reshape(n, -1)
+    conv = fftconvolve(
+        np.column_stack([weights[:, None] * cols, weights]), kernel[:, None], axes=0
+    )[n - 1 : 2 * n - 1]
+    off_pole = conv[:, :-1] - cols * conv[:, -1:]
+    pole = -h * weights[:, None] * np.gradient(cols, h, axis=0)
+    return (off_pole + pole + cols * log_term[:, None]).reshape(f.shape)
 
 
 def boson_correlators(bath, grid):

@@ -74,6 +74,9 @@ __all__ = [
 ENGINES = ("keldysh", "kbe", "lindblad", "blochredfield", "exact_tls")
 CONFIG_VERSION = 1
 OUT_ENV_VAR = "NOISYCHAIN_OUT"
+# time-grid cap: every trajectory engine writes one CSV row per step and
+# site, so a million steps is already hundreds of MB of artifact per run
+MAX_TIME_STEPS = 1_000_000
 
 _REQUIRED = object()
 
@@ -136,6 +139,15 @@ def _coerce(val, kind, field, inf_ok=False):
     raise ConfigError(field, f"expected {name}, got {val!r}")
 
 
+def _checked(spec, val, where):
+    """val coerced by a field table entry and held to its check."""
+
+    val = _coerce(val, spec["kind"], where, inf_ok=spec["default"] == math.inf)
+    if spec["check"] is not None and not spec["check"][0](val):
+        raise ConfigError(where, f"must be {spec['check'][1]}")
+    return val
+
+
 def _parse(section, path, cls):
     """The cls instance that a raw mapping describes, by cls's field table.
 
@@ -162,10 +174,7 @@ def _parse(section, path, cls):
             continue
         if not taken:
             raise ConfigError(where, f"unknown field for {path} kind {values['kind']!r}")
-        val = _coerce(val, spec["kind"], where, inf_ok=default == math.inf)
-        if spec["check"] is not None and not spec["check"][0](val):
-            raise ConfigError(where, f"must be {spec['check'][1]}")
-        values[name] = val
+        values[name] = _checked(spec, val, where)
     return cls(**values)
 
 
@@ -323,6 +332,11 @@ def _cross_validate(cfg):
             raise ConfigError("time", f"engine '{e}' needs the time section")
         if e in ("lindblad", "blochredfield") and cfg.grid is None and cfg.time is None:
             raise ConfigError("engines", f"engine '{e}' needs a grid or time section")
+    if cfg.time is not None and cfg.time.t_max / cfg.time.dt > MAX_TIME_STEPS:
+        raise ConfigError(
+            "time.dt", f"t_max/dt = {cfg.time.t_max / cfg.time.dt:.3g} exceeds "
+            f"{MAX_TIME_STEPS} steps"
+        )
     if not 0 <= cfg.initial.excited_site < cfg.system.n_sites:
         raise ConfigError("initial.excited_site", "outside the chain")
     if "kbe" in cfg.engines and cfg.bath.kind == "ohmic":
@@ -665,24 +679,26 @@ def peak_table_from_csv(path, prominence=0.01, window=3):
 # --------------------------------------------------------------- engines --
 
 
-def _spectra_from_freq_greens(greens, pairs):
-    # copies of the requested pairs only, so the full arrays die with greens
+def _spectra_from_freq_greens(greens, pairs, sites):
+    # greens covers `sites` only; entries are indexed by position in it
     ret, kel, spe = {}, {}, {}
     for i, j in pairs:
-        ret[(i, j)] = greens.retarded[:, i, j].copy()
-        kel[(i, j)] = greens.keldysh[:, i, j].copy()
-        spe[(i, j)] = (1j * (greens.retarded[:, i, j] - np.conj(greens.retarded[:, j, i]))).real
+        a, b = sites.index(i), sites.index(j)
+        ret[(i, j)] = greens.retarded[:, a, b]
+        kel[(i, j)] = greens.keldysh[:, a, b]
+        spe[(i, j)] = (1j * (greens.retarded[:, a, b] - np.conj(greens.retarded[:, b, a]))).real
     return ret, kel, spe
 
 
 def _run_keldysh(plan, run_dir):
     cfg = plan.cfg
     pairs = cfg.grid.pairs
+    sites = list(dict.fromkeys(s for pair in pairs for s in pair))  # the solve needs no others
     if cfg.sweep_gamma2 is None:
         greens, sigma = steady_state_greens(
-            plan.h, plan.site_baths, cfg.system.beta, plan.grid
+            plan.h, plan.site_baths, cfg.system.beta, plan.grid, sites=sites
         )
-        ret, kel, spe = _spectra_from_freq_greens(greens, pairs)
+        ret, kel, spe = _spectra_from_freq_greens(greens, pairs, sites)
         files = ["keldysh_spectra.csv"]
         _write_spectra_csv(run_dir / files[0], plan.grid.omegas, pairs, ret, kel, spe)
         _write_rates_csv(run_dir / "keldysh_rates.csv", extract_rates(sigma))
@@ -698,10 +714,9 @@ def _run_keldysh(plan, run_dir):
             temperature=cfg.bath.temperature,
         )
         greens, _ = steady_state_greens(
-            plan.h, [bath] * cfg.system.n_sites, cfg.system.beta, plan.grid
+            plan.h, [bath] * cfg.system.n_sites, cfg.system.beta, plan.grid, sites=sites
         )
-        ret, kel, spe = _spectra_from_freq_greens(greens, pairs)
-        del greens
+        ret, kel, spe = _spectra_from_freq_greens(greens, pairs, sites)
         name = f"keldysh_spectra_gamma2_{g2:g}.csv"
         _write_spectra_csv(run_dir / name, plan.grid.omegas, pairs, ret, kel, spe)
         files.append(name)
@@ -1109,7 +1124,8 @@ def run_experiment(cfg, out_root=None, seed=None, jobs=1):
     """
 
     if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
+        spec = {f.name: f.metadata for f in fields(ExperimentConfig)}["seed"]
+        cfg = replace(cfg, seed=_checked(spec, seed, "seed"))
     plan = _Plan(cfg)  # validates everything before any file is written
     run_dir = resolve_out_root(cfg.out, out_root) / cfg.name
     run_dir.mkdir(parents=True, exist_ok=True)

@@ -191,17 +191,19 @@ def thermal_factor(omega, beta):
     return np.tanh(0.5 * beta * omega)
 
 
-def ideal_greens(h, beta, grid):
+def ideal_greens(h, beta, grid, sites=None):
     """Bath-free Green functions of the chain at inverse temperature beta.
 
     The retarded resolvent carries the grid's eta broadening; the Keldysh
     component is the equilibrium combination (G+ - G-)*tanh(beta*omega/2).
+    Only the entries between `sites` (default: every site) are built, as
+    (n_points, s, s) arrays indexed by position in `sites`.
     """
 
     eig = diagonalize(h)
     w = grid.omegas
     denom = 1.0 / (w[:, None] + 1j * grid.eta - eig.energies[None, :])
-    u = eig.transform
+    u = eig.transform if sites is None else eig.transform[list(sites)]
     gr = np.einsum("ik,wk,jk->wij", u, denom, u.conj(), optimize=True)
     gk = (gr - np.conj(np.swapaxes(gr, 1, 2))) * thermal_factor(w, beta)[:, None, None]
     return FreqGreens(grid=grid, retarded=gr, keldysh=gk)

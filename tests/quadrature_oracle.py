@@ -1,0 +1,68 @@
+"""On-grid quadratures by direct summation, as test oracles.
+
+noisychain.baths.principal_value_transform and the noise convolutions of
+noisychain.keldysh.dephasing_self_energy evaluate Toeplitz sums on the
+frequency grid by FFT convolution; these helpers reach the same numbers by
+summing every term (O(n^2) per profile), to check that they do.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from noisychain.baths import noise_power
+from noisychain.keldysh import _site_spectral_diag
+from noisychain.lattice import fermi_occupation
+
+
+def principal_value_direct(values, omegas):
+    """principal_value_transform of one profile (n,), term by term."""
+
+    f = np.asarray(values)
+    omegas = np.asarray(omegas, dtype=float)
+    n = omegas.size
+    if f.shape != omegas.shape:
+        raise ValueError("values and omegas must have the same shape")
+    h = omegas[1] - omegas[0]
+    df = np.gradient(f, h)
+    lo = omegas - omegas[0]
+    hi = omegas[-1] - omegas
+    lo[0] = hi[-1] = 0.5 * h
+    log_term = np.log(lo / hi)
+
+    weights = np.ones(n)
+    weights[0] = weights[-1] = 0.5
+    out = np.empty(n, dtype=f.dtype)
+    block = 512
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        wi = omegas[start:stop, None]
+        kernel = wi - omegas[None, :]
+        idx = np.arange(start, stop)
+        kernel[idx - start, idx] = 1.0  # pole cell patched below
+        integrand = (f[None, :] - f[start:stop, None]) / kernel
+        integrand[idx - start, idx] = -df[start:stop]
+        out[start:stop] = integrand @ weights
+    return out * h + f * log_term
+
+
+def dephasing_convolutions_direct(h, bath, beta_sys, grid):
+    """On-grid rate gamma and Keldysh diagonal of dephasing_self_energy.
+
+    Every site carries `bath`; each site's two noise convolutions are one
+    np.convolve per column. Returns (gamma, keldysh), each (n_points, n_sites).
+    """
+
+    a0, _ = _site_spectral_diag(h, grid)
+    n_pts = grid.n_points
+    f = fermi_occupation(grid.omegas, beta_sys)
+    edge = np.ones(n_pts)
+    edge[0] = edge[-1] = 0.5
+    c_diff = noise_power(bath, np.arange(-(n_pts - 1), n_pts) * grid.spacing)
+    on_grid = slice(n_pts - 1, 2 * n_pts - 1)
+    scale = grid.spacing / (2.0 * np.pi)
+    empty = a0 * (1.0 - f)[:, None] * edge[:, None]
+    occ = a0 * f[:, None] * edge[:, None]
+    conv_e = np.stack([np.convolve(col, c_diff)[on_grid] for col in empty.T], axis=1)
+    conv_o = np.stack([np.convolve(col, c_diff[::-1])[on_grid] for col in occ.T], axis=1)
+    return scale * (conv_e + conv_o), -1j * scale * (conv_e - conv_o)

@@ -22,6 +22,7 @@ from noisychain.baths import (
     tls_spectral_density,
 )
 from noisychain.lattice import FreqGrid
+from quadrature_oracle import principal_value_direct
 
 
 def test_ohmic_coupling_density_value():
@@ -93,6 +94,29 @@ def test_principal_value_against_quadrature():
 def test_principal_value_needs_three_points():
     with pytest.raises(ValueError):
         principal_value_transform(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
+
+
+def test_principal_value_fft_matches_direct_sum():
+    # the FFT route against the term-by-term sum, one profile at a time and
+    # as one (n, k) block, on every grid point including both endpoints;
+    # profiles: an off-center line, a wide odd ohmic shape, a complex one
+    # and a profile that is not small at either edge
+    grid = np.linspace(0.2, 3.8, 2001)
+    block = np.column_stack([
+        np.exp(-((grid - 1.1) / 0.2) ** 2),
+        grid * np.exp(-np.abs(grid) / 0.8),
+        np.exp(1j * 3.0 * grid) / (1.0 + grid**2),
+        0.5 + np.sin(2.0 * grid),
+    ])
+    fft_block = principal_value_transform(block, grid)
+    assert fft_block.shape == block.shape
+    for k in range(block.shape[1]):
+        ref = principal_value_direct(block[:, k], grid)
+        scale = np.max(np.abs(ref))
+        for mine in (fft_block[:, k], principal_value_transform(block[:, k], grid)):
+            assert np.max(np.abs(mine - ref)) <= 1e-12 * scale
+    with pytest.raises(ValueError, match="shape"):
+        principal_value_transform(block[:-1], grid)
 
 
 def test_tls_spectral_density_peak_and_weight():

@@ -106,6 +106,13 @@ def test_unknown_field_is_named():
         _set(bad, path, value)
         with pytest.raises(ConfigError, match=path):
             _Plan(config_from_dict(bad))
+    # t_max/dt is bounded: both fields are finite, but their ratio overflows
+    # (first case) or would build a time grid of millions of steps (second)
+    for t_max, dt in ((1e300, 1e-300), (2e6, 1.0)):
+        bad = preset_config("fig4-bottom")
+        bad["time"] = {"t_max": t_max, "dt": dt}
+        with pytest.raises(ConfigError, match="time.dt"):
+            _Plan(config_from_dict(bad))
     # a null value counts as omitted
     raw = preset_config("fig4-top")
     for path in ("system.beta", "qme.gamma1", "bath.temperature", "name", "initial"):
@@ -447,6 +454,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "config field" in capsys.readouterr().err
     assert main(["peaks", str(a), "--window", "2"]) == 2
     assert "peaks.window" in capsys.readouterr().err
+    # the --seed override obeys the seed rule of the config table
+    out = tmp_path / "seeded"
+    assert main(["run", "--config", "fig4-top", "--seed", "-1", "--out", str(out)]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
     # a run name is one directory below the output root, never a path
     for name in ("../escape", "", ".", "..", "a/b", "a\\b"):
         path = tmp_path / "named.yaml"

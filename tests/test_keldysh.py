@@ -1,5 +1,7 @@
 """Frequency-domain dressing: self-energies, Dyson solve, dressed identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,14 @@ from noisychain.keldysh import (
     steady_state_greens,
     tls_embedding_self_energy,
 )
-from noisychain.lattice import FreqGrid, build_chain, ideal_greens, thermal_factor
+from noisychain.lattice import (
+    FreqGrid,
+    HoppingHamiltonian,
+    build_chain,
+    ideal_greens,
+    thermal_factor,
+)
+from quadrature_oracle import dephasing_convolutions_direct
 
 
 def _const_self_energy(grid, n, value):
@@ -82,6 +91,16 @@ def test_dyson_zero_self_energy_is_identity():
     g = dyson_solve(h, 1.5, sigma)
     assert np.array_equal(g.retarded, g0.retarded)
     assert np.array_equal(g.keldysh, g0.keldysh)
+    # between a subset of sites: the bare propagators of those sites, which
+    # are the matching entries of the full ones
+    sites = [2, 0]
+    g = dyson_solve(h, 1.5, sigma, sites)
+    g0s = ideal_greens(h, 1.5, grid, sites)
+    assert np.array_equal(g.retarded, g0s.retarded)
+    assert np.array_equal(g.keldysh, g0s.keldysh)
+    for mine, full in ((g.retarded, g0.retarded), (g.keldysh, g0.keldysh)):
+        ref = full[:, sites][:, :, sites]
+        assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_dyson_residual():
@@ -121,6 +140,57 @@ def test_dyson_matches_textbook_route():
     gk += gr @ (sk[:, :, None] * eye) @ ga
     for mine, ref in ((g.retarded, gr), (g.keldysh, gk)):
         assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_pairs_only_dyson_matches_full_inverse():
+    # the rows of G^+ for a few sites against the full inverse, on a grid of
+    # several solve blocks, with a complex-hermitian h that is not symmetric
+    # (one hopping carries a phase), a self-energy that varies by site and
+    # sites out of order
+    n = 5
+    m = build_chain(n, 0.5, 1.0).matrix.astype(complex)
+    m[1, 2] *= np.exp(0.7j)
+    m[2, 1] = np.conj(m[1, 2])
+    h = HoppingHamiltonian(n, m)
+    beta = 2.0
+    grid = FreqGrid(-2.0, 3.0, 1201)
+    w = grid.omegas[:, None]
+    site = np.arange(n)[None, :]
+    gamma = 0.1 + 0.05 * site + 0.03 * np.cos(w + site)
+    sr = 0.02 * site * w - 0.5j * gamma
+    sk = -1j * gamma * np.tanh(0.3 * w + 0.1 * site)
+    sigma = SelfEnergy(grid=grid, retarded=sr, keldysh=sk)
+
+    eye = np.eye(n)
+    gr = np.linalg.inv((grid.omegas[:, None, None] + 1j * grid.eta) * eye - m - sr[:, :, None] * eye)
+    kern = sk - 2j * grid.eta * thermal_factor(grid.omegas, beta)[:, None]
+    gk = (gr * kern[:, None, :]) @ np.conj(np.swapaxes(gr, 1, 2))
+    for sites in ([3, 0, 2], [4], None):
+        g = dyson_solve(h, beta, sigma, sites)
+        idx = list(range(n)) if sites is None else sites
+        for mine, full in ((g.retarded, gr), (g.keldysh, gk)):
+            ref = full[:, idx][:, :, idx]
+            assert mine.shape == ref.shape
+            assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for sites in ([-1], [0, n]):
+        with pytest.raises(ValueError, match="on the chain"):
+            dyson_solve(h, beta, sigma, sites)
+
+
+def test_one_site_solve_stays_small():
+    # one site of a 40-site ring on the 7201-point sweep grid: a single
+    # (n_points, 40, 40) complex array alone would take 187 MB
+    h = build_chain(40, 2.0, 1.0)
+    grid = FreqGrid(0.2, 3.8, 7201)
+    bath = OhmicBath(alpha=0.1 / 300.0, cutoff=800.0, temperature=300.0)
+    tracemalloc.start()
+    try:
+        g, _ = steady_state_greens(h, bath, 1.0 / 300.0, grid, sites=[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.retarded.shape == g.keldysh.shape == (grid.n_points, 1, 1)
+    assert peak < 150e6
 
 
 def test_singular_frequency_reported():
@@ -200,6 +270,19 @@ def test_dephasing_groups_match_single_site_calls():
         for mine, ref in ((sigma.retarded, alone.retarded), (sigma.keldysh, alone.keldysh)):
             assert np.max(np.abs(mine[:, i] - ref[:, i])) <= 1e-12 * np.max(np.abs(ref[:, i]))
     assert not np.any(sigma.retarded[:, 2]) and not np.any(sigma.keldysh[:, 2])
+
+
+def test_dephasing_convolutions_match_direct_sums():
+    # the FFT noise convolutions against one np.convolve per site column:
+    # the rate is -2 Im Sigma^+, the Keldysh diagonal is compared as is
+    h = build_chain(4, 2.0, 1.0, boundary="open")
+    bath = OhmicBath(alpha=0.01, cutoff=20.0, temperature=5.0)
+    grid = FreqGrid(-1.0, 5.0, 1201)
+    sigma = dephasing_self_energy(h, [bath] * 4, 0.2, grid)
+    gamma, keldysh = dephasing_convolutions_direct(h, bath, 0.2, grid)
+    for mine, ref in ((-2.0 * sigma.retarded.imag, gamma), (sigma.keldysh, keldysh)):
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.max(np.abs(mine - ref), axis=0) <= 1e-12 * scale)
 
 
 def test_tls_embedding_single_pole():
