@@ -227,8 +227,6 @@ class InitialConfig:
 class QmeConfig:
     gamma1: float = _spec(float, None, _NONNEGATIVE)  # None: derived from the bath
     gamma2star: float = _spec(float, None, _NONNEGATIVE)
-    tau_max: float = _spec(float, None, _POSITIVE)
-    d_tau: float = _spec(float, None, _POSITIVE)
     warmup_time: float = _spec(float, None, _NONNEGATIVE)
     secular: bool = _spec(bool, False)
     lamb_shift: bool = _spec(bool, True)
@@ -373,22 +371,8 @@ def _cross_validate(cfg):
             "system.n_sites",
             f"engine 'blochredfield' runs registers of at most {qme.DENSE_MAX_SITES} sites",
         )
-    spectra_keys = {"lindblad": ("tau_max", "d_tau"),
-                    "blochredfield": ("tau_max", "d_tau", "warmup_time")}
-    for e, keys in spectra_keys.items():
-        if e in cfg.engines and cfg.grid is not None:
-            for key in keys:
-                if getattr(cfg.qme, key) is None:
-                    raise ConfigError(
-                        f"qme.{key}", f"required for '{e}' spectra"
-                    )
-            # the length of the engine's np.arange(0, tau_max + 1e-9 d_tau, d_tau)
-            n_tau = math.ceil((cfg.qme.tau_max + 1e-9 * cfg.qme.d_tau) / cfg.qme.d_tau)
-            if n_tau < qme.MIN_TAU_POINTS:
-                raise ConfigError(
-                    "qme.tau_max",
-                    f"'{e}' spectra need at least {qme.MIN_TAU_POINTS - 1} steps of d_tau",
-                )
+    if "blochredfield" in cfg.engines and cfg.grid is not None and cfg.qme.warmup_time is None:
+        raise ConfigError("qme.warmup_time", "required for 'blochredfield' spectra")
     if cfg.grid is not None:
         for i, j in cfg.grid.pairs:
             if not (0 <= i < cfg.system.n_sites and 0 <= j < cfg.system.n_sites):
@@ -690,10 +674,15 @@ def _spectra_from_freq_greens(greens, pairs, sites):
     return ret, kel, spe
 
 
+def _pair_sites(pairs):
+    # every spectra engine solves for these sites only
+    return list(dict.fromkeys(s for pair in pairs for s in pair))
+
+
 def _run_keldysh(plan, run_dir):
     cfg = plan.cfg
     pairs = cfg.grid.pairs
-    sites = list(dict.fromkeys(s for pair in pairs for s in pair))  # the solve needs no others
+    sites = _pair_sites(pairs)
     if cfg.sweep_gamma2 is None:
         greens, sigma = steady_state_greens(
             plan.h, plan.site_baths, cfg.system.beta, plan.grid, sites=sites
@@ -748,23 +737,17 @@ def _redfield_generator(plan):
 
 
 def _run_qme_spectra(plan, run_dir, kind):
-    cfg = plan.cfg
-    tau = np.arange(0.0, cfg.qme.tau_max + 1e-9 * cfg.qme.d_tau, cfg.qme.d_tau)
-    sites = [s for pair in cfg.grid.pairs for s in pair]  # one solve covers every pair
+    pairs = plan.cfg.grid.pairs
+    sites = _pair_sites(pairs)
     if kind == "lindblad":
         g1, g2 = plan.gamma_rates()
-        res = qme.lindblad_greens(plan.h, g1, g2, sites, tau, plan.grid)
+        greens = qme.lindblad_greens(plan.h, g1, g2, sites, plan.grid)
     else:
-        gen = _redfield_generator(plan)
-        res = qme.qme_greens(gen, sites, tau, cfg.qme.warmup_time, plan.grid)
-    ret, kel, spe = {}, {}, {}
-    for i, j in cfg.grid.pairs:
-        a, b = res.sites.index(i), res.sites.index(j)
-        ret[(i, j)] = res.retarded[:, a, b]
-        kel[(i, j)] = res.keldysh[:, a, b]
-        spe[(i, j)] = res.spectral[:, a, b].real
+        greens = qme.qme_greens(_redfield_generator(plan), sites, plan.cfg.qme.warmup_time,
+                                plan.grid)
     name = f"{kind}_spectra.csv"
-    _write_spectra_csv(run_dir / name, plan.grid.omegas, cfg.grid.pairs, ret, kel, spe)
+    _write_spectra_csv(run_dir / name, plan.grid.omegas, pairs,
+                       *_spectra_from_freq_greens(greens, pairs, sites))
     return [name]
 
 

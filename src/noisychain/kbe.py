@@ -15,12 +15,11 @@ arrays would exceed a few gigabytes rather than start swapping.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 from dataclasses import dataclass
 
 from .baths import TlsBath
 from .errors import CapacityError
-from .lattice import FreqGreens, fermi_occupation
+from .lattice import fermi_occupation
 
 __all__ = [
     "STABILITY_LIMIT",
@@ -32,9 +31,7 @@ __all__ = [
     "markov_self_energy",
     "tls_memory_self_energy",
     "kbe_integrate",
-    "analytic_gk",
     "occupations",
-    "late_time_spectrum",
 ]
 
 STABILITY_LIMIT = 0.05  # max allowed (fastest scale) * dt
@@ -436,29 +433,6 @@ def _integrate_memory(hm, sigma, f0, m, dt):
     return ret, kel
 
 
-def analytic_gk(h, rates, ini, t, t_prime):
-    """Closed-form Keldysh component for site decay commuting with the chain.
-
-    Valid whenever the rate matrix commutes with the Hamiltonian (uniform
-    rates, or rates sharing the chain's eigenbasis). The initial occupation
-    is arbitrary. Used as the convergence reference for the integrator.
-    """
-
-    hm = h.matrix
-    gd = np.diag(np.asarray(rates, dtype=float)).astype(complex)
-    comm = hm @ gd - gd @ hm
-    bound = max(1.0, float(np.max(np.abs(hm))) * float(np.max(np.abs(gd))))
-    if np.max(np.abs(comm)) > 1e-10 * bound:
-        raise ValueError("rates must commute with the hamiltonian for the closed form")
-    if t < t_prime:
-        return -analytic_gk(h, rates, ini, t_prime, t).conj().T
-    a_mat = -1j * hm - 0.5 * gd
-    f0 = ini.occupation_matrix()
-    eye = np.eye(hm.shape[0], dtype=complex)
-    prop_diff = sla.expm(a_mat * (t - t_prime))
-    return -1j * prop_diff + 2j * sla.expm(a_mat * t) @ f0 @ sla.expm(a_mat.conj().T * t_prime)
-
-
 def occupations(greens):
     """Per-site occupations n_i(t) = (1 + Im K_ii(t,t)) / 2, plus their sum.
 
@@ -469,44 +443,3 @@ def occupations(greens):
     diag = np.diagonal(greens.keldysh[idx, idx], axis1=1, axis2=2)
     n = 0.5 * (1.0 + diag.imag)
     return n, n.sum(axis=1)
-
-
-def late_time_spectrum(greens, grid):
-    """Frequency-domain functions from the final-time slice of a two-time run.
-
-    Lags run backward from the last time; a cos^2 taper over the available
-    span suppresses truncation ringing. Useful once the transient has
-    relaxed: the result then matches the stationary frequency-domain
-    treatment of the same problem.
-    """
-
-    m = greens.n_times
-    if m < 8:
-        raise ValueError("need at least 8 time points for a spectrum")
-    n = greens.n_sites
-    dt = greens.dt
-    taus = np.arange(m) * dt
-    window = np.cos(0.5 * np.pi * taus / taus[-1]) ** 2
-    wts = np.full(m, dt)
-    wts[0] = 0.5 * dt
-    wts[-1] = 0.5 * dt
-    last = m - 1
-    series_r = np.empty((m, n, n), dtype=complex)
-    series_k = np.empty((m, n, n), dtype=complex)
-    for k in range(m):
-        series_r[k] = greens.retarded[last, last - k]
-        series_k[k] = greens.keldysh[last, last - k]
-    ww = (window * wts)[:, None]
-    omegas = grid.omegas
-    ret = np.empty((omegas.size, n, n), dtype=complex)
-    half_k = np.empty_like(ret)
-    chunk = 512
-    flat_r = series_r.reshape(m, -1) * ww
-    flat_k = series_k.reshape(m, -1) * ww
-    for start in range(0, omegas.size, chunk):
-        stop = min(start + chunk, omegas.size)
-        phase = np.exp(1j * np.outer(omegas[start:stop], taus))
-        ret[start:stop] = (phase @ flat_r).reshape(stop - start, n, n)
-        half_k[start:stop] = (phase @ flat_k).reshape(stop - start, n, n)
-    kel = half_k - np.conj(np.swapaxes(half_k, 1, 2))
-    return FreqGreens(grid=grid, retarded=ret, keldysh=kel)

@@ -53,12 +53,13 @@ PRESETS = {
         beta=1.0 / 300.0,
         n_points=4001,
         engines=["keldysh", "lindblad"],
-        qme={"tau_max": 400.0, "d_tau": 0.15},
+        qme={},
         tol={"position": "grid", "fwhm": 0.10},
     ),
     # cold ohmic bath, structured noise: Bloch-Redfield against Keldysh.
-    # Linewidths are not compared (both methods distort widths near
-    # omega = 0 in different ways); positions must still line up.
+    # Both spectra are resolvents at omega + i eta, so their lines carry the
+    # same eta Lorentzian on top of the physical width, and positions and
+    # widths must both line up.
     "fig2-upper": {
         **_spectrum_chain(
             alpha=0.002,
@@ -67,8 +68,8 @@ PRESETS = {
             beta=5.0,
             n_points=1601,
             engines=["keldysh", "blochredfield"],
-            qme={"tau_max": 1500.0, "d_tau": 0.2, "warmup_time": 2.0e5},
-            tol={"position": "grid"},
+            qme={"warmup_time": 2.0e5},
+            tol={"position": "grid", "fwhm": 0.10},
         ),
         "peaks": {"prominence": 0.05, "window": 3},
     },

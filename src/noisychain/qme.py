@@ -13,13 +13,19 @@ density-coupled bath acts through sigma^z/2 (the identity part commutes out
 of every dissipator) and linewidths line up with the frequency-domain solver
 without any rescaling.
 
+Both master equations give their regression correlators (Breuer &
+Petruccione, The Theory of Open Quantum Systems) in closed form, so their
+spectra are exact resolvents at z = omega + i eta: the lines carry the
+grid's eta Lorentzian, the same instrument function as the Keldysh solver's,
+and no time window.
+
 Superoperators use row-major vec: vec(A rho B) = kron(A, B.T) vec(rho).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,6 +34,7 @@ from scipy.integrate import quad
 
 from .baths import FlatNoise, OhmicBath, TlsBath, noise_power, support_halfwidth
 from .errors import CapacityError
+from .lattice import FreqGreens, ideal_greens
 
 __all__ = [
     "JW_MAX_SITES",
@@ -37,7 +44,6 @@ __all__ = [
     "BlochRedfieldGenerator",
     "bloch_redfield_generator",
     "lindblad_evolve",
-    "QmeGreens",
     "qme_greens",
     "lindblad_greens",
     "lindblad_occupations",
@@ -49,7 +55,6 @@ JW_MAX_SITES = 12
 DENSE_MAX_SITES = 5
 EXACT_MAX_SPINS = 16
 COND_MAX = 1e8
-MIN_TAU_POINTS = 8  # regression window points, tau = 0 included
 
 _SZ = sp.csr_matrix(np.diag([1.0, -1.0]))
 _SM = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))  # lowers |1> -> |0>
@@ -243,30 +248,23 @@ def _check_density_matrix(rho, dim):
     return rho
 
 
-def _uniform_spacing(t_grid, what):
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValueError(f"{what} must be a 1d array")
-    if t_grid.size == 1:
-        return t_grid, 0.0
-    steps = np.diff(t_grid)
-    if np.any(steps <= 0):
-        raise ValueError(f"{what} must be strictly increasing")
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1e-30):
-        raise ValueError(f"{what} must be uniform for propagator stepping")
-    return t_grid, float(steps[0])
-
-
 def _propagate(lv, v, t_grid):
     """v carried by dv/dt = lv v to every point of a uniform t_grid."""
 
-    t_grid, dt = _uniform_spacing(t_grid, "t_grid")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size < 1:
+        raise ValueError("t_grid must be a 1d array")
+    steps = np.diff(t_grid)
+    if np.any(steps <= 0):
+        raise ValueError("t_grid must be strictly increasing")
+    if steps.size and np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1e-30):
+        raise ValueError("t_grid must be uniform for propagator stepping")
     if t_grid[0] > 0:
         v = sla.expm(lv * t_grid[0]) @ v
     out = np.empty((t_grid.size,) + v.shape, dtype=complex)
     out[0] = v
     if t_grid.size > 1:
-        prop = sla.expm(lv * dt)
+        prop = sla.expm(lv * steps[0])
         for k in range(1, t_grid.size):
             out[k] = prop @ out[k - 1]
     return out
@@ -280,72 +278,33 @@ def lindblad_evolve(gen, rho0, t_grid):
     return _propagate(gen.superoperator(), rho0.reshape(-1), t_grid).reshape(-1, dim, dim)
 
 
-@dataclass
-class QmeGreens:
-    """Master-equation Green functions among sites: (n_tau or n_w, s, s) arrays."""
+def _distinct_sites(sites, n_sites):
+    """The distinct sites in order of first appearance, each inside the register."""
 
-    sites: tuple
-    greater: np.ndarray
-    lesser: np.ndarray
-    retarded: np.ndarray
-    keldysh: np.ndarray
-    spectral: np.ndarray
-
-
-def _regression_setup(sites, n_sites, tau_grid):
-    """(distinct sites in order, tau_grid, spacing), validated."""
-
-    sites = tuple(dict.fromkeys(sites))
+    sites = list(dict.fromkeys(sites))
     for s in sites:
         if not 0 <= s < n_sites:
             raise ValueError(f"site {s} outside register of {n_sites}")
-    tau_grid, dtau = _uniform_spacing(tau_grid, "tau_grid")
-    if tau_grid[0] != 0.0 or tau_grid.size < MIN_TAU_POINTS:
-        raise ValueError("tau_grid must start at 0 with a reasonable length")
-    return sites, tau_grid, dtau
+    return sites
 
 
-def _windowed_greens(sites, tau_grid, dtau, greater, lesser, omegas):
-    """QmeGreens from the two orderings through a windowed one-sided DFT.
-
-    The correlators are tapered with a half-Hann cos^2 window and summed by
-    the trapezoid rule onto omegas; the spectral weight is assembled
-    hermitially from the two orderings.
-    """
-
-    n_tau = tau_grid.size
-    wts = np.full(n_tau, dtau)
-    wts[[0, -1]] *= 0.5
-    ww = (np.cos(0.5 * np.pi * tau_grid / tau_grid[-1]) ** 2 * wts)[:, None]
-    ret_t = (greater - lesser).reshape(n_tau, -1) * ww
-    kel_t = (greater + lesser).reshape(n_tau, -1) * ww
-    retarded = np.empty((omegas.size, ret_t.shape[1]), dtype=complex)
-    keldysh_half = np.empty_like(retarded)
-    for start in range(0, omegas.size, 512):  # chunks bound the phase table
-        phase = np.exp(1j * np.outer(omegas[start:start + 512], tau_grid))
-        retarded[start:start + 512] = phase @ ret_t
-        keldysh_half[start:start + 512] = phase @ kel_t
-    retarded = retarded.reshape(-1, len(sites), len(sites))
-    keldysh_half = keldysh_half.reshape(retarded.shape)
-    spectral = 1j * (retarded - np.conj(np.swapaxes(retarded, 1, 2)))
-    keldysh = keldysh_half - np.conj(np.swapaxes(keldysh_half, 1, 2))
-    return QmeGreens(sites, greater, lesser, retarded, keldysh, spectral)
-
-
-def qme_greens(gen, sites, tau_grid, warmup_time, grid):
+def qme_greens(gen, sites, warmup_time, grid):
     """Steady-state Green functions among sites from quantum regression on the register.
 
     The generator is diagonalized once, L = V diag(lam) V^-1, so its domain
     is diagonalizable generators: a 1-norm cond(V) above COND_MAX raises
     LinAlgError. The identity state relaxes to V exp(lam warmup_time) V^-1
     rho0, exactly exp(L warmup_time) rho0, with a warning when max|L rho|
-    exceeds 1e-7. The correlators <c_n(tau) c_m^dag> and
-    <c_m^dag c_n(tau)> are exponential sums over lam, which then go through
-    _windowed_greens. tau_grid should span about 20 inverse linewidths for
-    clean line shapes; shorter windows leave the lines window-limited.
+    exceeds 1e-7. The correlators <c_n(tau) c_m^dag> and <c_m^dag c_n(tau)>
+    are exponential sums sum_m w_m exp(lam_m tau), whose one-sided transform
+    at z = omega + i eta is exactly sum_m w_m (-1 / (lam_m + i z)): the
+    lines carry the grid's eta Lorentzian, as the Dyson solve's do. No Re lam
+    exceeds 0 beyond roundoff and FreqGrid keeps eta at two spacings or more,
+    so no mode, the zero modes included, needs special handling. Entries are
+    (n_points, s, s) arrays indexed by position among the distinct sites.
     """
 
-    sites, tau_grid, dtau = _regression_setup(sites, gen.n_sites, tau_grid)
+    sites = _distinct_sites(sites, gen.n_sites)
     dim = 2**gen.n_sites
     lv = gen.superoperator()
     lam, vecs = np.linalg.eig(lv)
@@ -366,20 +325,22 @@ def qme_greens(gen, sites, tau_grid, warmup_time, grid):
     rho = rho / np.trace(rho).real
 
     cs = [jw_fermion(s, gen.n_sites) for s in sites]
-    # columns c_p^dag rho, rho c_p^dag per site p, read by the meters c_q
-    cols = np.stack(
-        [x.reshape(-1) for c in cs for x in (c.conj().T @ rho, rho @ c.conj().T)], axis=1
-    )
+    # G^> = -i <c_q(tau) c_p^dag> and G^< = i <c_p^dag c_q(tau)>, so G^R's
+    # G^> - G^< and the Keldysh half G^> + G^< are the meter c_q read off the
+    # evolved columns -i (c_p^dag rho +- rho c_p^dag)
+    cols = np.stack([(-1j * (c.conj().T @ rho + sign * rho @ c.conj().T)).reshape(-1)
+                     for c in cs for sign in (1, -1)], axis=1)
     meters = np.stack([c.T.reshape(-1) for c in cs])
     # weights[m, q * 2s + col] = (meter_q V)_m (V^-1 col)_m
     weights = ((meters @ vecs).T[:, :, None] * (vinv @ cols)[:, None, :]).reshape(lam.size, -1)
-    del vecs, vinv  # the decomposition is not held through the Fourier transform
-    vals = np.empty((tau_grid.size, weights.shape[1]), dtype=complex)
-    for start in range(0, tau_grid.size, 512):  # chunks bound the exponential table
-        vals[start:start + 512] = np.exp(np.outer(tau_grid[start:start + 512], lam)) @ weights
-    vals = vals.reshape(tau_grid.size, len(sites), len(sites), 2)
-    return _windowed_greens(sites, tau_grid, dtau, -1j * vals[..., 0], 1j * vals[..., 1],
-                            grid.omegas)
+    del vecs, vinv  # the decomposition is not held through the transform
+    z = grid.omegas + 1j * grid.eta
+    out = np.empty((z.size, weights.shape[1]), dtype=complex)
+    for start in range(0, z.size, 512):  # blocks bound the resolvent table
+        out[start:start + 512] = (-1.0 / (lam + 1j * z[start:start + 512, None])) @ weights
+    out = out.reshape(z.size, len(sites), len(sites), 2)
+    half = out[..., 1]
+    return FreqGreens(grid, out[..., 0], half - np.conj(np.swapaxes(half, 1, 2)))
 
 
 def _check_rates(gamma1, gamma2star):
@@ -387,25 +348,26 @@ def _check_rates(gamma1, gamma2star):
         raise ValueError("rates must be nonnegative")
 
 
-def lindblad_greens(h, gamma1, gamma2star, sites, tau_grid, grid):
+def lindblad_greens(h, gamma1, gamma2star, sites, grid):
     """Steady-state Green functions among sites under the chain's Lindblad equation.
 
     Quantum regression closes on single-particle operators:
     <c_q(tau) c_p^dag> = (1 - n) U_qp(tau) and <c_p^dag c_q(tau)> = n U_qp(tau)
     with U = exp(-i (h - i Gamma) tau) and Gamma = gamma2star + gamma1/2.
     n = 0 is the vacuum, the steady state when gamma1 > 0; n = 1/2 is the
-    identity state, stationary when gamma1 = 0. The correlators go through
-    the same windowed Fourier transform as qme_greens.
+    identity state, stationary when gamma1 = 0. The one-sided transform at
+    z = omega + i eta is exactly G^R = (z - h + i Gamma)^-1, the bare
+    resolvent on the grid broadened by Gamma, and G^K = (1 - 2n)(G^R - G^A).
+    Entries are (n_points, s, s) arrays indexed by position among the
+    distinct sites.
     """
 
     _check_rates(gamma1, gamma2star)
+    sites = _distinct_sites(sites, h.n_sites)
+    damped = replace(grid, eta=grid.eta + gamma2star + 0.5 * gamma1)
+    gr = ideal_greens(h, np.inf, damped, sites).retarded
     filling = 0.0 if gamma1 > 0 else 0.5
-    sites, tau_grid, dtau = _regression_setup(sites, h.n_sites, tau_grid)
-    lv = -1j * (h.matrix - 1j * (gamma2star + 0.5 * gamma1) * np.eye(h.n_sites))
-    amps = _propagate(lv, np.eye(h.n_sites, dtype=complex)[:, sites], tau_grid)[:, sites]
-    greater = -1j * (1.0 - filling) * amps
-    lesser = 1j * filling * amps
-    return _windowed_greens(sites, tau_grid, dtau, greater, lesser, grid.omegas)
+    return FreqGreens(grid, gr, (1.0 - 2.0 * filling) * (gr - np.conj(np.swapaxes(gr, 1, 2))))
 
 
 def lindblad_occupations(h, gamma1, gamma2star, site, t_grid):

@@ -3,7 +3,7 @@
 noisychain.qme computes the chain's Lindblad spectra and occupations on
 N x N matrices, and register spectra from one eigendecomposition of the
 generator; these helpers (dense through N = 5) reach the same numbers by
-time stepping, to check that it does.
+time stepping and by one linear solve per frequency, to check that it does.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from noisychain.lattice import FreqGreens
 from noisychain.qme import (
     _SM,
     _SZ,
@@ -23,6 +24,7 @@ from noisychain.qme import (
     _propagate,
     _register_guard,
     _site_pauli,
+    jw_fermion,
 )
 
 
@@ -141,3 +143,30 @@ def regression_correlator(gen, rho_ss, a, b, tau_grid):
     cols = np.stack([(b @ rho_ss).reshape(-1), (rho_ss @ a).reshape(-1)], axis=1)
     cols = _propagate(gen.superoperator(), cols, tau_grid)
     return cols[:, :, 0] @ a.T.reshape(-1), cols[:, :, 1] @ b.T.reshape(-1)
+
+
+def resolvent_greens(gen, rho_ss, sites, grid):
+    """Retarded and Keldysh components among sites, with no eigendecomposition.
+
+    At each z = omega + i eta one np.linalg.solve of (L + i z) x = -col gives
+    the one-sided transform of exp(L tau) col, for the columns c_p^dag rho
+    and rho c_p^dag of every site p; Tr(c_q x) reads them out. Entries are
+    indexed by position in sites.
+    """
+
+    n = gen.n_sites
+    dim = 2**n
+    cs = np.stack([jw_fermion(s, n) for s in sites])
+    cols = np.stack(
+        [x.reshape(-1) for c in cs for x in (c.conj().T @ rho_ss, rho_ss @ c.conj().T)], axis=1
+    )
+    lv = gen.superoperator()
+    eye = np.eye(dim * dim)
+    ret = np.empty((grid.n_points, len(sites), len(sites)), dtype=complex)
+    half = np.empty_like(ret)
+    for k, z in enumerate(grid.omegas + 1j * grid.eta):
+        x = np.linalg.solve(lv + 1j * z * eye, -cols).reshape(dim, dim, len(sites), 2)
+        vals = np.einsum("qab,bapc->qpc", cs, x)  # Tr(c_q x_pc)
+        ret[k] = -1j * (vals[..., 0] + vals[..., 1])  # G^> - G^<
+        half[k] = -1j * (vals[..., 0] - vals[..., 1])  # G^> + G^<
+    return FreqGreens(grid, ret, half - np.conj(np.swapaxes(half, 1, 2)))

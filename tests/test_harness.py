@@ -155,21 +155,22 @@ def test_engine_section_cross_rules():
 
 
 def test_qme_numbers_rejected():
-    # rates, the correlation window and the warmup are checked before any
-    # engine runs; a negative warmup would grow the decaying modes
+    # rates and the warmup are checked before any engine runs; a negative
+    # warmup would grow the decaying modes. Spectra need no correlation
+    # window, so tau_max and d_tau are unknown fields
     base = preset_config("fig2-upper")
     config_from_dict(copy.deepcopy(base))
     for key, value in (("gamma1", -0.1), ("gamma2star", -0.1), ("tau_max", 0.0),
                        ("tau_max", -5.0), ("d_tau", 0.0), ("d_tau", -0.2),
                        ("warmup_time", -1.0), ("warmup_time", float("nan")),
                        ("warmup_time", float("inf")), ("gamma1", float("inf")),
-                       ("tau_max", 1.0)):  # fewer than the 8 regression points
+                       ("tau_max", 1.0)):
         bad = copy.deepcopy(base)
         bad["qme"][key] = value
         with pytest.raises(ConfigError, match=f"qme.{key}"):
             config_from_dict(bad)
     ok = copy.deepcopy(base)
-    ok["qme"].update(gamma1=0.0, gamma2star=0.0, warmup_time=0.0, tau_max=1.4)
+    ok["qme"].update(gamma1=0.0, gamma2star=0.0, warmup_time=0.0)
     config_from_dict(ok)
 
 

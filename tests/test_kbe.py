@@ -10,14 +10,14 @@ from noisychain.errors import CapacityError
 from noisychain.harness import find_spectral_peaks
 from noisychain.kbe import (
     InitialState,
-    analytic_gk,
     kbe_integrate,
-    late_time_spectrum,
     markov_self_energy,
     occupations,
     tls_memory_self_energy,
 )
 from noisychain.lattice import FreqGrid, build_chain
+
+from kbe_oracle import analytic_gk, late_time_spectrum
 
 
 def _lone_site():

@@ -17,6 +17,7 @@ from register_oracle import (
     LindbladGenerator,
     null_steady_state,
     regression_correlator,
+    resolvent_greens,
     steady_state,
 )
 
@@ -132,20 +133,27 @@ def test_regression_correlator_needs_zero_start():
 
 def test_dephased_site_line_shape():
     # single dephased level: line at the onsite energy, hermitian spectral
-    # weight, near-unit weight (window and grid tails eat a few percent)
+    # weight, near-unit weight (the Lorentzian tails past the grid eat a few
+    # percent)
     h = build_chain(1, 1.0, 0.0, boundary="open")
     gen = LindbladGenerator(n_sites=1, hamiltonian=qme.spin_hamiltonian(h),
                             gamma1=0.0, gamma2star=0.2)
-    tau = np.arange(0.0, 400.0001, 0.05)
     grid = FreqGrid(-1.0, 3.0, 2001)
-    gg = qme.qme_greens(gen, (0, 0), tau, 50.0, grid)
-    assert gg.sites == (0,)
-    a = gg.spectral
+    gg = qme.qme_greens(gen, (0, 0), 50.0, grid)
+    assert gg.retarded.shape == (grid.n_points, 1, 1)
+    a = 1j * (gg.retarded - gg.advanced)
     assert np.max(np.abs(a - np.conj(np.swapaxes(a, 1, 2)))) < 1e-12
     diag = a[:, 0, 0].real
     assert grid.omegas[int(np.argmax(diag))] == pytest.approx(1.0, abs=grid.spacing)
     norm = np.trapezoid(diag, grid.omegas) / (2.0 * np.pi)
     assert 0.85 < norm < 1.05
+
+
+_COMPONENTS = (
+    ("retarded", lambda g: g.retarded),
+    ("keldysh", lambda g: g.keldysh),
+    ("spectral", lambda g: 1j * (g.retarded - g.advanced)),
+)
 
 
 def test_single_particle_route_matches_register_oracle():
@@ -155,19 +163,16 @@ def test_single_particle_route_matches_register_oracle():
     n = 4
     h = build_chain(n, 0.3, 1.0, boundary="open")
     hs = qme.spin_hamiltonian(h)
-    tau = np.arange(0.0, 30.0001, 0.1)
     grid = FreqGrid(-3.0, 3.0, 301)
     for g1, warmup in ((0.0, 1.0), (0.2, 200.0)):
         gen = LindbladGenerator(n_sites=n, hamiltonian=hs, gamma1=g1, gamma2star=0.15)
         for pair in ((0, 0), (0, 1)):
-            ref = qme.qme_greens(gen, pair, tau, warmup, grid)
-            got = qme.lindblad_greens(h, g1, 0.15, pair, tau, grid)
-            assert got.sites == ref.sites
-            for name in ("greater", "lesser", "retarded", "keldysh", "spectral"):
-                want = getattr(ref, name)
-                scale = np.max(np.abs(ref.retarded if name in ("keldysh", "spectral")
-                                      else ref.greater))
-                err = np.max(np.abs(getattr(got, name) - want)) / scale
+            ref = qme.qme_greens(gen, pair, warmup, grid)
+            got = qme.lindblad_greens(h, g1, 0.15, pair, grid)
+            assert got.retarded.shape == ref.retarded.shape
+            scale = np.max(np.abs(ref.retarded))
+            for name, component in _COMPONENTS:
+                err = np.max(np.abs(component(got) - component(ref))) / scale
                 assert err <= 1e-12, (g1, pair, name, err)
 
     gen = LindbladGenerator(n_sites=n, hamiltonian=hs, gamma1=0.2, gamma2star=0.15)
@@ -184,41 +189,29 @@ def test_single_particle_route_matches_register_oracle():
 
 
 def test_eigen_route_matches_stepping_oracle():
-    # the one-eigendecomposition correlators against expm warmup plus
-    # propagator stepping, on every secular / Lamb-shift variant
+    # the one-eigendecomposition resolvent sums against expm warmup plus one
+    # direct linear solve per frequency, on every secular / Lamb-shift variant
     n = 3
     h = build_chain(n, 0.2, 1.0, boundary="open")
     bath = OhmicBath(alpha=0.05, cutoff=2.0, temperature=0.3)
-    tau = np.arange(0.0, 40.0001, 0.1)
     grid = FreqGrid(-3.0, 3.0, 241)
     sites = (2, 0, 1)
-    c_ops = [qme.jw_fermion(s, n) for s in sites]
     for secular in (False, True):
         for lamb_shift in (True, False):
             gen = qme.bloch_redfield_generator(h, bath, secular=secular, lamb_shift=lamb_shift)
-            got = qme.qme_greens(gen, sites, tau, 3000.0, grid)
+            got = qme.qme_greens(gen, sites, 3000.0, grid)
             rho = steady_state(gen, np.eye(2**n) / 2**n, 3000.0)
-            greater = np.empty((tau.size, n, n), dtype=complex)
-            lesser = np.empty_like(greater)
-            for qi, cq in enumerate(c_ops):
-                for pi, cp in enumerate(c_ops):
-                    greater[:, qi, pi] = -1j * regression_correlator(
-                        gen, rho, cq, cp.conj().T, tau)[0]
-                    lesser[:, qi, pi] = 1j * regression_correlator(
-                        gen, rho, cp.conj().T, cq, tau)[1]
-            ref = qme._windowed_greens(sites, tau, 0.1, greater, lesser, grid.omegas)
-            assert got.sites == ref.sites
-            for name in ("greater", "lesser", "retarded", "keldysh", "spectral"):
-                scale = np.max(np.abs(ref.greater if name in ("greater", "lesser")
-                                      else ref.retarded))
-                err = np.max(np.abs(getattr(got, name) - getattr(ref, name))) / scale
+            ref = resolvent_greens(gen, rho, sites, grid)
+            scale = np.max(np.abs(ref.retarded))
+            for name, component in _COMPONENTS:
+                err = np.max(np.abs(component(got) - component(ref))) / scale
                 assert err <= 1e-10, (secular, lamb_shift, name, err)
 
     # a Jordan block has no eigenbasis: refused, naming the conditioning
     jordan = -np.eye(4) + np.diag(np.ones(3), 1)
     stub = SimpleNamespace(n_sites=1, superoperator=lambda: jordan)
     with pytest.raises(np.linalg.LinAlgError, match=r"cond\(V\)"):
-        qme.qme_greens(stub, (0,), tau, 1.0, grid)
+        qme.qme_greens(stub, (0,), 1.0, grid)
 
 
 def test_gap_table_shared_across_equal_baths(monkeypatch):
