@@ -366,6 +366,18 @@ def _cross_validate(cfg):
             f"lindblad trajectories of {cfg.system.n_sites} sites need about "
             f"{need / 1e9:.1f} GB (cap {MEMORY_CAP_BYTES / 1e9:.0f} GB)",
         )
+    # exact_tls peaks at about 4 dense (d, d) float eigensystems plus 3
+    # complex (n_t, d) amplitude tables, d = N (1 + n_tls): measured 4.0 and
+    # 3.0 times 8 d^2 and 16 n_t d bytes at d = 105 to 5005, n_t = 641 to 100001
+    if "exact_tls" in cfg.engines:
+        d = cfg.system.n_sites * (1 + cfg.bath.n_tls)
+        need = 32 * d * d + 48 * (cfg.time.t_max / cfg.time.dt + 1) * d
+        if need > MEMORY_CAP_BYTES:
+            raise ConfigError(
+                "bath.n_tls",
+                f"exact_tls on {d} levels needs about {need / 1e9:.1f} GB "
+                f"(cap {MEMORY_CAP_BYTES / 1e9:.0f} GB)",
+            )
     if "blochredfield" in cfg.engines and cfg.system.n_sites > qme.DENSE_MAX_SITES:
         raise ConfigError(
             "system.n_sites",

@@ -5,13 +5,18 @@ at gamma1 per site) keeps the two-point correlators closed (Znidaric,
 J. Stat. Mech. (2010) L05002): its spectra and single-excitation occupations
 are computed on N x N matrices at any chain length. The Bloch-Redfield
 equation has no such closure and runs densely on the 2^N Jordan-Wigner spin
-register, through N = 5. Its spectra come from one eigendecomposition of the
-fixed generator (Minganti et al., PRA 98, 042118 (2018)), so they need a
-diagonalizable generator, guarded by cond(V); its trajectories step the
-propagator. Site densities map onto (sigma^z + 1)/2 there, so a
-density-coupled bath acts through sigma^z/2 (the identity part commutes out
-of every dissipator) and linewidths line up with the frequency-domain solver
-without any rescaling.
+register, through N = 5. The chain Hamiltonian and the density coupling
+conserve particle number, so its generator maps each (n_bra, n_ket) sector
+of the density matrix into itself (a weak symmetry: Buca & Prosen, New J.
+Phys. 14, 073007 (2012)); it is built sector by sector, with each sector's
+own eigenbasis and gap table. Its spectra come from one eigendecomposition
+of each of the 2N + 1 sector blocks that quantum regression reaches
+(Minganti et al., PRA 98, 042118 (2018)), so each block must be
+diagonalizable, guarded by its own cond(V), and no 4^N matrix is built; its
+trajectories step the full propagator, assembled from all the blocks. Site
+densities map onto (sigma^z + 1)/2 there, so a density-coupled bath acts
+through sigma^z/2 (the identity part commutes out of every dissipator) and
+linewidths line up with the frequency-domain solver without any rescaling.
 
 Both master equations give their regression correlators (Breuer &
 Petruccione, The Theory of Open Quantum Systems) in closed form, so their
@@ -53,7 +58,6 @@ __all__ = [
 
 JW_MAX_SITES = 12
 DENSE_MAX_SITES = 5
-EXACT_MAX_SPINS = 16
 COND_MAX = 1e8
 
 _SZ = sp.csr_matrix(np.diag([1.0, -1.0]))
@@ -121,45 +125,71 @@ def _register_guard(n_sites):
         raise CapacityError(f"register of {n_sites} sites exceeds the supported {DENSE_MAX_SITES}")
 
 
+def _sector_bases(n_sites):
+    """Register indices of each particle number 0..N (basis bit 1 is occupied)."""
+
+    counts = np.array([bin(i).count("1") for i in range(2**n_sites)])
+    return [np.flatnonzero(counts == k) for k in range(n_sites + 1)]
+
+
 @dataclass
 class BlochRedfieldGenerator:
-    """Nonsecular Redfield generator with optional Lamb shifts.
+    """Nonsecular Redfield generator with optional Lamb shifts, per particle-number sector.
 
-    Stored in the energy eigenbasis: coupling operators A_n and their
-    half-transformed partners Lambda_n, plus the unitary that rotates back
-    to the site register.
+    The spin Hamiltonian and the sigma^z couplings conserve particle number,
+    so the generator maps each (n_bra, n_ket) sector of the density matrix
+    into itself. Stored per sector k: the register indices bases[k], the
+    sector's energies and eigenvectors, and for every coupled site the
+    coupling operator A_n and its half-transformed partner Lambda_n in the
+    sector eigenbasis (coupling_ops[site][k], lambda_ops[site][k]).
     """
 
     n_sites: int
     hamiltonian: np.ndarray
-    energies: np.ndarray
-    transform: np.ndarray
+    bases: list
+    energies: list
+    transforms: list
     coupling_ops: list
     lambda_ops: list
     secular: bool = False
     _superop: object = field(default=None, repr=False, compare=False)
 
+    def block(self, n_bra, n_ket):
+        """The generator on the (n_bra, n_ket) sector, in the register basis.
+
+        Acts on the row-major vec of rho[bases[n_bra]][:, bases[n_ket]].
+        """
+
+        e_bra, e_ket = self.energies[n_bra], self.energies[n_ket]
+        id_bra, id_ket = np.eye(e_bra.size), np.eye(e_ket.size)
+        lv = -1j * (np.kron(np.diag(e_bra), id_ket) - np.kron(id_bra, np.diag(e_ket)))
+        for a_ops, lam_ops in zip(self.coupling_ops, self.lambda_ops):
+            a_bra, a_ket = a_ops[n_bra], a_ops[n_ket]
+            lam_bra, lam_ket = lam_ops[n_bra], lam_ops[n_ket]
+            lv = lv + np.kron(lam_bra, a_ket.T)
+            lv = lv + np.kron(a_bra, np.conj(lam_ket))
+            lv = lv - np.kron(a_bra @ lam_bra, id_ket)
+            lv = lv - np.kron(id_bra, (lam_ket.conj().T @ a_ket).T)
+        if self.secular:
+            flat = (e_bra[:, None] - e_ket[None, :]).reshape(-1)
+            top = max(float(np.max(np.abs(e))) for e in self.energies)
+            lv = lv * (np.abs(flat[:, None] - flat[None, :]) <= 1e-8 * max(1.0, top))
+        rot = np.kron(self.transforms[n_bra], np.conj(self.transforms[n_ket]))
+        return rot @ lv @ rot.conj().T
+
     def superoperator(self):
+        """The full 4^N generator, assembled from all (N + 1)^2 sector blocks."""
+
         if self._superop is not None:
             return self._superop
         _register_guard(self.n_sites)
         dim = 2**self.n_sites
-        ident = np.eye(dim)
-        h_eig = np.diag(self.energies)
-        lv = -1j * (np.kron(h_eig, ident) - np.kron(ident, h_eig.T))
-        for a_op, lam in zip(self.coupling_ops, self.lambda_ops):
-            lv = lv + np.kron(lam, a_op.T)
-            lv = lv + np.kron(a_op, np.conj(lam))
-            lv = lv - np.kron(a_op @ lam, ident)
-            lv = lv - np.kron(ident, (lam.conj().T @ a_op).T)
-        if self.secular:
-            gaps = self.energies[:, None] - self.energies[None, :]
-            flat = gaps.reshape(-1)
-            tol = 1e-8 * max(1.0, float(np.max(np.abs(self.energies))))
-            mask = np.abs(flat[:, None] - flat[None, :]) <= tol
-            lv = lv * mask
-        rot = np.kron(self.transform, np.conj(self.transform))
-        self._superop = rot @ lv @ rot.conj().T
+        lv = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for n_bra, bra in enumerate(self.bases):
+            for n_ket, ket in enumerate(self.bases):
+                idx = (bra[:, None] * dim + ket[None, :]).reshape(-1)
+                lv[np.ix_(idx, idx)] = self.block(n_bra, n_ket)
+        self._superop = lv
         return self._superop
 
 
@@ -189,14 +219,18 @@ def _half_transform(bath, gaps):
 
 
 def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
-    """Redfield generator of density-coupled baths on the spin register.
+    """Redfield generator of density-coupled baths on the spin register, per sector.
 
+    The spin Hamiltonian is diagonalized once per particle-number sector.
     Coupling operators are sigma^z_i/2 (the site density minus its identity
-    part). Each eigenbasis element picks up the half Fourier transform of
-    the bath correlation at its own gap: C(gap)/2 plus, when lamb_shift is
-    on, -i/(2 pi) times the principal-value integral of C across the bath
-    support, tabulated once per distinct bath. The principal values are
-    what moves peak positions; dropping them leaves pure linewidths.
+    part); they are diagonal in the register basis, so each sector keeps its
+    own block of them. Each eigenbasis element picks up the half Fourier
+    transform of the bath correlation at its own gap: C(gap)/2 plus, when
+    lamb_shift is on, -i/(2 pi) times the principal-value integral of C
+    across the bath support. The gap table is built once per distinct bath
+    and only on gaps within a sector: coupling elements between sectors
+    vanish, so their gaps are never used. The principal values are what
+    moves peak positions; dropping them leaves pure linewidths.
     """
 
     n = h.n_sites
@@ -207,8 +241,14 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
     if len(baths) != n:
         raise ValueError("need one bath entry per site (or a single bath)")
     hs = spin_hamiltonian(h)
-    energies, v = np.linalg.eigh(hs)
-    gaps = energies[:, None] - energies[None, :]
+    bases = _sector_bases(n)
+    energies, transforms = [], []
+    for basis in bases:
+        e, v = np.linalg.eigh(hs[np.ix_(basis, basis)])
+        energies.append(e)
+        transforms.append(np.asarray(v, dtype=complex))
+    gaps = np.concatenate([(e[:, None] - e[None, :]).reshape(-1) for e in energies])
+    splits = np.cumsum([e.size**2 for e in energies])[:-1]
     coupling_ops = []
     lambda_ops = []
     thetas = {}  # one gap table per distinct (frozen, hashable) bath
@@ -218,17 +258,20 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
         if not isinstance(bath, (OhmicBath, FlatNoise)):
             raise TypeError(f"unsupported bath type {type(bath).__name__}")
         if bath not in thetas:
-            thetas[bath] = (_half_transform(bath, gaps) if lamb_shift
-                            else 0.5 * noise_power(bath, gaps))
-        a_site = 0.5 * np.asarray(_site_pauli(_SZ, i, n).todense(), dtype=complex)
-        a_eig = v.conj().T @ a_site @ v
+            table = (_half_transform(bath, gaps) if lamb_shift
+                     else 0.5 * noise_power(bath, gaps))
+            thetas[bath] = [t.reshape(e.size, e.size)
+                            for t, e in zip(np.split(table, splits), energies)]
+        a_site = 0.5 * _site_pauli(_SZ, i, n).diagonal()
+        a_eig = [v.conj().T @ (a_site[basis, None] * v) for basis, v in zip(bases, transforms)]
         coupling_ops.append(a_eig)
-        lambda_ops.append(a_eig * thetas[bath])
+        lambda_ops.append([a * t for a, t in zip(a_eig, thetas[bath])])
     return BlochRedfieldGenerator(
         n_sites=n,
         hamiltonian=hs,
+        bases=bases,
         energies=energies,
-        transform=np.asarray(v, dtype=complex),
+        transforms=transforms,
         coupling_ops=coupling_ops,
         lambda_ops=lambda_ops,
         secular=secular,
@@ -288,39 +331,56 @@ def _distinct_sites(sites, n_sites):
     return sites
 
 
-def qme_greens(gen, sites, warmup_time, grid):
-    """Steady-state Green functions among sites from quantum regression on the register.
+def _block_eig(lv, sector):
+    """L = V diag(lam) V^-1 of one sector block, refused above COND_MAX in 1-norm cond(V)."""
 
-    The generator is diagonalized once, L = V diag(lam) V^-1, so its domain
-    is diagonalizable generators: a 1-norm cond(V) above COND_MAX raises
-    LinAlgError. The identity state relaxes to V exp(lam warmup_time) V^-1
-    rho0, exactly exp(L warmup_time) rho0, with a warning when max|L rho|
-    exceeds 1e-7. The correlators <c_n(tau) c_m^dag> and <c_m^dag c_n(tau)>
-    are exponential sums sum_m w_m exp(lam_m tau), whose one-sided transform
-    at z = omega + i eta is exactly sum_m w_m (-1 / (lam_m + i z)): the
-    lines carry the grid's eta Lorentzian, as the Dyson solve's do. No Re lam
-    exceeds 0 beyond roundoff and FreqGrid keeps eta at two spacings or more,
-    so no mode, the zero modes included, needs special handling. Entries are
-    (n_points, s, s) arrays indexed by position among the distinct sites.
-    """
-
-    sites = _distinct_sites(sites, gen.n_sites)
-    dim = 2**gen.n_sites
-    lv = gen.superoperator()
     lam, vecs = np.linalg.eig(lv)
     vinv = np.linalg.inv(vecs)
     cond = np.linalg.norm(vecs, 1) * np.linalg.norm(vinv, 1)
     if not cond <= COND_MAX:
-        raise np.linalg.LinAlgError(f"generator not safely diagonalizable: cond(V) = "
-                                    f"{cond:.3g} exceeds {COND_MAX:.0e}")
-    v = vecs @ (np.exp(lam * float(warmup_time)) * (vinv @ np.eye(dim).reshape(-1) / dim))
-    residual = float(np.max(np.abs(lv @ v)))
+        raise np.linalg.LinAlgError(f"generator block {sector} not safely diagonalizable: "
+                                    f"cond(V) = {cond:.3g} exceeds {COND_MAX:.0e}")
+    return lam, vecs, vinv
+
+
+def qme_greens(gen, sites, warmup_time, grid):
+    """Steady-state Green functions among sites from quantum regression on the register.
+
+    gen conserves particle number, so only 2N + 1 of its (n_bra, n_ket)
+    sector blocks are reached, each taken from gen.block and diagonalized
+    once, L = V diag(lam) V^-1. The domain is generators whose blocks are
+    diagonalizable: a 1-norm cond(V) above COND_MAX in any block raises
+    LinAlgError. The identity state lives on the (k, k) blocks and relaxes
+    there to V exp(lam warmup_time) V^-1 rho0, exactly exp(L warmup_time)
+    rho0, with a warning when max|L rho| exceeds 1e-7. The columns
+    c_p^dag rho and rho c_p^dag both land in the (k + 1, k) blocks, where the
+    correlators <c_n(tau) c_m^dag> and <c_m^dag c_n(tau)> are exponential
+    sums sum_m w_m exp(lam_m tau), whose one-sided transform at
+    z = omega + i eta is exactly sum_m w_m (-1 / (lam_m + i z)): the lines
+    carry the grid's eta Lorentzian, as the Dyson solve's do. No Re lam
+    exceeds 0 beyond roundoff and FreqGrid keeps eta at two spacings or more,
+    so no mode, the zero modes included, needs special handling. No 4^N
+    matrix is built. Entries are (n_points, s, s) arrays indexed by position
+    among the distinct sites.
+    """
+
+    sites = _distinct_sites(sites, gen.n_sites)
+    dim = 2**gen.n_sites
+    bases = _sector_bases(gen.n_sites)
+    rho = np.zeros((dim, dim), dtype=complex)
+    residual = 0.0
+    for k, basis in enumerate(bases):
+        lv = gen.block(k, k)
+        lam, vecs, vinv = _block_eig(lv, (k, k))
+        v = vecs @ (np.exp(lam * float(warmup_time))
+                    * (vinv @ np.eye(basis.size).reshape(-1) / dim))
+        residual = max(residual, float(np.max(np.abs(lv @ v))))
+        rho[np.ix_(basis, basis)] = v.reshape(basis.size, basis.size)
     if residual > 1e-7:
         warnings.warn(
             f"steady-state residual {residual:.2e} above 1e-07; increase warmup_time",
             stacklevel=2,
         )
-    rho = v.reshape(dim, dim)
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
 
@@ -331,9 +391,16 @@ def qme_greens(gen, sites, warmup_time, grid):
     cols = np.stack([(-1j * (c.conj().T @ rho + sign * rho @ c.conj().T)).reshape(-1)
                      for c in cs for sign in (1, -1)], axis=1)
     meters = np.stack([c.T.reshape(-1) for c in cs])
-    # weights[m, q * 2s + col] = (meter_q V)_m (V^-1 col)_m
-    weights = ((meters @ vecs).T[:, :, None] * (vinv @ cols)[:, None, :]).reshape(lam.size, -1)
-    del vecs, vinv  # the decomposition is not held through the transform
+    lams, weights = [], []
+    for k in range(gen.n_sites):
+        idx = (bases[k + 1][:, None] * dim + bases[k][None, :]).reshape(-1)
+        lam, vecs, vinv = _block_eig(gen.block(k + 1, k), (k + 1, k))
+        # weights[m, q * 2s + col] = (meter_q V)_m (V^-1 col)_m
+        weights.append(((meters[:, idx] @ vecs).T[:, :, None]
+                        * (vinv @ cols[idx])[:, None, :]).reshape(lam.size, -1))
+        lams.append(lam)
+    lam = np.concatenate(lams)
+    weights = np.concatenate(weights)
     z = grid.omegas + 1j * grid.eta
     out = np.empty((z.size, weights.shape[1]), dtype=complex)
     for start in range(0, z.size, 512):  # blocks bound the resolvent table
@@ -442,10 +509,6 @@ def exact_tls_evolve(h, baths, ini, t_grid):
         if b is not None and not isinstance(b, TlsBath):
             raise TypeError("exact_tls_evolve supports TlsBath entries only")
     n_levels = sum(len(b.levels) for b in baths if b is not None)
-    if n + n_levels > EXACT_MAX_SPINS:
-        raise CapacityError(
-            f"{n + n_levels} total spins exceed the supported {EXACT_MAX_SPINS}"
-        )
     if not isinstance(ini, (int, np.integer, InitialState)):
         raise ValueError("ini must be a site index or InitialState")
     site = _excited_site(ini, n)

@@ -1,9 +1,11 @@
 """Register master equations by brute force, as test oracles.
 
 noisychain.qme computes the chain's Lindblad spectra and occupations on
-N x N matrices, and register spectra from one eigendecomposition of the
-generator; these helpers (dense through N = 5) reach the same numbers by
-time stepping and by one linear solve per frequency, to check that it does.
+N x N matrices, and builds the Bloch-Redfield generator and its spectra per
+particle-number sector; these helpers (dense through N = 5) reach the same
+numbers by time stepping, by one linear solve per frequency, and by
+building the whole 4^N generator in one global eigenbasis, to check that it
+does.
 """
 
 from __future__ import annotations
@@ -16,15 +18,18 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from noisychain.baths import noise_power
 from noisychain.lattice import FreqGreens
 from noisychain.qme import (
     _SM,
     _SZ,
     _check_density_matrix,
+    _half_transform,
     _propagate,
     _register_guard,
     _site_pauli,
     jw_fermion,
+    spin_hamiltonian,
 )
 
 
@@ -170,3 +175,43 @@ def resolvent_greens(gen, rho_ss, sites, grid):
         ret[k] = -1j * (vals[..., 0] + vals[..., 1])  # G^> - G^<
         half[k] = -1j * (vals[..., 0] - vals[..., 1])  # G^> + G^<
     return FreqGreens(grid, ret, half - np.conj(np.swapaxes(half, 1, 2)))
+
+
+def global_redfield_superoperator(h, baths, secular=False, lamb_shift=True):
+    """The 4^N Bloch-Redfield generator built in one global eigenbasis.
+
+    One eigh of the whole spin Hamiltonian, one gap table per distinct bath
+    on all 4^N gaps, the kron sum of every coupling term, the secular mask
+    on all gaps, and the rotation back to the register.
+    """
+
+    n = h.n_sites
+    _register_guard(n)
+    if not isinstance(baths, list):
+        baths = [baths] * n
+    energies, v = np.linalg.eigh(spin_hamiltonian(h))
+    gaps = energies[:, None] - energies[None, :]
+    dim = 2**n
+    ident = np.eye(dim)
+    h_eig = np.diag(energies)
+    lv = -1j * (np.kron(h_eig, ident) - np.kron(ident, h_eig.T))
+    thetas = {}
+    for i, bath in enumerate(baths):
+        if bath is None:
+            continue
+        if bath not in thetas:
+            thetas[bath] = (_half_transform(bath, gaps) if lamb_shift
+                            else 0.5 * noise_power(bath, gaps))
+        a_site = 0.5 * np.asarray(_site_pauli(_SZ, i, n).todense(), dtype=complex)
+        a_op = v.conj().T @ a_site @ v
+        lam = a_op * thetas[bath]
+        lv = lv + np.kron(lam, a_op.T)
+        lv = lv + np.kron(a_op, np.conj(lam))
+        lv = lv - np.kron(a_op @ lam, ident)
+        lv = lv - np.kron(ident, (lam.conj().T @ a_op).T)
+    if secular:
+        flat = gaps.reshape(-1)
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(energies))))
+        lv = lv * (np.abs(flat[:, None] - flat[None, :]) <= tol)
+    rot = np.kron(v, np.conj(v))
+    return rot @ lv @ rot.conj().T

@@ -72,8 +72,8 @@ def test_dephasing_rate_matches_golden_rule():
 def test_hot_flat_noise_master_equation_reproduces_dressed_spectra(tmp_path):
     # five dephased qubits, noise flat on the system scale: regression
     # spectra track the dressed solver's lines in position (one grid
-    # spacing) and width (1 percent: both carry the same eta Lorentzian),
-    # on- and off-diagonal
+    # spacing) and width (the preset's 1 percent: both carry the same eta
+    # Lorentzian), on- and off-diagonal
     started = time.monotonic()
     result = _run_preset("fig2-lower", tmp_path)
     assert result.ok, result.engine_errors or [
@@ -85,6 +85,7 @@ def test_hot_flat_noise_master_equation_reproduces_dressed_spectra(tmp_path):
         (pos,) = metrics[f"peak-position:{tag}"]
         assert pos.value <= spacing, pos
         (width,) = metrics[f"fwhm-ratio:{tag}"]
+        assert width.tolerance == 0.01 and width.passed, width
         assert width.value <= 0.01, width
     assert time.monotonic() - started < 300.0
 

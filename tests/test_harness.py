@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from noisychain import qme
 from noisychain.cli import main
-from noisychain.errors import ConfigError
+from noisychain.errors import CapacityError, ConfigError
 from noisychain.harness import (
     CONFIG_VERSION,
     ENGINES,
@@ -382,7 +382,11 @@ def test_rerun_bodies_are_byte_identical(tmp_path):
         assert (r1.run_dir / fname).read_bytes() == (r2.run_dir / fname).read_bytes()
 
 
-def test_partial_engine_failure_keeps_artifacts(tmp_path):
+def test_partial_engine_failure_keeps_artifacts(tmp_path, monkeypatch):
+    def out_of_room(*args, **kwargs):
+        raise CapacityError("no room for the exact solver")
+
+    monkeypatch.setattr(qme, "exact_tls_evolve", out_of_room)
     raw = {
         "version": 1,
         "name": "partial",
@@ -394,14 +398,34 @@ def test_partial_engine_failure_keeps_artifacts(tmp_path):
         "seed": 42,
     }
     result = run_experiment(config_from_dict(raw), out_root=tmp_path)
-    # 5 qubits + 15 sampled levels exceed the exact solver's register cap;
-    # the integrator's artifact must survive the sibling failure
+    # the exact solver fails at run time; the integrator's artifact must
+    # survive the sibling failure
     assert not result.ok
     assert list(result.engine_errors) == ["exact_tls"]
     assert "CapacityError" in result.engine_errors["exact_tls"]
     assert any("kbe" in f for f in result.artifacts)
     manifest = json.loads((result.run_dir / "manifest.json").read_text())
     assert manifest["engine_errors"] == result.engine_errors
+
+
+def test_exact_tls_size_checked_before_any_output(tmp_path, capsys):
+    # three TLS per site is 20 levels: every engine of fig4-top runs; a
+    # level count whose dense eigensystem exceeds the memory cap is refused
+    # at validation, naming bath.n_tls, before kbe (listed first) writes
+    raw = preset_config("fig4-top")
+    raw["bath"]["n_tls"] = 3
+    result = run_experiment(config_from_dict(copy.deepcopy(raw)), out_root=tmp_path / "ok")
+    assert result.ok and result.engine_errors == {}
+    assert "exact_tls_trajectory.csv" in result.artifacts
+    raw["bath"]["n_tls"] = 4000
+    with pytest.raises(ConfigError, match="bath.n_tls"):
+        config_from_dict(copy.deepcopy(raw))
+    path = tmp_path / "fig4-top.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out-fig4-top"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "bath.n_tls" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_out_root_precedence(tmp_path, monkeypatch):

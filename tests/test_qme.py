@@ -1,5 +1,6 @@
 """Spin-register master equations and the exact few-level reference."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 from noisychain import qme
 from noisychain.baths import FlatNoise, OhmicBath, TlsBath
 from noisychain.errors import CapacityError
-from noisychain.lattice import FreqGrid, build_chain
+from noisychain.harness import _Plan, config_from_dict
+from noisychain.lattice import FreqGreens, FreqGrid, build_chain
+from noisychain.presets import preset_config
 
 from register_oracle import (
     LindbladGenerator,
+    global_redfield_superoperator,
     null_steady_state,
     regression_correlator,
     resolvent_greens,
@@ -134,10 +138,9 @@ def test_regression_correlator_needs_zero_start():
 def test_dephased_site_line_shape():
     # single dephased level: line at the onsite energy, hermitian spectral
     # weight, near-unit weight (the Lorentzian tails past the grid eat a few
-    # percent)
+    # percent); white noise at 0.4 is pure dephasing at gamma2star = 0.2
     h = build_chain(1, 1.0, 0.0, boundary="open")
-    gen = LindbladGenerator(n_sites=1, hamiltonian=qme.spin_hamiltonian(h),
-                            gamma1=0.0, gamma2star=0.2)
+    gen = qme.bloch_redfield_generator(h, FlatNoise(level=0.4, halfwidth=1e8))
     grid = FreqGrid(-1.0, 3.0, 2001)
     gg = qme.qme_greens(gen, (0, 0), 50.0, grid)
     assert gg.retarded.shape == (grid.n_points, 1, 1)
@@ -166,8 +169,10 @@ def test_single_particle_route_matches_register_oracle():
     grid = FreqGrid(-3.0, 3.0, 301)
     for g1, warmup in ((0.0, 1.0), (0.2, 200.0)):
         gen = LindbladGenerator(n_sites=n, hamiltonian=hs, gamma1=g1, gamma2star=0.15)
-        for pair in ((0, 0), (0, 1)):
-            ref = qme.qme_greens(gen, pair, warmup, grid)
+        rho = steady_state(gen, np.eye(2**n) / 2**n, warmup)
+        both = resolvent_greens(gen, rho, (0, 1), grid)
+        for pair, keep in (((0, 0), [0]), ((0, 1), [0, 1])):
+            ref = FreqGreens(grid, *(x[:, keep][:, :, keep] for x in (both.retarded, both.keldysh)))
             got = qme.lindblad_greens(h, g1, 0.15, pair, grid)
             assert got.retarded.shape == ref.retarded.shape
             scale = np.max(np.abs(ref.retarded))
@@ -207,10 +212,14 @@ def test_eigen_route_matches_stepping_oracle():
                 err = np.max(np.abs(component(got) - component(ref))) / scale
                 assert err <= 1e-10, (secular, lamb_shift, name, err)
 
-    # a Jordan block has no eigenbasis: refused, naming the conditioning
-    jordan = -np.eye(4) + np.diag(np.ones(3), 1)
-    stub = SimpleNamespace(n_sites=1, superoperator=lambda: jordan)
-    with pytest.raises(np.linalg.LinAlgError, match=r"cond\(V\)"):
+    # a Jordan block has no eigenbasis: refused, naming the conditioning;
+    # the two-site (1, 1) sector block is the first one larger than 1 x 1
+    def jordan(n_bra, n_ket):
+        size = math.comb(2, n_bra) * math.comb(2, n_ket)
+        return -np.eye(size) + np.diag(np.ones(size - 1), 1)
+
+    stub = SimpleNamespace(n_sites=2, block=jordan)
+    with pytest.raises(np.linalg.LinAlgError, match=r"block \(1, 1\).*cond\(V\)"):
         qme.qme_greens(stub, (0,), 1.0, grid)
 
 
@@ -242,8 +251,52 @@ def test_gap_table_shared_across_equal_baths(monkeypatch):
             want = [refs[(i, b)] for i, b in enumerate(per_site) if b is not None]
             assert len(gen.lambda_ops) == len(want)
             for got, ref in zip(gen.lambda_ops, want):
-                assert np.array_equal(got, ref)
+                assert len(got) == len(ref) == n + 1  # one block per sector
+                for got_k, ref_k in zip(got, ref):
+                    assert np.array_equal(got_k, ref_k)
             assert len(tables) == (n_tables if lamb_shift else 0)
+
+
+def _fig2_upper_plan():
+    return _Plan(config_from_dict(preset_config("fig2-upper")))
+
+
+def test_sector_generator_matches_global_eigenbasis_oracle():
+    # the per-sector build against one global eigh, 4^N gap table and 4^N
+    # kron sum, on every secular / Lamb-shift variant; entries between
+    # different particle-number sectors are exactly zero
+    bath = OhmicBath(alpha=0.05, cutoff=2.0, temperature=0.3)
+    plan = _fig2_upper_plan()
+    for h, baths in ((build_chain(3, 0.2, 1.0, boundary="open"), bath),
+                     (plan.h, plan.site_baths)):
+        n = h.n_sites
+        number = np.array([bin(i).count("1") for i in range(2**n)])
+        sector = (number[:, None] * (n + 1) + number[None, :]).reshape(-1)
+        across = sector[:, None] != sector[None, :]
+        for secular in (False, True):
+            for lamb_shift in (True, False):
+                gen = qme.bloch_redfield_generator(h, baths, secular=secular,
+                                                   lamb_shift=lamb_shift)
+                got = gen.superoperator()
+                ref = global_redfield_superoperator(h, baths, secular=secular,
+                                                    lamb_shift=lamb_shift)
+                err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-12, (n, secular, lamb_shift, err)
+                assert not np.any(got[across])
+
+
+def test_spectra_never_build_the_full_generator(monkeypatch):
+    # fig2-upper spectra come from sector blocks alone
+    def refuse(self):
+        raise AssertionError("4^N superoperator built on the spectra path")
+
+    monkeypatch.setattr(qme.BlochRedfieldGenerator, "superoperator", refuse)
+    plan = _fig2_upper_plan()
+    gen = qme.bloch_redfield_generator(plan.h, plan.site_baths)
+    grid = FreqGrid(-3.0, 3.0, 201)
+    got = qme.qme_greens(gen, (0, 1), plan.cfg.qme.warmup_time, grid)
+    assert got.retarded.shape == (grid.n_points, 2, 2)
+    assert np.all(np.isfinite(got.retarded)) and np.all(np.isfinite(got.keldysh))
 
 
 def test_exact_tls_rabi():
