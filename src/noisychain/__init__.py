@@ -1,9 +1,10 @@
 """Spectra and relaxation dynamics of dissipative tight-binding chains.
 
 Frequency-domain pipeline: build_chain -> bath objects -> steady_state_greens
--> spectral_weight / extract_rates. Time-domain pipeline: kbe_integrate (two
-time arguments, Markov rates or sampled memory kernels) or the master-equation
-evolvers in qme. The harness module runs validated configs end to end and the
+-> spectral_weight / extract_rates. Time-domain pipeline: kbe_rows (a stream
+of two-time rows, Markov rates or sampled memory kernels) and its
+equal-time diagonal equal_time_keldysh, or the master-equation evolvers in
+qme. The harness module runs validated configs end to end and the
 CLI (`noisychain`) wraps it; shipped example setups live in presets.
 """
 
@@ -31,10 +32,9 @@ from .harness import (
 )
 from .kbe import (
     InitialState,
-    TwoTimeGreens,
-    kbe_integrate,
+    equal_time_keldysh,
+    kbe_rows,
     markov_self_energy,
-    occupations,
     tls_memory_self_energy,
 )
 from .keldysh import (
@@ -80,10 +80,9 @@ __all__ = [
     "load_config",
     "run_experiment",
     "InitialState",
-    "TwoTimeGreens",
-    "kbe_integrate",
+    "equal_time_keldysh",
+    "kbe_rows",
     "markov_self_energy",
-    "occupations",
     "tls_memory_self_energy",
     "RateFunction",
     "SelfEnergy",

@@ -12,7 +12,6 @@ All frequency arguments accept scalars or arrays.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "noise_power",
     "support_halfwidth",
     "principal_value_transform",
-    "boson_correlators",
-    "tls_spectral_density",
     "sample_tls_bath",
 ]
 
@@ -220,53 +217,6 @@ def principal_value_transform(values, omegas):
     off_pole = conv[:, :-1] - cols * conv[:, -1:]
     pole = -h * weights[:, None] * np.gradient(cols, h, axis=0)
     return (off_pole + pole + cols * log_term[:, None]).reshape(f.shape)
-
-
-def boson_correlators(bath, grid):
-    """Equilibrium boson correlators of an ohmic bath on a frequency grid.
-
-    Returns 1x1 FreqGreens: retarded with Im = -J/2 and Re from the on-grid
-    principal-value transform (advanced its conjugate), Keldysh -i*S. Warns
-    when the grid stops short of ~5 cutoffs on either side, where the
-    truncated transform starts to distort the real part.
-    """
-
-    from .lattice import FreqGreens
-
-    if not isinstance(bath, OhmicBath):
-        raise TypeError("boson_correlators expects an OhmicBath")
-    w = grid.omegas
-    if grid.omega_max < 5.0 * bath.cutoff or grid.omega_min > -5.0 * bath.cutoff:
-        warnings.warn(
-            "frequency grid spans less than 5 cutoffs; the Hilbert-transform "
-            "real part will be truncated",
-            stacklevel=2,
-        )
-    j = spectral_function(bath, w)
-    s = power_spectral_density(bath, w)
-    re_dr = principal_value_transform(j, w) / (2.0 * np.pi)
-    dr = (re_dr - 0.5j * j)[:, None, None]
-    dk = (-1j * s)[:, None, None].astype(complex)
-    return FreqGreens(grid=grid, retarded=dr, keldysh=dk)
-
-
-def tls_spectral_density(bath, omega, smearing):
-    """Lorentzian-smeared coupling density of a two-level-system bath.
-
-    Each level contributes 2*pi*g^2 times a unit-mass Lorentzian of
-    half-width `smearing`, so a single level peaks at 2*g^2/smearing and the
-    integral over d omega/(2 pi) recovers sum g^2.
-    """
-
-    if not isinstance(bath, TlsBath):
-        raise TypeError("tls_spectral_density expects a TlsBath")
-    if not smearing > 0:
-        raise ValueError("smearing must be positive")
-    omega = np.asarray(omega, dtype=float)
-    eps = bath.energies
-    g2 = bath.couplings**2
-    lor = smearing / ((omega[..., None] - eps) ** 2 + smearing**2)
-    return 2.0 * np.sum(g2 * lor, axis=-1)
 
 
 def sample_tls_bath(target_rate, n_tls, band, seed, temperature=0.0):

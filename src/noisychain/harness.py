@@ -41,14 +41,14 @@ import yaml
 from scipy.signal import find_peaks
 
 from . import qme
-from .baths import OhmicBath, TlsBath, WideBandBath, noise_power, sample_tls_bath
+from .baths import OhmicBath, WideBandBath, noise_power, sample_tls_bath
 from .errors import ConfigError
 from .kbe import (
     MEMORY_CAP_BYTES,
     InitialState,
-    kbe_integrate,
+    equal_time_keldysh,
     markov_self_energy,
-    occupations,
+    stream_bytes,
     tls_memory_self_energy,
 )
 from .keldysh import extract_rates, steady_state_greens
@@ -377,6 +377,16 @@ def _cross_validate(cfg):
                 "bath.n_tls",
                 f"exact_tls on {d} levels needs about {need / 1e9:.1f} GB "
                 f"(cap {MEMORY_CAP_BYTES / 1e9:.0f} GB)",
+            )
+    if "kbe" in cfg.engines:
+        n = cfg.system.n_sites
+        levels = n * cfg.bath.n_tls if cfg.bath.kind == "tls" else None
+        need = stream_bytes(n, cfg.time.t_max / cfg.time.dt + 1, levels)
+        if need > MEMORY_CAP_BYTES:
+            raise ConfigError(
+                "time.t_max",
+                f"the two-time rows of {n} sites need about {need / 1e9:.1f} GB "
+                f"(cap {MEMORY_CAP_BYTES / 1e9:.0f} GB); shorten t_max or increase dt",
             )
     if "blochredfield" in cfg.engines and cfg.system.n_sites > qme.DENSE_MAX_SITES:
         raise ConfigError(
@@ -799,11 +809,10 @@ def _run_kbe(plan, run_dir):
     else:
         sigma = tls_memory_self_energy(plan.site_baths)
     ini = InitialState.single_site(cfg.system.n_sites, cfg.initial.excited_site)
-    greens = kbe_integrate(plan.h, sigma, ini, cfg.time.t_max, cfg.time.dt)
-    occ, _ = occupations(greens)
-    idx = np.arange(greens.n_times)
-    kel_diag = np.einsum("tii->ti", greens.keldysh[idx, idx])
-    _write_trajectory_csv(run_dir / "kbe_trajectory.csv", greens.t_grid, occ, kel_diag)
+    kel = equal_time_keldysh(plan.h, sigma, ini, cfg.time.t_max, cfg.time.dt)
+    kel_diag = np.einsum("tii->ti", kel)
+    occ = 0.5 * (1.0 + kel_diag.imag)
+    _write_trajectory_csv(run_dir / "kbe_trajectory.csv", plan.t_grid, occ, kel_diag)
     return ["kbe_trajectory.csv"]
 
 

@@ -28,8 +28,6 @@ from .baths import (
     WideBandBath,
     noise_power,
     principal_value_transform,
-    spectral_function,
-    power_spectral_density,
 )
 from .errors import SingularFrequencyError
 from .lattice import (
@@ -46,7 +44,6 @@ __all__ = [
     "RateFunction",
     "extract_rates",
     "dephasing_self_energy",
-    "dephasing_rate_function",
     "tls_embedding_self_energy",
     "dyson_solve",
     "spectral_weight",
@@ -299,38 +296,6 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     # catches anything worse. Measured on every shipped preset and sweep
     # width: no negative entry, smallest 4.1e-6 (fig2-upper)
     return SelfEnergy(grid=grid, retarded=shift - 0.5j * gamma, keldysh=sk_diag)
-
-
-def dephasing_rate_function(h, baths, beta_sys, grid):
-    """Closed-form eigenbasis dephasing rates, no grid convolution.
-
-    gamma_i(w) = (1/2) sum_k |U_ik|^2 [ S(w - e_k) + F(e_k) J(w - e_k) ]
-    with F the system thermal factor; the shift is the same Kramers-Kronig
-    machinery as the convolution route. Agrees with dephasing_self_energy
-    up to the eta smearing of the free spectral function.
-    """
-
-    baths = _bath_list(baths, h.n_sites, OhmicBath, "dephasing")
-    eig = diagonalize(h)
-    w = grid.omegas
-    weights = np.abs(eig.transform) ** 2  # (site, k)
-    f_k = thermal_factor(eig.energies, beta_sys)
-    tail_nu, tail_wts = _tail_points(grid, baths)
-
-    def closed_form(bath, sites, nu_grid):
-        diff = nu_grid[:, None] - eig.energies[None, :]
-        s = power_spectral_density(bath, diff)
-        j = spectral_function(bath, diff)
-        return 0.5 * ((s + j * f_k[None, :]) @ weights[sites].T)
-
-    gamma = np.zeros((grid.n_points, h.n_sites))
-    shift = np.zeros_like(gamma)
-    for bath, sites in _bath_groups(baths).items():
-        g_main = closed_form(bath, sites, w)
-        g_tail = closed_form(bath, sites, tail_nu)
-        gamma[:, sites] = g_main
-        shift[:, sites] = _shift_from_gamma(grid, g_main, tail_nu, tail_wts, g_tail)
-    return RateFunction(grid=grid, gamma=gamma, shift=shift)
 
 
 def tls_embedding_self_energy(baths, grid, smearing=None):

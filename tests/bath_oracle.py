@@ -1,0 +1,108 @@
+"""Bath correlators and closed-form dephasing rates that only tests need.
+
+boson_correlators and tls_spectral_density are the frequency-domain views of
+an ohmic bath and of a sampled two-level-system ensemble; the pipeline works
+from spectral_function, power_spectral_density and the level list directly.
+dephasing_rate_function is the eigenbasis closed form of the dephasing rates
+that noisychain.keldysh.dephasing_self_energy reaches by grid convolution.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+
+from noisychain.baths import (
+    OhmicBath,
+    TlsBath,
+    power_spectral_density,
+    principal_value_transform,
+    spectral_function,
+)
+from noisychain.keldysh import (
+    RateFunction,
+    _bath_groups,
+    _bath_list,
+    _shift_from_gamma,
+    _tail_points,
+)
+from noisychain.lattice import FreqGreens, diagonalize, thermal_factor
+
+
+def boson_correlators(bath, grid):
+    """Equilibrium boson correlators of an ohmic bath on a frequency grid.
+
+    Returns 1x1 FreqGreens: retarded with Im = -J/2 and Re from the on-grid
+    principal-value transform (advanced its conjugate), Keldysh -i*S. Warns
+    when the grid stops short of ~5 cutoffs on either side, where the
+    truncated transform starts to distort the real part.
+    """
+
+    if not isinstance(bath, OhmicBath):
+        raise TypeError("boson_correlators expects an OhmicBath")
+    w = grid.omegas
+    if grid.omega_max < 5.0 * bath.cutoff or grid.omega_min > -5.0 * bath.cutoff:
+        warnings.warn(
+            "frequency grid spans less than 5 cutoffs; the Hilbert-transform "
+            "real part will be truncated",
+            stacklevel=2,
+        )
+    j = spectral_function(bath, w)
+    s = power_spectral_density(bath, w)
+    re_dr = principal_value_transform(j, w) / (2.0 * np.pi)
+    dr = (re_dr - 0.5j * j)[:, None, None]
+    dk = (-1j * s)[:, None, None].astype(complex)
+    return FreqGreens(grid=grid, retarded=dr, keldysh=dk)
+
+
+def tls_spectral_density(bath, omega, smearing):
+    """Lorentzian-smeared coupling density of a two-level-system bath.
+
+    Each level contributes 2*pi*g^2 times a unit-mass Lorentzian of
+    half-width `smearing`, so a single level peaks at 2*g^2/smearing and the
+    integral over d omega/(2 pi) recovers sum g^2.
+    """
+
+    if not isinstance(bath, TlsBath):
+        raise TypeError("tls_spectral_density expects a TlsBath")
+    if not smearing > 0:
+        raise ValueError("smearing must be positive")
+    omega = np.asarray(omega, dtype=float)
+    eps = bath.energies
+    g2 = bath.couplings**2
+    lor = smearing / ((omega[..., None] - eps) ** 2 + smearing**2)
+    return 2.0 * np.sum(g2 * lor, axis=-1)
+
+
+
+def dephasing_rate_function(h, baths, beta_sys, grid):
+    """Closed-form eigenbasis dephasing rates, no grid convolution.
+
+    gamma_i(w) = (1/2) sum_k |U_ik|^2 [ S(w - e_k) + F(e_k) J(w - e_k) ]
+    with F the system thermal factor; the shift is the same Kramers-Kronig
+    machinery as the convolution route. Agrees with dephasing_self_energy
+    up to the eta smearing of the free spectral function.
+    """
+
+    baths = _bath_list(baths, h.n_sites, OhmicBath, "dephasing")
+    eig = diagonalize(h)
+    w = grid.omegas
+    weights = np.abs(eig.transform) ** 2  # (site, k)
+    f_k = thermal_factor(eig.energies, beta_sys)
+    tail_nu, tail_wts = _tail_points(grid, baths)
+
+    def closed_form(bath, sites, nu_grid):
+        diff = nu_grid[:, None] - eig.energies[None, :]
+        s = power_spectral_density(bath, diff)
+        j = spectral_function(bath, diff)
+        return 0.5 * ((s + j * f_k[None, :]) @ weights[sites].T)
+
+    gamma = np.zeros((grid.n_points, h.n_sites))
+    shift = np.zeros_like(gamma)
+    for bath, sites in _bath_groups(baths).items():
+        g_main = closed_form(bath, sites, w)
+        g_tail = closed_form(bath, sites, tail_nu)
+        gamma[:, sites] = g_main
+        shift[:, sites] = _shift_from_gamma(grid, g_main, tail_nu, tail_wts, g_tail)
+    return RateFunction(grid=grid, gamma=gamma, shift=shift)

@@ -1,17 +1,84 @@
-"""Two-time closed forms and transforms that only tests need.
+"""Two-time planes, closed forms and transforms that only tests need.
 
-noisychain.kbe integrates the two-time equations; analytic_gk is the closed
-form the integrator converges to when the decay rates commute with the
-chain, and late_time_spectrum turns the final-time slice of a run into
+noisychain.kbe streams the two-time equations row by row; kbe_integrate
+collects that stream into the full lower-triangle planes of TwoTimeGreens,
+so tests can check any point of them. analytic_gk is the closed form the
+integrator converges to when the decay rates commute with the chain, and
+late_time_spectrum turns the final-time slice of a run into
 frequency-domain functions through a tapered Fourier sum.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg as sla
 
+from noisychain.kbe import kbe_rows
 from noisychain.lattice import FreqGreens
+
+
+@dataclass
+class TwoTimeGreens:
+    """Retarded and Keldysh components on a square time grid.
+
+    Only the lower triangle (first time >= second) is stored; the upper
+    entries are zero in the arrays. Use the accessors for the physical
+    values: the retarded component genuinely vanishes there, the Keldysh
+    component follows from conjugation.
+    """
+
+    t_grid: np.ndarray
+    retarded: np.ndarray
+    keldysh: np.ndarray
+
+    @property
+    def n_times(self):
+        return self.t_grid.size
+
+    @property
+    def n_sites(self):
+        return self.retarded.shape[-1]
+
+    @property
+    def dt(self):
+        return float(self.t_grid[1] - self.t_grid[0]) if self.t_grid.size > 1 else 0.0
+
+    def retarded_at(self, i, j):
+        if i >= j:
+            return self.retarded[i, j]
+        return np.zeros_like(self.retarded[0, 0])
+
+    def keldysh_at(self, i, j):
+        if i >= j:
+            return self.keldysh[i, j]
+        return -self.keldysh[j, i].conj().T
+
+
+def kbe_integrate(h, sigma, ini, t_max, dt):
+    """The streamed rows of noisychain.kbe.kbe_rows, collected into full planes."""
+
+    rows = kbe_rows(h, sigma, ini, t_max, dt)
+    m, n = int(round(t_max / dt)) + 1, h.n_sites
+    ret = np.zeros((m, m, n, n), dtype=complex)
+    kel = np.zeros((m, m, n, n), dtype=complex)
+    for i, (r_row, k_row) in enumerate(rows):
+        ret[i, : i + 1] = r_row
+        kel[i, : i + 1] = k_row
+    return TwoTimeGreens(t_grid=np.arange(m) * dt, retarded=ret, keldysh=kel)
+
+
+def occupations(greens):
+    """Per-site occupations n_i(t) = (1 + Im K_ii(t,t)) / 2, plus their sum.
+
+    Returns (n, n_tot) with n of shape (n_times, n_sites).
+    """
+
+    idx = np.arange(greens.n_times)
+    diag = np.diagonal(greens.keldysh[idx, idx], axis1=1, axis2=2)
+    n = 0.5 * (1.0 + diag.imag)
+    return n, n.sum(axis=1)
 
 
 def analytic_gk(h, rates, ini, t, t_prime):

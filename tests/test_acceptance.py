@@ -15,7 +15,7 @@ import pytest
 from noisychain import qme
 from noisychain.baths import OhmicBath, power_spectral_density
 from noisychain.harness import config_from_dict, find_spectral_peaks, read_artifact, run_experiment
-from noisychain.kbe import InitialState, kbe_integrate, markov_self_energy
+from noisychain.kbe import InitialState, markov_self_energy
 from noisychain.keldysh import (
     dephasing_self_energy,
     extract_rates,
@@ -25,7 +25,7 @@ from noisychain.keldysh import (
 from noisychain.lattice import FreqGrid, build_chain, thermal_factor
 from noisychain.presets import preset_config
 
-from kbe_oracle import analytic_gk
+from kbe_oracle import analytic_gk, kbe_integrate
 from register_oracle import LindbladGenerator
 
 

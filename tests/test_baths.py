@@ -12,16 +12,15 @@ from noisychain.baths import (
     FlatNoise,
     OhmicBath,
     TlsBath,
-    boson_correlators,
     noise_power,
     power_spectral_density,
     principal_value_transform,
     sample_tls_bath,
     spectral_function,
     support_halfwidth,
-    tls_spectral_density,
 )
 from noisychain.lattice import FreqGrid
+from bath_oracle import boson_correlators, tls_spectral_density
 from quadrature_oracle import principal_value_direct
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -426,6 +427,38 @@ def test_exact_tls_size_checked_before_any_output(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert "bath.n_tls" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_kbe_memory_checked_before_any_output(tmp_path, capsys):
+    # the streamed two-time rows are sized at validation, naming time.t_max:
+    # a 40-site wide-band run over 10^5 steps is refused before any engine
+    # writes and before any large array exists
+    raw = preset_config("fig4-bottom")
+    raw["system"]["n_sites"] = 40
+    raw["time"] = {"t_max": 100.0, "dt": 0.001}
+    path = tmp_path / "fig4-bottom.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out-fig4-bottom"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="time.t_max"):
+            config_from_dict(copy.deepcopy(raw))
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "time.t_max" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 20e6
+
+
+def test_kbe_long_memory_run_validates():
+    # fig4-top over four times its preset span: the full two-time planes
+    # would need about 7.9 GB, the streamed rows a few MB
+    raw = preset_config("fig4-top")
+    raw["time"]["t_max"] = 40.0
+    cfg = config_from_dict(raw)
+    assert cfg.time.t_max == 40.0
 
 
 def test_out_root_precedence(tmp_path, monkeypatch):

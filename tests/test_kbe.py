@@ -10,14 +10,14 @@ from noisychain.errors import CapacityError
 from noisychain.harness import find_spectral_peaks
 from noisychain.kbe import (
     InitialState,
-    kbe_integrate,
+    equal_time_keldysh,
+    kbe_rows,
     markov_self_energy,
-    occupations,
     tls_memory_self_energy,
 )
 from noisychain.lattice import FreqGrid, build_chain
 
-from kbe_oracle import analytic_gk, late_time_spectrum
+from kbe_oracle import analytic_gk, kbe_integrate, late_time_spectrum, occupations
 
 
 def _lone_site():
@@ -120,9 +120,19 @@ def test_stability_guard():
 
 
 def test_memory_capacity_guard():
-    with pytest.raises(CapacityError):
-        kbe_integrate(_lone_site(), markov_self_energy([0.0]),
-                      InitialState.single_site(1, 0), 1000.0, 0.1)
+    # the streamed working set grows as m n (n + levels): a 40-site chain
+    # over 5 10^4 steps is refused when the stream is requested, before any
+    # row is built
+    h = build_chain(40, 0.0, 1.0)
+    with pytest.raises(CapacityError, match="GB"):
+        kbe_rows(h, markov_self_energy([0.1] * 40),
+                 InitialState.single_site(40, 0), 1000.0, 0.02)
+    # levels count too: one site with a dense two-level ensemble
+    h = build_chain(1, 2.0, 0.0, boundary="open")
+    bath = sample_tls_bath(0.05, 4000, (1.5, 2.5), seed=1)
+    with pytest.raises(CapacityError, match="GB"):
+        kbe_rows(h, tls_memory_self_energy([bath]),
+                 InitialState.single_site(1, 0), 400.0, 0.02)
 
 
 def test_time_grid_validation():
@@ -132,6 +142,26 @@ def test_time_grid_validation():
     with pytest.raises(ValueError):
         kbe_integrate(_lone_site(), markov_self_energy([0.1]),
                       InitialState.single_site(1, 0), -1.0, 0.1)
+
+
+def test_stream_diagonal_matches_collected_plane():
+    # the harness keeps only the equal-time diagonal of the stream; it must
+    # be the diagonal of the full plane bit for bit, for both closures
+    h = build_chain(3, 0.5, 1.0, boundary="open")
+    ini = InitialState.single_site(3, 1)
+    baths = [
+        TlsBath(levels=((1.0, 0.1),)),
+        None,
+        TlsBath(levels=((0.8, 0.05), (1.2, 0.07), (1.6, 0.04))),
+    ]
+    for sigma in (markov_self_energy([0.3, 0.1, 0.2]), tls_memory_self_energy(baths)):
+        diag = equal_time_keldysh(h, sigma, ini, 2.0, 0.02)
+        plane = kbe_integrate(h, sigma, ini, 2.0, 0.02)
+        idx = np.arange(plane.n_times)
+        assert diag.shape == (101, 3, 3)
+        assert np.array_equal(diag, plane.keldysh[idx, idx])
+        for i, (r_row, k_row) in enumerate(kbe_rows(h, sigma, ini, 2.0, 0.02)):
+            assert r_row.shape == k_row.shape == (i + 1, 3, 3)
 
 
 def test_two_time_accessors():

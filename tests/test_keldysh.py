@@ -11,7 +11,6 @@ from noisychain.harness import find_spectral_peaks
 from noisychain.keldysh import (
     RateFunction,
     SelfEnergy,
-    dephasing_rate_function,
     dephasing_self_energy,
     dyson_solve,
     extract_rates,
@@ -26,6 +25,7 @@ from noisychain.lattice import (
     ideal_greens,
     thermal_factor,
 )
+from bath_oracle import dephasing_rate_function
 from quadrature_oracle import dephasing_convolutions_direct
 
 
