@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 __all__ = [
     "OhmicBath",
@@ -26,6 +26,7 @@ __all__ = [
     "power_spectral_density",
     "noise_power",
     "support_halfwidth",
+    "fft_convolve",
     "principal_value_transform",
     "sample_tls_bath",
 ]
@@ -176,6 +177,27 @@ def support_halfwidth(bath):
     raise TypeError(f"no support estimate for {type(bath).__name__}")
 
 
+def fft_convolve(a, b):
+    """Full linear convolution of a and b along axis 0, by FFT.
+
+    a and b have the same number of dimensions; the other axes broadcast.
+    The transforms run at the next fast length of the full output, real
+    (rfftn/irfftn) for real inputs and complex (fftn/ifftn) otherwise, and
+    the result is cut to the full length a.shape[0] + b.shape[0] - 1. That
+    is the path, and so the rounding, of scipy's fftconvolve(a, b, axes=0)
+    for inputs longer than one sample along axis 0.
+    """
+
+    a = np.asarray(a)
+    b = np.asarray(b)
+    n = a.shape[0] + b.shape[0] - 1
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    size = sp_fft.next_fast_len(n, real)
+    fft, ifft = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
+    spectrum = fft(a, [size], axes=(0,)) * fft(b, [size], axes=(0,))
+    return ifft(spectrum, [size], axes=(0,))[:n]
+
+
 def principal_value_transform(values, omegas):
     """P integral of values(nu)/(omega - nu) d nu for omega on the same grid.
 
@@ -211,8 +233,8 @@ def principal_value_transform(values, omegas):
     m = np.arange(-(n - 1), n, dtype=float)
     kernel = np.divide(1.0, m, out=np.zeros_like(m), where=m != 0)
     cols = f.reshape(n, -1)
-    conv = fftconvolve(
-        np.column_stack([weights[:, None] * cols, weights]), kernel[:, None], axes=0
+    conv = fft_convolve(
+        np.column_stack([weights[:, None] * cols, weights]), kernel[:, None]
     )[n - 1 : 2 * n - 1]
     off_pole = conv[:, :-1] - cols * conv[:, -1:]
     pole = -h * weights[:, None] * np.gradient(cols, h, axis=0)

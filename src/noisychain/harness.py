@@ -38,7 +38,6 @@ from types import UnionType
 
 import numpy as np
 import yaml
-from scipy.signal import find_peaks
 
 from . import qme
 from .baths import OhmicBath, WideBandBath, noise_power, sample_tls_bath
@@ -46,6 +45,7 @@ from .errors import ConfigError
 from .kbe import (
     MEMORY_CAP_BYTES,
     InitialState,
+    check_step,
     equal_time_keldysh,
     markov_self_energy,
     stream_bytes,
@@ -453,6 +453,16 @@ class _Plan:
             self.site_baths = self._build_baths(cfg.bath, cfg.seed, sys_cfg.n_sites)
         except ValueError as exc:
             raise ConfigError("bath", str(exc))
+        self.kbe_sigma = None
+        if "kbe" in cfg.engines:
+            if cfg.bath.kind == "wideband":
+                self.kbe_sigma = markov_self_energy(np.full(sys_cfg.n_sites, cfg.bath.rate))
+            else:
+                self.kbe_sigma = tls_memory_self_energy(self.site_baths)
+            try:
+                check_step(self.h, self.kbe_sigma, cfg.time.dt)
+            except ValueError as exc:
+                raise ConfigError("time.dt", str(exc))
 
     def _build_baths(self, bc, seed, n_sites):
         if bc.kind == "ohmic":
@@ -621,15 +631,48 @@ def _half_crossing(omega, ys, start, half, step):
         i = j
 
 
+def _prominent_maxima(y, min_prominence):
+    """Indices of the local maxima of y with prominence >= min_prominence.
+
+    A maximum is a sample, or a flat top of equal samples, with a strict
+    rise before it and a strict fall after it, so the end samples never
+    qualify; a flat top from left to right is reported at (left + right) // 2.
+    Its prominence is its height minus the higher of its two bases, a base
+    being the minimum between the top and the nearest strictly higher sample
+    on that side, or the array end. This is the rule, index for index, of
+    scipy's find_peaks(y, prominence=min_prominence).
+    """
+
+    rise = y[:-1] < y[1:]
+    fall = y[:-1] > y[1:]
+    steps = np.flatnonzero(y[:-1] != y[1:])  # flat runs lie between these steps
+    before, after = steps[:-1], steps[1:]
+    tops = rise[before] & fall[after]
+    peaks = []
+    for left, right in zip(before[tops] + 1, after[tops]):
+        top = y[left]
+        higher = np.flatnonzero(~(y[:left] <= top))
+        lo = higher[-1] + 1 if higher.size else 0
+        higher = np.flatnonzero(~(y[right + 1 :] <= top))
+        hi = right + 1 + higher[0] if higher.size else y.size
+        if top - max(y[lo : left + 1].min(), y[right:hi].min()) >= min_prominence:
+            peaks.append((left + right) // 2)
+    return peaks
+
+
 def find_spectral_peaks(omega, values, prominence=0.01, window=3, signed=False):
     """Deterministic peak table of a sampled spectrum.
 
-    Candidates are strict local maxima of the window-smoothed curve with
-    topographic prominence at least `prominence` times the curve maximum;
-    positions get a 3-point parabolic refinement. signed=True rectifies the
-    input first (cross spectra carry sign lobes). FWHM by linear
-    interpolation of the half-maximum crossings walking outward; NaN when a
-    side never reaches half height before climbing again.
+    Candidates are the local maxima of the window-smoothed curve, a flat
+    top counting once at its midpoint and the two end samples never, whose
+    topographic prominence is at least `prominence` times the curve maximum:
+    the height above the higher of the two bases, each base the minimum
+    between the maximum and the nearest strictly higher sample on that side
+    (or the end of the curve). Positions get a 3-point parabolic
+    refinement. signed=True rectifies the input first (cross spectra carry
+    sign lobes). FWHM by linear interpolation of the half-maximum crossings
+    walking outward; NaN when a side never reaches half height before
+    climbing again.
     """
 
     omega = np.asarray(omega, dtype=float)
@@ -640,9 +683,8 @@ def find_spectral_peaks(omega, values, prominence=0.01, window=3, signed=False):
     top = ys.max()
     if not np.isfinite(top) or top <= 0:
         return []
-    idx, _ = find_peaks(ys, prominence=prominence * top)
     out = []
-    for p in idx:
+    for p in _prominent_maxima(ys, prominence * top):
         y0, y1, y2 = ys[p - 1], ys[p], ys[p + 1]
         denom = y0 - 2.0 * y1 + y2
         off = 0.5 * (y0 - y2) / denom if denom != 0 else 0.0
@@ -804,12 +846,8 @@ def _run_qme_trajectory(plan, run_dir, kind):
 
 def _run_kbe(plan, run_dir):
     cfg = plan.cfg
-    if cfg.bath.kind == "wideband":
-        sigma = markov_self_energy(np.full(cfg.system.n_sites, cfg.bath.rate))
-    else:
-        sigma = tls_memory_self_energy(plan.site_baths)
     ini = InitialState.single_site(cfg.system.n_sites, cfg.initial.excited_site)
-    kel = equal_time_keldysh(plan.h, sigma, ini, cfg.time.t_max, cfg.time.dt)
+    kel = equal_time_keldysh(plan.h, plan.kbe_sigma, ini, cfg.time.t_max, cfg.time.dt)
     kel_diag = np.einsum("tii->ti", kel)
     occ = 0.5 * (1.0 + kel_diag.imag)
     _write_trajectory_csv(run_dir / "kbe_trajectory.csv", plan.t_grid, occ, kel_diag)

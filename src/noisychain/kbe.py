@@ -35,6 +35,7 @@ __all__ = [
     "markov_self_energy",
     "tls_memory_self_energy",
     "stream_bytes",
+    "check_step",
     "kbe_rows",
     "equal_time_keldysh",
 ]
@@ -188,6 +189,18 @@ def stream_bytes(n_sites, n_times, n_levels=None):
     return 16 * n_times * (planes * n_sites**2 + tables * n_sites)
 
 
+def check_step(h, sigma, dt):
+    """Raise ValueError unless dt resolves the fastest scale of h and sigma:
+    (fastest scale) * dt may not exceed STABILITY_LIMIT."""
+
+    scale = _fastest_scale(h, sigma)
+    if scale * dt > STABILITY_LIMIT * (1 + 1e-9):
+        raise ValueError(
+            f"dt = {dt:g} too coarse for the fastest scale {scale:g}; "
+            f"need dt <= {STABILITY_LIMIT / scale:g}"
+        )
+
+
 def kbe_rows(h, sigma, ini, t_max, dt):
     """Stream the two-time equations of motion from an uncorrelated start.
 
@@ -207,12 +220,7 @@ def kbe_rows(h, sigma, ini, t_max, dt):
     if ini.n_sites != n:
         raise ValueError("initial state site count does not match the chain")
     m = _n_times(t_max, dt)
-    scale = _fastest_scale(h, sigma)
-    if scale * dt > STABILITY_LIMIT * (1 + 1e-9):
-        raise ValueError(
-            f"dt = {dt:g} too coarse for the fastest scale {scale:g}; "
-            f"need dt <= {STABILITY_LIMIT / scale:g}"
-        )
+    check_step(h, sigma, dt)
     markov = isinstance(sigma, MarkovSelfEnergy)
     levels = None if markov else sum(b.energies.size for b in sigma.baths if b is not None)
     need = stream_bytes(n, m, levels)

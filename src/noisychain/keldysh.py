@@ -20,12 +20,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .baths import (
     OhmicBath,
     TlsBath,
     WideBandBath,
+    fft_convolve,
     noise_power,
     principal_value_transform,
 )
@@ -275,8 +275,8 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
         c_diff = noise_power(bath, m)
         empty = a0[:, sites] * (1.0 - f)[:, None] * edge[:, None]
         occ = a0[:, sites] * f[:, None] * edge[:, None]
-        conv_e = fftconvolve(empty, c_diff[:, None], axes=0)[on_grid]
-        conv_o = fftconvolve(occ, c_diff[::-1, None], axes=0)[on_grid]
+        conv_e = fft_convolve(empty, c_diff[:, None])[on_grid]
+        conv_o = fft_convolve(occ, c_diff[::-1, None])[on_grid]
         g_main = scale * (conv_e + conv_o)
         # same convolution integral evaluated at the tail frequencies
         g_tail = np.empty((tail_nu.size, len(sites)))

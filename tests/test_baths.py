@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from noisychain.baths import (
     FlatNoise,
     OhmicBath,
     TlsBath,
+    fft_convolve,
     noise_power,
     power_spectral_density,
     principal_value_transform,
@@ -116,6 +118,27 @@ def test_principal_value_fft_matches_direct_sum():
             assert np.max(np.abs(mine - ref)) <= 1e-12 * scale
     with pytest.raises(ValueError, match="shape"):
         principal_value_transform(block[:-1], grid)
+
+
+def test_fft_convolve_is_bitwise_fftconvolve():
+    # same transform lengths and calls as scipy's fftconvolve, so the same
+    # bits: single profiles, (n, k) blocks against an (m, 1) kernel at the
+    # sweep's 3601- and 7201-point sizes, and complex blocks, which the
+    # principal-value transform accepts
+    rng = np.random.default_rng(5)
+    cases = [
+        (rng.normal(size=301), rng.normal(size=601)),
+        (rng.normal(size=(3601, 40)), rng.normal(size=(7201, 1))),
+        (rng.normal(size=(7201, 3)), rng.normal(size=(14401, 1))),
+        (rng.normal(size=(2001, 4)) + 1j * rng.normal(size=(2001, 4)),
+         rng.normal(size=(4001, 1))),
+        (rng.normal(size=(3601, 3)), rng.normal(size=(7201, 1)) * (1 - 2j)),
+    ]
+    for a, b in cases:
+        mine = fft_convolve(a, b)
+        assert mine.shape[0] == a.shape[0] + b.shape[0] - 1
+        assert mine.dtype == np.result_type(a, b, float)
+        assert np.array_equal(mine, fftconvolve(a, b, axes=0))
 
 
 def test_tls_spectral_density_peak_and_weight():

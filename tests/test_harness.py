@@ -2,15 +2,20 @@
 
 import copy
 import json
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
+import noisychain
 from noisychain import qme
 from noisychain.cli import main
 from noisychain.errors import CapacityError, ConfigError
@@ -20,6 +25,7 @@ from noisychain.harness import (
     OUT_ENV_VAR,
     ExperimentConfig,
     _Plan,
+    _prominent_maxima,
     compare_artifacts,
     config_from_dict,
     find_spectral_peaks,
@@ -304,6 +310,32 @@ def test_find_peaks_counts_ideal_chain():
     assert 1 <= count <= 11
 
 
+def test_prominent_maxima_match_find_peaks():
+    # index for index against scipy's find_peaks: seeded random curves,
+    # integer-valued ones full of plateaus, flat tops touching either end,
+    # constant and monotone curves and the shortest curve with an interior
+    rng = np.random.default_rng(11)
+    curves = [
+        np.array([1.0, 1.0, 0.0, 2.0, 2.0]),
+        np.array([0.0, 3.0, 3.0, 3.0]),
+        np.array([3.0, 3.0, 1.0, 2.0, 0.0]),
+        np.full(9, 0.5),
+        np.arange(12.0),
+        np.arange(12.0)[::-1],
+        np.array([0.0, 1.0, 0.0]),
+        np.array([1.0, 0.0, 1.0]),
+        np.array([2.0, 2.0, 2.0]),
+    ]
+    for n in (3, 4, 5, 17, 200):
+        for _ in range(60):
+            curves.append(rng.normal(size=n))
+            curves.append(rng.integers(0, 4, size=n).astype(float))
+            curves.append(np.round(rng.normal(size=n), 1))
+    for y in curves:
+        for p in (0.0, 0.1, 0.5, 1.0, 2.5):
+            assert _prominent_maxima(y, p) == list(find_peaks(y, prominence=p)[0]), (y, p)
+
+
 def test_peak_table_rectifies_cross_pairs(tmp_path):
     w = np.linspace(-4.0, 4.0, 2001)
     y = -_lorentzian(w, 0.5, 0.3)  # sign lobe, as cross spectra produce
@@ -452,6 +484,25 @@ def test_kbe_memory_checked_before_any_output(tmp_path, capsys):
     assert peak < 20e6
 
 
+def test_kbe_step_checked_before_any_output(tmp_path, capsys):
+    # the integrator's step guard runs when the plan is built: fig4-top at
+    # dt = 0.05 is refused, naming time.dt, before exact_tls or lindblad
+    # write their trajectories
+    raw = preset_config("fig4-top")
+    raw["time"]["dt"] = 0.05
+    cfg = config_from_dict(copy.deepcopy(raw))
+    with pytest.raises(ConfigError, match="time.dt") as info:
+        run_experiment(cfg, out_root=tmp_path / "runs")
+    assert "too coarse" in str(info.value) and "need dt <=" in str(info.value)
+    assert not (tmp_path / "runs").exists()
+    path = tmp_path / "fig4-top.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out-fig4-top"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "time.dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kbe_long_memory_run_validates():
     # fig4-top over four times its preset span: the full two-time planes
     # would need about 7.9 GB, the streamed rows a few MB
@@ -573,3 +624,17 @@ def test_separated_peaks_are_all_found(centers):
     assert len(peaks) == len(centers)
     for got, want in zip(sorted(p.position for p in peaks), centers):
         assert got == pytest.approx(want, abs=0.05)
+
+
+def test_import_leaves_out_signal_and_stats():
+    # the package and its CLI load neither scipy.signal nor scipy.stats,
+    # which together cost more start-up time than most runs take
+    src = str(Path(noisychain.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import noisychain, noisychain.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
