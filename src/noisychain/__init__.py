@@ -50,7 +50,6 @@ from .presets import preset_config, preset_names
 from .qme import (
     bloch_redfield_generator,
     exact_tls_evolve,
-    lindblad_evolve,
     qme_greens,
 )
 
@@ -98,6 +97,5 @@ __all__ = [
     "preset_names",
     "bloch_redfield_generator",
     "exact_tls_evolve",
-    "lindblad_evolve",
     "qme_greens",
 ]

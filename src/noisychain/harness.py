@@ -399,6 +399,20 @@ def _cross_validate(cfg):
         for i, j in cfg.grid.pairs:
             if not (0 <= i < cfg.system.n_sites and 0 <= j < cfg.system.n_sites):
                 raise ConfigError("grid.pairs", f"pair ({i}, {j}) outside the chain")
+        # spectra hold a few (n_points, s, s) tables of the s pair sites and
+        # (n_points, N) site rows; keldysh adds its bath tables and self-energy
+        # diagonals. Peaks measured with tracemalloc, per point: keldysh 4.8,
+        # 5.7, 7.2 and 14.3 kB at N = 5, 10, 20 and 40; lindblad and
+        # blochredfield 0.3 kB at s = 2 and 1.7-5.0 kB at s = 5-10
+        n, s = cfg.system.n_sites, len(_pair_sites(cfg.grid.pairs))
+        per_point = 64 * s * s + 32 * n + (4800 + 250 * n) * ("keldysh" in cfg.engines)
+        need = per_point * cfg.grid.n_points
+        if {"keldysh", "lindblad", "blochredfield"} & set(cfg.engines) and need > MEMORY_CAP_BYTES:
+            raise ConfigError(
+                "grid.n_points",
+                f"spectra on {cfg.grid.n_points} points need about {need / 1e9:.1f} GB "
+                f"(cap {MEMORY_CAP_BYTES / 1e9:.0f} GB)",
+            )
 
 
 def load_config(path):
@@ -820,17 +834,6 @@ def _equal_time_keldysh(occ):
     return 1j * (2.0 * occ - 1.0)
 
 
-def _register_occupations(plan):
-    n = plan.cfg.system.n_sites
-    c_ops = [qme.jw_fermion(i, n) for i in range(n)]
-    vac = np.zeros(2**n)
-    vac[0] = 1.0
-    psi = c_ops[plan.cfg.initial.excited_site].conj().T @ vac
-    rhos = qme.lindblad_evolve(_redfield_generator(plan), np.outer(psi, psi.conj()), plan.t_grid)
-    numbers = [c.conj().T @ c for c in c_ops]
-    return np.einsum("kab,iba->ki", rhos, numbers).real
-
-
 def _run_qme_trajectory(plan, run_dir, kind):
     if kind == "lindblad":
         g1, g2 = plan.gamma_rates()
@@ -838,7 +841,9 @@ def _run_qme_trajectory(plan, run_dir, kind):
             plan.h, g1, g2, plan.cfg.initial.excited_site, plan.t_grid
         )
     else:
-        occ = _register_occupations(plan)
+        occ = qme.redfield_occupations(
+            _redfield_generator(plan), plan.cfg.initial.excited_site, plan.t_grid
+        )
     name = f"{kind}_trajectory.csv"
     _write_trajectory_csv(run_dir / name, plan.t_grid, occ, _equal_time_keldysh(occ))
     return [name]

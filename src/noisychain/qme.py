@@ -4,19 +4,22 @@ The chain's Lindblad equation (sigma^z dephasing at gamma2star, sigma^- decay
 at gamma1 per site) keeps the two-point correlators closed (Znidaric,
 J. Stat. Mech. (2010) L05002): its spectra and single-excitation occupations
 are computed on N x N matrices at any chain length. The Bloch-Redfield
-equation has no such closure and runs densely on the 2^N Jordan-Wigner spin
-register, through N = 5. The chain Hamiltonian and the density coupling
-conserve particle number, so its generator maps each (n_bra, n_ket) sector
-of the density matrix into itself (a weak symmetry: Buca & Prosen, New J.
-Phys. 14, 073007 (2012)); it is built sector by sector, with each sector's
-own eigenbasis and gap table. Its spectra come from one eigendecomposition
-of each of the 2N + 1 sector blocks that quantum regression reaches
-(Minganti et al., PRA 98, 042118 (2018)), so each block must be
-diagonalizable, guarded by its own cond(V), and no 4^N matrix is built; its
-trajectories step the full propagator, assembled from all the blocks. Site
-densities map onto (sigma^z + 1)/2 there, so a density-coupled bath acts
-through sigma^z/2 (the identity part commutes out of every dissipator) and
-linewidths line up with the frequency-domain solver without any rescaling.
+equation has no such closure and runs on the 2^N Jordan-Wigner register
+(site s is bit N - 1 - s, through N = 5), but never builds it whole: the
+chain Hamiltonian and the density coupling conserve particle number, so the
+generator maps each (n_bra, n_ket) sector of the density matrix into itself
+(a weak symmetry: Buca & Prosen, New J. Phys. 14, 073007 (2012)). Each
+sector's Hamiltonian and each c_p come straight from the register
+bitstrings, with the Jordan-Wigner signs, and the generator is built sector
+by sector, with each sector's own eigenbasis and gap table. Its spectra come
+from one eigendecomposition of each of the 2N + 1 sector blocks that quantum
+regression reaches (Minganti et al., PRA 98, 042118 (2018)), so each block
+must be diagonalizable, guarded by its own cond(V); its single-excitation
+trajectories step the N^2-dimensional (1, 1) block alone. No 4^N matrix is
+built. Site densities map onto (1 - sigma^z)/2 there, so a density-coupled
+bath acts through sigma^z/2 = 1/2 - n (the identity part commutes out of
+every dissipator) and linewidths line up with the frequency-domain solver
+without any rescaling.
 
 Both master equations give their regression correlators (Breuer &
 Petruccione, The Theory of Open Quantum Systems) in closed form, so their
@@ -30,11 +33,10 @@ Superoperators use row-major vec: vec(A rho B) = kron(A, B.T) vec(rho).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.integrate import quad
 
 from .baths import FlatNoise, OhmicBath, TlsBath, noise_power, support_halfwidth
@@ -42,82 +44,19 @@ from .errors import CapacityError
 from .lattice import FreqGreens, ideal_greens
 
 __all__ = [
-    "JW_MAX_SITES",
     "DENSE_MAX_SITES",
-    "jw_fermion",
-    "spin_hamiltonian",
     "BlochRedfieldGenerator",
     "bloch_redfield_generator",
-    "lindblad_evolve",
     "qme_greens",
+    "redfield_occupations",
     "lindblad_greens",
     "lindblad_occupations",
     "TlsTrajectory",
     "exact_tls_evolve",
 ]
 
-JW_MAX_SITES = 12
 DENSE_MAX_SITES = 5
 COND_MAX = 1e8
-
-_SZ = sp.csr_matrix(np.diag([1.0, -1.0]))
-_SM = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))  # lowers |1> -> |0>
-_ID = sp.identity(2, format="csr")
-
-
-def _kron_chain(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = sp.kron(out, f, format="csr")
-    return out
-
-
-def _jw_sparse(site, n_sites):
-    factors = [_SZ] * site + [_SM] + [_ID] * (n_sites - site - 1)
-    return _kron_chain(factors)
-
-
-def _site_pauli(op, site, n_sites):
-    factors = [_ID] * n_sites
-    factors[site] = op
-    return _kron_chain(factors)
-
-
-def jw_fermion(site, n_sites):
-    """Dense annihilation operator of one site in the 2^N spin register.
-
-    Jordan-Wigner string of sigma^z on the sites to the left; basis bit 1
-    means occupied. Hard-capped at 12 sites; the dense matrix alone is a
-    quarter gigabyte there.
-    """
-
-    if n_sites < 1:
-        raise ValueError("n_sites must be positive")
-    if n_sites > JW_MAX_SITES:
-        raise CapacityError(f"jw_fermion supports at most {JW_MAX_SITES} sites")
-    if not 0 <= site < n_sites:
-        raise ValueError(f"site {site} outside register of {n_sites}")
-    return np.asarray(_jw_sparse(site, n_sites).todense(), dtype=complex)
-
-
-def spin_hamiltonian(h):
-    """Spin-register image of a quadratic chain Hamiltonian.
-
-    sum_ij t_ij c_i^dag c_j with the Jordan-Wigner fermions; equals the
-    direct Pauli construction identically because the string operators
-    cancel on nearest products.
-    """
-
-    n = h.n_sites
-    if n > JW_MAX_SITES:
-        raise CapacityError(f"spin_hamiltonian supports at most {JW_MAX_SITES} sites")
-    cs = [_jw_sparse(i, n) for i in range(n)]
-    dim = 2**n
-    out = sp.csr_matrix((dim, dim), dtype=complex)
-    rows, cols = np.nonzero(h.matrix)
-    for i, j in zip(rows, cols):
-        out = out + h.matrix[i, j] * (cs[i].conj().T @ cs[j])
-    return np.asarray(out.todense(), dtype=complex)
 
 
 def _register_guard(n_sites):
@@ -126,33 +65,73 @@ def _register_guard(n_sites):
 
 
 def _sector_bases(n_sites):
-    """Register indices of each particle number 0..N (basis bit 1 is occupied)."""
+    """Register indices of each particle number 0..N (site s is bit N - 1 - s)."""
 
     counts = np.array([bin(i).count("1") for i in range(2**n_sites)])
     return [np.flatnonzero(counts == k) for k in range(n_sites + 1)]
+
+
+def _occupations(basis, n_sites):
+    """(len(basis), N) site occupations 0/1 of register indices."""
+
+    return (basis[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+
+
+def _sector_hamiltonian(h, basis):
+    """sum_ij h_ij c_i^dag c_j on the register indices of one particle-number sector.
+
+    The diagonal is sum_i h_ii n_i, summed over sites in ascending order; a hop
+    from j to i carries the Jordan-Wigner sign (-1)^(occupied sites strictly
+    between i and j).
+    """
+
+    n = h.n_sites
+    occ = _occupations(basis, n)
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    diag = np.zeros(basis.size, dtype=complex)
+    for i in range(n):
+        diag += occ[:, i] * h.matrix[i, i]
+    out[np.diag_indices(basis.size)] = diag
+    for i, j in zip(*np.nonzero(h.matrix)):
+        if i == j:
+            continue
+        ket = np.flatnonzero(occ[:, j] & (1 - occ[:, i]))
+        between = occ[ket, min(i, j) + 1:max(i, j)].sum(axis=1)
+        bra = np.searchsorted(basis, basis[ket] - (1 << (n - 1 - j)) + (1 << (n - 1 - i)))
+        out[bra, ket] = h.matrix[i, j] * (1 - 2 * (between % 2))
+    return out
+
+
+def _annihilator(site, n_sites):
+    """Dense c_site on the 2^N register, sign (-1)^(occupied sites left of site)."""
+
+    occ = _occupations(np.arange(2**n_sites), n_sites)
+    ket = np.flatnonzero(occ[:, site])
+    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
+    out[ket - (1 << (n_sites - 1 - site)), ket] = 1 - 2 * (occ[ket, :site].sum(axis=1) % 2)
+    return out
 
 
 @dataclass
 class BlochRedfieldGenerator:
     """Nonsecular Redfield generator with optional Lamb shifts, per particle-number sector.
 
-    The spin Hamiltonian and the sigma^z couplings conserve particle number,
+    The chain Hamiltonian and the sigma^z couplings conserve particle number,
     so the generator maps each (n_bra, n_ket) sector of the density matrix
-    into itself. Stored per sector k: the register indices bases[k], the
+    into itself, and only sectors are ever stored or built. Stored per
+    sector k: the register indices bases[k] (site s is bit N - 1 - s), the
     sector's energies and eigenvectors, and for every coupled site the
     coupling operator A_n and its half-transformed partner Lambda_n in the
     sector eigenbasis (coupling_ops[site][k], lambda_ops[site][k]).
     """
 
     n_sites: int
-    hamiltonian: np.ndarray
     bases: list
     energies: list
     transforms: list
     coupling_ops: list
     lambda_ops: list
     secular: bool = False
-    _superop: object = field(default=None, repr=False, compare=False)
 
     def block(self, n_bra, n_ket):
         """The generator on the (n_bra, n_ket) sector, in the register basis.
@@ -176,21 +155,6 @@ class BlochRedfieldGenerator:
             lv = lv * (np.abs(flat[:, None] - flat[None, :]) <= 1e-8 * max(1.0, top))
         rot = np.kron(self.transforms[n_bra], np.conj(self.transforms[n_ket]))
         return rot @ lv @ rot.conj().T
-
-    def superoperator(self):
-        """The full 4^N generator, assembled from all (N + 1)^2 sector blocks."""
-
-        if self._superop is not None:
-            return self._superop
-        _register_guard(self.n_sites)
-        dim = 2**self.n_sites
-        lv = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for n_bra, bra in enumerate(self.bases):
-            for n_ket, ket in enumerate(self.bases):
-                idx = (bra[:, None] * dim + ket[None, :]).reshape(-1)
-                lv[np.ix_(idx, idx)] = self.block(n_bra, n_ket)
-        self._superop = lv
-        return self._superop
 
 
 def _half_transform(bath, gaps):
@@ -219,18 +183,19 @@ def _half_transform(bath, gaps):
 
 
 def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
-    """Redfield generator of density-coupled baths on the spin register, per sector.
+    """Redfield generator of density-coupled baths on the register, per sector.
 
-    The spin Hamiltonian is diagonalized once per particle-number sector.
-    Coupling operators are sigma^z_i/2 (the site density minus its identity
-    part); they are diagonal in the register basis, so each sector keeps its
-    own block of them. Each eigenbasis element picks up the half Fourier
-    transform of the bath correlation at its own gap: C(gap)/2 plus, when
-    lamb_shift is on, -i/(2 pi) times the principal-value integral of C
-    across the bath support. The gap table is built once per distinct bath
-    and only on gaps within a sector: coupling elements between sectors
-    vanish, so their gaps are never used. The principal values are what
-    moves peak positions; dropping them leaves pure linewidths.
+    The chain Hamiltonian is built and diagonalized once per particle-number
+    sector. Coupling operators are sigma^z_i/2 = 1/2 - n_i (the site density,
+    up to sign and its identity part); they are diagonal in the register
+    basis, so each sector keeps its own block of them. Each eigenbasis
+    element picks up the half Fourier transform of the bath correlation at
+    its own gap: C(gap)/2 plus, when lamb_shift is on, -i/(2 pi) times the
+    principal-value integral of C across the bath support. The gap table is
+    built once per distinct bath and only on gaps within a sector: coupling
+    elements between sectors vanish, so their gaps are never used. The
+    principal values are what moves peak positions; dropping them leaves
+    pure linewidths.
     """
 
     n = h.n_sites
@@ -240,15 +205,15 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
     baths = list(baths)
     if len(baths) != n:
         raise ValueError("need one bath entry per site (or a single bath)")
-    hs = spin_hamiltonian(h)
     bases = _sector_bases(n)
     energies, transforms = [], []
     for basis in bases:
-        e, v = np.linalg.eigh(hs[np.ix_(basis, basis)])
+        e, v = np.linalg.eigh(_sector_hamiltonian(h, basis))
         energies.append(e)
         transforms.append(np.asarray(v, dtype=complex))
     gaps = np.concatenate([(e[:, None] - e[None, :]).reshape(-1) for e in energies])
     splits = np.cumsum([e.size**2 for e in energies])[:-1]
+    occs = [_occupations(basis, n) for basis in bases]
     coupling_ops = []
     lambda_ops = []
     thetas = {}  # one gap table per distinct (frozen, hashable) bath
@@ -262,13 +227,11 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
                      else 0.5 * noise_power(bath, gaps))
             thetas[bath] = [t.reshape(e.size, e.size)
                             for t, e in zip(np.split(table, splits), energies)]
-        a_site = 0.5 * _site_pauli(_SZ, i, n).diagonal()
-        a_eig = [v.conj().T @ (a_site[basis, None] * v) for basis, v in zip(bases, transforms)]
+        a_eig = [v.conj().T @ ((0.5 - occ[:, i, None]) * v) for occ, v in zip(occs, transforms)]
         coupling_ops.append(a_eig)
         lambda_ops.append([a * t for a, t in zip(a_eig, thetas[bath])])
     return BlochRedfieldGenerator(
         n_sites=n,
-        hamiltonian=hs,
         bases=bases,
         energies=energies,
         transforms=transforms,
@@ -276,19 +239,6 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
         lambda_ops=lambda_ops,
         secular=secular,
     )
-
-
-def _check_density_matrix(rho, dim):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError("density matrix dimension mismatch")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("density matrix must be hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ValueError("density matrix must have unit trace")
-    if np.min(np.linalg.eigvalsh(rho)) < -1e-8:
-        raise ValueError("density matrix must be positive semidefinite")
-    return rho
 
 
 def _propagate(lv, v, t_grid):
@@ -311,14 +261,6 @@ def _propagate(lv, v, t_grid):
         for k in range(1, t_grid.size):
             out[k] = prop @ out[k - 1]
     return out
-
-
-def lindblad_evolve(gen, rho0, t_grid):
-    """Density matrices along a uniform time grid under gen's generator."""
-
-    dim = gen.hamiltonian.shape[0]
-    rho0 = _check_density_matrix(rho0, dim)
-    return _propagate(gen.superoperator(), rho0.reshape(-1), t_grid).reshape(-1, dim, dim)
 
 
 def _distinct_sites(sites, n_sites):
@@ -384,7 +326,7 @@ def qme_greens(gen, sites, warmup_time, grid):
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / np.trace(rho).real
 
-    cs = [jw_fermion(s, gen.n_sites) for s in sites]
+    cs = [_annihilator(s, gen.n_sites) for s in sites]
     # G^> = -i <c_q(tau) c_p^dag> and G^< = i <c_p^dag c_q(tau)>, so G^R's
     # G^> - G^< and the Keldysh half G^> + G^< are the meter c_q read off the
     # evolved columns -i (c_p^dag rho +- rho c_p^dag)
@@ -408,6 +350,24 @@ def qme_greens(gen, sites, warmup_time, grid):
     out = out.reshape(z.size, len(sites), len(sites), 2)
     half = out[..., 1]
     return FreqGreens(grid, out[..., 0], half - np.conj(np.swapaxes(half, 1, 2)))
+
+
+def redfield_occupations(gen, site, t_grid):
+    """(n_t, N) site occupations under gen, one excitation at site.
+
+    gen conserves particle number, so c_site^dag|0><0|c_site and everything
+    the generator makes of it stay in the (1, 1) sector block: an
+    N^2-dimensional generator, stepped like lindblad_occupations. Its basis
+    holds site s at position N - 1 - s, so the occupations are the block's
+    diagonal read backwards.
+    """
+
+    n = gen.n_sites
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} outside chain of {n}")
+    v0 = np.zeros(n * n, dtype=complex)
+    v0[(n - 1 - site) * (n + 1)] = 1.0
+    return _propagate(gen.block(1, 1), v0, t_grid)[:, :: -(n + 1)].real
 
 
 def _check_rates(gamma1, gamma2star):

@@ -1,11 +1,12 @@
 """Register master equations by brute force, as test oracles.
 
 noisychain.qme computes the chain's Lindblad spectra and occupations on
-N x N matrices, and builds the Bloch-Redfield generator and its spectra per
-particle-number sector; these helpers (dense through N = 5) reach the same
-numbers by time stepping, by one linear solve per frequency, and by
-building the whole 4^N generator in one global eigenbasis, to check that it
-does.
+N x N matrices, and builds the Bloch-Redfield generator, its spectra and its
+single-excitation trajectories per particle-number sector, straight from
+register bitstrings; these helpers (dense through N = 5) reach the same
+numbers on the 2^N spin register built from Kronecker products: by time
+stepping the 4^N generator, by one linear solve per frequency, and by
+building that generator in one global eigenbasis, to check that it does.
 """
 
 from __future__ import annotations
@@ -19,18 +20,117 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from noisychain.baths import noise_power
+from noisychain.errors import CapacityError
 from noisychain.lattice import FreqGreens
-from noisychain.qme import (
-    _SM,
-    _SZ,
-    _check_density_matrix,
-    _half_transform,
-    _propagate,
-    _register_guard,
-    _site_pauli,
-    jw_fermion,
-    spin_hamiltonian,
-)
+from noisychain.qme import BlochRedfieldGenerator, _half_transform, _propagate, _register_guard
+
+JW_MAX_SITES = 12
+
+_SZ = sp.csr_matrix(np.diag([1.0, -1.0]))
+_SM = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))  # lowers |1> -> |0>
+_ID = sp.identity(2, format="csr")
+
+
+def _kron_chain(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = sp.kron(out, f, format="csr")
+    return out
+
+
+def _jw_sparse(site, n_sites):
+    factors = [_SZ] * site + [_SM] + [_ID] * (n_sites - site - 1)
+    return _kron_chain(factors)
+
+
+def _site_pauli(op, site, n_sites):
+    factors = [_ID] * n_sites
+    factors[site] = op
+    return _kron_chain(factors)
+
+
+def jw_fermion(site, n_sites):
+    """Dense annihilation operator of one site in the 2^N spin register.
+
+    Jordan-Wigner string of sigma^z on the sites to the left; basis bit 1
+    means occupied, and site 0 is the leading kron factor. Hard-capped at 12
+    sites; the dense matrix alone is a quarter gigabyte there.
+    """
+
+    if n_sites < 1:
+        raise ValueError("n_sites must be positive")
+    if n_sites > JW_MAX_SITES:
+        raise CapacityError(f"jw_fermion supports at most {JW_MAX_SITES} sites")
+    if not 0 <= site < n_sites:
+        raise ValueError(f"site {site} outside register of {n_sites}")
+    return np.asarray(_jw_sparse(site, n_sites).todense(), dtype=complex)
+
+
+def spin_hamiltonian(h):
+    """Spin-register image of a quadratic chain Hamiltonian.
+
+    sum_ij t_ij c_i^dag c_j with the Jordan-Wigner fermions; equals the
+    direct Pauli construction identically because the string operators
+    cancel on nearest products.
+    """
+
+    n = h.n_sites
+    if n > JW_MAX_SITES:
+        raise CapacityError(f"spin_hamiltonian supports at most {JW_MAX_SITES} sites")
+    cs = [_jw_sparse(i, n) for i in range(n)]
+    dim = 2**n
+    out = sp.csr_matrix((dim, dim), dtype=complex)
+    rows, cols = np.nonzero(h.matrix)
+    for i, j in zip(rows, cols):
+        out = out + h.matrix[i, j] * (cs[i].conj().T @ cs[j])
+    return np.asarray(out.todense(), dtype=complex)
+
+
+def assembled_superoperator(gen):
+    """The full 4^N Bloch-Redfield generator, assembled from all (N + 1)^2 sector blocks."""
+
+    _register_guard(gen.n_sites)
+    dim = 2**gen.n_sites
+    lv = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for n_bra, bra in enumerate(gen.bases):
+        for n_ket, ket in enumerate(gen.bases):
+            idx = (bra[:, None] * dim + ket[None, :]).reshape(-1)
+            lv[np.ix_(idx, idx)] = gen.block(n_bra, n_ket)
+    return lv
+
+
+def _superoperator(gen):
+    if isinstance(gen, BlochRedfieldGenerator):
+        return assembled_superoperator(gen)
+    return gen.superoperator()
+
+
+def _check_density_matrix(rho, dim):
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValueError("density matrix dimension mismatch")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
+        raise ValueError("density matrix must be hermitian")
+    if abs(np.trace(rho).real - 1.0) > 1e-8:
+        raise ValueError("density matrix must have unit trace")
+    if np.min(np.linalg.eigvalsh(rho)) < -1e-8:
+        raise ValueError("density matrix must be positive semidefinite")
+    return rho
+
+
+def lindblad_evolve(gen, rho0, t_grid):
+    """Density matrices along a uniform time grid under gen's 4^N generator.
+
+    rho0 is one density matrix or a stack of them, all stepped by one
+    propagator; the result has shape (n_t,) + rho0.shape.
+    """
+
+    dim = 2**gen.n_sites
+    rho0 = np.asarray(rho0, dtype=complex)
+    stack = rho0.reshape((-1,) + rho0.shape[-2:])
+    cols = np.stack([_check_density_matrix(rho, dim).reshape(-1) for rho in stack], axis=1)
+    out = _propagate(_superoperator(gen), cols, t_grid)
+    return np.moveaxis(out, 2, 1).reshape((-1,) + rho0.shape)
 
 
 @dataclass
@@ -100,7 +200,7 @@ def _jw_sparse_pauli(op, site, n_sites):
 def null_steady_state(gen):
     """Steady state from the generator's null space."""
 
-    lv = gen.superoperator()
+    lv = _superoperator(gen)
     vals, vecs = np.linalg.eig(lv)
     idx = int(np.argmin(np.abs(vals)))
     dim = int(round(np.sqrt(lv.shape[0])))
@@ -118,9 +218,9 @@ def null_steady_state(gen):
 def steady_state(gen, rho0, warmup_time, residual_tol=1e-7):
     """Steady state by straight time evolution, with a residual warning."""
 
-    dim = gen.hamiltonian.shape[0]
+    dim = 2**gen.n_sites
     rho0 = _check_density_matrix(rho0, dim)
-    lv = gen.superoperator()
+    lv = _superoperator(gen)
     v = sla.expm(lv * float(warmup_time)) @ rho0.reshape(-1)
     residual = float(np.max(np.abs(lv @ v)))
     if residual > residual_tol:
@@ -146,7 +246,7 @@ def regression_correlator(gen, rho_ss, a, b, tau_grid):
     if np.asarray(tau_grid)[0] != 0.0:
         raise ValueError("tau_grid must start at 0")
     cols = np.stack([(b @ rho_ss).reshape(-1), (rho_ss @ a).reshape(-1)], axis=1)
-    cols = _propagate(gen.superoperator(), cols, tau_grid)
+    cols = _propagate(_superoperator(gen), cols, tau_grid)
     return cols[:, :, 0] @ a.T.reshape(-1), cols[:, :, 1] @ b.T.reshape(-1)
 
 
@@ -165,7 +265,7 @@ def resolvent_greens(gen, rho_ss, sites, grid):
     cols = np.stack(
         [x.reshape(-1) for c in cs for x in (c.conj().T @ rho_ss, rho_ss @ c.conj().T)], axis=1
     )
-    lv = gen.superoperator()
+    lv = _superoperator(gen)
     eye = np.eye(dim * dim)
     ret = np.empty((grid.n_points, len(sites), len(sites)), dtype=complex)
     half = np.empty_like(ret)

@@ -1,5 +1,6 @@
 """Config validation, artifacts, peak detection, comparisons, CLI wiring."""
 
+import ast
 import copy
 import json
 import subprocess
@@ -266,6 +267,45 @@ def test_lindblad_trajectory_memory_rejected_before_any_output(tmp_path, capsys)
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert "system.n_sites" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_grid_size_rejected_before_any_output(tmp_path, capsys):
+    # the spectra engines' frequency tables are sized at validation, naming
+    # grid.n_points: a million-point keldysh grid (about 6 GB) is refused
+    # before any engine writes, while the master-equation engines alone need
+    # far less and validate
+    raw = preset_config("fig2-lower")
+    raw["grid"]["n_points"] = 100_000
+    config_from_dict(copy.deepcopy(raw))
+    raw["grid"]["n_points"] = 1_000_000
+    with pytest.raises(ConfigError, match="grid.n_points"):
+        config_from_dict(copy.deepcopy(raw))
+    path = tmp_path / "fig2-lower.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out-fig2-lower"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "grid.n_points" in capsys.readouterr().err
+    assert not out.exists()
+    raw["engines"] = ["lindblad"]
+    config_from_dict(copy.deepcopy(raw))
+
+
+def test_blochredfield_dynamics_conserve_the_excitation(tmp_path):
+    # fig2-upper's baths acting on one excitation: the sigma^z couplings
+    # conserve particle number, so the occupations stay in [0, 1] and sum
+    # to one
+    raw = preset_config("fig2-upper")
+    raw["engines"] = ["blochredfield"]
+    del raw["grid"]
+    raw["time"] = {"t_max": 20.0, "dt": 0.04}
+    result = run_experiment(config_from_dict(raw), out_root=tmp_path)
+    assert result.engine_errors == {}
+    assert result.artifacts == ["blochredfield_trajectory.csv"]
+    cols = read_artifact(result.run_dir / "blochredfield_trajectory.csv")["columns"]
+    occ = cols["occupation"].reshape(-1, raw["system"]["n_sites"])
+    assert occ.shape[0] == 501
+    assert np.all((occ >= 0.0) & (occ <= 1.0))
+    assert np.max(np.abs(occ.sum(axis=1) - 1.0)) <= 1e-10
 
 
 def test_all_presets_validate():
@@ -628,7 +668,21 @@ def test_separated_peaks_are_all_found(centers):
 
 def test_import_leaves_out_signal_and_stats():
     # the package and its CLI load neither scipy.signal nor scipy.stats,
-    # which together cost more start-up time than most runs take
+    # which together cost more start-up time than most runs take; scipy.sparse
+    # is loaded anyway by scipy.integrate, so the source itself is checked for
+    # imports of all three
+    banned = ("scipy.sparse", "scipy.signal", "scipy.stats")
+    for path in Path(noisychain.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            for name in names:
+                assert not any(name == b or name.startswith(b + ".") for b in banned), \
+                    (path.name, name)
     src = str(Path(noisychain.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import noisychain, noisychain.cli; "

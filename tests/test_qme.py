@@ -13,15 +13,19 @@ from noisychain import qme
 from noisychain.baths import FlatNoise, OhmicBath, TlsBath
 from noisychain.errors import CapacityError
 from noisychain.harness import _Plan, config_from_dict
-from noisychain.lattice import FreqGreens, FreqGrid, build_chain
+from noisychain.lattice import FreqGreens, FreqGrid, HoppingHamiltonian, build_chain
 from noisychain.presets import preset_config
 
 from register_oracle import (
     LindbladGenerator,
+    assembled_superoperator,
     global_redfield_superoperator,
+    jw_fermion,
+    lindblad_evolve,
     null_steady_state,
     regression_correlator,
     resolvent_greens,
+    spin_hamiltonian,
     steady_state,
 )
 
@@ -29,7 +33,7 @@ from register_oracle import (
 def test_fermion_anticommutators():
     n = 4
     dim = 2**n
-    ops = [qme.jw_fermion(i, n) for i in range(n)]
+    ops = [jw_fermion(i, n) for i in range(n)]
     eye = np.eye(dim)
     for i in range(n):
         for j in range(n):
@@ -43,7 +47,7 @@ def test_fermion_anticommutators():
 def test_spin_register_spectrum_is_subset_sums():
     h = build_chain(4, 0.7, 1.1)
     single = np.linalg.eigvalsh(h.matrix)
-    many = np.linalg.eigvalsh(qme.spin_hamiltonian(h))
+    many = np.linalg.eigvalsh(spin_hamiltonian(h))
     subset_sums = sorted(
         sum(single[i] for i in range(4) if mask >> i & 1) for mask in range(16)
     )
@@ -56,7 +60,7 @@ def test_single_site_dephasing_rate():
                             gamma1=0.0, gamma2star=0.3)
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     t = np.linspace(0.0, 5.0, 26)
-    rhos = qme.lindblad_evolve(gen, plus, t)
+    rhos = lindblad_evolve(gen, plus, t)
     coh = rhos[:, 0, 1].real
     assert np.max(np.abs(coh - 0.5 * np.exp(-0.3 * t))) < 1e-10
 
@@ -67,21 +71,21 @@ def test_single_site_decay_rates():
                             gamma1=0.4, gamma2star=0.0)
     rho0 = np.array([[0.3, 0.4], [0.4, 0.7]], dtype=complex)
     t = np.linspace(0.0, 5.0, 26)
-    rhos = qme.lindblad_evolve(gen, rho0, t)
+    rhos = lindblad_evolve(gen, rho0, t)
     assert np.max(np.abs(rhos[:, 1, 1].real - 0.7 * np.exp(-0.4 * t))) < 1e-10
     assert np.max(np.abs(rhos[:, 0, 1] - 0.4 * np.exp(-0.2 * t))) < 1e-10
 
 
 def test_zero_rates_reduce_to_unitary():
     h = build_chain(3, 0.5, 1.0)
-    hs = qme.spin_hamiltonian(h)
+    hs = spin_hamiltonian(h)
     gen = LindbladGenerator(n_sites=3, hamiltonian=hs, gamma1=0.0, gamma2star=0.0)
     rng = np.random.default_rng(3)
     m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     rho0 = m @ m.conj().T
     rho0 /= np.trace(rho0).real
     t_grid = np.linspace(0.0, 4.0, 41)
-    rhos = qme.lindblad_evolve(gen, rho0, t_grid)
+    rhos = lindblad_evolve(gen, rho0, t_grid)
     worst = 0.0
     for k, t in enumerate(t_grid):
         u = sla.expm(-1j * hs * t)
@@ -95,14 +99,14 @@ def test_flat_noise_redfield_is_dephasing_lindblad():
     h = build_chain(2, 1.0, 0.6)
     level = 0.4
     br = qme.bloch_redfield_generator(h, FlatNoise(level=level, halfwidth=1e8))
-    lb = LindbladGenerator(n_sites=2, hamiltonian=qme.spin_hamiltonian(h),
+    lb = LindbladGenerator(n_sites=2, hamiltonian=spin_hamiltonian(h),
                            gamma1=0.0, gamma2star=level / 2.0)
-    assert np.max(np.abs(br.superoperator() - lb.superoperator())) < 1e-8
+    assert np.max(np.abs(assembled_superoperator(br) - lb.superoperator())) < 1e-8
 
 
 def test_steady_state_routes_agree():
     gen = LindbladGenerator(
-        n_sites=2, hamiltonian=qme.spin_hamiltonian(build_chain(2, 0.5, 0.6)),
+        n_sites=2, hamiltonian=spin_hamiltonian(build_chain(2, 0.5, 0.6)),
         gamma1=0.3, gamma2star=0.1)
     rho_w = steady_state(gen, np.eye(4) / 4.0, warmup_time=80.0)
     rho_n, ev = null_steady_state(gen)
@@ -114,10 +118,10 @@ def test_steady_state_routes_agree():
 
 def test_regression_correlator_equal_time():
     gen = LindbladGenerator(
-        n_sites=2, hamiltonian=qme.spin_hamiltonian(build_chain(2, 0.5, 0.6)),
+        n_sites=2, hamiltonian=spin_hamiltonian(build_chain(2, 0.5, 0.6)),
         gamma1=0.0, gamma2star=0.25)
     rho_ss, _ = null_steady_state(gen)
-    a = qme.jw_fermion(0, 2)
+    a = jw_fermion(0, 2)
     b = a.conj().T
     tau = np.linspace(0.0, 2.0, 21)
     fwd, rev = regression_correlator(gen, rho_ss, a, b, tau)
@@ -129,7 +133,7 @@ def test_regression_correlator_equal_time():
 def test_regression_correlator_needs_zero_start():
     gen = LindbladGenerator(n_sites=1, hamiltonian=np.zeros((2, 2)),
                             gamma1=0.1, gamma2star=0.0)
-    a = qme.jw_fermion(0, 1)
+    a = jw_fermion(0, 1)
     with pytest.raises(ValueError):
         regression_correlator(gen, np.eye(2) / 2.0, a, a.conj().T,
                                   np.linspace(1.0, 2.0, 11))
@@ -165,7 +169,7 @@ def test_single_particle_route_matches_register_oracle():
     # vacuum (gamma1 T = 40), then occupations with decay and dephasing
     n = 4
     h = build_chain(n, 0.3, 1.0, boundary="open")
-    hs = qme.spin_hamiltonian(h)
+    hs = spin_hamiltonian(h)
     grid = FreqGrid(-3.0, 3.0, 301)
     for g1, warmup in ((0.0, 1.0), (0.2, 200.0)):
         gen = LindbladGenerator(n_sites=n, hamiltonian=hs, gamma1=g1, gamma2star=0.15)
@@ -182,9 +186,9 @@ def test_single_particle_route_matches_register_oracle():
 
     gen = LindbladGenerator(n_sites=n, hamiltonian=hs, gamma1=0.2, gamma2star=0.15)
     t = np.linspace(0.0, 8.0, 81)
-    c_ops = [qme.jw_fermion(i, n) for i in range(n)]
+    c_ops = [jw_fermion(i, n) for i in range(n)]
     psi = c_ops[1].conj().T[:, 0]
-    rhos = qme.lindblad_evolve(gen, np.outer(psi, psi.conj()), t)
+    rhos = lindblad_evolve(gen, np.outer(psi, psi.conj()), t)
     ref = np.einsum("kab,iba->ki", rhos, [c.conj().T @ c for c in c_ops]).real
     got = qme.lindblad_occupations(h, 0.2, 0.15, 1, t)
     assert np.max(np.abs(got - ref)) <= 1e-12
@@ -262,9 +266,10 @@ def _fig2_upper_plan():
 
 
 def test_sector_generator_matches_global_eigenbasis_oracle():
-    # the per-sector build against one global eigh, 4^N gap table and 4^N
-    # kron sum, on every secular / Lamb-shift variant; entries between
-    # different particle-number sectors are exactly zero
+    # the per-sector build from bitstrings, assembled, against one global
+    # eigh of the Kronecker-built register, a 4^N gap table and a 4^N kron
+    # sum, on every secular / Lamb-shift variant; entries between different
+    # particle-number sectors are exactly zero
     bath = OhmicBath(alpha=0.05, cutoff=2.0, temperature=0.3)
     plan = _fig2_upper_plan()
     for h, baths in ((build_chain(3, 0.2, 1.0, boundary="open"), bath),
@@ -277,7 +282,7 @@ def test_sector_generator_matches_global_eigenbasis_oracle():
             for lamb_shift in (True, False):
                 gen = qme.bloch_redfield_generator(h, baths, secular=secular,
                                                    lamb_shift=lamb_shift)
-                got = gen.superoperator()
+                got = assembled_superoperator(gen)
                 ref = global_redfield_superoperator(h, baths, secular=secular,
                                                     lamb_shift=lamb_shift)
                 err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
@@ -286,17 +291,72 @@ def test_sector_generator_matches_global_eigenbasis_oracle():
 
 
 def test_spectra_never_build_the_full_generator(monkeypatch):
-    # fig2-upper spectra come from sector blocks alone
-    def refuse(self):
-        raise AssertionError("4^N superoperator built on the spectra path")
-
-    monkeypatch.setattr(qme.BlochRedfieldGenerator, "superoperator", refuse)
+    # fig2-upper spectra come from the 2N + 1 sector blocks that regression
+    # reaches, (k, k) and (k + 1, k), each built once; no 4^N matrix
+    calls = []
+    block = qme.BlochRedfieldGenerator.block
+    monkeypatch.setattr(qme.BlochRedfieldGenerator, "block",
+                        lambda self, *key: calls.append(key) or block(self, *key))
     plan = _fig2_upper_plan()
     gen = qme.bloch_redfield_generator(plan.h, plan.site_baths)
     grid = FreqGrid(-3.0, 3.0, 201)
     got = qme.qme_greens(gen, (0, 1), plan.cfg.qme.warmup_time, grid)
+    n = gen.n_sites
+    assert sorted(calls) == sorted([(k, k) for k in range(n + 1)]
+                                   + [(k + 1, k) for k in range(n)])
     assert got.retarded.shape == (grid.n_points, 2, 2)
     assert np.all(np.isfinite(got.retarded)) and np.all(np.isfinite(got.keldysh))
+
+
+def _phase_ring():
+    # five-site ring with a hopping phase of 0.7 on the wrap bond and random
+    # on-site energies: complex entries and every Jordan-Wigner sign
+    m = build_chain(5, 0.0, 1.0).matrix.astype(complex)
+    m[0, 4] *= np.exp(0.7j)
+    m[4, 0] = np.conj(m[0, 4])
+    m[np.diag_indices(5)] = np.random.default_rng(7).normal(size=5)
+    return HoppingHamiltonian(5, m)
+
+
+def test_sectors_and_fermions_are_register_slices():
+    # the bitstring builds against the Kronecker-built register, bit for bit
+    chains = [build_chain(n, 0.3, 1.0, boundary) for n in range(1, 6)
+              for boundary in ("open", "periodic")]
+    for h in chains + [_phase_ring()]:
+        n = h.n_sites
+        hs = spin_hamiltonian(h)
+        bases = qme._sector_bases(n)
+        assert sum(b.size for b in bases) == 2**n
+        for basis in bases:
+            assert np.array_equal(qme._sector_hamiltonian(h, basis), hs[np.ix_(basis, basis)])
+        for p in range(n):
+            assert np.array_equal(qme._annihilator(p, n), jw_fermion(p, n))
+
+
+def test_redfield_occupations_match_register_route():
+    # the (1, 1) block against the 4^N generator stepped from c_s^dag|0>,
+    # from every start site, on an open chain and on fig2-upper's ring
+    plan = _fig2_upper_plan()
+    bath = OhmicBath(alpha=0.05, cutoff=2.0, temperature=0.3)
+    t = np.linspace(0.0, 8.0, 41)
+    for h, baths in ((build_chain(3, 0.2, 1.0, boundary="open"), bath),
+                     (plan.h, plan.site_baths)):
+        n = h.n_sites
+        cs = [jw_fermion(i, n) for i in range(n)]
+        kets = [c.conj().T[:, 0] for c in cs]
+        starts = np.stack([np.outer(k, k.conj()) for k in kets])
+        numbers = [c.conj().T @ c for c in cs]
+        for secular in (False, True):
+            gen = qme.bloch_redfield_generator(h, baths, secular=secular)
+            rhos = lindblad_evolve(gen, starts, t)
+            for s in range(n):
+                ref = np.einsum("kab,iba->ki", rhos[:, s], numbers).real
+                got = qme.redfield_occupations(gen, s, t)
+                assert got.shape == (t.size, n)
+                err = np.max(np.abs(got - ref))
+                assert err <= 1e-12, (n, secular, s, err)
+    with pytest.raises(ValueError, match="outside chain"):
+        qme.redfield_occupations(gen, n, t)
 
 
 def test_exact_tls_rabi():
@@ -337,11 +397,11 @@ def test_evolve_validates_state_and_grid():
                             gamma1=0.1, gamma2star=0.0)
     good = np.eye(2) / 2.0
     with pytest.raises(ValueError, match="hermitian"):
-        qme.lindblad_evolve(gen, np.array([[0.5, 0.3], [0.0, 0.5]]), np.linspace(0, 1, 5))
+        lindblad_evolve(gen, np.array([[0.5, 0.3], [0.0, 0.5]]), np.linspace(0, 1, 5))
     with pytest.raises(ValueError, match="trace"):
-        qme.lindblad_evolve(gen, 2.0 * good, np.linspace(0, 1, 5))
+        lindblad_evolve(gen, 2.0 * good, np.linspace(0, 1, 5))
     with pytest.raises(ValueError, match="uniform"):
-        qme.lindblad_evolve(gen, good, np.array([0.0, 0.1, 0.3]))
+        lindblad_evolve(gen, good, np.array([0.0, 0.1, 0.3]))
 
 
 def test_register_capacity_guards():
@@ -349,7 +409,7 @@ def test_register_capacity_guards():
         qme.bloch_redfield_generator(build_chain(6, 1.0, 0.5),
                                      FlatNoise(level=0.1, halfwidth=1e6))
     with pytest.raises(CapacityError):
-        qme.jw_fermion(0, 13)
+        jw_fermion(0, 13)
 
 
 @settings(max_examples=10, deadline=None)
@@ -361,10 +421,10 @@ def test_register_capacity_guards():
 )
 def test_evolution_preserves_state_structure(onsite, hopping, gamma1, gamma2star):
     h = build_chain(2, onsite, hopping)
-    gen = LindbladGenerator(n_sites=2, hamiltonian=qme.spin_hamiltonian(h),
+    gen = LindbladGenerator(n_sites=2, hamiltonian=spin_hamiltonian(h),
                             gamma1=gamma1, gamma2star=gamma2star)
     rho0 = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-    rhos = qme.lindblad_evolve(gen, rho0, np.linspace(0.0, 3.0, 16))
+    rhos = lindblad_evolve(gen, rho0, np.linspace(0.0, 3.0, 16))
     for rho in rhos:
         assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-9
