@@ -19,13 +19,12 @@ from noisychain.presets import preset_config
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="noisychain-out", help="output root")
-    ap.add_argument("--jobs", type=int, default=3, help="parallel engines")
     args = ap.parse_args()
 
     bad = False
     for name in ("fig4-bottom", "fig4-top"):
         cfg = config_from_dict(preset_config(name))
-        res = run_experiment(cfg, out_root=args.out, jobs=args.jobs)
+        res = run_experiment(cfg, out_root=args.out)
         print(f"{name} -> {res.run_dir}")
         for rep in res.reports:
             for line in rep.summary_lines():

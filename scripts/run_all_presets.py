@@ -16,7 +16,6 @@ from noisychain.presets import preset_config, preset_names
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="noisychain-out", help="output root")
-    ap.add_argument("--jobs", type=int, default=2, help="parallel engines per run")
     ap.add_argument("--only", nargs="*", default=None, help="subset of preset names")
     args = ap.parse_args()
 
@@ -25,7 +24,7 @@ def main():
     for name in names:
         cfg = config_from_dict(preset_config(name))
         t0 = time.time()
-        res = run_experiment(cfg, out_root=args.out, jobs=args.jobs)
+        res = run_experiment(cfg, out_root=args.out)
         wall = time.time() - t0
         status = "ok" if res.ok else "FAILED"
         print(f"{name:14s} {wall:6.1f}s  {status}  -> {res.run_dir}")

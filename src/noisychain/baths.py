@@ -26,6 +26,7 @@ __all__ = [
     "power_spectral_density",
     "noise_power",
     "support_halfwidth",
+    "inverse_temperature",
     "fft_convolve",
     "principal_value_transform",
     "sample_tls_bath",
@@ -117,7 +118,9 @@ class FlatNoise:
             raise ValueError("halfwidth must be positive")
 
 
-def _beta(temperature):
+def inverse_temperature(temperature):
+    """Bath beta = 1/T, inf at T = 0."""
+
     return np.inf if temperature == 0 else 1.0 / temperature
 
 

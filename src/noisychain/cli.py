@@ -66,7 +66,7 @@ def _cmd_run(args):
     cfg = _resolve_config(args.config)
     tol = replace(cfg.compare.tolerance, **_tolerances(args.tolerance).given())
     cfg = replace(cfg, compare=CompareConfig(tolerance=tol))
-    result = run_experiment(cfg, out_root=args.out, seed=args.seed, jobs=args.jobs)
+    result = run_experiment(cfg, out_root=args.out, seed=args.seed)
     print(f"run dir: {result.run_dir}")
     for name in result.artifacts:
         print(f"  wrote {name}")
@@ -126,10 +126,6 @@ def build_parser():
         help=f"output root (default: config, then ${OUT_ENV_VAR}, then ./noisychain-out)",
     )
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="engines to run in parallel (default 1)",
-    )
     run.add_argument(
         "--tolerance", action="append", metavar="KEY=VALUE",
         help="override a comparison tolerance (position/fwhm/trajectory/sumrule; "

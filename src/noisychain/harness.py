@@ -10,11 +10,8 @@ that span sections, and the run plan builds every module object. So an
 invalid config is rejected, naming its field, before any computation
 starts, and never leaves half-written artifacts behind.
 
-Artifact kinds and their schemas:
-  spectra     omega, pair, re_retarded, im_retarded, re_keldysh,
-              im_keldysh, spectral          (one row per frequency and pair)
-  trajectory  t, site, occupation, re_keldysh, im_keldysh
-  rates       omega, site, gamma, shift
+Every artifact is a CSV of one kind, and SCHEMAS holds each kind's header:
+one writer writes them all and read_artifact tells the kinds apart by it.
 All floats are written as %.12e so reruns with the same config and seed
 produce byte-identical bodies; wall-clock information lives only in the
 manifest. Frequencies and times are in units of the hopping.
@@ -30,8 +27,7 @@ import json
 import math
 import numbers
 import platform
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from types import UnionType
@@ -65,6 +61,8 @@ __all__ = [
     "find_spectral_peaks",
     "peak_table_from_csv",
     "read_artifact",
+    "SCHEMAS",
+    "TEXT_COLUMNS",
     "Metric",
     "ComparisonReport",
     "compare_artifacts",
@@ -77,6 +75,16 @@ OUT_ENV_VAR = "NOISYCHAIN_OUT"
 # time-grid cap: every trajectory engine writes one CSV row per step and
 # site, so a million steps is already hundreds of MB of artifact per run
 MAX_TIME_STEPS = 1_000_000
+
+# artifact kind -> CSV header; columns outside TEXT_COLUMNS hold floats
+SCHEMAS = {
+    "spectra": ("omega", "pair", "re_retarded", "im_retarded", "re_keldysh", "im_keldysh",
+                "spectral"),  # one row per frequency and pair, pair by pair
+    "trajectory": ("t", "site", "occupation", "re_keldysh", "im_keldysh"),
+    "rates": ("omega", "site", "gamma", "shift"),
+    "peak_counts": ("gamma2", "n_peaks"),
+}
+TEXT_COLUMNS = {"pair", "site", "n_peaks"}
 
 _REQUIRED = object()
 
@@ -509,9 +517,8 @@ class _Plan:
             else:
                 g1 = 0.0
         if g2 is None:
-            if bc.kind == "ohmic":
-                bath = OhmicBath(alpha=bc.alpha, cutoff=bc.cutoff, temperature=bc.temperature)
-                g2 = 0.5 * float(noise_power(bath, np.array([0.0]))[0])
+            if bc.kind == "ohmic":  # never a sweep: sweeps run keldysh only
+                g2 = 0.5 * float(noise_power(self.site_baths[0], np.array([0.0]))[0])
             else:
                 g2 = 0.0
         return float(g1), float(g2)
@@ -520,74 +527,51 @@ class _Plan:
 # ------------------------------------------------------------- artifacts --
 
 
-def _fmt(x):
-    return f"{float(x):.12e}"
+def _write_table(path, kind, columns):
+    """Write a `kind` artifact: its header, then one row per entry of the
+    equal-length columns, a mapping from header name to values. Floats are
+    written as %.12e, text columns as given."""
 
-
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
-
-
-def _write_spectra_csv(path, omegas, pairs, retarded, keldysh, spectral):
-    # retarded/keldysh/spectral are dicts pair -> complex/real arrays
+    cells = [
+        np.asarray(columns[name]).tolist() if name in TEXT_COLUMNS
+        else ["%.12e" % v for v in np.asarray(columns[name], dtype=float).tolist()]
+        for name in SCHEMAS[kind]
+    ]
     with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(
-            ["omega", "pair", "re_retarded", "im_retarded", "re_keldysh", "im_keldysh", "spectral"]
-        )
-        for pair in pairs:
-            tag = f"{pair[0]}-{pair[1]}"
-            ret = retarded[pair]
-            kel = keldysh[pair]
-            spe = spectral[pair]
-            for k in range(omegas.size):
-                w.writerow(
-                    [
-                        _fmt(omegas[k]),
-                        tag,
-                        _fmt(ret[k].real),
-                        _fmt(ret[k].imag),
-                        _fmt(kel[k].real),
-                        _fmt(kel[k].imag),
-                        _fmt(spe[k]),
-                    ]
-                )
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(SCHEMAS[kind])
+        w.writerows(zip(*cells))
 
 
-def _write_trajectory_csv(path, t_grid, occ, keldysh_diag):
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["t", "site", "occupation", "re_keldysh", "im_keldysh"])
-        for k in range(t_grid.size):
-            for site in range(occ.shape[1]):
-                kd = keldysh_diag[k, site]
-                w.writerow(
-                    [_fmt(t_grid[k]), str(site), _fmt(occ[k, site]), _fmt(kd.real), _fmt(kd.imag)]
-                )
+def _write_site_table(path, kind, axis, tables):
+    """A `kind` artifact of (axis.size, n_sites) tables named by their
+    columns, in axis order with the site index changing fastest."""
+
+    n_rows, n = next(iter(tables.values())).shape
+    columns = {SCHEMAS[kind][0]: np.repeat(axis, n),
+               "site": np.tile(np.arange(n).astype(str), n_rows)}
+    columns.update((name, table.ravel()) for name, table in tables.items())
+    _write_table(path, kind, columns)
 
 
-def _write_rates_csv(path, rates):
-    with open(path, "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["omega", "site", "gamma", "shift"])
-        omegas = rates.grid.omegas
-        for k in range(omegas.size):
-            for site in range(rates.gamma.shape[1]):
-                w.writerow(
-                    [
-                        _fmt(omegas[k]),
-                        str(site),
-                        _fmt(rates.gamma[k, site]),
-                        _fmt(rates.shift[k, site]),
-                    ]
-                )
+def _write_trajectory(path, t_grid, occ, keldysh=None):
+    """Occupation trajectory artifact; keldysh is the equal-time diagonal,
+    by default K_ii(t, t) = -i (1 - 2 n_i) of the occupations."""
+
+    if keldysh is None:
+        keldysh = 1j * (2.0 * occ - 1.0)
+    _write_site_table(
+        path, "trajectory", t_grid,
+        {"occupation": occ, "re_keldysh": keldysh.real, "im_keldysh": keldysh.imag},
+    )
 
 
 def read_artifact(path):
     """Read a CSV artifact into {'kind', 'columns': dict of arrays}.
 
-    Raises ValueError on an unrecognized schema. pair/site columns come
-    back as string arrays, everything else as floats.
+    The kind is the SCHEMAS entry whose header the file has; raises
+    ValueError on any other header. TEXT_COLUMNS come back as string
+    arrays, everything else as floats.
     """
 
     path = Path(path)
@@ -595,23 +579,17 @@ def read_artifact(path):
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path.name}: empty file")
-    header = rows[0]
-    schemas = {
-        "spectra": ["omega", "pair", "re_retarded", "im_retarded", "re_keldysh", "im_keldysh", "spectral"],
-        "trajectory": ["t", "site", "occupation", "re_keldysh", "im_keldysh"],
-        "rates": ["omega", "site", "gamma", "shift"],
-    }
-    kind = next((k for k, cols in schemas.items() if header == cols), None)
+    header = tuple(rows[0])
+    kind = next((k for k, cols in SCHEMAS.items() if header == cols), None)
     if kind is None:
-        raise ValueError(f"{path.name}: unrecognized schema {header}")
+        raise ValueError(f"{path.name}: unrecognized schema {list(header)}")
     body = rows[1:]
     if not body:
         raise ValueError(f"{path.name}: no data rows")
     cols = {}
-    text_cols = {"pair", "site"}
     for idx, name in enumerate(header):
         raw = [r[idx] for r in body]
-        cols[name] = np.array(raw) if name in text_cols else np.array(raw, dtype=float)
+        cols[name] = np.array(raw) if name in TEXT_COLUMNS else np.array(raw, dtype=float)
     return {"kind": kind, "columns": cols, "path": str(path)}
 
 
@@ -713,6 +691,20 @@ def find_spectral_peaks(omega, values, prominence=0.01, window=3, signed=False):
     return out
 
 
+def _pair_curve(cols, tag):
+    """(omega, spectral, signed) of one pair of spectra columns; a cross
+    pair's spectral weight is signed."""
+
+    sel = cols["pair"] == tag
+    i, j = tag.split("-")
+    return cols["omega"][sel], cols["spectral"][sel], i != j
+
+
+def _pair_peaks(cols, tag, prominence, window):
+    omega, spectral, signed = _pair_curve(cols, tag)
+    return find_spectral_peaks(omega, spectral, prominence, window, signed)
+
+
 def peak_table_from_csv(path, prominence=0.01, window=3):
     """Peak tables per pair from a spectra CSV: {pair_tag: [Peak, ...]}.
 
@@ -724,37 +716,32 @@ def peak_table_from_csv(path, prominence=0.01, window=3):
     if art["kind"] != "spectra":
         raise ValueError(f"{Path(path).name}: peaks needs a spectra artifact")
     cols = art["columns"]
-    tables = {}
-    for tag in dict.fromkeys(cols["pair"]):  # preserve file order
-        sel = cols["pair"] == tag
-        i, j = tag.split("-")
-        tables[tag] = find_spectral_peaks(
-            cols["omega"][sel],
-            cols["spectral"][sel],
-            prominence=prominence,
-            window=window,
-            signed=i != j,
-        )
-    return tables
+    # preserve file order
+    return {tag: _pair_peaks(cols, tag, prominence, window) for tag in dict.fromkeys(cols["pair"])}
 
 
 # --------------------------------------------------------------- engines --
 
 
-def _spectra_from_freq_greens(greens, pairs, sites):
-    # greens covers `sites` only; entries are indexed by position in it
-    ret, kel, spe = {}, {}, {}
-    for i, j in pairs:
-        a, b = sites.index(i), sites.index(j)
-        ret[(i, j)] = greens.retarded[:, a, b]
-        kel[(i, j)] = greens.keldysh[:, a, b]
-        spe[(i, j)] = (1j * (greens.retarded[:, a, b] - np.conj(greens.retarded[:, b, a]))).real
-    return ret, kel, spe
-
-
 def _pair_sites(pairs):
     # every spectra engine solves for these sites only
     return list(dict.fromkeys(s for pair in pairs for s in pair))
+
+
+def _write_spectra(path, omegas, greens, pairs, sites):
+    """Spectra artifact of greens, which covers `sites` only (entries are
+    indexed by position in it); returns the columns it wrote."""
+
+    per_pair = []
+    for i, j in pairs:
+        a, b = sites.index(i), sites.index(j)
+        ret, kel = greens.retarded[:, a, b], greens.keldysh[:, a, b]
+        spectral = (1j * (ret - np.conj(greens.retarded[:, b, a]))).real
+        per_pair.append((omegas, np.full(omegas.size, f"{i}-{j}"), ret.real, ret.imag,
+                         kel.real, kel.imag, spectral))
+    columns = dict(zip(SCHEMAS["spectra"], map(np.concatenate, zip(*per_pair))))
+    _write_table(path, "spectra", columns)
+    return columns
 
 
 def _run_keldysh(plan, run_dir):
@@ -765,14 +752,13 @@ def _run_keldysh(plan, run_dir):
         greens, sigma = steady_state_greens(
             plan.h, plan.site_baths, cfg.system.beta, plan.grid, sites=sites
         )
-        ret, kel, spe = _spectra_from_freq_greens(greens, pairs, sites)
-        files = ["keldysh_spectra.csv"]
-        _write_spectra_csv(run_dir / files[0], plan.grid.omegas, pairs, ret, kel, spe)
-        _write_rates_csv(run_dir / "keldysh_rates.csv", extract_rates(sigma))
-        files.append("keldysh_rates.csv")
-        return files
+        _write_spectra(run_dir / "keldysh_spectra.csv", plan.grid.omegas, greens, pairs, sites)
+        rates = extract_rates(sigma)
+        _write_site_table(run_dir / "keldysh_rates.csv", "rates", rates.grid.omegas,
+                          {"gamma": rates.gamma, "shift": rates.shift})
+        return {"keldysh_spectra.csv": "spectra", "keldysh_rates.csv": "rates"}
 
-    files = []
+    files = {}
     counts = []
     for g2 in cfg.sweep_gamma2:
         bath = OhmicBath(
@@ -783,25 +769,14 @@ def _run_keldysh(plan, run_dir):
         greens, _ = steady_state_greens(
             plan.h, [bath] * cfg.system.n_sites, cfg.system.beta, plan.grid, sites=sites
         )
-        ret, kel, spe = _spectra_from_freq_greens(greens, pairs, sites)
         name = f"keldysh_spectra_gamma2_{g2:g}.csv"
-        _write_spectra_csv(run_dir / name, plan.grid.omegas, pairs, ret, kel, spe)
-        files.append(name)
-        i0, j0 = pairs[0]
-        table = find_spectral_peaks(
-            plan.grid.omegas,
-            spe[pairs[0]],
-            prominence=cfg.peaks.prominence,
-            window=cfg.peaks.window,
-            signed=i0 != j0,
-        )
-        counts.append((g2, len(table)))
-    with open(run_dir / "peak_counts.csv", "w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["gamma2", "n_peaks"])
-        for g2, cnt in counts:
-            w.writerow([_fmt(g2), str(cnt)])
-    files.append("peak_counts.csv")
+        columns = _write_spectra(run_dir / name, plan.grid.omegas, greens, pairs, sites)
+        files[name] = "spectra"
+        tag = "{}-{}".format(*pairs[0])
+        counts.append(len(_pair_peaks(columns, tag, cfg.peaks.prominence, cfg.peaks.window)))
+    _write_table(run_dir / "peak_counts.csv", "peak_counts",
+                 {"gamma2": cfg.sweep_gamma2, "n_peaks": [str(c) for c in counts]})
+    files["peak_counts.csv"] = "peak_counts"
     return files
 
 
@@ -824,14 +799,8 @@ def _run_qme_spectra(plan, run_dir, kind):
         greens = qme.qme_greens(_redfield_generator(plan), sites, plan.cfg.qme.warmup_time,
                                 plan.grid)
     name = f"{kind}_spectra.csv"
-    _write_spectra_csv(run_dir / name, plan.grid.omegas, pairs,
-                       *_spectra_from_freq_greens(greens, pairs, sites))
-    return [name]
-
-
-def _equal_time_keldysh(occ):
-    # K_ii(t, t) = -i (1 - 2 n_i)
-    return 1j * (2.0 * occ - 1.0)
+    _write_spectra(run_dir / name, plan.grid.omegas, greens, pairs, sites)
+    return {name: "spectra"}
 
 
 def _run_qme_trajectory(plan, run_dir, kind):
@@ -845,8 +814,8 @@ def _run_qme_trajectory(plan, run_dir, kind):
             _redfield_generator(plan), plan.cfg.initial.excited_site, plan.t_grid
         )
     name = f"{kind}_trajectory.csv"
-    _write_trajectory_csv(run_dir / name, plan.t_grid, occ, _equal_time_keldysh(occ))
-    return [name]
+    _write_trajectory(run_dir / name, plan.t_grid, occ)
+    return {name: "trajectory"}
 
 
 def _run_kbe(plan, run_dir):
@@ -855,8 +824,8 @@ def _run_kbe(plan, run_dir):
     kel = equal_time_keldysh(plan.h, plan.kbe_sigma, ini, cfg.time.t_max, cfg.time.dt)
     kel_diag = np.einsum("tii->ti", kel)
     occ = 0.5 * (1.0 + kel_diag.imag)
-    _write_trajectory_csv(run_dir / "kbe_trajectory.csv", plan.t_grid, occ, kel_diag)
-    return ["kbe_trajectory.csv"]
+    _write_trajectory(run_dir / "kbe_trajectory.csv", plan.t_grid, occ, kel_diag)
+    return {"kbe_trajectory.csv": "trajectory"}
 
 
 def _run_exact_tls(plan, run_dir):
@@ -864,32 +833,27 @@ def _run_exact_tls(plan, run_dir):
     traj = qme.exact_tls_evolve(
         plan.h, plan.site_baths, cfg.initial.excited_site, plan.t_grid
     )
-    occ = traj.qubit_occupations
-    _write_trajectory_csv(
-        run_dir / "exact_tls_trajectory.csv", plan.t_grid, occ, _equal_time_keldysh(occ)
-    )
-    return ["exact_tls_trajectory.csv"]
+    _write_trajectory(run_dir / "exact_tls_trajectory.csv", plan.t_grid, traj.qubit_occupations)
+    return {"exact_tls_trajectory.csv": "trajectory"}
 
 
 def _engine_jobs(plan):
+    """(label, function, args) per engine job, in config order. A job runs
+    function(plan, run_dir, *args), which writes its artifacts into run_dir
+    and returns {file name: kind}. The register engines run one job per
+    section: spectra on the grid, dynamics on the time grid."""
+
     cfg = plan.cfg
+    single = {"keldysh": _run_keldysh, "kbe": _run_kbe, "exact_tls": _run_exact_tls}
     jobs = []
     for e in cfg.engines:
-        if e == "keldysh":
-            jobs.append((e, lambda rd, p=plan: _run_keldysh(p, rd)))
-        elif e == "kbe":
-            jobs.append((e, lambda rd, p=plan: _run_kbe(p, rd)))
-        elif e == "exact_tls":
-            jobs.append((e, lambda rd, p=plan: _run_exact_tls(p, rd)))
-        else:
-            if cfg.grid is not None:
-                jobs.append(
-                    (e, lambda rd, p=plan, k=e: _run_qme_spectra(p, rd, k))
-                )
-            if cfg.time is not None:
-                jobs.append(
-                    (e + "-dynamics", lambda rd, p=plan, k=e: _run_qme_trajectory(p, rd, k))
-                )
+        if e in single:
+            jobs.append((e, single[e], ()))
+            continue
+        if cfg.grid is not None:
+            jobs.append((e, _run_qme_spectra, (e,)))
+        if cfg.time is not None:
+            jobs.append((e + "-dynamics", _run_qme_trajectory, (e,)))
     return jobs
 
 
@@ -907,15 +871,7 @@ class Metric:
     note: str = ""
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "file_a": self.file_a,
-            "file_b": self.file_b,
-            "value": None if math.isnan(self.value) else self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return {**asdict(self), "value": None if math.isnan(self.value) else self.value}
 
 
 @dataclass
@@ -980,46 +936,18 @@ def _compare_spectra(art_a, art_b, tolerances, prominence, window):
     if not shared:
         raise ValueError("no shared pairs between the spectra artifacts")
     for tag in shared:
-        i, j = tag.split("-")
-        signed = i != j
-        sel_a = a_cols["pair"] == tag
-        sel_b = b_cols["pair"] == tag
-        peaks_a = find_spectral_peaks(
-            a_cols["omega"][sel_a], a_cols["spectral"][sel_a], prominence, window, signed
-        )
-        peaks_b = find_spectral_peaks(
-            b_cols["omega"][sel_b], b_cols["spectral"][sel_b], prominence, window, signed
-        )
+        peaks_a = _pair_peaks(a_cols, tag, prominence, window)
+        peaks_b = _pair_peaks(b_cols, tag, prominence, window)
         if len(peaks_a) != len(peaks_b):
-            metrics.append(
-                _metric(
-                    f"peak-position:{tag}",
-                    name_a,
-                    name_b,
-                    math.inf,
-                    tol_pos,
-                    note=f"peak counts differ: {len(peaks_a)} vs {len(peaks_b)}",
-                )
-            )
+            value, note = math.inf, f"peak counts differ: {len(peaks_a)} vs {len(peaks_b)}"
+        elif not peaks_a:
+            value, note = 0.0, "no peaks"
+        else:
+            value = max(abs(pa.position - pb.position) for pa, pb in zip(peaks_a, peaks_b))
+            note = f"{len(peaks_a)} peaks, grid spacing {spacing:g}"
+        metrics.append(_metric(f"peak-position:{tag}", name_a, name_b, value, tol_pos, note))
+        if len(peaks_a) != len(peaks_b) or not peaks_a:  # nothing to match widths on
             continue
-        if not peaks_a:
-            metrics.append(
-                _metric(f"peak-position:{tag}", name_a, name_b, 0.0, tol_pos, note="no peaks")
-            )
-            continue
-        pos_dev = max(
-            abs(pa.position - pb.position) for pa, pb in zip(peaks_a, peaks_b)
-        )
-        metrics.append(
-            _metric(
-                f"peak-position:{tag}",
-                name_a,
-                name_b,
-                pos_dev,
-                tol_pos,
-                note=f"{len(peaks_a)} peaks, grid spacing {spacing:g}",
-            )
-        )
         ratios = [
             abs(pa.fwhm / pb.fwhm - 1.0)
             for pa, pb in zip(peaks_a, peaks_b)
@@ -1028,29 +956,15 @@ def _compare_spectra(art_a, art_b, tolerances, prominence, window):
         skipped = len(peaks_a) - len(ratios)
         note = f"{skipped} unresolved width(s) skipped" if skipped else ""
         value = max(ratios) if ratios else math.nan
-        if not ratios and tol_fwhm is None:
+        metrics.append(_metric(f"fwhm-ratio:{tag}", name_a, name_b, value, tol_fwhm, note))
+        for cols, fname in ((a_cols, name_a), (b_cols, name_b)):
+            om, spectral, signed = _pair_curve(cols, tag)
+            if signed:  # cross pairs carry no sum rule
+                break
+            residual = abs(np.trapezoid(spectral, om) / (2.0 * np.pi) - 1.0)
             metrics.append(
-                Metric(
-                    name=f"fwhm-ratio:{tag}",
-                    file_a=name_a,
-                    file_b=name_b,
-                    value=math.nan,
-                    note=note or "no resolved widths",
-                )
+                _metric(f"sum-rule:{tag}:{Path(fname).name}", name_a, name_b, residual, tol_sum)
             )
-        else:
-            metrics.append(
-                _metric(f"fwhm-ratio:{tag}", name_a, name_b, value, tol_fwhm, note)
-            )
-        if not signed:
-            for art, fname in ((art_a, name_a), (art_b, name_b)):
-                cols = art["columns"]
-                sel = cols["pair"] == tag
-                om = cols["omega"][sel]
-                residual = abs(np.trapezoid(cols["spectral"][sel], om) / (2.0 * np.pi) - 1.0)
-                metrics.append(
-                    _metric(f"sum-rule:{tag}:{Path(fname).name}", name_a, name_b, residual, tol_sum)
-                )
     return metrics
 
 
@@ -1162,12 +1076,14 @@ def _versions():
     }
 
 
-def run_experiment(cfg, out_root=None, seed=None, jobs=1):
+def run_experiment(cfg, out_root=None, seed=None):
     """Run every engine of a validated config; write artifacts and reports.
 
-    Returns a RunResult. Engine failures do not abort the other engines:
-    the failure text lands in the manifest and in RunResult.engine_errors,
-    finished artifacts stay on disk.
+    Engines run one after the other, in config order. Returns a RunResult.
+    Engine failures do not abort the other engines: the failure text lands
+    in the manifest and in RunResult.engine_errors, finished artifacts stay
+    on disk. Outside width sweeps, the first artifact of each compared kind
+    (spectra, trajectory) is compared with every later one of that kind.
     """
 
     if seed is not None:
@@ -1177,43 +1093,22 @@ def run_experiment(cfg, out_root=None, seed=None, jobs=1):
     run_dir = resolve_out_root(cfg.out, out_root) / cfg.name
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs_list = _engine_jobs(plan)
-    artifacts = {}
+    artifacts = {}  # file name -> kind, in the order the engines wrote them
     errors = {}
-
-    def invoke(item):
-        label, fn = item
-        return label, fn(run_dir)
-
-    if jobs > 1 and len(jobs_list) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(invoke, item): item[0] for item in jobs_list}
-            for fut, label in futures.items():
-                try:
-                    _, files = fut.result()
-                    artifacts[label] = files
-                except Exception as exc:
-                    errors[label] = f"{type(exc).__name__}: {exc}"
-    else:
-        for item in jobs_list:
-            try:
-                _, files = invoke(item)
-                artifacts[item[0]] = files
-            except Exception as exc:
-                errors[item[0]] = f"{type(exc).__name__}: {exc}"
+    for label, function, args in _engine_jobs(plan):
+        try:
+            artifacts.update(function(plan, run_dir, *args))
+        except Exception as exc:
+            errors[label] = f"{type(exc).__name__}: {exc}"
 
     reports = []
     if cfg.sweep_gamma2 is None:
         by_kind = {}
-        for label, _ in jobs_list:
-            for fname in artifacts.get(label, ()):
-                if fname.endswith("_rates.csv"):
-                    continue
-                kind = "spectra" if "_spectra" in fname else "trajectory"
+        for fname, kind in artifacts.items():
+            if kind in ("spectra", "trajectory"):
                 by_kind.setdefault(kind, []).append(fname)
-        for kind, files in by_kind.items():
-            first = files[0]
-            for other in files[1:]:
+        for first, *others in by_kind.values():
+            for other in others:
                 reports.append(
                     compare_artifacts(
                         run_dir / first,
@@ -1228,7 +1123,6 @@ def run_experiment(cfg, out_root=None, seed=None, jobs=1):
             json.dump([r.to_dict() for r in reports], fh, indent=2)
             fh.write("\n")
 
-    flat = [f for files in artifacts.values() for f in files]
     config_dict = _canonical_config(cfg)
     canon = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     manifest = {
@@ -1237,7 +1131,7 @@ def run_experiment(cfg, out_root=None, seed=None, jobs=1):
         "seed": cfg.seed,
         "versions": _versions(),
         "created": datetime.now(timezone.utc).isoformat(),
-        "artifacts": sorted(flat) + (["report.json"] if reports else []),
+        "artifacts": sorted(artifacts) + (["report.json"] if reports else []),
         "engine_errors": errors,
     }
     with open(run_dir / "manifest.json", "w") as fh:
@@ -1245,5 +1139,5 @@ def run_experiment(cfg, out_root=None, seed=None, jobs=1):
         fh.write("\n")
 
     return RunResult(
-        run_dir=run_dir, artifacts=sorted(flat), reports=reports, engine_errors=errors
+        run_dir=run_dir, artifacts=sorted(artifacts), reports=reports, engine_errors=errors
     )

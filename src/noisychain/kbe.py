@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .baths import TlsBath
+from .baths import TlsBath, inverse_temperature
 from .errors import CapacityError
 from .lattice import fermi_occupation
 
@@ -131,7 +131,7 @@ class MemorySelfEnergy:
             if bath is None:
                 continue
             gsq = bath.couplings**2
-            beta_b = np.inf if bath.temperature == 0 else 1.0 / bath.temperature
+            beta_b = inverse_temperature(bath.temperature)
             hole = 1.0 - 2.0 * fermi_occupation(bath.energies, beta_b)
             phases = np.exp(-1j * np.outer(lags, bath.energies))
             sr[:, site] = -1j * (phases @ gsq)
@@ -293,7 +293,7 @@ def _memory_rows(hm, sigma, f0, m, dt):
             wk.append(np.zeros(0, dtype=complex))
             continue
         gsq = bath.couplings**2
-        beta_b = np.inf if bath.temperature == 0 else 1.0 / bath.temperature
+        beta_b = inverse_temperature(bath.temperature)
         hole = 1.0 - 2.0 * fermi_occupation(bath.energies, beta_b)
         eps.append(bath.energies)
         wr.append(-1j * gsq)

@@ -26,6 +26,7 @@ from .baths import (
     TlsBath,
     WideBandBath,
     fft_convolve,
+    inverse_temperature,
     noise_power,
     principal_value_transform,
 )
@@ -331,7 +332,7 @@ def tls_embedding_self_energy(baths, grid, smearing=None):
         g2 = bath.couplings**2
         sr = np.sum(g2[None, :] / (w[:, None] - eps[None, :] + 1j * smearing), axis=1)
         gamma = -2.0 * sr.imag
-        tf = thermal_factor(w, np.inf if bath.temperature == 0 else 1.0 / bath.temperature)
+        tf = thermal_factor(w, inverse_temperature(bath.temperature))
         sr_diag[:, i] = sr
         sk_diag[:, i] = -1j * gamma * tf
     return SelfEnergy(grid=grid, retarded=sr_diag, keldysh=sk_diag)

@@ -2,7 +2,10 @@
 
 import ast
 import copy
+import inspect
 import json
+import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -24,9 +27,12 @@ from noisychain.harness import (
     CONFIG_VERSION,
     ENGINES,
     OUT_ENV_VAR,
+    SCHEMAS,
+    TEXT_COLUMNS,
     ExperimentConfig,
     _Plan,
     _prominent_maxima,
+    _write_table,
     compare_artifacts,
     config_from_dict,
     find_spectral_peaks,
@@ -400,6 +406,54 @@ def test_read_artifact_schemas(tmp_path):
         read_artifact(bad)
 
 
+def test_write_table_round_trips_every_kind(tmp_path):
+    for kind, header in SCHEMAS.items():
+        columns = {
+            name: ["0", "1", "12"] if name in TEXT_COLUMNS else [0.5, -1.25, 3.0e-7 * k]
+            for k, name in enumerate(header)
+        }
+        path = tmp_path / f"{kind}.csv"
+        _write_table(path, kind, columns)
+        art = read_artifact(path)
+        assert art["kind"] == kind
+        assert list(art["columns"]) == list(header)
+        for name, values in columns.items():
+            assert art["columns"][name].tolist() == values, (kind, name)
+
+
+def test_write_table_bytes(tmp_path):
+    path = tmp_path / "r_rates.csv"
+    _write_table(path, "rates", {
+        "omega": [-0.0, 1e-300], "site": ["0", "17"], "gamma": [-1.5e300, 2.0],
+        "shift": np.array([0.25, -3.0]),
+    })
+    assert path.read_bytes() == (
+        b"omega,site,gamma,shift\n"
+        b"-0.000000000000e+00,0,-1.500000000000e+300,2.500000000000e-01\n"
+        b"1.000000000000e-300,17,2.000000000000e+00,-3.000000000000e+00\n"
+    )
+
+
+def test_compare_unresolved_widths(tmp_path):
+    # two lines so close that the dip between them stays above half height
+    w = np.linspace(-2.0, 2.0, 1001)
+    y = _lorentzian(w, -0.15, 0.25) + _lorentzian(w, 0.15, 0.25)
+    assert [math.isnan(p.fwhm) for p in find_spectral_peaks(w, y)] == [True, True]
+    a, b = tmp_path / "a_spectra.csv", tmp_path / "b_spectra.csv"
+    _write_spectra(a, w, y)
+    _write_spectra(b, w, y)
+
+    def fwhm_metric(**tolerances):
+        report = compare_artifacts(a, b, tolerances=tolerances)
+        return next(m for m in report.metrics if m.name == "fwhm-ratio:0-0")
+
+    info = fwhm_metric()
+    assert info.to_dict()["value"] is None
+    assert info.passed is None
+    assert info.note == "2 unresolved width(s) skipped"
+    assert fwhm_metric(fwhm=0.1).passed is False
+
+
 def test_compare_identical_spectra_passes(tmp_path):
     w = np.linspace(-2.0, 2.0, 1001)
     y = _lorentzian(w, 0.0, 0.25)
@@ -597,6 +651,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("a,b\n1,2\n")
     assert main(["compare", str(a), str(bad)]) == 2
     capsys.readouterr()
+    rates = tmp_path / "keldysh_rates.csv"
+    rates.write_text("omega,site,gamma,shift\n0.0,0,1.0e-1,2.0e-2\n")
+    assert main(["compare", str(rates), str(rates)]) == 2
+    assert "no comparison defined" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # engines run one after the other
+        main(["run", "--config", "fig4-bottom", "--jobs", "2", "--out", str(tmp_path / "j")])
+    assert exc.value.code == 2
+    capsys.readouterr()
     for flags in (["--tolerance", "bogus=1"], ["--tolerance", "fwhm=nan"],
                   ["--tolerance", "position=-1"], ["--window", "2"], ["--prominence", "7"]):
         assert main(["compare", str(a), str(b), *flags]) == 2
@@ -692,3 +754,29 @@ def test_import_leaves_out_signal_and_stats():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_scripts_call_run_experiment_by_its_signature():
+    scripts = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+    assert scripts
+    signature = inspect.signature(run_experiment)
+    calls = 0
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "run_experiment":
+                continue
+            calls += 1
+            # raises TypeError on a keyword run_experiment does not take
+            signature.bind(*node.args, **{k.arg: k.value for k in node.keywords})
+    assert calls
+    src = str(Path(noisychain.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for path in scripts:
+        out = subprocess.run(
+            [sys.executable, str(path), "--help"], capture_output=True, text=True, env=env
+        )
+        assert out.returncode == 0, (path.name, out.stderr)
