@@ -1,10 +1,9 @@
 """Spectra and relaxation dynamics of dissipative tight-binding chains.
 
 Frequency-domain pipeline: build_chain -> bath objects -> steady_state_greens
--> spectral_weight / extract_rates. Time-domain pipeline: kbe_rows (a stream
-of two-time rows, Markov rates or sampled memory kernels) and its
-equal-time diagonal equal_time_keldysh, or the master-equation evolvers in
-qme. The harness module runs validated configs end to end and the
+-> spectral_weight / extract_rates. Time-domain pipeline: equal_time_keldysh
+(the equal-time Keldysh diagonal after one site is excited, under Markov
+rates or sampled memory kernels), or the master-equation evolvers in qme. The harness module runs validated configs end to end and the
 CLI (`noisychain`) wraps it; shipped example setups live in presets.
 """
 
@@ -31,9 +30,7 @@ from .harness import (
     run_experiment,
 )
 from .kbe import (
-    InitialState,
     equal_time_keldysh,
-    kbe_rows,
     markov_self_energy,
     tls_memory_self_energy,
 )
@@ -78,9 +75,7 @@ __all__ = [
     "find_spectral_peaks",
     "load_config",
     "run_experiment",
-    "InitialState",
     "equal_time_keldysh",
-    "kbe_rows",
     "markov_self_energy",
     "tls_memory_self_energy",
     "RateFunction",

@@ -40,7 +40,6 @@ from .baths import OhmicBath, WideBandBath, noise_power, sample_tls_bath
 from .errors import ConfigError
 from .kbe import (
     MEMORY_CAP_BYTES,
-    InitialState,
     check_step,
     equal_time_keldysh,
     markov_self_energy,
@@ -85,6 +84,8 @@ SCHEMAS = {
     "peak_counts": ("gamma2", "n_peaks"),
 }
 TEXT_COLUMNS = {"pair", "site", "n_peaks"}
+# rows the artifact writer formats at a time
+_WRITE_BLOCK = 65536
 
 _REQUIRED = object()
 
@@ -364,63 +365,57 @@ def _cross_validate(cfg):
             raise ConfigError("engines", "width sweeps run the keldysh engine only")
         if cfg.bath.alpha is not None:
             raise ConfigError("bath.alpha", "leave alpha unset when sweeping widths")
+    # memory rules, each naming the field that sets it. A trajectory adds its
+    # artifact: 64 B per (time, site) row (occupations, Keldysh diagonal, the
+    # writer's columns and their temporaries) and one block of formatted
+    # cells at 600 B a row. Whole runs under tracemalloc peak at 0.76 and
+    # 0.85 of the summed rules for kbe on 10 and 40 wide-band sites over
+    # 300001 and 20001 times, 0.98 for lindblad on 10 sites over 100001
+    n = cfg.system.n_sites
+    n_t = cfg.time.t_max / cfg.time.dt + 1 if cfg.time is not None else 0
+    artifact = 64 * n_t * n + 600 * _WRITE_BLOCK
     # lindblad trajectories peak at about 10 dense N^2 x N^2 complex matrices
     # (the generator and expm work): measured 9.8, 8.8 and 9.0 times 16 N^4
-    # bytes at N = 20, 30 and 40
-    need = 10 * 16 * cfg.system.n_sites**4
-    if "lindblad" in cfg.engines and cfg.time is not None and need > MEMORY_CAP_BYTES:
-        raise ConfigError(
-            "system.n_sites",
-            f"lindblad trajectories of {cfg.system.n_sites} sites need about "
-            f"{need / 1e9:.1f} GB (cap {MEMORY_CAP_BYTES / 1e9:.0f} GB)",
-        )
+    # bytes at N = 20, 30 and 40; the propagated (n_t, N^2) states add theirs
+    if "lindblad" in cfg.engines and cfg.time is not None:
+        _check_memory("system.n_sites", f"lindblad trajectories of {n} sites",
+                      160 * n**4 + 16 * n_t * n**2 + artifact)
     # exact_tls peaks at about 4 dense (d, d) float eigensystems plus 3
     # complex (n_t, d) amplitude tables, d = N (1 + n_tls): measured 4.0 and
     # 3.0 times 8 d^2 and 16 n_t d bytes at d = 105 to 5005, n_t = 641 to 100001
     if "exact_tls" in cfg.engines:
-        d = cfg.system.n_sites * (1 + cfg.bath.n_tls)
-        need = 32 * d * d + 48 * (cfg.time.t_max / cfg.time.dt + 1) * d
-        if need > MEMORY_CAP_BYTES:
-            raise ConfigError(
-                "bath.n_tls",
-                f"exact_tls on {d} levels needs about {need / 1e9:.1f} GB "
-                f"(cap {MEMORY_CAP_BYTES / 1e9:.0f} GB)",
-            )
+        d = n * (1 + cfg.bath.n_tls)
+        _check_memory("bath.n_tls", f"exact_tls on {d} levels",
+                      32 * d * d + 48 * n_t * d + artifact)
     if "kbe" in cfg.engines:
-        n = cfg.system.n_sites
         levels = n * cfg.bath.n_tls if cfg.bath.kind == "tls" else None
-        need = stream_bytes(n, cfg.time.t_max / cfg.time.dt + 1, levels)
-        if need > MEMORY_CAP_BYTES:
-            raise ConfigError(
-                "time.t_max",
-                f"the two-time rows of {n} sites need about {need / 1e9:.1f} GB "
-                f"(cap {MEMORY_CAP_BYTES / 1e9:.0f} GB); shorten t_max or increase dt",
-            )
-    if "blochredfield" in cfg.engines and cfg.system.n_sites > qme.DENSE_MAX_SITES:
-        raise ConfigError(
-            "system.n_sites",
-            f"engine 'blochredfield' runs registers of at most {qme.DENSE_MAX_SITES} sites",
-        )
+        _check_memory("time.t_max", f"kbe on {n} sites",
+                      stream_bytes(n, n_t, levels) + artifact, "; shorten t_max or increase dt")
+    if "blochredfield" in cfg.engines and n > qme.DENSE_MAX_SITES:
+        raise ConfigError("system.n_sites", "engine 'blochredfield' runs registers of "
+                          f"at most {qme.DENSE_MAX_SITES} sites")
     if "blochredfield" in cfg.engines and cfg.grid is not None and cfg.qme.warmup_time is None:
         raise ConfigError("qme.warmup_time", "required for 'blochredfield' spectra")
     if cfg.grid is not None:
         for i, j in cfg.grid.pairs:
-            if not (0 <= i < cfg.system.n_sites and 0 <= j < cfg.system.n_sites):
+            if not (0 <= i < n and 0 <= j < n):
                 raise ConfigError("grid.pairs", f"pair ({i}, {j}) outside the chain")
         # spectra hold a few (n_points, s, s) tables of the s pair sites and
         # (n_points, N) site rows; keldysh adds its bath tables and self-energy
         # diagonals. Peaks measured with tracemalloc, per point: keldysh 4.8,
         # 5.7, 7.2 and 14.3 kB at N = 5, 10, 20 and 40; lindblad and
         # blochredfield 0.3 kB at s = 2 and 1.7-5.0 kB at s = 5-10
-        n, s = cfg.system.n_sites, len(_pair_sites(cfg.grid.pairs))
+        s = len(_pair_sites(cfg.grid.pairs))
         per_point = 64 * s * s + 32 * n + (4800 + 250 * n) * ("keldysh" in cfg.engines)
-        need = per_point * cfg.grid.n_points
-        if {"keldysh", "lindblad", "blochredfield"} & set(cfg.engines) and need > MEMORY_CAP_BYTES:
-            raise ConfigError(
-                "grid.n_points",
-                f"spectra on {cfg.grid.n_points} points need about {need / 1e9:.1f} GB "
-                f"(cap {MEMORY_CAP_BYTES / 1e9:.0f} GB)",
-            )
+        if {"keldysh", "lindblad", "blochredfield"} & set(cfg.engines):
+            _check_memory("grid.n_points", f"spectra on {cfg.grid.n_points} points",
+                          per_point * cfg.grid.n_points)
+
+
+def _check_memory(name, what, need, hint=""):
+    if need > MEMORY_CAP_BYTES:
+        raise ConfigError(name, f"{what} would take about {need / 1e9:.1f} GB "
+                                f"(cap {MEMORY_CAP_BYTES / 1e9:.0f} GB){hint}")
 
 
 def load_config(path):
@@ -530,17 +525,22 @@ class _Plan:
 def _write_table(path, kind, columns):
     """Write a `kind` artifact: its header, then one row per entry of the
     equal-length columns, a mapping from header name to values. Floats are
-    written as %.12e, text columns as given."""
+    written as %.12e, text columns as given. Rows are formatted in blocks
+    of _WRITE_BLOCK, so the formatted cells never hold a whole file."""
 
-    cells = [
-        np.asarray(columns[name]).tolist() if name in TEXT_COLUMNS
-        else ["%.12e" % v for v in np.asarray(columns[name], dtype=float).tolist()]
-        for name in SCHEMAS[kind]
-    ]
+    names = SCHEMAS[kind]
+    cols = [np.asarray(columns[name]) if name in TEXT_COLUMNS
+            else np.asarray(columns[name], dtype=float) for name in names]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SCHEMAS[kind])
-        w.writerows(zip(*cells))
+        w.writerow(names)
+        for start in range(0, len(cols[0]), _WRITE_BLOCK):
+            cells = [
+                col[start:start + _WRITE_BLOCK].tolist() if name in TEXT_COLUMNS
+                else ["%.12e" % v for v in col[start:start + _WRITE_BLOCK].tolist()]
+                for name, col in zip(names, cols)
+            ]
+            w.writerows(zip(*cells))
 
 
 def _write_site_table(path, kind, axis, tables):
@@ -549,7 +549,7 @@ def _write_site_table(path, kind, axis, tables):
 
     n_rows, n = next(iter(tables.values())).shape
     columns = {SCHEMAS[kind][0]: np.repeat(axis, n),
-               "site": np.tile(np.arange(n).astype(str), n_rows)}
+               "site": np.tile(np.arange(n), n_rows)}
     columns.update((name, table.ravel()) for name, table in tables.items())
     _write_table(path, kind, columns)
 
@@ -820,11 +820,10 @@ def _run_qme_trajectory(plan, run_dir, kind):
 
 def _run_kbe(plan, run_dir):
     cfg = plan.cfg
-    ini = InitialState.single_site(cfg.system.n_sites, cfg.initial.excited_site)
-    kel = equal_time_keldysh(plan.h, plan.kbe_sigma, ini, cfg.time.t_max, cfg.time.dt)
-    kel_diag = np.einsum("tii->ti", kel)
-    occ = 0.5 * (1.0 + kel_diag.imag)
-    _write_trajectory(run_dir / "kbe_trajectory.csv", plan.t_grid, occ, kel_diag)
+    kel = equal_time_keldysh(plan.h, plan.kbe_sigma, cfg.initial.excited_site,
+                             cfg.time.t_max, cfg.time.dt)
+    occ = 0.5 * (1.0 + kel.imag)
+    _write_trajectory(run_dir / "kbe_trajectory.csv", plan.t_grid, occ, kel)
     return {"kbe_trajectory.csv": "trajectory"}
 
 

@@ -1,20 +1,23 @@
-"""Two-time transient dynamics on the double time grid.
+"""Two-time transient dynamics from one excited site.
 
-The integrator advances the retarded and Keldysh components row by row in
-the first time argument, starting from an uncorrelated initial occupation at
-t = 0. Two bath closures are supported: an instantaneous decay approximation
-(site decay rates, no memory) and the full memory kernel of tunneling
-two-level environments. Both use second-order stepping so halving dt cuts
-the error by four; that convergence ratio is pinned by a test and must not
-be traded away for exactness tricks.
+The chain starts with one particle on one site, every other site empty and
+no correlation with the baths at t = 0; the integrator returns what an
+occupation trajectory reads, the equal-time Keldysh diagonal K_ii(t, t).
+Two bath closures are supported: an instantaneous decay approximation (site
+decay rates, no memory) and the full memory kernel of tunneling two-level
+environments. Both use second-order stepping so halving dt cuts the error
+by four; that convergence ratio is pinned by a test and must not be traded
+away for exactness tricks.
 
-`kbe_rows` streams the rows and keeps only what the next step reads: the
-previous row without memory; the top row, column 0 and the exponential-sum
-accumulators with memory. Working memory therefore grows as
-(t_max/dt) * n * (n + bath levels), not as (t_max/dt)^2, and the integrator
-refuses jobs whose working set (`stream_bytes`) would exceed a few gigabytes
-rather than start swapping. `equal_time_keldysh` keeps only the equal-time
-diagonal of the stream, which is all an occupation trajectory needs.
+Without memory the equal-time function obeys its own closed equation,
+dK/dt = A K + K A^dag - i Gamma with A = -i h - Gamma/2, so K(t, t) is
+stepped alone: O(n^3) work per step and an (n_times, n) output. With memory
+its slope reads the whole two-time history, so the retarded and Keldysh
+rows X(t_i, t_j), j <= i, are streamed, keeping only what the next step
+reads: the top row, column 0 and the exponential-sum accumulators. Working
+memory then grows as (t_max/dt) * n * (n + bath levels), not as
+(t_max/dt)^2. Jobs whose working set (`stream_bytes`) would exceed a few
+gigabytes are refused before any step rather than left to swap.
 """
 
 from __future__ import annotations
@@ -29,61 +32,17 @@ from .lattice import fermi_occupation
 __all__ = [
     "STABILITY_LIMIT",
     "MEMORY_CAP_BYTES",
-    "InitialState",
     "MarkovSelfEnergy",
     "MemorySelfEnergy",
     "markov_self_energy",
     "tls_memory_self_energy",
     "stream_bytes",
     "check_step",
-    "kbe_rows",
     "equal_time_keldysh",
 ]
 
 STABILITY_LIMIT = 0.05  # max allowed (fastest scale) * dt
 MEMORY_CAP_BYTES = 3_000_000_000
-
-
-@dataclass
-class InitialState:
-    """Initial single-particle occupation, thermal in a preparation Hamiltonian.
-
-    The occupation matrix is f(ini_matrix) at inverse temperature beta_ini;
-    beta_ini may be inf for a sharp Fermi sea. The preparation Hamiltonian
-    need not be the one that drives the dynamics, which is how quenches are
-    set up.
-    """
-
-    ini_matrix: np.ndarray
-    beta_ini: float = np.inf
-
-    def __post_init__(self):
-        self.ini_matrix = np.asarray(self.ini_matrix, dtype=complex)
-        if self.ini_matrix.ndim != 2 or self.ini_matrix.shape[0] != self.ini_matrix.shape[1]:
-            raise ValueError("preparation hamiltonian must be square")
-        if np.max(np.abs(self.ini_matrix - self.ini_matrix.conj().T)) > 1e-12:
-            raise ValueError("preparation hamiltonian must be hermitian")
-        if not self.beta_ini > 0:
-            raise ValueError("beta_ini must be positive (inf allowed)")
-
-    @property
-    def n_sites(self):
-        return self.ini_matrix.shape[0]
-
-    def occupation_matrix(self):
-        energies, u = np.linalg.eigh(self.ini_matrix)
-        occ = fermi_occupation(energies, self.beta_ini)
-        return (u * occ[None, :]) @ u.conj().T
-
-    @classmethod
-    def single_site(cls, n_sites, site):
-        """One particle sitting on one site, everything else empty."""
-
-        if not 0 <= site < n_sites:
-            raise ValueError(f"site {site} outside chain of {n_sites}")
-        diag = np.ones(n_sites)
-        diag[site] = -1.0
-        return cls(ini_matrix=np.diag(diag), beta_ini=np.inf)
 
 
 @dataclass
@@ -171,22 +130,26 @@ def _n_times(t_max, dt):
 
 
 def stream_bytes(n_sites, n_times, n_levels=None):
-    """Working-set estimate of `kbe_rows` in bytes.
+    """Working-set estimate of `equal_time_keldysh` in bytes.
 
     n_levels is the total bath level count of a memory closure, None for the
-    Markov closure. The Markov core holds about 6 complex (n_times, n, n)
-    planes (the previous rows, their successors and matmul temporaries),
-    the memory core about 18 (column 0, the top row, its slopes, predictor,
-    corrector and memory sums) plus 5 + 3/n complex (n_times, n, levels)
-    tables (the three accumulators, two of them double-buffered, the
-    per-site temporaries and the phase table). Measured with tracemalloc:
-    6.0 planes at n = 1 to 40; 22.1 planes at n = 20 and 40 with one level
-    per site; 8.1, 6.5 and 5.8 tables at n = 1, 2 and 5 with 100 to 400
-    levels per site.
+    Markov closure. The Markov closure holds the complex (n_times, n) output
+    and about 11 complex (n, n) scratch matrices (K, the two slopes and the
+    matmul temporaries). The memory core streams two-time rows: about 18
+    complex (n_times, n, n) planes (column 0, the top row, its slopes,
+    predictor, corrector and memory sums) plus 5 + 3/n complex
+    (n_times, n, levels) tables (the three accumulators, two of them
+    double-buffered, the per-site temporaries and the phase table).
+    Measured with tracemalloc: the output plus 10.5 to 11.8 scratch
+    matrices at n = 10 to 80 with 101 and 2001 times (a few kB of fixed
+    overhead at smaller n); 22.1 planes at n = 20 and 40 with one level per
+    site; 8.1, 6.5 and 5.8 tables at n = 1, 2 and 5 with 100 to 400 levels
+    per site.
     """
 
-    planes, tables = (7, 0) if n_levels is None else (20, 9 * n_levels)
-    return 16 * n_times * (planes * n_sites**2 + tables * n_sites)
+    if n_levels is None:
+        return 16 * (n_times * n_sites + 11 * n_sites**2)
+    return 16 * n_times * (20 * n_sites**2 + 9 * n_levels * n_sites)
 
 
 def check_step(h, sigma, dt):
@@ -201,24 +164,15 @@ def check_step(h, sigma, dt):
         )
 
 
-def kbe_rows(h, sigma, ini, t_max, dt):
-    """Stream the two-time equations of motion from an uncorrelated start.
-
-    h drives the dynamics, sigma closes the bath coupling (decay rates or
-    memory kernels), ini fixes the occupation at t = 0. Checks the site
-    counts, the time grid, the step against the fastest scale in the
-    problem and the working set against the memory cap before any step,
-    then returns an iterator over (ret_row, kel_row) on the uniform grid
-    arange(0, t_max, dt) inclusive: row i has shape (i + 1, n, n) and holds
-    X(t_i, t_j) for j <= i. Above the diagonal the retarded component
-    vanishes and K(t_j, t_i) = -K(t_i, t_j)^dag.
-    """
+def _start(h, sigma, site, t_max, dt):
+    """Check the job before any step; return the time count m and the
+    occupation matrix f0 at t = 0 (one particle on `site`)."""
 
     n = h.n_sites
     if sigma.n_sites != n:
         raise ValueError("self-energy site count does not match the chain")
-    if ini.n_sites != n:
-        raise ValueError("initial state site count does not match the chain")
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} outside chain of {n}")
     m = _n_times(t_max, dt)
     check_step(h, sigma, dt)
     markov = isinstance(sigma, MarkovSelfEnergy)
@@ -226,54 +180,52 @@ def kbe_rows(h, sigma, ini, t_max, dt):
     need = stream_bytes(n, m, levels)
     if need > MEMORY_CAP_BYTES:
         raise CapacityError(
-            f"two-time rows need about {need / 1e9:.1f} GB "
+            f"the integrator needs about {need / 1e9:.1f} GB "
             f"(cap {MEMORY_CAP_BYTES / 1e9:.0f} GB); increase dt or shorten t_max"
         )
-    f0 = ini.occupation_matrix()
-    if markov:
-        return _markov_rows(h.matrix, sigma.rates, f0, m, dt)
-    return _memory_rows(h.matrix, sigma, f0, m, dt)
+    f0 = np.zeros((n, n))
+    f0[site, site] = 1.0
+    return m, f0
 
 
-def equal_time_keldysh(h, sigma, ini, t_max, dt):
-    """(n_times, n, n) equal-time Keldysh component K(t_i, t_i) of `kbe_rows`.
+def equal_time_keldysh(h, sigma, site, t_max, dt):
+    """Equal-time Keldysh diagonal K_ii(t, t) after exciting `site` at t = 0.
 
-    Site occupations follow as n_i(t) = (1 + Im K_ii(t, t)) / 2.
+    h drives the dynamics and sigma closes the bath coupling (decay rates or
+    memory kernels). Checks the site counts, the time grid, the step against
+    the fastest scale in the problem and the working set against the memory
+    cap before any step. Returns a complex (n_times, n) array on the uniform
+    grid arange(0, t_max, dt) inclusive; site occupations follow as
+    n_i(t) = (1 + Im K_ii(t, t)) / 2.
     """
 
-    rows = kbe_rows(h, sigma, ini, t_max, dt)
-    out = np.empty((_n_times(t_max, dt), h.n_sites, h.n_sites), dtype=complex)
-    for i, (_, kel) in enumerate(rows):
-        out[i] = kel[i]
+    m, f0 = _start(h, sigma, site, t_max, dt)
+    if isinstance(sigma, MarkovSelfEnergy):
+        return _markov_diagonal(h.matrix, sigma.rates, f0, m, dt)
+    out = np.empty((m, h.n_sites), dtype=complex)
+    for i, (_, kel) in enumerate(_memory_rows(h.matrix, sigma, f0, m, dt)):
+        out[i] = kel[i].diagonal()
     return out
 
 
-def _markov_rows(hm, rates, f0, m, dt):
+def _markov_diagonal(hm, rates, f0, m, dt):
     n = hm.shape[0]
-    eye = np.eye(n, dtype=complex)
     gd = np.diag(rates).astype(complex)
     a_mat = -1j * hm - 0.5 * gd
-    da = dt * a_mat
-    p2 = eye + da + 0.5 * (da @ da)  # quadratic propagator, one order per factor
-    ret = (-1j * eye)[None]
-    kel = (-1j * (eye - 2.0 * f0))[None]
-    yield ret, kel
+    a_dag = a_mat.conj().T
 
-    def diag_rhs(k):
-        return a_mat @ k + k @ a_mat.conj().T - 1j * gd
+    def rhs(k):
+        return a_mat @ k + k @ a_dag - 1j * gd
 
+    k = -1j * (np.eye(n, dtype=complex) - 2.0 * f0)
+    out = np.empty((m, n), dtype=complex)
+    out[0] = k.diagonal()
     for i in range(1, m):
-        new_r = np.empty((i + 1, n, n), dtype=complex)
-        new_r[:i] = np.matmul(p2, ret)
-        new_r[i] = -1j * eye
-        new_k = np.empty_like(new_r)
-        new_k[:i] = np.matmul(p2, kel)
-        kd = kel[i - 1]
-        f1 = diag_rhs(kd)
-        f2 = diag_rhs(kd + dt * f1)
-        new_k[i] = kd + 0.5 * dt * (f1 + f2)
-        ret, kel = new_r, new_k
-        yield ret, kel
+        f1 = rhs(k)
+        f2 = rhs(k + dt * f1)
+        k = k + 0.5 * dt * (f1 + f2)
+        out[i] = k.diagonal()
+    return out
 
 
 def _memory_rows(hm, sigma, f0, m, dt):

@@ -113,24 +113,6 @@ class RateFunction:
     def n_sites(self):
         return self.gamma.shape[1]
 
-    def to_self_energy(self, thermal=None):
-        """Rebuild the site-diagonal self-energy, shift - i*gamma/2.
-
-        thermal, if given, is the bath thermal factor on the grid (array of
-        shape (n_points,) or scalar) entering the Keldysh component
-        -i*gamma*thermal; the default is the empty-band value 1.
-        """
-
-        sr_diag = self.shift - 0.5j * self.gamma
-        if thermal is None:
-            sk_diag = -1j * self.gamma
-        else:
-            thermal = np.asarray(thermal, dtype=float)
-            sk_diag = -1j * self.gamma * (
-                thermal[:, None] if thermal.ndim == 1 else thermal
-            )
-        return SelfEnergy(grid=self.grid, retarded=sr_diag, keldysh=sk_diag)
-
 
 def extract_rates(sigma):
     """Decay rate and shift from a retarded self-energy.
@@ -299,24 +281,22 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     return SelfEnergy(grid=grid, retarded=shift - 0.5j * gamma, keldysh=sk_diag)
 
 
-def tls_embedding_self_energy(baths, grid, smearing=None):
+def tls_embedding_self_energy(baths, grid):
     """Embedding self-energy of per-site TLS ensembles or wide bands.
 
     Each TLS level enters as a Lorentzian-smeared pole,
-    Sigma^+_ii = sum_s g_s^2/(w - e_s + i*smearing), which is the exact
-    resolvent of the smeared level density (Hilbert transform and on-shell
-    parts in one closed form). The Keldysh component weights the resulting
-    rate with the bath thermal factor tanh(w/2 T_B); a wide band is the
-    flat empty-band limit Sigma^+ = -i*rate/2, Sigma^K = -i*rate.
+    Sigma^+_ii = sum_s g_s^2/(w - e_s + i*smearing) with the smearing twice
+    the grid spacing, which is the exact resolvent of the smeared level
+    density (Hilbert transform and on-shell parts in one closed form). The
+    Keldysh component weights the resulting rate with the bath thermal
+    factor tanh(w/2 T_B); a wide band is the flat empty-band limit
+    Sigma^+ = -i*rate/2, Sigma^K = -i*rate.
     """
 
     if isinstance(baths, (TlsBath, WideBandBath)):
         raise TypeError("pass a sequence of baths, one entry per site")
     baths = _bath_list(baths, len(list(baths)), (TlsBath, WideBandBath), "embedding")
-    if smearing is None:
-        smearing = 2.0 * grid.spacing
-    if not smearing > 0:
-        raise ValueError("smearing must be positive")
+    smearing = 2.0 * grid.spacing
     w = grid.omegas
     n = len(baths)
     sr_diag = np.zeros((grid.n_points, n), dtype=complex)
@@ -401,7 +381,7 @@ def spectral_weight(g):
     return 1j * (g.retarded - g.advanced)
 
 
-def steady_state_greens(h, baths, beta_sys, grid, smearing=None, sites=None):
+def steady_state_greens(h, baths, beta_sys, grid, sites=None):
     """Convenience pipeline: self-energy, then the direct Dyson solve.
 
     Bath types pick the self-energy: ohmic baths go through the dephasing
@@ -420,7 +400,7 @@ def steady_state_greens(h, baths, beta_sys, grid, smearing=None, sites=None):
     elif kinds <= {OhmicBath}:
         sigma = dephasing_self_energy(h, baths, beta_sys, grid)
     elif kinds <= {TlsBath, WideBandBath}:
-        sigma = tls_embedding_self_energy(baths, grid, smearing=smearing)
+        sigma = tls_embedding_self_energy(baths, grid)
     else:
         raise ValueError("cannot mix dephasing and embedding baths in one solve")
     return dyson_solve(h, beta_sys, sigma, sites), sigma

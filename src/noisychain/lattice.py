@@ -126,10 +126,6 @@ class EigenDecomposition:
     energies: np.ndarray
     transform: np.ndarray
 
-    def reconstruct(self):
-        u = self.transform
-        return (u * self.energies) @ u.conj().T
-
 
 def build_chain(n_sites, onsite, hopping, boundary="periodic"):
     """Uniform chain with onsite energy and nearest-neighbor hopping.

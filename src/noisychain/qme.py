@@ -430,36 +430,14 @@ class TlsTrajectory:
         return self.qubit_occupations.sum(axis=1) + self.tls_occupations.sum(axis=1)
 
 
-def _excited_site(ini, n_sites):
-    if isinstance(ini, (int, np.integer)):
-        site = int(ini)
-        if not 0 <= site < n_sites:
-            raise ValueError(f"site {site} outside chain of {n_sites}")
-        return site
-    occ = ini.occupation_matrix()
-    diag = np.diag(occ).real
-    site = int(np.argmax(diag))
-    target = np.zeros_like(occ)
-    target[site, site] = 1.0
-    if np.max(np.abs(occ - target)) > 1e-8:
-        raise ValueError(
-            "initial state outside the single-excitation sector: need exactly "
-            "one fully occupied site"
-        )
-    return site
-
-
-def exact_tls_evolve(h, baths, ini, t_grid):
+def exact_tls_evolve(h, baths, site, t_grid):
     """Exact unitary dynamics of the chain plus its TLS environments.
 
     Valid for one excitation above the vacuum: the string-dressed spin model
     and the quadratic tunneling model coincide in that sector, so the
     evolution is an eigensolve in the (N + total levels)-dimensional space.
-    ini is a site index or an initial-state descriptor occupying exactly one
-    site; the TLS levels start empty.
+    The excitation starts on chain site `site`; the TLS levels start empty.
     """
-
-    from .kbe import InitialState  # local import, kbe pulls no qme symbols
 
     n = h.n_sites
     baths = list(baths)
@@ -468,10 +446,9 @@ def exact_tls_evolve(h, baths, ini, t_grid):
     for b in baths:
         if b is not None and not isinstance(b, TlsBath):
             raise TypeError("exact_tls_evolve supports TlsBath entries only")
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} outside chain of {n}")
     n_levels = sum(len(b.levels) for b in baths if b is not None)
-    if not isinstance(ini, (int, np.integer, InitialState)):
-        raise ValueError("ini must be a site index or InitialState")
-    site = _excited_site(ini, n)
 
     dim = n + n_levels
     hs = np.zeros((dim, dim))

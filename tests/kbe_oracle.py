@@ -1,8 +1,10 @@
 """Two-time planes, closed forms and transforms that only tests need.
 
-noisychain.kbe streams the two-time equations row by row; kbe_integrate
-collects that stream into the full lower-triangle planes of TwoTimeGreens,
-so tests can check any point of them. analytic_gk is the closed form the
+noisychain.kbe returns only the equal-time Keldysh diagonal. kbe_integrate
+runs the full two-time equations of motion instead and collects them into
+the lower-triangle planes of TwoTimeGreens, so tests can check any point of
+them: the Markov rows by the brute-force row stepper below, the memory rows
+by the integrator's own streamed core. analytic_gk is the closed form the
 integrator converges to when the decay rates commute with the chain, and
 late_time_spectrum turns the final-time slice of a run into
 frequency-domain functions through a tapered Fourier sum.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from noisychain.kbe import kbe_rows
+from noisychain.kbe import MarkovSelfEnergy, _memory_rows, _start
 from noisychain.lattice import FreqGreens
 
 
@@ -56,17 +58,54 @@ class TwoTimeGreens:
         return -self.keldysh[j, i].conj().T
 
 
-def kbe_integrate(h, sigma, ini, t_max, dt):
-    """The streamed rows of noisychain.kbe.kbe_rows, collected into full planes."""
+def kbe_integrate(h, sigma, site, t_max, dt):
+    """Full two-time planes after exciting `site` at t = 0, with the checks
+    of noisychain.kbe.equal_time_keldysh run first."""
 
-    rows = kbe_rows(h, sigma, ini, t_max, dt)
-    m, n = int(round(t_max / dt)) + 1, h.n_sites
+    m, f0 = _start(h, sigma, site, t_max, dt)
+    if isinstance(sigma, MarkovSelfEnergy):
+        rows = _markov_rows(h.matrix, sigma.rates, f0, m, dt)
+    else:
+        rows = _memory_rows(h.matrix, sigma, f0, m, dt)
+    n = h.n_sites
     ret = np.zeros((m, m, n, n), dtype=complex)
     kel = np.zeros((m, m, n, n), dtype=complex)
     for i, (r_row, k_row) in enumerate(rows):
         ret[i, : i + 1] = r_row
         kel[i, : i + 1] = k_row
     return TwoTimeGreens(t_grid=np.arange(m) * dt, retarded=ret, keldysh=kel)
+
+
+def _markov_rows(hm, rates, f0, m, dt):
+    """Rows (ret, kel) of shape (i + 1, n, n), X(t_i, t_j) for j <= i, under
+    instantaneous decay: off the diagonal each row is the previous one times
+    the quadratic one-step propagator, on it the equal-time equation."""
+
+    n = hm.shape[0]
+    eye = np.eye(n, dtype=complex)
+    gd = np.diag(rates).astype(complex)
+    a_mat = -1j * hm - 0.5 * gd
+    da = dt * a_mat
+    p2 = eye + da + 0.5 * (da @ da)  # quadratic propagator, one order per factor
+    ret = (-1j * eye)[None]
+    kel = (-1j * (eye - 2.0 * f0))[None]
+    yield ret, kel
+
+    def diag_rhs(k):
+        return a_mat @ k + k @ a_mat.conj().T - 1j * gd
+
+    for i in range(1, m):
+        new_r = np.empty((i + 1, n, n), dtype=complex)
+        new_r[:i] = np.matmul(p2, ret)
+        new_r[i] = -1j * eye
+        new_k = np.empty_like(new_r)
+        new_k[:i] = np.matmul(p2, kel)
+        kd = kel[i - 1]
+        f1 = diag_rhs(kd)
+        f2 = diag_rhs(kd + dt * f1)
+        new_k[i] = kd + 0.5 * dt * (f1 + f2)
+        ret, kel = new_r, new_k
+        yield ret, kel
 
 
 def occupations(greens):
@@ -81,12 +120,12 @@ def occupations(greens):
     return n, n.sum(axis=1)
 
 
-def analytic_gk(h, rates, ini, t, t_prime):
+def analytic_gk(h, rates, site, t, t_prime):
     """Closed-form Keldysh component for site decay commuting with the chain.
 
     Valid whenever the rate matrix commutes with the Hamiltonian (uniform
-    rates, or rates sharing the chain's eigenbasis). The initial occupation
-    is arbitrary. Used as the convergence reference for the integrator.
+    rates, or rates sharing the chain's eigenbasis), starting from one
+    particle on `site`. Used as the convergence reference for the integrator.
     """
 
     hm = h.matrix
@@ -96,9 +135,10 @@ def analytic_gk(h, rates, ini, t, t_prime):
     if np.max(np.abs(comm)) > 1e-10 * bound:
         raise ValueError("rates must commute with the hamiltonian for the closed form")
     if t < t_prime:
-        return -analytic_gk(h, rates, ini, t_prime, t).conj().T
+        return -analytic_gk(h, rates, site, t_prime, t).conj().T
     a_mat = -1j * hm - 0.5 * gd
-    f0 = ini.occupation_matrix()
+    f0 = np.zeros_like(hm, dtype=float)
+    f0[site, site] = 1.0
     prop_diff = sla.expm(a_mat * (t - t_prime))
     return -1j * prop_diff + 2j * sla.expm(a_mat * t) @ f0 @ sla.expm(a_mat.conj().T * t_prime)
 

@@ -14,7 +14,7 @@ import pytest
 
 from noisychain.baths import OhmicBath, power_spectral_density
 from noisychain.harness import config_from_dict, find_spectral_peaks, read_artifact, run_experiment
-from noisychain.kbe import InitialState, markov_self_energy
+from noisychain.kbe import equal_time_keldysh, markov_self_energy
 from noisychain.keldysh import (
     dephasing_self_energy,
     extract_rates,
@@ -31,6 +31,16 @@ from register_oracle import LindbladGenerator, jw_fermion, lindblad_evolve, spin
 def _run_preset(name, tmp_path, **kwargs):
     cfg = config_from_dict(preset_config(name))
     return run_experiment(cfg, out_root=tmp_path, **kwargs)
+
+
+def _assert_occupations_in_range(result):
+    # every trajectory artifact stays within [0, 1] with no slack, the same
+    # range check the benchmark applies to its runs
+    names = [f for f in result.artifacts if f.endswith("_trajectory.csv")]
+    assert names
+    for name in names:
+        occ = read_artifact(result.run_dir / name)["columns"]["occupation"]
+        assert occ.min() >= 0.0 and occ.max() <= 1.0, (name, occ.min(), occ.max())
 
 
 def _metrics_by_name(result):
@@ -161,6 +171,7 @@ def test_two_time_integrator_tracks_markovian_decay(tmp_path):
     assert result.ok, result.engine_errors or [
         line for r in result.reports for line in r.summary_lines()
     ]
+    _assert_occupations_in_range(result)
     arts = {f: read_artifact(result.run_dir / f) for f in result.artifacts}
     kbe_art = arts["kbe_trajectory.csv"]
     lind_art = arts["lindblad_trajectory.csv"]
@@ -179,27 +190,35 @@ def test_two_time_integrator_tracks_markovian_decay(tmp_path):
 
 def test_integrator_converges_to_commuting_closed_form():
     # uniform decay commuting with the ring: integrator error against the
-    # closed form is below 1e-4 and shrinks at second order when dt halves
+    # closed form is below 1e-4 and shrinks at second order when dt halves,
+    # both on the oracle's two-time planes and on the equal-time diagonal
+    # the trajectories read
     started = time.monotonic()
     h = build_chain(3, 0.0, 1.0)
     rates = [0.3, 0.3, 0.3]
-    ini = InitialState.single_site(3, 0)
 
     def max_err(dt):
-        run = kbe_integrate(h, markov_self_energy(rates), ini, 2.0, dt)
+        run = kbe_integrate(h, markov_self_energy(rates), 0, 2.0, dt)
         m = run.n_times
         spots = ((m - 1, m - 1), (m - 1, m // 2), (m // 2, m // 4), (m - 1, 0))
         worst = 0.0
         for i, j in spots:
-            ref = analytic_gk(h, rates, ini, run.t_grid[i], run.t_grid[j])
+            ref = analytic_gk(h, rates, 0, run.t_grid[i], run.t_grid[j])
             worst = max(worst, float(np.max(np.abs(run.keldysh_at(i, j) - ref))))
         return worst
 
-    coarse = max_err(0.01)
-    fine = max_err(0.005)
-    assert coarse <= 1e-4, coarse
-    ratio = coarse / fine
-    assert 3.5 <= ratio <= 4.5, ratio
+    def diagonal_err(dt):
+        kel = equal_time_keldysh(h, markov_self_energy(rates), 0, 2.0, dt)
+        t = np.arange(kel.shape[0]) * dt
+        ref = np.array([np.diagonal(analytic_gk(h, rates, 0, ti, ti)) for ti in t])
+        return float(np.max(np.abs(kel - ref)))
+
+    for err in (max_err, diagonal_err):
+        coarse = err(0.01)
+        fine = err(0.005)
+        assert coarse <= 1e-4, (err.__name__, coarse)
+        ratio = coarse / fine
+        assert 3.5 <= ratio <= 4.5, (err.__name__, ratio)
     assert time.monotonic() - started < 120.0
 
 
@@ -272,4 +291,5 @@ def test_exact_reference_run_reports_deviation(tmp_path):
         if m["name"] == "trajectory-deviation"
     ]
     assert devs and all(math.isfinite(v) for v in devs)
+    _assert_occupations_in_range(result)
     assert time.monotonic() - started < 600.0

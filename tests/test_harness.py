@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import importlib
 import inspect
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 import noisychain
-from noisychain import qme
+from noisychain import harness, qme
 from noisychain.cli import main
 from noisychain.errors import CapacityError, ConfigError
 from noisychain.harness import (
@@ -42,6 +43,7 @@ from noisychain.harness import (
     resolve_out_root,
     run_experiment,
 )
+from noisychain.kbe import MEMORY_CAP_BYTES, stream_bytes
 from noisychain.presets import preset_config, preset_names
 
 
@@ -267,6 +269,14 @@ def test_lindblad_trajectory_memory_rejected_before_any_output(tmp_path, capsys)
     raw["system"]["n_sites"] = 80
     with pytest.raises(ConfigError, match="system.n_sites"):
         config_from_dict(copy.deepcopy(raw))
+    # over 10^6 steps the propagated (n_t, N^2) states and the artifact
+    # dominate: 20 sites need about 7.7 GB
+    long_run = copy.deepcopy(raw)
+    long_run["engines"] = ["lindblad"]
+    long_run["system"]["n_sites"] = 20
+    long_run["time"] = {"t_max": 1000.0, "dt": 0.001}
+    with pytest.raises(ConfigError, match="system.n_sites"):
+        config_from_dict(long_run)
     path = tmp_path / "fig4-bottom.yaml"
     path.write_text(yaml.safe_dump(raw))
     out = tmp_path / "out-fig4-bottom"
@@ -434,6 +444,20 @@ def test_write_table_bytes(tmp_path):
     )
 
 
+def test_write_table_blocks_keep_the_bytes(tmp_path, monkeypatch):
+    # the writer formats rows block by block; block edges inside the table
+    # (3-row blocks over 7 rows of 5 sites) change no byte of the file
+    t = np.linspace(0.0, 0.6, 7)
+    occ = np.random.default_rng(3).random((7, 5))
+    whole = tmp_path / "whole_trajectory.csv"
+    harness._write_trajectory(whole, t, occ)
+    monkeypatch.setattr(harness, "_WRITE_BLOCK", 3)
+    blocked = tmp_path / "blocked_trajectory.csv"
+    harness._write_trajectory(blocked, t, occ)
+    assert blocked.read_bytes() == whole.read_bytes()
+    assert len(whole.read_bytes().splitlines()) == 1 + 7 * 5
+
+
 def test_compare_unresolved_widths(tmp_path):
     # two lines so close that the dip between them stays above half height
     w = np.linspace(-2.0, 2.0, 1001)
@@ -556,12 +580,18 @@ def test_exact_tls_size_checked_before_any_output(tmp_path, capsys):
 
 
 def test_kbe_memory_checked_before_any_output(tmp_path, capsys):
-    # the streamed two-time rows are sized at validation, naming time.t_max:
-    # a 40-site wide-band run over 10^5 steps is refused before any engine
-    # writes and before any large array exists
+    # the kbe working set and its trajectory artifact are sized at
+    # validation, naming time.t_max: a 100-site wide-band run over 10^6
+    # steps fits the cap in the integrator (1.6 GB) but not with its
+    # artifact (about 8 GB), so it is refused before any engine writes and
+    # before any large array exists; 20 sites fit
     raw = preset_config("fig4-bottom")
-    raw["system"]["n_sites"] = 40
-    raw["time"] = {"t_max": 100.0, "dt": 0.001}
+    raw["engines"] = ["kbe"]
+    raw["time"] = {"t_max": 1000.0, "dt": 0.001}
+    raw["system"]["n_sites"] = 20
+    config_from_dict(copy.deepcopy(raw))
+    raw["system"]["n_sites"] = 100
+    assert stream_bytes(100, 1_000_001) < MEMORY_CAP_BYTES
     path = tmp_path / "fig4-bottom.yaml"
     path.write_text(yaml.safe_dump(raw))
     out = tmp_path / "out-fig4-bottom"
@@ -726,6 +756,22 @@ def test_separated_peaks_are_all_found(centers):
     assert len(peaks) == len(centers)
     for got, want in zip(sorted(p.position for p in peaks), centers):
         assert got == pytest.approx(want, abs=0.05)
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry fails only at `import *`: resolve every name the
+    # package and each of its modules exports
+    modules = [
+        importlib.import_module(f"noisychain.{path.stem}")
+        for path in sorted(Path(noisychain.__file__).parent.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    exporting = [m for m in [noisychain, *modules] if hasattr(m, "__all__")]
+    assert len(exporting) >= 8
+    for module in exporting:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
 
 
 def test_import_leaves_out_signal_and_stats():

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 from noisychain.baths import TlsBath, sample_tls_bath
 from noisychain.errors import CapacityError
 from noisychain.harness import find_spectral_peaks
-from noisychain.kbe import (
-    InitialState,
-    equal_time_keldysh,
-    kbe_rows,
-    markov_self_energy,
-    tls_memory_self_energy,
-)
+from noisychain.kbe import equal_time_keldysh, markov_self_energy, tls_memory_self_energy
 from noisychain.lattice import FreqGrid, build_chain
 
 from kbe_oracle import analytic_gk, kbe_integrate, late_time_spectrum, occupations
@@ -26,8 +20,7 @@ def _lone_site():
 
 def test_markov_exponential_decay():
     gamma = 1.0
-    run = kbe_integrate(_lone_site(), markov_self_energy([gamma]),
-                        InitialState.single_site(1, 0), 2.0, 1e-3)
+    run = kbe_integrate(_lone_site(), markov_self_energy([gamma]), 0, 2.0, 1e-3)
     t = run.t_grid
     n, _ = occupations(run)
     assert np.max(np.abs(n[:, 0] - np.exp(-gamma * t))) < 1e-6
@@ -39,28 +32,25 @@ def test_markov_exponential_decay():
 def test_matches_commuting_closed_form():
     h = build_chain(3, 0.0, 1.0)
     rates = [0.3, 0.3, 0.3]
-    ini = InitialState.single_site(3, 0)
-    run = kbe_integrate(h, markov_self_energy(rates), ini, 2.0, 0.01)
+    run = kbe_integrate(h, markov_self_energy(rates), 0, 2.0, 0.01)
     m = run.n_times
     worst = 0.0
     for i, j in ((m - 1, m - 1), (m - 1, m // 2), (m // 2, m // 4), (m - 1, 0)):
-        ref = analytic_gk(h, rates, ini, run.t_grid[i], run.t_grid[j])
+        ref = analytic_gk(h, rates, 0, run.t_grid[i], run.t_grid[j])
         worst = max(worst, float(np.max(np.abs(run.keldysh_at(i, j) - ref))))
     assert worst < 1e-4
 
 
 def test_closed_form_requires_commuting_rates():
     h = build_chain(3, 0.0, 1.0)
-    ini = InitialState.single_site(3, 0)
     with pytest.raises(ValueError, match="commute"):
-        analytic_gk(h, [0.5, 0.1, 0.1], ini, 1.0, 0.5)
+        analytic_gk(h, [0.5, 0.1, 0.1], 0, 1.0, 0.5)
 
 
 def test_closed_form_time_ordering():
     h = build_chain(2, 0.0, 1.0)
-    ini = InitialState.single_site(2, 0)
-    a = analytic_gk(h, [0.2, 0.2], ini, 1.0, 0.4)
-    b = analytic_gk(h, [0.2, 0.2], ini, 0.4, 1.0)
+    a = analytic_gk(h, [0.2, 0.2], 0, 1.0, 0.4)
+    b = analytic_gk(h, [0.2, 0.2], 0, 0.4, 1.0)
     assert np.allclose(b, -a.conj().T, atol=1e-14)
 
 
@@ -68,8 +58,7 @@ def test_single_tls_rabi_oscillation():
     # one qubit resonant with one TLS: occupation cos^2(g t)
     h = build_chain(1, 1.0, 0.0, boundary="open")
     bath = TlsBath(levels=((1.0, 0.05),))
-    run = kbe_integrate(h, tls_memory_self_energy([bath]),
-                        InitialState.single_site(1, 0), 20.0, 0.01)
+    run = kbe_integrate(h, tls_memory_self_energy([bath]), 0, 20.0, 0.01)
     n, _ = occupations(run)
     assert np.max(np.abs(n[:, 0] - np.cos(0.05 * run.t_grid) ** 2)) < 5e-5
 
@@ -101,11 +90,10 @@ def test_kernel_envelope_tracks_flat_band():
 
 def test_empty_bath_matches_zero_rate():
     h = build_chain(2, 0.5, 1.0)
-    ini = InitialState.single_site(2, 0)
     mem = kbe_integrate(h, tls_memory_self_energy([TlsBath(levels=()),
                                                    TlsBath(levels=())]),
-                        ini, 1.0, 0.01)
-    mark = kbe_integrate(h, markov_self_energy([0.0, 0.0]), ini, 1.0, 0.01)
+                        0, 1.0, 0.01)
+    mark = kbe_integrate(h, markov_self_energy([0.0, 0.0]), 0, 1.0, 0.01)
     assert np.max(np.abs(mem.keldysh - mark.keldysh)) < 1e-8
     # closed system: total occupation conserved
     _, n_tot = occupations(mem)
@@ -115,59 +103,51 @@ def test_empty_bath_matches_zero_rate():
 def test_stability_guard():
     h = build_chain(1, 10.0, 0.0, boundary="open")
     with pytest.raises(ValueError, match="dt"):
-        kbe_integrate(h, markov_self_energy([0.1]),
-                      InitialState.single_site(1, 0), 10.0, 0.1)
+        kbe_integrate(h, markov_self_energy([0.1]), 0, 10.0, 0.1)
 
 
 def test_memory_capacity_guard():
-    # the streamed working set grows as m n (n + levels): a 40-site chain
-    # over 5 10^4 steps is refused when the stream is requested, before any
-    # row is built
+    # without memory only the (m, n) diagonal is kept: a 40-site chain over
+    # 5 10^7 steps (about 32 GB) is refused before any step
     h = build_chain(40, 0.0, 1.0)
     with pytest.raises(CapacityError, match="GB"):
-        kbe_rows(h, markov_self_energy([0.1] * 40),
-                 InitialState.single_site(40, 0), 1000.0, 0.02)
-    # levels count too: one site with a dense two-level ensemble
+        equal_time_keldysh(h, markov_self_energy([0.1] * 40), 0, 1e6, 0.02)
+    # the streamed memory rows grow as m n (n + levels): one site with a
+    # dense two-level ensemble over 2 10^4 steps is refused too
     h = build_chain(1, 2.0, 0.0, boundary="open")
     bath = sample_tls_bath(0.05, 4000, (1.5, 2.5), seed=1)
     with pytest.raises(CapacityError, match="GB"):
-        kbe_rows(h, tls_memory_self_energy([bath]),
-                 InitialState.single_site(1, 0), 400.0, 0.02)
+        equal_time_keldysh(h, tls_memory_self_energy([bath]), 0, 400.0, 0.02)
 
 
 def test_time_grid_validation():
     with pytest.raises(ValueError):
-        kbe_integrate(_lone_site(), markov_self_energy([0.1]),
-                      InitialState.single_site(1, 0), 1.05, 0.1)
+        kbe_integrate(_lone_site(), markov_self_energy([0.1]), 0, 1.05, 0.1)
     with pytest.raises(ValueError):
-        kbe_integrate(_lone_site(), markov_self_energy([0.1]),
-                      InitialState.single_site(1, 0), -1.0, 0.1)
+        kbe_integrate(_lone_site(), markov_self_energy([0.1]), 0, -1.0, 0.1)
 
 
 def test_stream_diagonal_matches_collected_plane():
-    # the harness keeps only the equal-time diagonal of the stream; it must
-    # be the diagonal of the full plane bit for bit, for both closures
+    # the equal-time diagonal must be the diagonal of the oracle's full
+    # plane bit for bit, for both closures: the Markov closure steps K(t, t)
+    # alone, the memory closure streams the rows the oracle collects
     h = build_chain(3, 0.5, 1.0, boundary="open")
-    ini = InitialState.single_site(3, 1)
     baths = [
         TlsBath(levels=((1.0, 0.1),)),
         None,
         TlsBath(levels=((0.8, 0.05), (1.2, 0.07), (1.6, 0.04))),
     ]
     for sigma in (markov_self_energy([0.3, 0.1, 0.2]), tls_memory_self_energy(baths)):
-        diag = equal_time_keldysh(h, sigma, ini, 2.0, 0.02)
-        plane = kbe_integrate(h, sigma, ini, 2.0, 0.02)
+        diag = equal_time_keldysh(h, sigma, 1, 2.0, 0.02)
+        plane = kbe_integrate(h, sigma, 1, 2.0, 0.02)
         idx = np.arange(plane.n_times)
-        assert diag.shape == (101, 3, 3)
-        assert np.array_equal(diag, plane.keldysh[idx, idx])
-        for i, (r_row, k_row) in enumerate(kbe_rows(h, sigma, ini, 2.0, 0.02)):
-            assert r_row.shape == k_row.shape == (i + 1, 3, 3)
+        assert diag.shape == (101, 3)
+        assert np.array_equal(diag, np.diagonal(plane.keldysh[idx, idx], axis1=1, axis2=2))
 
 
 def test_two_time_accessors():
     h = build_chain(2, 0.0, 1.0)
-    run = kbe_integrate(h, markov_self_energy([0.1, 0.1]),
-                        InitialState.single_site(2, 0), 1.0, 0.05)
+    run = kbe_integrate(h, markov_self_energy([0.1, 0.1]), 0, 1.0, 0.05)
     # retarded vanishes for t < t'; Keldysh mirrors anti-hermitially
     assert not np.any(run.retarded_at(3, 7))
     assert np.allclose(run.keldysh_at(3, 7), -run.keldysh_at(7, 3).conj().T,
@@ -176,8 +156,7 @@ def test_two_time_accessors():
 
 def test_occupations_stay_physical():
     h = build_chain(4, 1.0, 0.8)
-    run = kbe_integrate(h, markov_self_energy([0.2] * 4),
-                        InitialState.single_site(4, 1), 8.0, 0.02)
+    run = kbe_integrate(h, markov_self_energy([0.2] * 4), 1, 8.0, 0.02)
     n, n_tot = occupations(run)
     # excursions below zero sit at the integrator's O(dt^2) error scale
     assert np.all(n > -1e-4) and np.all(n < 1.0 + 1e-4)
@@ -188,8 +167,7 @@ def test_occupations_stay_physical():
 def test_late_time_spectrum_line():
     # relaxed single level: Lorentzian at the level, window-limited width
     gamma = 0.25
-    run = kbe_integrate(_lone_site(), markov_self_energy([gamma]),
-                        InitialState.single_site(1, 0), 40.0, 0.04)
+    run = kbe_integrate(_lone_site(), markov_self_energy([gamma]), 0, 40.0, 0.04)
     grid = FreqGrid(-2.0, 2.0, 801)
     spec = late_time_spectrum(run, grid)
     a = (1j * (spec.retarded - spec.advanced))[:, 0, 0].real
@@ -203,8 +181,7 @@ def test_late_time_spectrum_line():
 def test_late_time_distribution_handoff():
     # empty decay channels drain the site; the final slice then satisfies
     # the empty-band relation K = (G+ - G-), window broadening cancelling
-    run = kbe_integrate(_lone_site(), markov_self_energy([0.25]),
-                        InitialState.single_site(1, 0), 40.0, 0.04)
+    run = kbe_integrate(_lone_site(), markov_self_energy([0.25]), 0, 40.0, 0.04)
     grid = FreqGrid(-2.0, 2.0, 801)
     spec = late_time_spectrum(run, grid)
     diff = spec.keldysh - (spec.retarded - spec.advanced)
@@ -217,19 +194,22 @@ def test_narrow_band_crossover_to_markov():
     # qubit at the flat-band golden-rule rate
     h = build_chain(1, 2.5, 0.0, boundary="open")
     bath = sample_tls_bath(0.05, 200, (0.5, 4.5), seed=2)
-    run = kbe_integrate(h, tls_memory_self_energy([bath]),
-                        InitialState.single_site(1, 0), 16.0, 0.01)
+    run = kbe_integrate(h, tls_memory_self_energy([bath]), 0, 16.0, 0.01)
     n, _ = occupations(run)
     dev = np.max(np.abs(n[:, 0] - np.exp(-0.05 * run.t_grid)))
     assert dev < 0.05
 
 
 def test_initial_state_validation():
-    with pytest.raises(ValueError):
-        InitialState.single_site(3, 5)
-    ini = InitialState.single_site(3, 1)
-    occ = ini.occupation_matrix()
-    assert np.allclose(np.diag(occ), [0.0, 1.0, 0.0])
+    # the excitation must sit on the chain, checked before any step; at
+    # t = 0 it fills its site and leaves the others empty
+    h = build_chain(3, 0.0, 1.0)
+    for closure in (markov_self_energy([0.1] * 3), tls_memory_self_energy([None] * 3)):
+        for site in (-1, 3):
+            with pytest.raises(ValueError, match="outside chain"):
+                equal_time_keldysh(h, closure, site, 1.0, 0.01)
+        kel = equal_time_keldysh(h, closure, 1, 1.0, 0.01)
+        assert np.array_equal(0.5 * (1.0 + kel[0].imag), [0.0, 1.0, 0.0])
 
 
 @settings(max_examples=10, deadline=None)
@@ -240,8 +220,7 @@ def test_initial_state_validation():
 )
 def test_integrator_keeps_occupations_bounded(n, rate, site):
     h = build_chain(n, 0.5, 0.5)
-    run = kbe_integrate(h, markov_self_energy([rate] * n),
-                        InitialState.single_site(n, site % n), 2.0, 0.02)
+    run = kbe_integrate(h, markov_self_energy([rate] * n), site % n, 2.0, 0.02)
     occ, n_tot = occupations(run)
     assert np.all(occ > -1e-4) and np.all(occ < 1.0 + 1e-4)
     assert np.all(np.diff(n_tot) < 1e-10)

@@ -34,6 +34,19 @@ def _const_self_energy(grid, n, value):
     return SelfEnergy(grid=grid, retarded=diag, keldysh=-1j * (-2.0 * diag.imag))
 
 
+def _rates_to_self_energy(rates, thermal=None):
+    """Rebuild the site-diagonal self-energy shift - i*gamma/2 of a
+    RateFunction; thermal, if given, is the bath thermal factor on the grid
+    entering the Keldysh component -i*gamma*thermal (default: the empty-band
+    value 1)."""
+
+    sk_diag = -1j * rates.gamma
+    if thermal is not None:
+        sk_diag = sk_diag * np.asarray(thermal, dtype=float)[:, None]
+    return SelfEnergy(grid=rates.grid, retarded=rates.shift - 0.5j * rates.gamma,
+                      keldysh=sk_diag)
+
+
 def test_extract_rates_sign_convention():
     grid = FreqGrid(-1.0, 1.0, 21)
     sigma = _const_self_energy(grid, 1, 0.3 - 0.05j)
@@ -56,14 +69,14 @@ def test_rate_function_roundtrip():
     gamma = 0.2 + 0.1 * np.cos(grid.omegas)[:, None]
     shift = 0.05 * grid.omegas[:, None]
     rates = RateFunction(grid=grid, gamma=gamma, shift=shift)
-    back = extract_rates(rates.to_self_energy())
+    back = extract_rates(_rates_to_self_energy(rates))
     assert np.allclose(back.gamma, gamma, atol=1e-14)
     assert np.allclose(back.shift, shift, atol=1e-14)
     # default Keldysh part carries the empty-band thermal factor 1
-    sk = rates.to_self_energy().keldysh
+    sk = _rates_to_self_energy(rates).keldysh
     assert np.allclose(sk, -1j * gamma, atol=1e-14)
     tf = thermal_factor(grid.omegas, 2.0)
-    sk_t = rates.to_self_energy(thermal=tf).keldysh
+    sk_t = _rates_to_self_energy(rates, thermal=tf).keldysh
     assert np.allclose(sk_t, -1j * gamma * tf[:, None], atol=1e-14)
 
 
@@ -288,8 +301,9 @@ def test_dephasing_convolutions_match_direct_sums():
 def test_tls_embedding_single_pole():
     grid = FreqGrid(0.0, 2.0, 401)
     bath = TlsBath(levels=((1.0, 0.3),))
-    sigma = tls_embedding_self_energy([bath], grid, smearing=0.05)
-    expected = 0.09 / (grid.omegas - 1.0 + 0.05j)
+    sigma = tls_embedding_self_energy([bath], grid)
+    # the pole sits at +2i times the grid spacing
+    expected = 0.09 / (grid.omegas - 1.0 + 2.0 * grid.spacing * 1j)
     assert np.max(np.abs(sigma.retarded[:, 0] - expected)) < 1e-14
 
 

@@ -126,7 +126,8 @@ def test_diagonalize_gauge_is_deterministic():
 def test_eigendecomposition_reconstructs():
     h = build_chain(5, 0.3, 0.9, boundary="open")
     eig = diagonalize(h)
-    assert np.max(np.abs(eig.reconstruct() - h.matrix)) < 1e-12
+    u = eig.transform
+    assert np.max(np.abs((u * eig.energies) @ u.conj().T - h.matrix)) < 1e-12
 
 
 def test_freq_greens_shape_checks():

@@ -370,14 +370,12 @@ def test_exact_tls_rabi():
 
 
 def test_exact_tls_rejects_multi_excitation():
-    from noisychain.kbe import InitialState
-
+    # the one excitation must start on a chain site; refused before any solve
     h = build_chain(2, 1.0, 0.0, boundary="open")
-    # preparation hamiltonian -1 everywhere: a sharp Fermi sea fills both sites
-    ini = InitialState(ini_matrix=-np.eye(2))
-    with pytest.raises(ValueError, match="single-excitation"):
-        qme.exact_tls_evolve(h, [TlsBath(levels=()), TlsBath(levels=())], ini,
-                             np.linspace(0.0, 1.0, 11))
+    for site in (-1, 2):
+        with pytest.raises(ValueError, match="outside chain"):
+            qme.exact_tls_evolve(h, [TlsBath(levels=()), TlsBath(levels=())], site,
+                                 np.linspace(0.0, 1.0, 11))
 
 
 def test_generator_validation():
