@@ -1061,8 +1061,6 @@ def _canonical_config(cfg):
 
 
 def _versions():
-    import scipy
-
     try:
         own = importlib.metadata.version("noisychain")
     except importlib.metadata.PackageNotFoundError:
@@ -1070,9 +1068,28 @@ def _versions():
     return {
         "noisychain": own,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": importlib.metadata.version("scipy"),
         "python": platform.python_version(),
     }
+
+
+def _clear_previous_run(run_dir):
+    """Delete the files that the run dir's previous manifest names, and no other.
+
+    A rerun into the same directory with other settings (say, other sweep
+    widths) would otherwise leave the last run's artifacts beside the new
+    ones. Files the manifest does not list, and names that point outside
+    the run dir, are left alone.
+    """
+
+    try:
+        previous = json.loads((run_dir / "manifest.json").read_text())
+    except (FileNotFoundError, ValueError):
+        return
+    for name in previous.get("artifacts", []) if isinstance(previous, dict) else []:
+        path = run_dir / str(name)
+        if path.parent == run_dir and path.is_file():
+            path.unlink()
 
 
 def run_experiment(cfg, out_root=None, seed=None):
@@ -1091,6 +1108,7 @@ def run_experiment(cfg, out_root=None, seed=None):
     plan = _Plan(cfg)  # validates everything before any file is written
     run_dir = resolve_out_root(cfg.out, out_root) / cfg.name
     run_dir.mkdir(parents=True, exist_ok=True)
+    _clear_previous_run(run_dir)
 
     artifacts = {}  # file name -> kind, in the order the engines wrote them
     errors = {}

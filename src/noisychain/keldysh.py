@@ -9,9 +9,12 @@ retarded ones. The on-grid quadratures (noise convolutions and
 Kramers-Kronig shifts) are Toeplitz products, evaluated by FFT convolution.
 The dressed Green functions come from a direct Dyson solve,
 G^+ = (omega + i*eta - h - Sigma^+)^-1, for the rows of the requested
-sites only; its Keldysh component carries an explicit 2*eta boundary term
-at the system temperature so the bare limit is recovered exactly when the
-self-energy vanishes.
+sites only. It runs on the chain's band structure, a tridiagonal h plus
+two ring corners: Thomas elimination over the open chain, vectorized over
+frequencies, and one Schur complement that closes the ring. Its Keldysh
+component carries an explicit 2*eta boundary term at the system
+temperature so the bare limit is recovered exactly when the self-energy
+vanishes.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ __all__ = [
 ]
 
 RATE_FLOOR = -1e-10
-# frequencies per batched Dyson solve: 512 (n, n) systems stay a few MB at n = 40
-DYSON_BLOCK = 512
 
 
 @dataclass
@@ -318,6 +319,26 @@ def tls_embedding_self_energy(baths, grid):
     return SelfEnergy(grid=grid, retarded=sr_diag, keldysh=sk_diag)
 
 
+def _chain_couplings(h):
+    """Hoppings of A = -h^T, the off-diagonal part of omega + i*eta - h^T - Sigma^+.
+
+    Returns (sub, sup, col, row) for the open chain of sites 0..N-2 and the
+    closing site N-1: sub[i] = A[i+1, i] and sup[i] = A[i, i+1] inside the open
+    chain, col = A[:N-1, N-1] and row = A[N-1, :N-1]. h must be tridiagonal
+    plus the two ring corners (0, N-1) and (N-1, 0), which is every chain
+    build_chain makes, hopping phases allowed; anything else is refused.
+    """
+
+    n = h.n_sites
+    i, j = np.nonzero(h.matrix)
+    reach = np.abs(i - j)
+    if np.any((reach > 1) & (reach != n - 1)):
+        raise ValueError("dyson_solve needs a chain: h tridiagonal plus the two ring corners")
+    a = -h.matrix.T
+    m = n - 1
+    return np.diagonal(a, -1)[: m - 1], np.diagonal(a, 1)[: m - 1], a[:m, m], a[m, :m]
+
+
 def dyson_solve(h, beta_sys, sigma, sites=None):
     """Dressed Green functions of the chain h under a site-diagonal self-energy.
 
@@ -331,10 +352,23 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
     Only the entries between `sites` (default: every site) are returned, as
     (n_points, s, s) arrays indexed by position in `sites`. They need only
     the rows G^+_i. of those sites, which solve the transposed system
-    (omega + i*eta - h^T - Sigma^+) y = e_i; Sigma is diagonal, so this
-    holds for any hermitian h. The solve runs on blocks of DYSON_BLOCK
-    frequencies, so no (n_points, n, n) array is built. A vanishing
-    self-energy returns ideal_greens(h, beta_sys, grid, sites) itself.
+    A y = e_i with A = omega + i*eta - h^T - Sigma^+. h must be a chain,
+    tridiagonal plus the two ring corners (hopping phases allowed); any other
+    h raises ValueError. The solve uses that band structure: Thomas
+    elimination, vectorized over frequencies, on the open chain of sites
+    0..N-2, with the s unit vectors and the ring's coupling column A[:N-1, N-1]
+    as right-hand sides, then one Schur complement on site N-1 closes the
+    ring. Work and memory are O(n_points * N * (s + 1)); no (n_points, N, N)
+    array is built when s < N.
+
+    Nothing is pivoted, and that is safe for causal self-energies: with
+    Im Sigma^+ <= 0 and eta > 0 the anti-hermitian part of A, and of every
+    leading block of it, is diagonal and positive definite, so no leading
+    block is singular and no pivot, nor the Schur complement, can vanish.
+    A zero or non-finite pivot or Schur complement, which only a
+    non-causal Sigma^+ can produce, raises SingularFrequencyError at the
+    first such frequency. A vanishing self-energy returns
+    ideal_greens(h, beta_sys, grid, sites) itself.
     """
 
     grid = sigma.grid
@@ -342,36 +376,54 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
         raise ValueError("site counts disagree")
     if sites is not None and not all(0 <= i < h.n_sites for i in sites):
         raise ValueError("sites must lie on the chain")
+    sub, sup, col, row = _chain_couplings(h)
     if not (np.any(sigma.retarded) or np.any(sigma.keldysh)):
         return ideal_greens(h, beta_sys, grid, sites)
 
     sites = list(range(h.n_sites)) if sites is None else list(sites)
     w = grid.omegas
-    n, s = h.n_sites, len(sites)
-    unit = np.zeros((n, s))
-    unit[sites, np.arange(s)] = 1.0
+    n, s, m = h.n_sites, len(sites), h.n_sites - 1
+    # diag[i] = A[i, i] per frequency, sites first so each row is contiguous
+    z = (w + 1j * grid.eta)[:, None]
+    diag = np.ascontiguousarray((z - np.diagonal(h.matrix) - sigma.retarded).T)
+    # x[i, :, a] is G^+_{sites[a], i}; x[:m, :, s] works on B^-1 col, where B
+    # is the open-chain block A[:m, :m]
+    x = np.zeros((n, grid.n_points, s + 1), dtype=complex)
+    x[sites, :, np.arange(s)] = 1.0
+    x[:m, :, s] = col[:, None]
+    inv = np.empty((m, grid.n_points), dtype=complex)  # inverse pivots
+    # a zero pivot or Schur complement divides by zero, and a non-finite one
+    # is itself inf or nan; either leaves non-finite entries in y at that
+    # frequency, and frequencies never mix, so one finiteness check on y
+    # reports all three
+    with np.errstate(all="ignore"):
+        for i in range(m):
+            pivot = diag[i]
+            if i:
+                f = sub[i - 1] * inv[i - 1]
+                pivot = pivot - f * sup[i - 1]
+                x[i] -= f[:, None] * x[i - 1]
+            inv[i] = 1.0 / pivot
+        for i in range(m - 1, -1, -1):
+            if i < m - 1:
+                x[i] -= sup[i] * x[i + 1]
+            x[i] *= inv[i][:, None]
+        # close the ring: the Schur complement of B on site N-1 (row has at
+        # most two nonzeros; at N = 1 there is no open chain and A is its own
+        # Schur complement, at N = 2 col and row are the single bond)
+        near = np.flatnonzero(row)
+        coupled = np.tensordot(row[near], x[near], axes=1)  # row . B^-1 (units, col)
+        schur = diag[m] - coupled[:, s]
+        x[m, :, :s] = (x[m, :, :s] - coupled[:, :s]) / schur[:, None]
+        x[:m, :, :s] -= x[:m, :, s, None] * x[m, None, :, :s]
+        y = x[:, :, :s]
+        bad = ~np.isfinite(y).all(axis=(0, 2))
+    if np.any(bad):
+        raise SingularFrequencyError(w[int(np.argmax(bad))])
+    rows = y.transpose(1, 2, 0)  # rows[:, a, :] is the row G^+_{sites[a], .}
     kern = sigma.keldysh - (2j * grid.eta * thermal_factor(w, beta_sys))[:, None]
-    gr = np.empty((grid.n_points, s, s), dtype=complex)
-    gk = np.empty_like(gr)
-    for start in range(0, grid.n_points, DYSON_BLOCK):
-        blk = slice(start, start + DYSON_BLOCK)
-        lhs_t = (w[blk] + 1j * grid.eta)[:, None, None] * np.eye(n) - h.matrix.T
-        np.einsum("wii->wi", lhs_t)[...] -= sigma.retarded[blk]
-        try:
-            y = np.linalg.solve(lhs_t, np.broadcast_to(unit, (lhs_t.shape[0], n, s)))
-        except np.linalg.LinAlgError:
-            for k in range(lhs_t.shape[0]):
-                try:
-                    np.linalg.solve(lhs_t[k], unit)
-                except np.linalg.LinAlgError:
-                    raise SingularFrequencyError(w[blk][k]) from None
-            raise
-        bad = ~np.isfinite(y).all(axis=(1, 2))
-        if np.any(bad):
-            raise SingularFrequencyError(w[blk][int(np.argmax(bad))])
-        rows = np.swapaxes(y, 1, 2)  # rows[:, a, :] is the row G^+_{sites[a], .}
-        gr[blk] = rows[:, :, sites]
-        gk[blk] = (rows * kern[blk, None, :]) @ np.conj(y)
+    gr = rows[:, :, sites]
+    gk = (rows * kern[:, None, :]) @ np.conj(y.transpose(1, 0, 2))
     return FreqGreens(grid=grid, retarded=gr, keldysh=gk)
 
 

@@ -533,6 +533,39 @@ def test_rerun_bodies_are_byte_identical(tmp_path):
         assert (r1.run_dir / fname).read_bytes() == (r2.run_dir / fname).read_bytes()
 
 
+def test_rerun_clears_only_the_previous_artifacts(tmp_path):
+    # a sweep over two widths, then over two others, into one out root: only
+    # the second run's spectra stay, next to a file no manifest names
+    raw = {
+        "version": 1,
+        "name": "sw",
+        "system": {"n_sites": 4, "onsite": 2.0, "hopping": 1.0},
+        "bath": {"kind": "ohmic", "cutoff": 800.0, "temperature": 300.0},
+        "engines": ["keldysh"],
+        "grid": {"omega_min": 0.0, "omega_max": 4.0, "n_points": 401,
+                 "pairs": [[0, 0]]},
+        "sweep": {"gamma2": [0.05, 0.1]},
+    }
+    first = run_experiment(config_from_dict(copy.deepcopy(raw)), out_root=tmp_path)
+    assert "keldysh_spectra_gamma2_0.05.csv" in first.artifacts
+    (first.run_dir / "notes.txt").write_text("kept\n")
+    raw["sweep"]["gamma2"] = [0.2, 0.4]
+    second = run_experiment(config_from_dict(raw), out_root=tmp_path)
+    assert second.run_dir == first.run_dir
+    on_disk = sorted(p.name for p in second.run_dir.iterdir())
+    assert on_disk == sorted(second.artifacts + ["manifest.json", "notes.txt"])
+    assert second.artifacts == [
+        "keldysh_spectra_gamma2_0.2.csv", "keldysh_spectra_gamma2_0.4.csv", "peak_counts.csv"
+    ]
+    assert (second.run_dir / "notes.txt").read_text() == "kept\n"
+    # the previous report goes with the artifacts it compared
+    both = run_experiment(config_from_dict(_tiny_trajectory_config()), out_root=tmp_path)
+    assert "report.json" in json.loads((both.run_dir / "manifest.json").read_text())["artifacts"]
+    alone = run_experiment(config_from_dict(_tiny_trajectory_config(engines=["kbe"])),
+                           out_root=tmp_path)
+    assert sorted(p.name for p in alone.run_dir.iterdir()) == ["kbe_trajectory.csv", "manifest.json"]
+
+
 def test_partial_engine_failure_keeps_artifacts(tmp_path, monkeypatch):
     def out_of_room(*args, **kwargs):
         raise CapacityError("no room for the exact solver")
