@@ -14,9 +14,10 @@ dK/dt = A K + K A^dag - i Gamma with A = -i h - Gamma/2, so K(t, t) is
 stepped alone: O(n^3) work per step and an (n_times, n) output. With memory
 its slope reads the whole two-time history, so the retarded and Keldysh
 rows X(t_i, t_j), j <= i, are streamed, keeping only what the next step
-reads: the top row, column 0 and the exponential-sum accumulators. Working
-memory then grows as (t_max/dt) * n * (n + bath levels), not as
-(t_max/dt)^2. Jobs whose working set (`stream_bytes`) would exceed a few
+reads: the top row, row 0 of its conjugation mirrors and the exponential-sum
+accumulators, all in one (site, time, column) layout with the sites stacked.
+Working memory then grows as (t_max/dt) * n^2 * (1 + levels per site), not
+as (t_max/dt)^2. Jobs whose working set (`stream_bytes`) would exceed a few
 gigabytes are refused before any step rather than left to swap.
 """
 
@@ -79,6 +80,12 @@ class MemorySelfEnergy:
     def n_sites(self):
         return len(self.baths)
 
+    @property
+    def levels(self):
+        """Level axis of the stacked memory core: the largest per-site level
+        count, at least one (sites with fewer get zero-weight levels)."""
+        return max([1] + [b.energies.size for b in self.baths if b is not None])
+
     def kernels(self, dt, n_lags):
         """Site-diagonal kernels on the lag grid: (retarded, keldysh)."""
 
@@ -132,19 +139,20 @@ def _n_times(t_max, dt):
 def stream_bytes(n_sites, n_times, n_levels=None):
     """Working-set estimate of `equal_time_keldysh` in bytes.
 
-    n_levels is the total bath level count of a memory closure, None for the
-    Markov closure. The Markov closure holds the complex (n_times, n) output
-    and about 11 complex (n, n) scratch matrices (K, the two slopes and the
-    matmul temporaries). The memory core streams two-time rows: about 18
-    complex (n_times, n, n) planes (column 0, the top row, its slopes,
-    predictor, corrector and memory sums) plus 5 + 3/n complex
-    (n_times, n, levels) tables (the three accumulators, two of them
-    double-buffered, the per-site temporaries and the phase table).
-    Measured with tracemalloc: the output plus 10.5 to 11.8 scratch
-    matrices at n = 10 to 80 with 101 and 2001 times (a few kB of fixed
-    overhead at smaller n); 22.1 planes at n = 20 and 40 with one level per
-    site; 8.1, 6.5 and 5.8 tables at n = 1, 2 and 5 with 100 to 400 levels
-    per site.
+    n_levels is n times the padded level axis (`MemorySelfEnergy.levels`)
+    of a memory closure, None for the Markov closure. The Markov closure
+    holds the complex (n_times, n) output and about 11 complex (n, n)
+    scratch matrices (K, the two slopes and the matmul temporaries). The
+    memory core streams two-time rows: about 16 complex (n_times, n, n)
+    planes (row 0 of the mirrors, the top row, its slopes, predictor,
+    corrector and memory sums) plus 5 + 1/n complex (n_times, n, n_levels)
+    tables (the accumulators, two double-buffered, and the phase table).
+    Measured with tracemalloc: the output plus 10.5 to 11.8 scratch matrices
+    at n = 10 to 80 with 101 and 2001 times; 16.0 to 16.3 planes at n = 10,
+    20 and 40 with one level per site; 6.2 to 6.8, 5.7 to 5.8 and 5.3 to 5.4
+    tables at n = 1, 2 and 5 with 100 to 400 levels per site. The peak is
+    0.58 to 0.74 of the rule there, 0.71 on fig4-top and 0.89 on one site
+    with one level.
     """
 
     if n_levels is None:
@@ -176,7 +184,7 @@ def _start(h, sigma, site, t_max, dt):
     m = _n_times(t_max, dt)
     check_step(h, sigma, dt)
     markov = isinstance(sigma, MarkovSelfEnergy)
-    levels = None if markov else sum(b.energies.size for b in sigma.baths if b is not None)
+    levels = None if markov else n * sigma.levels
     need = stream_bytes(n, m, levels)
     if need > MEMORY_CAP_BYTES:
         raise CapacityError(
@@ -236,40 +244,49 @@ def _memory_rows(hm, sigma, f0, m, dt):
 
     # The kernels are exact exponential sums over bath levels, so each
     # trapezoid memory sum obeys a one-step recurrence in the top time and
-    # the history is never rescanned: O(m^2) work instead of O(m^3).
-    eps, wr, wk = [], [], []
-    for bath in sigma.baths:
-        if bath is None or not bath.energies.size:
-            eps.append(np.zeros(0))
-            wr.append(np.zeros(0, dtype=complex))
-            wk.append(np.zeros(0, dtype=complex))
+    # the history is never rescanned: O(m^2) work instead of O(m^3). Sites
+    # are stacked, each padded to the level axis with zero-weight levels.
+    lv = sigma.levels
+    eps = np.zeros((n, lv))
+    wr = np.zeros((n, lv), dtype=complex)
+    wk = np.zeros((n, lv), dtype=complex)
+    for a, bath in enumerate(sigma.baths):
+        if bath is None:
             continue
+        k = bath.energies.size
         gsq = bath.couplings**2
         beta_b = inverse_temperature(bath.temperature)
         hole = 1.0 - 2.0 * fermi_occupation(bath.energies, beta_b)
-        eps.append(bath.energies)
-        wr.append(-1j * gsq)
-        wk.append(-1j * gsq * hole)
-    dphase = [np.exp(-1j * e * dt) for e in eps]
-    tphase = [np.exp(1j * np.outer(t_grid, e)) for e in eps]  # (m, levels)
+        eps[a, :k] = bath.energies
+        wr[a, :k] = -1j * gsq
+        wk[a, :k] = -1j * gsq * hole
+    dphase = np.exp(-1j * eps * dt)[:, :, None, None]
+    tphase = np.exp(1j * (t_grid[None, :, None] * eps[:, None, :]))  # (n, m, levels)
 
-    # column 0, the only history the trapezoid edge terms read:
-    # col_r[u] = R(t_u, 0), col_k[u] = K(t_u, 0)
-    col_r = np.zeros((m, n, n), dtype=complex)
-    col_k = np.zeros((m, n, n), dtype=complex)
-
-    # accumulators, per site a, shape (levels, m, n):
-    #   p1[a][s, j] = sum_{u=j..r} e^{-i eps_s (t_r - t_u)} R(t_u, t_j)[a, :]
-    #   qk[a][s, j] = sum_{u=0..r} e^{+i eps_s t_u}        K(t_u, t_j)[a, :]
-    #   g3[a][s, j] = sum_{u=0..j} e^{+i eps_s t_u} R(t_j, t_u)^dag [a, :]
+    # Rows are stored as X[a, j, c] = X(t_r, t_j)[a, c]. The accumulators
+    # share that layout behind a level axis, shape (n, levels, m, n):
+    #   p1[a, s, j] = sum_{u=j..r} e^{-i eps_s (t_r - t_u)} R(t_u, t_j)[a, :]
+    #   qk[a, s, j] = sum_{u=0..r} e^{+i eps_s t_u}        K(t_u, t_j)[a, :]
+    #   g3[a, s, j] = sum_{u=0..j} e^{+i eps_s t_u} R(t_j, t_u)^dag [a, :]
     # p1 and qk track the top row r and are double-buffered so the corrector
     # can rebuild from the committed state; g3 freezes once column j is born.
+    # Row 0 of the conjugation mirrors, the only history the trapezoid edge
+    # terms read, is kept in the same layout:
+    #   k0[a, u] = K(t_0, t_u)[a, :] = -K(t_u, 0)^dag[a, :]
+    #   ga0[a, u] = GA(t_0, t_u)[a, :] = R(t_u, 0)^dag[a, :]
     def blank():
-        return [np.zeros((eps[a].size, m, n), dtype=complex) for a in range(n)]
+        return np.zeros((n, lv, m, n), dtype=complex)
 
     acc_c = (blank(), blank())  # committed at the current top time
     acc_s = (blank(), blank())  # scratch for the tentative next row
     g3 = blank()
+    k0 = np.zeros((n, m, n), dtype=complex)
+    ga0 = np.zeros((n, m, n), dtype=complex)
+    diag = np.arange(n)
+
+    def store_column0(rows_r, rows_k, u):
+        k0[:, u] = -np.conj(rows_k[:, 0].T)
+        ga0[:, u] = np.conj(rows_r[:, 0].T)
 
     def advance(src, dst, rows_r, rows_k, r1):
         # move the committed sums at row r1 - 1 up to row r1 using the new
@@ -278,95 +295,78 @@ def _memory_rows(hm, sigma, f0, m, dt):
         # K[u, r1] = -K(t_r1, t_u)^dag
         p1s, qks = src
         p1d, qkd = dst
-        gcol = np.conj(np.swapaxes(rows_r, 1, 2))
-        kcol = -np.conj(np.swapaxes(rows_k[:r1], 1, 2))
-        for a in range(n):
-            if not eps[a].size:
-                continue
-            ph_new = tphase[a][r1]
-            p1d[a][:, :r1] = (
-                dphase[a][:, None, None] * p1s[a][:, :r1] + rows_r[None, :r1, a, :]
-            )
-            p1d[a][:, r1] = -1j * eye[None, a, :]
-            qkd[a][:, : r1 + 1] = (
-                qks[a][:, : r1 + 1] + ph_new[:, None, None] * rows_k[None, :, a, :]
-            )
-            qkd[a][:, r1] = (
-                tphase[a][:r1].T @ kcol[:, a, :] + ph_new[:, None] * rows_k[r1, a, :]
-            )
-            g3[a][:, r1] = tphase[a][: r1 + 1].T @ gcol[:, a, :]
+        gcol = np.conj(rows_r.transpose(2, 1, 0))
+        kcol = -np.conj(rows_k[:, :r1].transpose(2, 1, 0))
+        ph_new = tphase[:, r1]
+        # products land in the destination, so no table-sized temporary
+        np.multiply(dphase, p1s[:, :, :r1], out=p1d[:, :, :r1])
+        p1d[:, :, :r1] += rows_r[:, None, :r1]
+        p1d[:, :, r1] = -1j * eye[:, None, :]
+        np.multiply(ph_new[:, :, None, None], rows_k[:, None], out=qkd[:, :, : r1 + 1])
+        qkd[:, :, : r1 + 1] += qks[:, :, : r1 + 1]
+        qkd[:, :, r1] = (
+            tphase[:, :r1].swapaxes(1, 2) @ kcol + ph_new[:, :, None] * rows_k[:, r1, None, :]
+        )
+        g3[:, :, r1] = tphase[:, : r1 + 1].swapaxes(1, 2) @ gcol
+
+    def contract(w, acc, r):
+        return (w[:, None, :] @ acc[:, :, : r + 1].reshape(n, lv, -1)).reshape(n, r + 1, n)
 
     def deriv(r, acc, rrow, krow):
         p1, qk = acc
-        srd = srf[r::-1]  # srd[u] = kernel at lag r - u
-        skd = skf[r::-1]
-        t1 = np.zeros((r + 1, n, n), dtype=complex)
-        t2 = np.zeros_like(t1)
-        t3 = np.zeros_like(t1)
-        for a in range(n):
-            if not eps[a].size:
-                continue
-            cph = np.conj(tphase[a][r])
-            t1[:, a, :] = np.tensordot(wr[a], p1[a][:, : r + 1], axes=(0, 0))
-            t2[:, a, :] = np.tensordot(wr[a] * cph, qk[a][:, : r + 1], axes=(0, 0))
-            t3[:, a, :] = np.tensordot(wk[a] * cph, g3[a][:, : r + 1], axes=(0, 0))
+        cph = np.conj(tphase[:, r])
+        t1 = contract(wr, p1, r)
+        t2 = contract(wr * cph, qk, r)
+        t3 = contract(wk * cph, g3, r)
         t1 *= dt
         t2 *= dt
         t3 *= dt
         # the uniform-weight sums above need trapezoid edge fixes: half the
         # u = j term of t1 (R diagonal is -i) and half its u = r term; both
-        # edges of t2; the u = 0 and u = j (GA diagonal +i) edges of t3
-        d1 = t1.reshape(r + 1, n * n)[:, :: n + 1]
-        d1 += 0.5j * dt * srd
-        t1 -= 0.5 * dt * srf[0][None, :, None] * rrow
-        k0row = -np.conj(np.swapaxes(col_k[: r + 1], 1, 2))
-        ga0row = np.conj(np.swapaxes(col_r[: r + 1], 1, 2))
-        t2 -= 0.5 * dt * srf[r][None, :, None] * k0row
-        t2 -= 0.5 * dt * srf[0][None, :, None] * krow
-        t3 -= 0.5 * dt * skf[r][None, :, None] * ga0row
-        d3 = t3.reshape(r + 1, n * n)[:, :: n + 1]
-        d3 -= 0.5j * dt * skd
-        dr = -1j * (np.matmul(hm, rrow) + t1)
-        dk = -1j * (np.matmul(hm, krow) + t2 + t3)
+        # edges of t2; the u = 0 and u = j (GA diagonal +i) edges of t3.
+        # The diagonal edges t[a, j, a] take the kernel at lag r - j
+        t1[diag, :, diag] += (0.5j * dt * srf[r::-1]).T
+        t1 -= 0.5 * dt * srf[0][:, None, None] * rrow
+        t2 -= 0.5 * dt * srf[r][:, None, None] * k0[:, : r + 1]
+        t2 -= 0.5 * dt * srf[0][:, None, None] * krow
+        t3 -= 0.5 * dt * skf[r][:, None, None] * ga0[:, : r + 1]
+        t3[diag, :, diag] -= (0.5j * dt * skf[r::-1]).T
+        dr = -1j * ((hm @ rrow.reshape(n, -1)).reshape(rrow.shape) + t1)
+        dk = -1j * ((hm @ krow.reshape(n, -1)).reshape(krow.shape) + t2 + t3)
         return dr, dk
 
     # t = 0 seeds
-    rrow = (-1j * eye)[None]
-    krow = (-1j * (eye - 2.0 * f0))[None]
-    col_r[0] = rrow[0]
-    col_k[0] = krow[0]
-    for a in range(n):
-        if eps[a].size:
-            acc_c[0][a][:, 0] = -1j * eye[None, a, :]
-            acc_c[1][a][:, 0] = krow[0, a][None, :]
-            g3[a][:, 0] = 1j * eye[None, a, :]
-    yield rrow, krow
+    rrow = (-1j * eye)[:, None]
+    krow = (-1j * (eye - 2.0 * f0))[:, None]
+    store_column0(rrow, krow, 0)
+    acc_c[0][:, :, 0] = -1j * eye[:, None, :]
+    acc_c[1][:, :, 0] = krow
+    g3[:, :, 0] = 1j * eye[:, None, :]
+    yield rrow.swapaxes(0, 1), krow.swapaxes(0, 1)
 
     for i in range(m - 1):
         dr1, dk1 = deriv(i, acc_c, rrow, krow)
-        fd1 = dk1[i] - dk1[i].conj().T
+        fd1 = dk1[:, i] - dk1[:, i].conj().T
         # predictor rows at t_{i+1}
-        rp = np.empty((i + 2, n, n), dtype=complex)
-        rp[: i + 1] = rrow + dt * dr1
-        rp[i + 1] = -1j * eye
+        rp = np.empty((n, i + 2, n), dtype=complex)
+        rp[:, : i + 1] = rrow + dt * dr1
+        rp[:, i + 1] = -1j * eye
         kp = np.empty_like(rp)
-        kp[: i + 1] = krow + dt * dk1
-        kp[i + 1] = krow[i] + dt * fd1
-        col_r[i + 1] = rp[0]
-        col_k[i + 1] = kp[0]
+        kp[:, : i + 1] = krow + dt * dk1
+        kp[:, i + 1] = krow[:, i] + dt * fd1
+        store_column0(rp, kp, i + 1)
         advance(acc_c, acc_s, rp, kp, i + 1)
         # corrector re-evaluates the slope on the predicted top row
         dr2, dk2 = deriv(i + 1, acc_s, rp, kp)
-        fd2 = dk2[i + 1] - dk2[i + 1].conj().T
+        fd2 = dk2[:, i + 1] - dk2[:, i + 1].conj().T
         rc = np.empty_like(rp)
-        rc[: i + 1] = rrow + 0.5 * dt * (dr1 + dr2[: i + 1])
-        rc[i + 1] = -1j * eye
+        rc[:, : i + 1] = rrow + 0.5 * dt * (dr1 + dr2[:, : i + 1])
+        rc[:, i + 1] = -1j * eye
         kc = np.empty_like(rp)
-        kc[: i + 1] = krow + 0.5 * dt * (dk1 + dk2[: i + 1])
-        kc[i + 1] = krow[i] + 0.5 * dt * (fd1 + fd2)
-        col_r[i + 1] = rc[0]
-        col_k[i + 1] = kc[0]
+        kc[:, : i + 1] = krow + 0.5 * dt * (dk1 + dk2[:, : i + 1])
+        kc[:, i + 1] = krow[:, i] + 0.5 * dt * (fd1 + fd2)
+        store_column0(rc, kc, i + 1)
         advance(acc_c, acc_s, rc, kc, i + 1)
         acc_c, acc_s = acc_s, acc_c
         rrow, krow = rc, kc
-        yield rrow, krow
+        yield rrow.swapaxes(0, 1), krow.swapaxes(0, 1)

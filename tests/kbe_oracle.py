@@ -4,7 +4,9 @@ noisychain.kbe returns only the equal-time Keldysh diagonal. kbe_integrate
 runs the full two-time equations of motion instead and collects them into
 the lower-triangle planes of TwoTimeGreens, so tests can check any point of
 them: the Markov rows by the brute-force row stepper below, the memory rows
-by the integrator's own streamed core. analytic_gk is the closed form the
+by the integrator's own streamed core. per_site_memory_rows is that core as
+it ran before its sites were stacked into one array, kept as the reference
+the stacked core must reproduce. analytic_gk is the closed form the
 integrator converges to when the decay rates commute with the chain, and
 late_time_spectrum turns the final-time slice of a run into
 frequency-domain functions through a tapered Fourier sum.
@@ -17,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from noisychain.baths import inverse_temperature
 from noisychain.kbe import MarkovSelfEnergy, _memory_rows, _start
-from noisychain.lattice import FreqGreens
+from noisychain.lattice import FreqGreens, fermi_occupation
 
 
 @dataclass
@@ -182,3 +185,152 @@ def late_time_spectrum(greens, grid):
         half_k[start:stop] = (phase @ flat_k).reshape(stop - start, n, n)
     kel = half_k - np.conj(np.swapaxes(half_k, 1, 2))
     return FreqGreens(grid=grid, retarded=ret, keldysh=kel)
+
+
+def per_site_memory_rows(hm, sigma, f0, m, dt):
+    """The memory core as it ran before the site-stacked layout: per-site
+    accumulators of shape (levels, m, n), one tensordot per site and memory
+    term, column 0 kept as full matrices and mirrored on every slope. Rows
+    are yielded as kbe._memory_rows yields them, shape (i + 1, n, n)."""
+
+    n = hm.shape[0]
+    eye = np.eye(n, dtype=complex)
+    srf, skf = sigma.kernels(dt, m)
+    t_grid = np.arange(m) * dt
+
+    # The kernels are exact exponential sums over bath levels, so each
+    # trapezoid memory sum obeys a one-step recurrence in the top time and
+    # the history is never rescanned: O(m^2) work instead of O(m^3).
+    eps, wr, wk = [], [], []
+    for bath in sigma.baths:
+        if bath is None or not bath.energies.size:
+            eps.append(np.zeros(0))
+            wr.append(np.zeros(0, dtype=complex))
+            wk.append(np.zeros(0, dtype=complex))
+            continue
+        gsq = bath.couplings**2
+        beta_b = inverse_temperature(bath.temperature)
+        hole = 1.0 - 2.0 * fermi_occupation(bath.energies, beta_b)
+        eps.append(bath.energies)
+        wr.append(-1j * gsq)
+        wk.append(-1j * gsq * hole)
+    dphase = [np.exp(-1j * e * dt) for e in eps]
+    tphase = [np.exp(1j * np.outer(t_grid, e)) for e in eps]  # (m, levels)
+
+    # column 0, the only history the trapezoid edge terms read:
+    # col_r[u] = R(t_u, 0), col_k[u] = K(t_u, 0)
+    col_r = np.zeros((m, n, n), dtype=complex)
+    col_k = np.zeros((m, n, n), dtype=complex)
+
+    # accumulators, per site a, shape (levels, m, n):
+    #   p1[a][s, j] = sum_{u=j..r} e^{-i eps_s (t_r - t_u)} R(t_u, t_j)[a, :]
+    #   qk[a][s, j] = sum_{u=0..r} e^{+i eps_s t_u}        K(t_u, t_j)[a, :]
+    #   g3[a][s, j] = sum_{u=0..j} e^{+i eps_s t_u} R(t_j, t_u)^dag [a, :]
+    # p1 and qk track the top row r and are double-buffered so the corrector
+    # can rebuild from the committed state; g3 freezes once column j is born.
+    def blank():
+        return [np.zeros((eps[a].size, m, n), dtype=complex) for a in range(n)]
+
+    acc_c = (blank(), blank())  # committed at the current top time
+    acc_s = (blank(), blank())  # scratch for the tentative next row
+    g3 = blank()
+
+    def advance(src, dst, rows_r, rows_k, r1):
+        # move the committed sums at row r1 - 1 up to row r1 using the new
+        # rows, and (re)build the sums of the column born at r1 from the
+        # conjugation mirrors GA[u, r1] = R(t_r1, t_u)^dag and
+        # K[u, r1] = -K(t_r1, t_u)^dag
+        p1s, qks = src
+        p1d, qkd = dst
+        gcol = np.conj(np.swapaxes(rows_r, 1, 2))
+        kcol = -np.conj(np.swapaxes(rows_k[:r1], 1, 2))
+        for a in range(n):
+            if not eps[a].size:
+                continue
+            ph_new = tphase[a][r1]
+            p1d[a][:, :r1] = (
+                dphase[a][:, None, None] * p1s[a][:, :r1] + rows_r[None, :r1, a, :]
+            )
+            p1d[a][:, r1] = -1j * eye[None, a, :]
+            qkd[a][:, : r1 + 1] = (
+                qks[a][:, : r1 + 1] + ph_new[:, None, None] * rows_k[None, :, a, :]
+            )
+            qkd[a][:, r1] = (
+                tphase[a][:r1].T @ kcol[:, a, :] + ph_new[:, None] * rows_k[r1, a, :]
+            )
+            g3[a][:, r1] = tphase[a][: r1 + 1].T @ gcol[:, a, :]
+
+    def deriv(r, acc, rrow, krow):
+        p1, qk = acc
+        srd = srf[r::-1]  # srd[u] = kernel at lag r - u
+        skd = skf[r::-1]
+        t1 = np.zeros((r + 1, n, n), dtype=complex)
+        t2 = np.zeros_like(t1)
+        t3 = np.zeros_like(t1)
+        for a in range(n):
+            if not eps[a].size:
+                continue
+            cph = np.conj(tphase[a][r])
+            t1[:, a, :] = np.tensordot(wr[a], p1[a][:, : r + 1], axes=(0, 0))
+            t2[:, a, :] = np.tensordot(wr[a] * cph, qk[a][:, : r + 1], axes=(0, 0))
+            t3[:, a, :] = np.tensordot(wk[a] * cph, g3[a][:, : r + 1], axes=(0, 0))
+        t1 *= dt
+        t2 *= dt
+        t3 *= dt
+        # the uniform-weight sums above need trapezoid edge fixes: half the
+        # u = j term of t1 (R diagonal is -i) and half its u = r term; both
+        # edges of t2; the u = 0 and u = j (GA diagonal +i) edges of t3
+        d1 = t1.reshape(r + 1, n * n)[:, :: n + 1]
+        d1 += 0.5j * dt * srd
+        t1 -= 0.5 * dt * srf[0][None, :, None] * rrow
+        k0row = -np.conj(np.swapaxes(col_k[: r + 1], 1, 2))
+        ga0row = np.conj(np.swapaxes(col_r[: r + 1], 1, 2))
+        t2 -= 0.5 * dt * srf[r][None, :, None] * k0row
+        t2 -= 0.5 * dt * srf[0][None, :, None] * krow
+        t3 -= 0.5 * dt * skf[r][None, :, None] * ga0row
+        d3 = t3.reshape(r + 1, n * n)[:, :: n + 1]
+        d3 -= 0.5j * dt * skd
+        dr = -1j * (np.matmul(hm, rrow) + t1)
+        dk = -1j * (np.matmul(hm, krow) + t2 + t3)
+        return dr, dk
+
+    # t = 0 seeds
+    rrow = (-1j * eye)[None]
+    krow = (-1j * (eye - 2.0 * f0))[None]
+    col_r[0] = rrow[0]
+    col_k[0] = krow[0]
+    for a in range(n):
+        if eps[a].size:
+            acc_c[0][a][:, 0] = -1j * eye[None, a, :]
+            acc_c[1][a][:, 0] = krow[0, a][None, :]
+            g3[a][:, 0] = 1j * eye[None, a, :]
+    yield rrow, krow
+
+    for i in range(m - 1):
+        dr1, dk1 = deriv(i, acc_c, rrow, krow)
+        fd1 = dk1[i] - dk1[i].conj().T
+        # predictor rows at t_{i+1}
+        rp = np.empty((i + 2, n, n), dtype=complex)
+        rp[: i + 1] = rrow + dt * dr1
+        rp[i + 1] = -1j * eye
+        kp = np.empty_like(rp)
+        kp[: i + 1] = krow + dt * dk1
+        kp[i + 1] = krow[i] + dt * fd1
+        col_r[i + 1] = rp[0]
+        col_k[i + 1] = kp[0]
+        advance(acc_c, acc_s, rp, kp, i + 1)
+        # corrector re-evaluates the slope on the predicted top row
+        dr2, dk2 = deriv(i + 1, acc_s, rp, kp)
+        fd2 = dk2[i + 1] - dk2[i + 1].conj().T
+        rc = np.empty_like(rp)
+        rc[: i + 1] = rrow + 0.5 * dt * (dr1 + dr2[: i + 1])
+        rc[i + 1] = -1j * eye
+        kc = np.empty_like(rp)
+        kc[: i + 1] = krow + 0.5 * dt * (dk1 + dk2[: i + 1])
+        kc[i + 1] = krow[i] + 0.5 * dt * (fd1 + fd2)
+        col_r[i + 1] = rc[0]
+        col_k[i + 1] = kc[0]
+        advance(acc_c, acc_s, rc, kc, i + 1)
+        acc_c, acc_s = acc_s, acc_c
+        rrow, krow = rc, kc
+        yield rrow, krow

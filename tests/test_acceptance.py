@@ -8,6 +8,7 @@ wall-clock ceilings, asserted only to catch runaway regressions.
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,12 +285,17 @@ def test_exact_reference_run_reports_deviation(tmp_path):
     assert result.reports, "expected cross-engine comparison reports"
     assert (result.run_dir / "report.json").exists()
     report = json.loads((result.run_dir / "report.json").read_text())
-    devs = [
-        m["value"]
+    devs = {
+        (Path(entry["file_a"]).name, Path(entry["file_b"]).name): m["value"]
         for entry in report
         for m in entry["metrics"]
         if m["name"] == "trajectory-deviation"
-    ]
-    assert devs and all(math.isfinite(v) for v in devs)
+    }
+    assert devs and all(math.isfinite(v) for v in devs.values())
+    # the memory kernel tracks the exact solve to its O(dt^2) error:
+    # measured 1.24e-4, bound with a 2x margin. The Markovian lindblad
+    # candidate misses the memory by design (0.19) and stays unbounded
+    assert devs["kbe_trajectory.csv", "exact_tls_trajectory.csv"] < 2.5e-4
+    assert ("kbe_trajectory.csv", "lindblad_trajectory.csv") in devs
     _assert_occupations_in_range(result)
     assert time.monotonic() - started < 600.0

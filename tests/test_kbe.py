@@ -1,21 +1,70 @@
 """Two-time integrator: decay laws, memory kernels, guards, late-time spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisychain import qme
 from noisychain.baths import TlsBath, sample_tls_bath
 from noisychain.errors import CapacityError
-from noisychain.harness import find_spectral_peaks
-from noisychain.kbe import equal_time_keldysh, markov_self_energy, tls_memory_self_energy
+from noisychain.harness import _Plan, config_from_dict, find_spectral_peaks
+from noisychain.kbe import (
+    MEMORY_CAP_BYTES,
+    _memory_rows,
+    _start,
+    equal_time_keldysh,
+    markov_self_energy,
+    stream_bytes,
+    tls_memory_self_energy,
+)
 from noisychain.lattice import FreqGrid, build_chain
+from noisychain.presets import preset_config
 
-from kbe_oracle import analytic_gk, kbe_integrate, late_time_spectrum, occupations
+from kbe_oracle import (
+    analytic_gk,
+    kbe_integrate,
+    late_time_spectrum,
+    occupations,
+    per_site_memory_rows,
+)
 
 
 def _lone_site():
     return build_chain(1, 0.0, 0.0, boundary="open")
+
+
+def _fig4_top(seed):
+    """Chain, memory closure, t_max and dt of fig4-top at TLS seed `seed`."""
+
+    raw = preset_config("fig4-top")
+    raw["seed"] = seed
+    plan = _Plan(config_from_dict(raw))
+    return plan.h, plan.kbe_sigma, raw["time"]["t_max"], raw["time"]["dt"]
+
+
+def _narrow_band():
+    # one qubit in a broad flat band of 200 weakly coupled levels
+    h = build_chain(1, 2.5, 0.0, boundary="open")
+    return h, sample_tls_bath(0.05, 200, (0.5, 4.5), seed=2)
+
+
+def _worst_row_gap(h, sigma, t_max, dt):
+    """Largest |stacked - per-site| over every retarded and Keldysh row of a
+    run exciting site 0; 0.0 means the two cores agree bit for bit."""
+
+    m, f0 = _start(h, sigma, 0, t_max, dt)
+    worst = 0.0
+    pairs = zip(_memory_rows(h.matrix, sigma, f0, m, dt),
+                per_site_memory_rows(h.matrix, sigma, f0, m, dt))
+    for (r_new, k_new), (r_ref, k_ref) in pairs:
+        assert r_new.shape == r_ref.shape and k_new.shape == k_ref.shape
+        if not (np.array_equal(r_new, r_ref) and np.array_equal(k_new, k_ref)):
+            worst = max(worst, float(np.max(np.abs(r_new - r_ref))),
+                        float(np.max(np.abs(k_new - k_ref))))
+    return worst
 
 
 def test_markov_exponential_decay():
@@ -192,12 +241,16 @@ def test_late_time_distribution_handoff():
 def test_narrow_band_crossover_to_markov():
     # broad flat band at weak coupling: structured environment relaxes the
     # qubit at the flat-band golden-rule rate
-    h = build_chain(1, 2.5, 0.0, boundary="open")
-    bath = sample_tls_bath(0.05, 200, (0.5, 4.5), seed=2)
+    h, bath = _narrow_band()
     run = kbe_integrate(h, tls_memory_self_energy([bath]), 0, 16.0, 0.01)
     n, _ = occupations(run)
     dev = np.max(np.abs(n[:, 0] - np.exp(-0.05 * run.t_grid)))
     assert dev < 0.05
+    # the exact single-excitation solve on the same 200 levels: the memory
+    # kernel tracks it to its O(dt^2) error (measured 5.7e-5, bound with a
+    # 1.75x margin), far inside the golden-rule gap above
+    exact = qme.exact_tls_evolve(h, [bath], 0, run.t_grid)
+    assert np.max(np.abs(n[:, 0] - exact.qubit_occupations[:, 0])) < 1e-4
 
 
 def test_initial_state_validation():
@@ -224,3 +277,58 @@ def test_integrator_keeps_occupations_bounded(n, rate, site):
     occ, n_tot = occupations(run)
     assert np.all(occ > -1e-4) and np.all(occ < 1.0 + 1e-4)
     assert np.all(np.diff(n_tot) < 1e-10)
+
+
+def test_stacked_core_matches_per_site_oracle():
+    # the site-stacked memory core reproduces the per-site core it replaced
+    # row for row. fig4-top at its 641 rows for the seed whose occupations
+    # dip furthest below zero, the first 161 rows at two more seeds; one
+    # qubit on 200 levels; all-None baths, whose level axis is kept one wide
+    h, sigma, t_max, dt = _fig4_top(286046148)
+    assert _worst_row_gap(h, sigma, t_max, dt) == 0.0
+    for seed in (42, 7):
+        h, sigma, _, dt = _fig4_top(seed)
+        assert _worst_row_gap(h, sigma, 2.5, dt) == 0.0
+    h, bath = _narrow_band()
+    assert _worst_row_gap(h, tls_memory_self_energy([bath]), 1.0, 0.01) == 0.0
+    chain = build_chain(3, 0.5, 1.0, boundary="open")
+    assert _worst_row_gap(chain, tls_memory_self_energy([None] * 3), 1.0, 0.01) == 0.0
+    # uneven level counts: site 0's single level is padded to three. The
+    # per-site core contracted it alone, the stacked core sums it with two
+    # zero-weight terms in one BLAS call, which rounds the complex products
+    # differently: this case agrees to roundoff (measured 1.6e-16), not bitwise
+    uneven = [
+        TlsBath(levels=((1.0, 0.1),)),
+        None,
+        TlsBath(levels=((0.8, 0.05), (1.2, 0.07), (1.6, 0.04))),
+    ]
+    assert _worst_row_gap(chain, tls_memory_self_energy(uneven), 2.0, 0.02) <= 1e-14
+
+
+def test_memory_rule_counts_padded_levels():
+    # the stacked core pads every site to the largest level count, so one
+    # dense site among 19 bare ones costs 20 dense sites: about 23 GB here,
+    # refused by the pre-step check, though its 4000 real levels alone
+    # would fit. The check is called alone so that a regression fails the
+    # test instead of allocating the job
+    h = build_chain(20, 2.0, 0.5, boundary="open")
+    baths = [sample_tls_bath(0.05, 4000, (1.5, 2.5), seed=1)] + [None] * 19
+    assert stream_bytes(20, 101, 4000) < MEMORY_CAP_BYTES
+    with pytest.raises(CapacityError, match="GB"):
+        _start(h, tls_memory_self_energy(baths), 0, 1.0, 0.01)
+
+
+def test_stream_bytes_bounds_traced_peak():
+    # the working-set rule bounds what a real run allocates: fig4-top
+    # (measured 0.71 of the rule) and a short narrow-band run (0.74)
+    chain, bath = _narrow_band()
+    for h, sigma, t_max, dt in (_fig4_top(42),
+                                (chain, tls_memory_self_energy([bath]), 2.0, 0.01)):
+        m = int(round(t_max / dt)) + 1
+        tracemalloc.start()
+        try:
+            equal_time_keldysh(h, sigma, 0, t_max, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stream_bytes(h.n_sites, m, h.n_sites * sigma.levels)
