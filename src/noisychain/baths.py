@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 __all__ = [
     "OhmicBath",
@@ -28,6 +27,7 @@ __all__ = [
     "support_halfwidth",
     "inverse_temperature",
     "fft_convolve",
+    "gauss_panels",
     "principal_value_transform",
     "sample_tls_bath",
 ]
@@ -180,25 +180,51 @@ def support_halfwidth(bath):
     raise TypeError(f"no support estimate for {type(bath).__name__}")
 
 
+def _next_fast_len(n):
+    """Smallest 5-smooth length 2^i 3^j 5^k that is at least n."""
+
+    odds = [3**j * 5**k for j in range(n.bit_length()) for k in range(n.bit_length())
+            if 3**j * 5**k < 2 * n]
+    return min(odd << (-(-n // odd) - 1).bit_length() for odd in odds)
+
+
 def fft_convolve(a, b):
     """Full linear convolution of a and b along axis 0, by FFT.
 
     a and b have the same number of dimensions; the other axes broadcast.
-    The transforms run at the next fast length of the full output, real
-    (rfftn/irfftn) for real inputs and complex (fftn/ifftn) otherwise, and
-    the result is cut to the full length a.shape[0] + b.shape[0] - 1. That
-    is the path, and so the rounding, of scipy's fftconvolve(a, b, axes=0)
-    for inputs longer than one sample along axis 0.
+    The transforms run at the next 5-smooth length of the full output, real
+    (rfft/irfft) for real inputs and complex (fft/ifft) otherwise, and the
+    result is cut to the full length a.shape[0] + b.shape[0] - 1. On real
+    inputs longer than one sample along axis 0 that is the path, and so the
+    rounding, of scipy's fftconvolve(a, b, axes=0); complex inputs run at
+    other lengths than scipy picks and agree with it to roundoff.
     """
 
     a = np.asarray(a)
     b = np.asarray(b)
     n = a.shape[0] + b.shape[0] - 1
-    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    size = sp_fft.next_fast_len(n, real)
-    fft, ifft = (sp_fft.rfftn, sp_fft.irfftn) if real else (sp_fft.fftn, sp_fft.ifftn)
-    spectrum = fft(a, [size], axes=(0,)) * fft(b, [size], axes=(0,))
-    return ifft(spectrum, [size], axes=(0,))[:n]
+    size = _next_fast_len(n)
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        spectrum = np.fft.fft(a, size, axis=0) * np.fft.fft(b, size, axis=0)
+        return np.fft.ifft(spectrum, size, axis=0)[:n]
+    spectrum = np.fft.rfft(a, size, axis=0) * np.fft.rfft(b, size, axis=0)
+    return np.fft.irfft(spectrum, size, axis=0)[:n]
+
+
+def gauss_panels(edges, order):
+    """Composite Gauss-Legendre rule with `order` nodes on every panel.
+
+    edges (..., p + 1) are panel ends, ascending along the last axis.
+    Returns nodes and weights of shape (..., p * order): each row integrates
+    f as sum(weights * f(nodes), axis=-1). A zero-width panel weighs nothing.
+    """
+
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
+    half = 0.5 * np.diff(edges, axis=-1)[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    return (mid + half * x).reshape(shape), (half * w).reshape(shape)
 
 
 def principal_value_transform(values, omegas):

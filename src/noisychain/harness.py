@@ -374,9 +374,11 @@ def _cross_validate(cfg):
     n = cfg.system.n_sites
     n_t = cfg.time.t_max / cfg.time.dt + 1 if cfg.time is not None else 0
     artifact = 64 * n_t * n + 600 * _WRITE_BLOCK
-    # lindblad trajectories peak at about 10 dense N^2 x N^2 complex matrices
-    # (the generator and expm work): measured 9.8, 8.8 and 9.0 times 16 N^4
-    # bytes at N = 20, 30 and 40; the propagated (n_t, N^2) states add theirs
+    # lindblad trajectories peak at up to 9 dense N^2 x N^2 complex matrices
+    # (the generator, its step and the Pade work of qme._expm): whole runs
+    # measured 7.0 times 16 N^4 bytes at N = 20, 30 and 40 on the presets'
+    # step (degree 5) and 9.05 at N = 30 on steps that take degree 9 or 13;
+    # the propagated (n_t, N^2) states add theirs
     if "lindblad" in cfg.engines and cfg.time is not None:
         _check_memory("system.n_sites", f"lindblad trajectories of {n} sites",
                       160 * n**4 + 16 * n_t * n**2 + artifact)
@@ -1068,7 +1070,6 @@ def _versions():
     return {
         "noisychain": own,
         "numpy": np.__version__,
-        "scipy": importlib.metadata.version("scipy"),
         "python": platform.python_version(),
     }
 

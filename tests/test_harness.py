@@ -524,6 +524,13 @@ def test_run_experiment_trajectory_roundtrip(tmp_path):
     assert len(result.reports) == 1 and result.reports[0].passed
 
 
+def test_manifest_versions_leave_out_scipy(tmp_path):
+    # no package code depends on scipy, which only the test extra installs
+    result = run_experiment(config_from_dict(_tiny_trajectory_config()), out_root=tmp_path)
+    manifest = json.loads((result.run_dir / "manifest.json").read_text())
+    assert sorted(manifest["versions"]) == ["noisychain", "numpy", "python"]
+
+
 def test_rerun_bodies_are_byte_identical(tmp_path):
     cfg = config_from_dict(_tiny_trajectory_config())
     r1 = run_experiment(cfg, out_root=tmp_path / "one")
@@ -833,6 +840,42 @@ def test_import_leaves_out_signal_and_stats():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # scipy is a test oracle only: no module of the package imports it, not
+    # even inside a function, and with every scipy import blocked the package,
+    # its CLI and a fig2-upper plus a fig4-top run load no scipy module
+    for path in Path(noisychain.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), \
+                (path.name, names)
+    src = str(Path(noisychain.__file__).parents[1])
+    code = f"""
+import sys
+
+class Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{{name}} is blocked")
+
+sys.meta_path.insert(0, Blocker())
+sys.path.insert(0, {src!r})
+import noisychain, noisychain.cli
+for preset in ("fig2-upper", "fig4-top"):
+    assert noisychain.cli.main(["run", "--config", preset, "--out", {str(tmp_path)!r}]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert {p.name for p in tmp_path.iterdir()} == {"fig2-upper", "fig4-top"}
 
 
 def test_scripts_call_run_experiment_by_its_signature():

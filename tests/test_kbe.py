@@ -157,16 +157,18 @@ def test_stability_guard():
 
 def test_memory_capacity_guard():
     # without memory only the (m, n) diagonal is kept: a 40-site chain over
-    # 5 10^7 steps (about 32 GB) is refused before any step
+    # 5 10^7 steps (about 32 GB) is refused before any step. The pre-step
+    # check is called alone, so that a regression fails the test instead of
+    # starting the job
     h = build_chain(40, 0.0, 1.0)
     with pytest.raises(CapacityError, match="GB"):
-        equal_time_keldysh(h, markov_self_energy([0.1] * 40), 0, 1e6, 0.02)
+        _start(h, markov_self_energy([0.1] * 40), 0, 1e6, 0.02)
     # the streamed memory rows grow as m n (n + levels): one site with a
     # dense two-level ensemble over 2 10^4 steps is refused too
     h = build_chain(1, 2.0, 0.0, boundary="open")
     bath = sample_tls_bath(0.05, 4000, (1.5, 2.5), seed=1)
     with pytest.raises(CapacityError, match="GB"):
-        equal_time_keldysh(h, tls_memory_self_energy([bath]), 0, 400.0, 0.02)
+        _start(h, tls_memory_self_energy([bath]), 0, 400.0, 0.02)
 
 
 def test_time_grid_validation():

@@ -1,16 +1,18 @@
 """Spin-register master equations and the exact few-level reference."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.integrate import quad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisychain import qme
-from noisychain.baths import FlatNoise, OhmicBath, TlsBath
+from noisychain.baths import FlatNoise, OhmicBath, TlsBath, noise_power, support_halfwidth
 from noisychain.errors import CapacityError
 from noisychain.harness import _Plan, config_from_dict
 from noisychain.lattice import FreqGreens, FreqGrid, HoppingHamiltonian, build_chain
@@ -229,15 +231,14 @@ def test_eigen_route_matches_stepping_oracle():
 
 def test_gap_table_shared_across_equal_baths(monkeypatch):
     # one gap table per distinct bath, and lambda_ops bit-identical to
-    # building each site's bath on its own; the half transforms are costly
-    # at N = 5, so the Lamb-shifted tables run on N = 3
+    # building each site's bath on its own, with and without Lamb shifts
     tables = []
     half_transform = qme._half_transform
     monkeypatch.setattr(qme, "_half_transform",
                         lambda bath, gaps: tables.append(bath) or half_transform(bath, gaps))
     cold = OhmicBath(alpha=0.002, cutoff=4.0, temperature=0.2)
     hot = OhmicBath(alpha=0.01, cutoff=2.0, temperature=1.0)
-    for n, lamb_shift in ((5, False), (3, True)):
+    for n, lamb_shift in ((5, False), (5, True)):
         h = build_chain(n, 0.0, 1.0)
 
         def single(i, bath):
@@ -263,6 +264,78 @@ def test_gap_table_shared_across_equal_baths(monkeypatch):
 
 def _fig2_upper_plan():
     return _Plan(config_from_dict(preset_config("fig2-upper")))
+
+
+def test_half_transform_matches_tight_quad():
+    # the Gauss-Legendre panels against adaptive quadrature run to 1e-13 with
+    # the kink at nu = 0 and the gap as breakpoints, on the 13 distinct
+    # fig2-upper gaps: measured 4.7e-16 of max|PV|, bound 2e-15. The quad
+    # the table used to run (default tolerance, no kink) was off by 2.1e-7
+    plan = _fig2_upper_plan()
+    bath = plan.site_baths[0]
+    half = support_halfwidth(bath)
+    energies = [np.linalg.eigvalsh(qme._sector_hamiltonian(plan.h, basis))
+                for basis in qme._sector_bases(plan.h.n_sites)]
+    keys = np.unique(np.round(np.concatenate([np.subtract.outer(e, e).ravel()
+                                              for e in energies]), 12))
+    assert keys.size == 13
+    ref = []
+    for key in keys:
+        c_key = float(noise_power(bath, key))
+
+        def regular(nu, key=key, c_key=c_key):
+            return 0.0 if nu == key else (float(noise_power(bath, nu)) - c_key) / (key - nu)
+
+        pv, _ = quad(regular, -half, half, points=sorted({0.0, key}), limit=2000,
+                     epsabs=1e-13, epsrel=1e-13)
+        pv += c_key * np.log(abs((key + half) / (half - key)))
+        ref.append(0.5 * c_key - 1j * pv / (2.0 * np.pi))
+    ref = np.array(ref)
+    got = qme._half_transform(bath, keys)
+    assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref.imag))
+
+
+def test_expm_matches_scipy():
+    # the Pade scaling-and-squaring port against scipy's expm, relative to
+    # max|exp|: the lindblad_occupations generators at N = 5, 20 and 40 on
+    # fig4-bottom's step (measured 1.1e-16 to 3.4e-16), the fig2-upper (1, 1)
+    # Redfield block on that step and on a degree-13 step halved and squared
+    # (4.4e-16, 1.3e-15), and a dephased dimer at its exceptional point, where
+    # cond(V) of the generator is 6.5e7 and an eigendecomposition step is off
+    # by 9.0e-10 (1.1e-16). Bound 4e-15 on all
+    generators = []
+    capture = lambda lv, v, t_grid: generators.append(lv) or v[None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qme, "_propagate", capture)
+        for n in (5, 20, 40):
+            qme.lindblad_occupations(build_chain(n, 0.0, 1.0), 0.25, 0.0, 0, [0.0])
+        qme.lindblad_occupations(build_chain(2, 0.0, 1.0, boundary="open"), 0.0, 1.0, 0, [0.0])
+        dimer = generators.pop()
+    steps = [lv * 0.04 for lv in generators]
+    plan = _fig2_upper_plan()
+    block = qme.bloch_redfield_generator(plan.h, plan.site_baths).block(1, 1)
+    steps += [block * 0.04, block * 10.0, dimer * 0.1]
+    assert np.linalg.norm(block * 10.0, 1) > 5.371920351148152  # beyond theta_13
+    assert np.linalg.cond(np.linalg.eig(dimer)[1]) > 1e7
+    for a in steps:
+        ref = sla.expm(a)
+        assert np.max(np.abs(qme._expm(a) - ref)) <= 4e-15 * np.max(np.abs(ref))
+
+
+def test_lindblad_trajectory_peak_within_memory_rule():
+    # the harness admits lindblad trajectories of N sites over n_t times at
+    # 160 N^4 + 16 n_t N^2 bytes; a 20-site run peaks at 0.70 of that on
+    # fig4-bottom's step (Pade degree 5) and at 0.90 on steps of degree 9 and 13
+    n, n_t = 20, 11
+    h = build_chain(n, 0.0, 1.0)
+    for dt in (0.04, 0.5, 2.0):
+        tracemalloc.start()
+        try:
+            qme.lindblad_occupations(h, 0.25, 0.1, 0, np.arange(n_t) * dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * n**4 + 16 * n_t * n**2, dt
 
 
 def test_sector_generator_matches_global_eigenbasis_oracle():
