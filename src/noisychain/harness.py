@@ -20,9 +20,9 @@ manifest. Frequencies and times are in units of the hopping.
 from __future__ import annotations
 
 import copy
-import csv
 import hashlib
 import importlib.metadata
+import itertools
 import json
 import math
 import numbers
@@ -368,9 +368,11 @@ def _cross_validate(cfg):
     # memory rules, each naming the field that sets it. A trajectory adds its
     # artifact: 64 B per (time, site) row (occupations, Keldysh diagonal, the
     # writer's columns and their temporaries) and one block of formatted
-    # cells at 600 B a row. Whole runs under tracemalloc peak at 0.76 and
-    # 0.85 of the summed rules for kbe on 10 and 40 wide-band sites over
-    # 300001 and 20001 times, 0.98 for lindblad on 10 sites over 100001
+    # cells at 600 B a row. Whole runs under tracemalloc peak at 0.68 and
+    # 0.62 of the summed rules for kbe on 10 and 40 wide-band sites over
+    # 300001 and 20001 times, 0.28 for kbe on fig4-top over 2561 times (its
+    # memory rows alone at 0.64 of `stream_bytes`), 0.89 for lindblad on 10
+    # sites over 100001
     n = cfg.system.n_sites
     n_t = cfg.time.t_max / cfg.time.dt + 1 if cfg.time is not None else 0
     artifact = 64 * n_t * n + 600 * _WRITE_BLOCK
@@ -528,21 +530,18 @@ def _write_table(path, kind, columns):
     """Write a `kind` artifact: its header, then one row per entry of the
     equal-length columns, a mapping from header name to values. Floats are
     written as %.12e, text columns as given. Rows are formatted in blocks
-    of _WRITE_BLOCK, so the formatted cells never hold a whole file."""
+    of _WRITE_BLOCK, each by one % on a repeated row template, so the
+    formatted cells never hold a whole file."""
 
     names = SCHEMAS[kind]
     cols = [np.asarray(columns[name]) if name in TEXT_COLUMNS
             else np.asarray(columns[name], dtype=float) for name in names]
+    row = ",".join("%s" if name in TEXT_COLUMNS else "%.12e" for name in names) + "\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(names)
+        fh.write(",".join(names) + "\n")
         for start in range(0, len(cols[0]), _WRITE_BLOCK):
-            cells = [
-                col[start:start + _WRITE_BLOCK].tolist() if name in TEXT_COLUMNS
-                else ["%.12e" % v for v in col[start:start + _WRITE_BLOCK].tolist()]
-                for name, col in zip(names, cols)
-            ]
-            w.writerows(zip(*cells))
+            block = [col[start:start + _WRITE_BLOCK].tolist() for col in cols]
+            fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
 
 
 def _write_site_table(path, kind, axis, tables):
@@ -578,20 +577,28 @@ def read_artifact(path):
 
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path.name}: empty file")
-    header = tuple(rows[0])
-    kind = next((k for k, cols in SCHEMAS.items() if header == cols), None)
-    if kind is None:
-        raise ValueError(f"{path.name}: unrecognized schema {list(header)}")
-    body = rows[1:]
-    if not body:
-        raise ValueError(f"{path.name}: no data rows")
+        header = fh.readline()
+        if not header:
+            raise ValueError(f"{path.name}: empty file")
+        header = tuple(header.rstrip("\r\n").split(","))
+        kind = next((k for k, cols in SCHEMAS.items() if header == cols), None)
+        if kind is None:
+            raise ValueError(f"{path.name}: unrecognized schema {list(header)}")
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path.name}: no data rows")
+        # text cells are short labels: site indices, "i-j" pairs and counts
+        dtype = [(name, "U16" if name in TEXT_COLUMNS else float) for name in header]
+        body = np.loadtxt(itertools.chain([first], fh), delimiter=",", dtype=dtype, ndmin=1)
     cols = {}
-    for idx, name in enumerate(header):
-        raw = [r[idx] for r in body]
-        cols[name] = np.array(raw) if name in TEXT_COLUMNS else np.array(raw, dtype=float)
+    for name in header:
+        col = body[name]
+        if name in TEXT_COLUMNS:
+            width = int(np.char.str_len(col).max())
+            if width >= 16:
+                raise ValueError(f"{path.name}: a '{name}' cell is 16 or more characters long")
+            col = col.astype(f"U{max(1, width)}")
+        cols[name] = col
     return {"kind": kind, "columns": cols, "path": str(path)}
 
 

@@ -12,13 +12,16 @@ away for exactness tricks.
 Without memory the equal-time function obeys its own closed equation,
 dK/dt = A K + K A^dag - i Gamma with A = -i h - Gamma/2, so K(t, t) is
 stepped alone: O(n^3) work per step and an (n_times, n) output. With memory
-its slope reads the whole two-time history, so the retarded and Keldysh
-rows X(t_i, t_j), j <= i, are streamed, keeping only what the next step
-reads: the top row, row 0 of its conjugation mirrors and the exponential-sum
-accumulators, all in one (site, time, column) layout with the sites stacked.
-Working memory then grows as (t_max/dt) * n^2 * (1 + levels per site), not
-as (t_max/dt)^2. Jobs whose working set (`stream_bytes`) would exceed a few
-gigabytes are refused before any step rather than left to swap.
+its slope reads the whole two-time history. The retarded function never
+reads the initial state and h and the kernels are time-independent, so
+R(t, t') = R(t - t') is stepped as one lag series. The Keldysh rows
+K(t_i, t_j), j <= i, carry the initial state and are streamed, keeping
+only what the next step reads: the top row, row 0 of its conjugation
+mirrors and the exponential-sum accumulators, all in one (site, time,
+column) layout with the sites stacked. Working memory then grows as
+(t_max/dt) * n^2 * (1 + levels per site), not as (t_max/dt)^2. Jobs whose
+working set (`stream_bytes`) would exceed a few gigabytes are refused
+before any step rather than left to swap.
 """
 
 from __future__ import annotations
@@ -143,21 +146,21 @@ def stream_bytes(n_sites, n_times, n_levels=None):
     of a memory closure, None for the Markov closure. The Markov closure
     holds the complex (n_times, n) output and about 11 complex (n, n)
     scratch matrices (K, the two slopes and the matmul temporaries). The
-    memory core streams two-time rows: about 16 complex (n_times, n, n)
-    planes (row 0 of the mirrors, the top row, its slopes, predictor,
-    corrector and memory sums) plus 5 + 1/n complex (n_times, n, n_levels)
-    tables (the accumulators, two double-buffered, and the phase table).
-    Measured with tracemalloc: the output plus 10.5 to 11.8 scratch matrices
-    at n = 10 to 80 with 101 and 2001 times; 16.0 to 16.3 planes at n = 10,
-    20 and 40 with one level per site; 6.2 to 6.8, 5.7 to 5.8 and 5.3 to 5.4
-    tables at n = 1, 2 and 5 with 100 to 400 levels per site. The peak is
-    0.58 to 0.74 of the rule there, 0.71 on fig4-top and 0.89 on one site
-    with one level.
+    memory core holds about 12 complex (n_times, n, n) planes (the lag
+    tables, row 0 of the mirrors, the Keldysh row, its slopes, predictor,
+    corrector and memory sums) plus 3 + 1/n complex (n_times, n, n_levels)
+    tables (the Keldysh accumulators, one double-buffered, and the phase
+    table). Measured with tracemalloc: the output plus 10.5 to 11.8 scratch
+    matrices at n = 10 to 80 with 101 and 2001 times; over 201 times, 15.1
+    to 15.6 planes and tables at n = 10, 20 and 40 with one level per site,
+    4.4 to 5.4, 3.6 to 4.0 and 3.3 to 3.4 tables at n = 1, 2 and 5 with 100
+    to 400 levels per site: 0.46 to 0.76 of the rule, 0.64 on fig4-top and
+    0.97 on one site with one level (more below about 200 times).
     """
 
     if n_levels is None:
         return 16 * (n_times * n_sites + 11 * n_sites**2)
-    return 16 * n_times * (20 * n_sites**2 + 9 * n_levels * n_sites)
+    return 16 * n_times * (16 * n_sites**2 + 7 * n_levels * n_sites)
 
 
 def check_step(h, sigma, dt):
@@ -260,113 +263,110 @@ def _memory_rows(hm, sigma, f0, m, dt):
         eps[a, :k] = bath.energies
         wr[a, :k] = -1j * gsq
         wk[a, :k] = -1j * gsq * hole
-    dphase = np.exp(-1j * eps * dt)[:, :, None, None]
+    dphase = np.exp(-1j * eps * dt)[:, :, None]
     tphase = np.exp(1j * (t_grid[None, :, None] * eps[:, None, :]))  # (n, m, levels)
 
-    # Rows are stored as X[a, j, c] = X(t_r, t_j)[a, c]. The accumulators
-    # share that layout behind a level axis, shape (n, levels, m, n):
-    #   p1[a, s, j] = sum_{u=j..r} e^{-i eps_s (t_r - t_u)} R(t_u, t_j)[a, :]
+    # The retarded function depends on the lag only: h and the kernels are
+    # time-independent, it never reads the initial state, and every step of
+    # the scheme keeps that. So R(t_r, t_j) = L[r - j], L[q] = R(t_q, 0), is
+    # stepped as one lag series, the newest lag only:
+    #   lags[q], plags[q] = L[q] corrected and predicted; the predicted row
+    #                       at t_r is plags[r::-1];
+    #   front[a, s] = sum_{k=0..q} e^{-i eps_s (q - k) dt} L[k][a, :], the
+    #                 retarded memory sum of the newest lag q.
+    # Keldysh rows carry the initial state and are streamed as
+    # X[a, j, c] = K(t_r, t_j)[a, c], their accumulators behind a level axis:
     #   qk[a, s, j] = sum_{u=0..r} e^{+i eps_s t_u}        K(t_u, t_j)[a, :]
     #   g3[a, s, j] = sum_{u=0..j} e^{+i eps_s t_u} R(t_j, t_u)^dag [a, :]
-    # p1 and qk track the top row r and are double-buffered so the corrector
-    # can rebuild from the committed state; g3 freezes once column j is born.
-    # Row 0 of the conjugation mirrors, the only history the trapezoid edge
-    # terms read, is kept in the same layout:
+    # qk tracks the top row r and is double-buffered (qk_c committed, qk_s
+    # scratch) so the corrector can rebuild from the committed state; g3
+    # freezes once column j is born.
+    # Row 0 of the conjugation mirrors, the only history the edge terms read:
     #   k0[a, u] = K(t_0, t_u)[a, :] = -K(t_u, 0)^dag[a, :]
-    #   ga0[a, u] = GA(t_0, t_u)[a, :] = R(t_u, 0)^dag[a, :]
-    def blank():
-        return np.zeros((n, lv, m, n), dtype=complex)
-
-    acc_c = (blank(), blank())  # committed at the current top time
-    acc_s = (blank(), blank())  # scratch for the tentative next row
-    g3 = blank()
-    k0 = np.zeros((n, m, n), dtype=complex)
-    ga0 = np.zeros((n, m, n), dtype=complex)
+    #   ga0[a, u] = GA(t_0, t_u)[a, :] = L[u]^dag[a, :]
+    lags, plags = np.zeros((2, m, n, n), dtype=complex)
+    front = np.zeros((n, lv, n), dtype=complex)
+    qk_c, qk_s, g3 = np.zeros((3, n, lv, m, n), dtype=complex)
+    k0, ga0 = np.zeros((2, n, m, n), dtype=complex)
     diag = np.arange(n)
 
-    def store_column0(rows_r, rows_k, u):
-        k0[:, u] = -np.conj(rows_k[:, 0].T)
-        ga0[:, u] = np.conj(rows_r[:, 0].T)
-
-    def advance(src, dst, rows_r, rows_k, r1):
-        # move the committed sums at row r1 - 1 up to row r1 using the new
-        # rows, and (re)build the sums of the column born at r1 from the
-        # conjugation mirrors GA[u, r1] = R(t_r1, t_u)^dag and
-        # K[u, r1] = -K(t_r1, t_u)^dag
-        p1s, qks = src
-        p1d, qkd = dst
-        gcol = np.conj(rows_r.transpose(2, 1, 0))
-        kcol = -np.conj(rows_k[:, :r1].transpose(2, 1, 0))
+    def advance(src, dst, krows, rrow, r1):
+        # move the committed Keldysh sums at row r1 - 1 up to row r1 using
+        # the new rows, and (re)build the sums of the column born at r1 from
+        # the conjugation mirrors GA[u, r1] = R(t_r1, t_u)^dag and
+        # K[u, r1] = -K(t_r1, t_u)^dag; rrow[u] = R(t_r1, t_u)
+        gcol = np.conj(rrow.transpose(2, 0, 1))
+        kcol = -np.conj(krows[:, :r1].transpose(2, 1, 0))
         ph_new = tphase[:, r1]
         # products land in the destination, so no table-sized temporary
-        np.multiply(dphase, p1s[:, :, :r1], out=p1d[:, :, :r1])
-        p1d[:, :, :r1] += rows_r[:, None, :r1]
-        p1d[:, :, r1] = -1j * eye[:, None, :]
-        np.multiply(ph_new[:, :, None, None], rows_k[:, None], out=qkd[:, :, : r1 + 1])
-        qkd[:, :, : r1 + 1] += qks[:, :, : r1 + 1]
-        qkd[:, :, r1] = (
-            tphase[:, :r1].swapaxes(1, 2) @ kcol + ph_new[:, :, None] * rows_k[:, r1, None, :]
+        np.multiply(ph_new[:, :, None, None], krows[:, None], out=dst[:, :, : r1 + 1])
+        dst[:, :, : r1 + 1] += src[:, :, : r1 + 1]
+        dst[:, :, r1] = (
+            tphase[:, :r1].swapaxes(1, 2) @ kcol + ph_new[:, :, None] * krows[:, r1, None, :]
         )
         g3[:, :, r1] = tphase[:, : r1 + 1].swapaxes(1, 2) @ gcol
 
     def contract(w, acc, r):
         return (w[:, None, :] @ acc[:, :, : r + 1].reshape(n, lv, -1)).reshape(n, r + 1, n)
 
-    def deriv(r, acc, rrow, krow):
-        p1, qk = acc
+    def rslope(q, lag, acc):
+        # retarded slope of lag q from its memory sum acc. The uniform-weight
+        # sum needs trapezoid edge fixes: half its k = 0 term (L[0] = -i,
+        # kernel at lag q) and half its k = q term (kernel at lag 0)
+        t1 = (wr[:, None, :] @ acc)[:, 0] * dt
+        t1[diag, diag] += 0.5j * dt * srf[q]
+        t1 -= 0.5 * dt * srf[0][:, None] * lag
+        return -1j * (hm @ lag + t1)
+
+    def kslope(r, qk, krow):
         cph = np.conj(tphase[:, r])
-        t1 = contract(wr, p1, r)
-        t2 = contract(wr * cph, qk, r)
-        t3 = contract(wk * cph, g3, r)
-        t1 *= dt
-        t2 *= dt
-        t3 *= dt
-        # the uniform-weight sums above need trapezoid edge fixes: half the
-        # u = j term of t1 (R diagonal is -i) and half its u = r term; both
-        # edges of t2; the u = 0 and u = j (GA diagonal +i) edges of t3.
-        # The diagonal edges t[a, j, a] take the kernel at lag r - j
-        t1[diag, :, diag] += (0.5j * dt * srf[r::-1]).T
-        t1 -= 0.5 * dt * srf[0][:, None, None] * rrow
+        t2 = contract(wr * cph, qk, r) * dt
+        t3 = contract(wk * cph, g3, r) * dt
+        # edge fixes: both edges of t2; the u = 0 and u = j (GA diagonal +i)
+        # edges of t3, the diagonal ones t3[a, j, a] at lag r - j
         t2 -= 0.5 * dt * srf[r][:, None, None] * k0[:, : r + 1]
         t2 -= 0.5 * dt * srf[0][:, None, None] * krow
         t3 -= 0.5 * dt * skf[r][:, None, None] * ga0[:, : r + 1]
         t3[diag, :, diag] -= (0.5j * dt * skf[r::-1]).T
-        dr = -1j * ((hm @ rrow.reshape(n, -1)).reshape(rrow.shape) + t1)
-        dk = -1j * ((hm @ krow.reshape(n, -1)).reshape(krow.shape) + t2 + t3)
-        return dr, dk
+        return -1j * ((hm @ krow.reshape(n, -1)).reshape(krow.shape) + t2 + t3)
 
     # t = 0 seeds
-    rrow = (-1j * eye)[:, None]
+    lags[0] = plags[0] = -1j * eye
     krow = (-1j * (eye - 2.0 * f0))[:, None]
-    store_column0(rrow, krow, 0)
-    acc_c[0][:, :, 0] = -1j * eye[:, None, :]
-    acc_c[1][:, :, 0] = krow
+    k0[:, 0] = -np.conj(krow[:, 0].T)
+    ga0[:, 0] = np.conj(lags[0].T)
+    front[:] = lags[0][:, None, :]
+    qk_c[:, :, 0] = krow
     g3[:, :, 0] = 1j * eye[:, None, :]
-    yield rrow.swapaxes(0, 1), krow.swapaxes(0, 1)
+    yield lags[0::-1], krow.swapaxes(0, 1)
 
     for i in range(m - 1):
-        dr1, dk1 = deriv(i, acc_c, rrow, krow)
+        dr1 = rslope(i, lags[i], front)
+        dk1 = kslope(i, qk_c, krow)
         fd1 = dk1[:, i] - dk1[:, i].conj().T
-        # predictor rows at t_{i+1}
-        rp = np.empty((n, i + 2, n), dtype=complex)
-        rp[:, : i + 1] = rrow + dt * dr1
-        rp[:, i + 1] = -1j * eye
-        kp = np.empty_like(rp)
+        # predictor at t_{i+1}: the newest lag and the Keldysh row
+        plags[i + 1] = lags[i] + dt * dr1
+        kp = np.empty((n, i + 2, n), dtype=complex)
         kp[:, : i + 1] = krow + dt * dk1
         kp[:, i + 1] = krow[:, i] + dt * fd1
-        store_column0(rp, kp, i + 1)
-        advance(acc_c, acc_s, rp, kp, i + 1)
-        # corrector re-evaluates the slope on the predicted top row
-        dr2, dk2 = deriv(i + 1, acc_s, rp, kp)
+        k0[:, i + 1] = -np.conj(kp[:, 0].T)
+        ga0[:, i + 1] = np.conj(plags[i + 1].T)
+        advance(qk_c, qk_s, kp, plags[i + 1 :: -1], i + 1)
+        # corrector re-evaluates the slopes on the predicted lag and row
+        dr2 = rslope(i + 1, plags[i + 1], dphase * front + plags[i + 1][:, None, :])
+        dk2 = kslope(i + 1, qk_s, kp)
         fd2 = dk2[:, i + 1] - dk2[:, i + 1].conj().T
-        rc = np.empty_like(rp)
-        rc[:, : i + 1] = rrow + 0.5 * dt * (dr1 + dr2[:, : i + 1])
-        rc[:, i + 1] = -1j * eye
-        kc = np.empty_like(rp)
+        lags[i + 1] = lags[i] + 0.5 * dt * (dr1 + dr2)
+        kc = np.empty_like(kp)
         kc[:, : i + 1] = krow + 0.5 * dt * (dk1 + dk2[:, : i + 1])
         kc[:, i + 1] = krow[:, i] + 0.5 * dt * (fd1 + fd2)
-        store_column0(rc, kc, i + 1)
-        advance(acc_c, acc_s, rc, kc, i + 1)
-        acc_c, acc_s = acc_s, acc_c
-        rrow, krow = rc, kc
-        yield rrow.swapaxes(0, 1), krow.swapaxes(0, 1)
+        k0[:, i + 1] = -np.conj(kc[:, 0].T)
+        ga0[:, i + 1] = np.conj(lags[i + 1].T)
+        advance(qk_c, qk_s, kc, lags[i + 1 :: -1], i + 1)
+        # dphase on the left: swapping the factors of a complex product can
+        # change its last bit, and the whole-row oracle multiplies this way
+        np.multiply(dphase, front, out=front)
+        front += lags[i + 1][:, None, :]
+        qk_c, qk_s = qk_s, qk_c
+        krow = kc
+        yield lags[i + 1 :: -1], krow.swapaxes(0, 1)

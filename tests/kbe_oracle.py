@@ -4,9 +4,11 @@ noisychain.kbe returns only the equal-time Keldysh diagonal. kbe_integrate
 runs the full two-time equations of motion instead and collects them into
 the lower-triangle planes of TwoTimeGreens, so tests can check any point of
 them: the Markov rows by the brute-force row stepper below, the memory rows
-by the integrator's own streamed core. per_site_memory_rows is that core as
-it ran before its sites were stacked into one array, kept as the reference
-the stacked core must reproduce. analytic_gk is the closed form the
+by the integrator's own core, which steps the retarded function as one lag
+series (its rows are views of the lag table read backwards) and streams
+the Keldysh rows. per_site_memory_rows is that core as it ran before its
+sites were stacked into one array, stepping whole retarded rows, kept as
+the reference the lag core must reproduce. analytic_gk is the closed form the
 integrator converges to when the decay rates commute with the chain, and
 late_time_spectrum turns the final-time slice of a run into
 frequency-domain functions through a tapered Fourier sum.

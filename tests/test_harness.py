@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import csv
 import importlib
 import inspect
 import json
@@ -411,9 +412,12 @@ def test_read_artifact_schemas(tmp_path):
     assert art["columns"]["gamma"].tolist() == [0.1, 0.11]
     assert art["columns"]["site"].tolist() == ["0", "0"]
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="schema"):
-        read_artifact(bad)
+    for text, match in (("a,b\n1,2\n", "schema"), ("", "empty file"),
+                        ("omega,site,gamma,shift\n", "no data rows"),
+                        ("omega,site,gamma,shift\n0.0,%s,1.0,2.0\n" % ("7" * 16), "16 or more")):
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_artifact(bad)
 
 
 def test_write_table_round_trips_every_kind(tmp_path):
@@ -456,6 +460,55 @@ def test_write_table_blocks_keep_the_bytes(tmp_path, monkeypatch):
     harness._write_trajectory(blocked, t, occ)
     assert blocked.read_bytes() == whole.read_bytes()
     assert len(whole.read_bytes().splitlines()) == 1 + 7 * 5
+
+
+def _csv_write(path, kind, columns):
+    # reference writer: the csv module, one formatted cell at a time
+    names = SCHEMAS[kind]
+    cells = [[str(v) for v in columns[name]] if name in TEXT_COLUMNS
+             else ["%.12e" % v for v in np.asarray(columns[name], dtype=float).tolist()]
+             for name in names]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(names)
+        w.writerows(zip(*cells))
+
+
+def _csv_read(path):
+    # reference reader: the csv module, one parsed cell at a time
+    with open(path, newline="") as fh:
+        header, *body = list(csv.reader(fh))
+    return {name: np.array([r[k] for r in body]) if name in TEXT_COLUMNS
+            else np.array([r[k] for r in body], dtype=float)
+            for k, name in enumerate(header)}
+
+
+def test_artifact_io_matches_csv_module(tmp_path):
+    # the block writer and the loadtxt reader give the bytes and arrays of
+    # the per-cell csv-module route, for every kind and for one-row files
+    rng = np.random.default_rng(11)
+    odd = [-0.0, 1e-300, -1.5e300, 5e-324, np.inf, -np.inf, np.nan]
+    for kind, names in SCHEMAS.items():
+        for n_rows in (1, 40):
+            columns = {}
+            for name in names:
+                if name in TEXT_COLUMNS:
+                    columns[name] = [f"{k % 13}-{k % 3}" if name == "pair" else str(k * 7)
+                                     for k in range(n_rows)]
+                else:
+                    vals = rng.normal(size=n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+                    vals[: len(odd)] = odd[:n_rows]
+                    columns[name] = vals
+            ours, ref = tmp_path / f"{kind}_{n_rows}.csv", tmp_path / f"ref_{kind}_{n_rows}.csv"
+            _write_table(ours, kind, columns)
+            _csv_write(ref, kind, columns)
+            assert ours.read_bytes() == ref.read_bytes(), (kind, n_rows)
+            art, expect = read_artifact(ours), _csv_read(ref)
+            assert art["kind"] == kind and list(art["columns"]) == list(names)
+            for name in names:
+                got = art["columns"][name]
+                assert got.shape == (n_rows,) and got.dtype == expect[name].dtype, (kind, name)
+                assert np.array_equal(got, expect[name], equal_nan=name not in TEXT_COLUMNS)
 
 
 def test_compare_unresolved_widths(tmp_path):
