@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Run every shipped preset and print one summary line per comparison.
 
+Under each preset line goes the 12-character sha256 prefix of every CSV
+artifact it wrote, so two runs are byte-identical when a diff of their
+`sha256` lines is empty:
+
+    diff <(run_all_presets.py --out a | grep sha256) <(... --out b | grep sha256)
+
 The two sweep presets dominate the runtime; everything else finishes in
 seconds. Expect a couple of minutes total.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 
@@ -28,6 +35,10 @@ def main():
         wall = time.time() - t0
         status = "ok" if res.ok else "FAILED"
         print(f"{name:14s} {wall:6.1f}s  {status}  -> {res.run_dir}")
+        for fname in res.artifacts:
+            if fname.endswith(".csv"):
+                digest = hashlib.sha256((res.run_dir / fname).read_bytes()).hexdigest()
+                print(f"    sha256 {digest[:12]}  {name}/{fname}")
         for rep in res.reports:
             for line in rep.summary_lines():
                 print(f"    {line}")

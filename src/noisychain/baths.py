@@ -135,39 +135,50 @@ def spectral_function(bath, omega):
     raise TypeError(f"no spectral function for {type(bath).__name__}")
 
 
+def _ohmic_parts(bath, omega):
+    """(S, J) of an ohmic bath at omega, from one exp(-|omega|/cutoff).
+
+    Operand order is that of the plain formulas, so S is even and J odd bit
+    for bit. The omega -> 0 limit is built only where some |omega/2T| < 1e-8.
+    """
+
+    if not isinstance(bath, OhmicBath):
+        raise TypeError(f"no power spectrum for {type(bath).__name__}")
+    decay = np.exp(-np.abs(omega) / bath.cutoff)
+    j = bath.alpha * omega * decay
+    if bath.temperature == 0:
+        return np.abs(j), j
+    x = 0.5 * omega / bath.temperature
+    small = np.abs(x) < 1e-8
+    if not small.any():
+        return j / np.tanh(x), j
+    # J/tanh with the smooth limit J'(0)/(beta/2) = 2*alpha*T*exp(-|w|/wc)
+    limit = 2.0 * bath.alpha * bath.temperature * decay
+    return np.where(small, limit, j / np.tanh(np.where(small, 1.0, x))), j
+
+
 def power_spectral_density(bath, omega):
     """Symmetrized power spectrum S(omega) = J*coth(omega/2T), even in omega.
 
     The omega -> 0 limit is taken analytically (2*alpha*T for the ohmic
-    form); T = 0 collapses to |J|.
+    form); T = 0 collapses to |J|. S(-omega) == S(omega) bitwise.
     """
 
     omega = np.asarray(omega, dtype=float)
     if isinstance(bath, FlatNoise):
         return np.where(np.abs(omega) <= bath.halfwidth, 2.0 * bath.level, 0.0)
-    if not isinstance(bath, OhmicBath):
-        raise TypeError(f"no power spectrum for {type(bath).__name__}")
-    j = spectral_function(bath, omega)
-    if bath.temperature == 0:
-        return np.abs(j)
-    x = 0.5 * omega / bath.temperature
-    small = np.abs(x) < 1e-8
-    xs = np.where(small, 1.0, x)
-    ratio = np.where(small, 1.0, np.tanh(xs))
-    # J/tanh with the smooth limit J'(0)/(beta/2) = 2*alpha*T*exp(-|w|/wc)
-    limit = 2.0 * bath.alpha * bath.temperature * np.exp(
-        -np.abs(omega) / bath.cutoff
-    )
-    return np.where(small, limit, j / ratio)
+    return _ohmic_parts(bath, omega)[0]
 
 
 def noise_power(bath, omega):
-    """Full quantum noise power C(omega) = (S + J)/2 = J*(n_bose + 1)."""
+    """Full quantum noise power C(omega) = (S + J)/2 = J*(n_bose + 1), with S
+    and J from one pass; C(-omega) is bitwise (S - J)/2 of that pass."""
 
     omega = np.asarray(omega, dtype=float)
     if isinstance(bath, FlatNoise):
         return np.where(np.abs(omega) <= bath.halfwidth, bath.level, 0.0)
-    return 0.5 * (power_spectral_density(bath, omega) + spectral_function(bath, omega))
+    s, j = _ohmic_parts(bath, omega)
+    return 0.5 * (s + j)
 
 
 def support_halfwidth(bath):

@@ -371,7 +371,7 @@ def _cross_validate(cfg):
     # cells at 600 B a row. Whole runs under tracemalloc peak at 0.68 and
     # 0.62 of the summed rules for kbe on 10 and 40 wide-band sites over
     # 300001 and 20001 times, 0.28 for kbe on fig4-top over 2561 times (its
-    # memory rows alone at 0.64 of `stream_bytes`), 0.89 for lindblad on 10
+    # memory rows alone at 0.63 of `stream_bytes`), 0.89 for lindblad on 10
     # sites over 100001
     n = cfg.system.n_sites
     n_t = cfg.time.t_max / cfg.time.dt + 1 if cfg.time is not None else 0

@@ -150,17 +150,20 @@ def stream_bytes(n_sites, n_times, n_levels=None):
     tables, row 0 of the mirrors, the Keldysh row, its slopes, predictor,
     corrector and memory sums) plus 3 + 1/n complex (n_times, n, n_levels)
     tables (the Keldysh accumulators, one double-buffered, and the phase
-    table). Measured with tracemalloc: the output plus 10.5 to 11.8 scratch
-    matrices at n = 10 to 80 with 101 and 2001 times; over 201 times, 15.1
-    to 15.6 planes and tables at n = 10, 20 and 40 with one level per site,
-    4.4 to 5.4, 3.6 to 4.0 and 3.3 to 3.4 tables at n = 1, 2 and 5 with 100
-    to 400 levels per site: 0.46 to 0.76 of the rule, 0.64 on fig4-top and
-    0.97 on one site with one level (more below about 200 times).
+    table), plus 16 (8 n n_levels + 2048) bytes that do not grow with the
+    time count (fixed overhead and per-step (n, levels, n) temporaries).
+    Measured with tracemalloc: the output plus 10.5 to 11.8 scratch matrices
+    at n = 10 to 80 with 101 and 2001 times; over 201 times, 15.1 to 15.6
+    planes and tables at n = 10, 20 and 40 with one level per site, 4.4 to
+    5.4, 3.6 to 4.0 and 3.3 to 3.4 tables at n = 1, 2 and 5 with 100 to 400
+    levels per site: 0.46 to 0.74 of the rule, 0.63 on fig4-top; one site
+    over 3 to 201 times: 0.44 to 0.70 with one level, 0.95 with 100 levels.
     """
 
     if n_levels is None:
         return 16 * (n_times * n_sites + 11 * n_sites**2)
-    return 16 * n_times * (16 * n_sites**2 + 7 * n_levels * n_sites)
+    return 16 * (n_times * (16 * n_sites**2 + 7 * n_levels * n_sites)
+                 + 8 * n_levels * n_sites + 2048)
 
 
 def check_step(h, sigma, dt):

@@ -28,6 +28,7 @@ from .baths import (
     OhmicBath,
     TlsBath,
     WideBandBath,
+    _ohmic_parts,
     fft_convolve,
     inverse_temperature,
     noise_power,
@@ -211,6 +212,25 @@ def _bath_groups(baths):
     return groups
 
 
+def _tail_rates(bath, tail_nu, w, empty, occ):
+    """C(nu - w) @ empty + C(w - nu) @ occ per tail nu, unscaled. S is even
+    and J odd, so one sample at nu - w gives both, C = (S +- J)/2 bit for bit.
+    Blocks stay at 64 rows: the BLAS sums round by the row count, and other
+    sizes move fig2-lower's keldysh bytes."""
+
+    out = np.empty((tail_nu.size, empty.shape[1]))
+    for start in range(0, tail_nu.size, 64):
+        c_out, j = _ohmic_parts(bath, tail_nu[start : start + 64, None] - w)
+        # in place, j freed before the products: this loop sets fig3's peak RSS
+        c_in = c_out - j
+        c_in *= 0.5
+        c_out += j
+        c_out *= 0.5
+        del j
+        out[start : start + 64] = (c_out @ empty) + (c_in @ occ)
+    return out
+
+
 def dephasing_self_energy(h, baths, beta_sys, grid):
     """Born dephasing self-energy from frequency-domain convolution.
 
@@ -227,7 +247,8 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     with geometric tail grids so the wide ohmic background is not truncated
     at the output window. Sites with equal baths are computed together on
     (n_points, n_group) arrays, so the bath noise power is sampled once per
-    distinct bath. Returns the diagonals as a SelfEnergy.
+    distinct bath on the difference grid, and once per tail point for both
+    signs of nu - w. Returns the diagonals as a SelfEnergy.
     """
 
     baths = _bath_list(baths, h.n_sites, OhmicBath, "dephasing")
@@ -262,15 +283,7 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
         conv_e = fft_convolve(empty, c_diff[:, None])[on_grid]
         conv_o = fft_convolve(occ, c_diff[::-1, None])[on_grid]
         g_main = scale * (conv_e + conv_o)
-        # same convolution integral evaluated at the tail frequencies
-        g_tail = np.empty((tail_nu.size, len(sites)))
-        for start in range(0, tail_nu.size, 64):
-            stop = min(start + 64, tail_nu.size)
-            nu = tail_nu[start:stop, None]
-            g_tail[start:stop] = scale * (
-                (noise_power(bath, nu - w[None, :]) @ empty)
-                + (noise_power(bath, w[None, :] - nu) @ occ)
-            )
+        g_tail = scale * _tail_rates(bath, tail_nu, w, empty, occ)
         gamma[:, sites] = g_main
         sk_diag[:, sites] = -1j * scale * (conv_e - conv_o)
         shift[:, sites] = _shift_from_gamma(grid, g_main, tail_nu, tail_wts, g_tail)

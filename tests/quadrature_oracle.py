@@ -3,7 +3,9 @@
 noisychain.baths.principal_value_transform and the noise convolutions of
 noisychain.keldysh.dephasing_self_energy evaluate Toeplitz sums on the
 frequency grid by FFT convolution; these helpers reach the same numbers by
-summing every term (O(n^2) per profile), to check that they do.
+summing every term (O(n^2) per profile), to check that they do. The tail
+sum of dephasing_self_energy samples the bath once per point for both signs
+of nu - w; dephasing_tail_direct samples it at each sign on its own.
 """
 
 from __future__ import annotations
@@ -66,3 +68,16 @@ def dephasing_convolutions_direct(h, bath, beta_sys, grid):
     conv_e = np.stack([np.convolve(col, c_diff)[on_grid] for col in empty.T], axis=1)
     conv_o = np.stack([np.convolve(col, c_diff[::-1])[on_grid] for col in occ.T], axis=1)
     return scale * (conv_e + conv_o), -1j * scale * (conv_e - conv_o)
+
+
+def dephasing_tail_direct(bath, tail_nu, w, empty, occ):
+    """keldysh._tail_rates with the noise power sampled twice per block,
+    at nu - w and at w - nu, in the same 64-row blocks."""
+
+    out = np.empty((tail_nu.size, empty.shape[1]))
+    for start in range(0, tail_nu.size, 64):
+        nu = tail_nu[start : start + 64, None]
+        out[start : start + 64] = (noise_power(bath, nu - w[None, :]) @ empty) + (
+            noise_power(bath, w[None, :] - nu) @ occ
+        )
+    return out

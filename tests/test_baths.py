@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisychain.baths import (
@@ -237,12 +237,30 @@ def test_boson_correlators_narrow_grid_warns():
     temperature=st.floats(min_value=0.0, max_value=50.0),
     w=st.floats(min_value=-30.0, max_value=30.0),
 )
+@example(alpha=0.1, cutoff=2.0, temperature=0.0, w=0.7)
+@example(alpha=0.1, cutoff=2.0, temperature=3.0, w=1e-9)  # |w/2T| < 1e-8
+@example(alpha=0.1, cutoff=2.0, temperature=3.0, w=0.0)
 def test_noise_power_nonnegative_and_symmetries(alpha, cutoff, temperature, w):
+    # bitwise: the Kramers-Kronig tails take C(w - nu) = (S - J)/2 from the
+    # sample at nu - w, which holds bit for bit only through these identities
     bath = OhmicBath(alpha=alpha, cutoff=cutoff, temperature=temperature)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # coth overflow near w = 0 is benign
+        s, j = power_spectral_density(bath, w), spectral_function(bath, w)
         assert noise_power(bath, w) >= 0.0
-        assert power_spectral_density(bath, w) == pytest.approx(
-            power_spectral_density(bath, -w), rel=1e-9, abs=1e-300)
-        assert spectral_function(bath, w) == pytest.approx(
-            -spectral_function(bath, -w), rel=1e-9, abs=1e-300)
+        assert power_spectral_density(bath, -w) == s
+        assert spectral_function(bath, -w) == -j
+        assert noise_power(bath, -w) == 0.5 * (s - j)
+        assert noise_power(bath, w) == 0.5 * (s + j)
+
+
+def test_scalar_frequencies_match_the_array_path():
+    # Python floats in, 0-d results out, bitwise the array path's entries;
+    # 0.0 and 1e-9 take the small-|w/2T| limit
+    for bath in (OhmicBath(alpha=0.2, cutoff=4.0, temperature=0.0),
+                 OhmicBath(alpha=0.0125, cutoff=3.0, temperature=40.0)):
+        for fn in (noise_power, power_spectral_density, spectral_function):
+            for w in (-1.0, 0.0, 1e-9, 2.5):
+                value = fn(bath, w)
+                assert np.shape(value) == ()
+                assert float(value) == fn(bath, np.array([w, 1.0]))[0]

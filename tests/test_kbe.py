@@ -347,10 +347,18 @@ def test_memory_rule_counts_padded_levels():
 
 def test_stream_bytes_bounds_traced_peak():
     # the working-set rule bounds what a real run allocates: fig4-top
-    # (measured 0.64 of the rule) and a short narrow-band run (0.67)
+    # (measured 0.63 of the rule), a short narrow-band run (0.66), and the
+    # short one-site jobs where the scratch that does not grow with the
+    # time count sets the peak: one level over 51 and 101 times (0.56 and
+    # 0.63; 1.55 and 1.18 before that scratch was counted) and 100 levels
+    # over 51 times (0.95; was 1.03)
     chain, bath = _narrow_band()
+    one = build_chain(1, 2.5, 0.0, boundary="open")
+    short = [(one, tls_memory_self_energy([sample_tls_bath(0.05, k, (0.5, 4.5), seed=2)]),
+              t_max, 0.01) for k, t_max in ((1, 0.5), (1, 1.0), (100, 0.5))]
     for h, sigma, t_max, dt in (_fig4_top(42),
-                                (chain, tls_memory_self_energy([bath]), 2.0, 0.01)):
+                                (chain, tls_memory_self_energy([bath]), 2.0, 0.01),
+                                *short):
         m = int(round(t_max / dt)) + 1
         tracemalloc.start()
         try:

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from noisychain import keldysh
 from noisychain.baths import OhmicBath, TlsBath, WideBandBath
 from noisychain.errors import SingularFrequencyError
-from noisychain.harness import find_spectral_peaks
+from noisychain.harness import _Plan, config_from_dict, find_spectral_peaks
 from noisychain.keldysh import (
     RateFunction,
     SelfEnergy,
@@ -26,9 +27,10 @@ from noisychain.lattice import (
     ideal_greens,
     thermal_factor,
 )
+from noisychain.presets import preset_config
 from bath_oracle import dephasing_rate_function
 from dyson_oracle import lu_dyson_solve, ring_site_greens
-from quadrature_oracle import dephasing_convolutions_direct
+from quadrature_oracle import dephasing_convolutions_direct, dephasing_tail_direct
 
 
 def _const_self_energy(grid, n, value):
@@ -386,6 +388,34 @@ def test_dephasing_convolutions_match_direct_sums():
     for mine, ref in ((-2.0 * sigma.retarded.imag, gamma), (sigma.keldysh, keldysh)):
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.max(np.abs(mine - ref), axis=0) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("preset, gamma2, n_points", [
+    ("fig2-lower", None, None),
+    ("fig2-upper", None, None),
+    *[("fig3-bottom", g2, n) for n in (7201, 3601) for g2 in (0.05, 0.1, 0.2, 0.4)],
+])
+def test_one_sample_tail_matches_two_call_oracle(monkeypatch, preset, gamma2, n_points):
+    # the tail takes C(w - nu) = (S - J)/2 from the sample at nu - w; on the
+    # shipped presets, fig3-bottom's sweep widths and the benchmark's
+    # 3601-point sweep grid the self-energy is bitwise that of sampling the
+    # noise power at each sign on its own
+    raw = preset_config(preset)
+    if n_points is not None:
+        raw["grid"]["n_points"] = n_points
+    plan = _Plan(config_from_dict(raw))
+    cfg = plan.cfg
+    baths = plan.site_baths
+    if gamma2 is not None:
+        baths = [OhmicBath(alpha=gamma2 / cfg.bath.temperature, cutoff=cfg.bath.cutoff,
+                           temperature=cfg.bath.temperature)] * cfg.system.n_sites
+    args = (plan.h, baths, cfg.system.beta, plan.grid)
+    sigma = dephasing_self_energy(*args)
+    monkeypatch.setattr(keldysh, "_tail_rates", dephasing_tail_direct)
+    ref = dephasing_self_energy(*args)
+    assert np.array_equal(sigma.retarded, ref.retarded)
+    assert np.array_equal(sigma.keldysh, ref.keldysh)
+    assert np.any(sigma.retarded.real)  # the shift, tails included, is compared
 
 
 def test_tls_embedding_single_pole():
