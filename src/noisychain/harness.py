@@ -236,7 +236,6 @@ class InitialConfig:
 class QmeConfig:
     gamma1: float = _spec(float, None, _NONNEGATIVE)  # None: derived from the bath
     gamma2star: float = _spec(float, None, _NONNEGATIVE)
-    warmup_time: float = _spec(float, None, _NONNEGATIVE)
     secular: bool = _spec(bool, False)
     lamb_shift: bool = _spec(bool, True)
 
@@ -398,8 +397,6 @@ def _cross_validate(cfg):
     if "blochredfield" in cfg.engines and n > qme.DENSE_MAX_SITES:
         raise ConfigError("system.n_sites", "engine 'blochredfield' runs registers of "
                           f"at most {qme.DENSE_MAX_SITES} sites")
-    if "blochredfield" in cfg.engines and cfg.grid is not None and cfg.qme.warmup_time is None:
-        raise ConfigError("qme.warmup_time", "required for 'blochredfield' spectra")
     if cfg.grid is not None:
         for i, j in cfg.grid.pairs:
             if not (0 <= i < n and 0 <= j < n):
@@ -805,8 +802,7 @@ def _run_qme_spectra(plan, run_dir, kind):
         g1, g2 = plan.gamma_rates()
         greens = qme.lindblad_greens(plan.h, g1, g2, sites, plan.grid)
     else:
-        greens = qme.qme_greens(_redfield_generator(plan), sites, plan.cfg.qme.warmup_time,
-                                plan.grid)
+        greens = qme.qme_greens(_redfield_generator(plan), sites, plan.grid)
     name = f"{kind}_spectra.csv"
     _write_spectra(run_dir / name, plan.grid.omegas, greens, pairs, sites)
     return {name: "spectra"}
@@ -837,11 +833,9 @@ def _run_kbe(plan, run_dir):
 
 
 def _run_exact_tls(plan, run_dir):
-    cfg = plan.cfg
-    traj = qme.exact_tls_evolve(
-        plan.h, plan.site_baths, cfg.initial.excited_site, plan.t_grid
-    )
-    _write_trajectory(run_dir / "exact_tls_trajectory.csv", plan.t_grid, traj.qubit_occupations)
+    occ = qme.exact_tls_evolve(plan.h, plan.site_baths, plan.cfg.initial.excited_site,
+                               plan.t_grid)
+    _write_trajectory(run_dir / "exact_tls_trajectory.csv", plan.t_grid, occ[:, :plan.h.n_sites])
     return {"exact_tls_trajectory.csv": "trajectory"}
 
 

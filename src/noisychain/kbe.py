@@ -144,24 +144,27 @@ def stream_bytes(n_sites, n_times, n_levels=None):
 
     n_levels is n times the padded level axis (`MemorySelfEnergy.levels`)
     of a memory closure, None for the Markov closure. The Markov closure
-    holds the complex (n_times, n) output and about 11 complex (n, n)
-    scratch matrices (K, the two slopes and the matmul temporaries). The
-    memory core holds about 12 complex (n_times, n, n) planes (the lag
-    tables, row 0 of the mirrors, the Keldysh row, its slopes, predictor,
-    corrector and memory sums) plus 3 + 1/n complex (n_times, n, n_levels)
-    tables (the Keldysh accumulators, one double-buffered, and the phase
-    table), plus 16 (8 n n_levels + 2048) bytes that do not grow with the
-    time count (fixed overhead and per-step (n, levels, n) temporaries).
-    Measured with tracemalloc: the output plus 10.5 to 11.8 scratch matrices
-    at n = 10 to 80 with 101 and 2001 times; over 201 times, 15.1 to 15.6
-    planes and tables at n = 10, 20 and 40 with one level per site, 4.4 to
-    5.4, 3.6 to 4.0 and 3.3 to 3.4 tables at n = 1, 2 and 5 with 100 to 400
-    levels per site: 0.46 to 0.74 of the rule, 0.63 on fig4-top; one site
-    over 3 to 201 times: 0.44 to 0.70 with one level, 0.95 with 100 levels.
+    holds the complex (n_times, n) output, about 11 complex (n, n) scratch
+    matrices (K, the two slopes and the matmul temporaries) and 16 * 512
+    bytes that do not grow with the time count. The memory core holds about
+    12 complex (n_times, n, n) planes (the lag tables, row 0 of the mirrors,
+    the Keldysh row, its slopes, predictor, corrector and memory sums) plus
+    3 + 1/n complex (n_times, n, n_levels) tables (the Keldysh accumulators,
+    one double-buffered, and the phase table), plus 16 (8 n n_levels + 2048)
+    bytes that do not grow with the time count (fixed overhead and per-step
+    (n, levels, n) temporaries). Measured with tracemalloc: the output plus
+    10.5 to 11.8 scratch matrices at n = 10 to 80 with 101 and 2001 times,
+    and up to 6.2 kB more at n = 1 to 10: 0.56 to 0.99 of the rule at n = 1
+    to 40 over 51 to 2001 times, 0.79 for one site over 51 times in a fresh
+    process. Over 201 times, 15.1 to 15.6 planes and tables at n = 10, 20
+    and 40 with one level per site, 4.4 to 5.4, 3.6 to 4.0 and 3.3 to 3.4
+    tables at n = 1, 2 and 5 with 100 to 400 levels per site: 0.46 to 0.74
+    of the rule, 0.63 on fig4-top; one site over 3 to 201 times: 0.44 to
+    0.70 with one level, 0.95 with 100 levels.
     """
 
     if n_levels is None:
-        return 16 * (n_times * n_sites + 11 * n_sites**2)
+        return 16 * (n_times * n_sites + 11 * n_sites**2 + 512)
     return 16 * (n_times * (16 * n_sites**2 + 7 * n_levels * n_sites)
                  + 8 * n_levels * n_sites + 2048)
 

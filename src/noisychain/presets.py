@@ -70,7 +70,7 @@ PRESETS = {
             beta=5.0,
             n_points=1601,
             engines=["keldysh", "blochredfield"],
-            qme={"warmup_time": 2.0e5},
+            qme={},
             tol={"position": "grid", "fwhm": 0.10},
         ),
         "peaks": {"prominence": 0.05, "window": 3},

@@ -14,12 +14,13 @@ bitstrings, with the Jordan-Wigner signs, and the generator is built sector
 by sector, with each sector's own eigenbasis and gap table. Its spectra come
 from one eigendecomposition of each of the 2N + 1 sector blocks that quantum
 regression reaches (Minganti et al., PRA 98, 042118 (2018)), so each block
-must be diagonalizable, guarded by its own cond(V); its single-excitation
-trajectories step the N^2-dimensional (1, 1) block alone. No 4^N matrix is
-built. Site densities map onto (1 - sigma^z)/2 there, so a density-coupled
-bath acts through sigma^z/2 = 1/2 - n (the identity part commutes out of
-every dissipator) and linewidths line up with the frequency-domain solver
-without any rescaling.
+must be diagonalizable, guarded by its own cond(V), and each sector's
+steady state is the identity's projection onto that block's zero modes; its
+single-excitation trajectories step the N^2-dimensional (1, 1) block alone.
+No 4^N matrix is built. Site densities map onto (1 - sigma^z)/2 there, so a
+density-coupled bath acts through sigma^z/2 = 1/2 - n (the identity part
+commutes out of every dissipator) and linewidths line up with the
+frequency-domain solver without any rescaling.
 
 Both master equations give their regression correlators (Breuer &
 Petruccione, The Theory of Open Quantum Systems) in closed form, so their
@@ -33,7 +34,6 @@ Superoperators use row-major vec: vec(A rho B) = kron(A, B.T) vec(rho).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,12 +50,16 @@ __all__ = [
     "redfield_occupations",
     "lindblad_greens",
     "lindblad_occupations",
-    "TlsTrajectory",
     "exact_tls_evolve",
 ]
 
 DENSE_MAX_SITES = 5
 COND_MAX = 1e8
+# eig moves an exact zero of L by about cond(V) eps ||L||_1 (Bauer-Fike), at
+# most 2.2e-8 ||L||_1 on a block that COND_MAX admits, so an eigenvalue with
+# |lam| <= ZERO_MODE ||L||_1 is a zero mode. On fig2-upper the zero modes lie
+# within 3.3e-16 and the slowest decay rate is 8.25e-5, with ||L||_1 <= 4.
+ZERO_MODE = 1e-7
 
 
 def _register_guard(n_sites):
@@ -337,19 +341,39 @@ def _block_eig(lv, sector):
     return lam, vecs, vinv
 
 
-def qme_greens(gen, sites, warmup_time, grid):
+def _stationary_state(gen, bases):
+    """The t -> infinity limit of the identity state under gen, on the whole register.
+
+    Each (k, k) block keeps its sector of the identity state projected onto
+    the block's zero modes, V[:, zero] V^-1[zero] rho0: every other mode
+    decays, so this is exactly lim exp(L t) rho0, and a block with several
+    zero modes keeps the identity's part in each of them.
+    """
+
+    dim = 2**gen.n_sites
+    rho = np.zeros((dim, dim), dtype=complex)
+    for k, basis in enumerate(bases):
+        lv = gen.block(k, k)
+        lam, vecs, vinv = _block_eig(lv, (k, k))
+        zero = np.abs(lam) <= ZERO_MODE * np.linalg.norm(lv, 1)
+        v = vecs[:, zero] @ (vinv[zero] @ np.eye(basis.size).reshape(-1) / dim)
+        rho[np.ix_(basis, basis)] = v.reshape(basis.size, basis.size)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def qme_greens(gen, sites, grid):
     """Steady-state Green functions among sites from quantum regression on the register.
 
     gen conserves particle number, so only 2N + 1 of its (n_bra, n_ket)
     sector blocks are reached, each taken from gen.block and diagonalized
     once, L = V diag(lam) V^-1. The domain is generators whose blocks are
     diagonalizable: a 1-norm cond(V) above COND_MAX in any block raises
-    LinAlgError. The identity state lives on the (k, k) blocks and relaxes
-    there to V exp(lam warmup_time) V^-1 rho0, exactly exp(L warmup_time)
-    rho0, with a warning when max|L rho| exceeds 1e-7. The columns
-    c_p^dag rho and rho c_p^dag both land in the (k + 1, k) blocks, where the
-    correlators <c_n(tau) c_m^dag> and <c_m^dag c_n(tau)> are exponential
-    sums sum_m w_m exp(lam_m tau), whose one-sided transform at
+    LinAlgError. The steady state lives on the (k, k) blocks: the identity
+    state's projection onto each block's zero modes (_stationary_state). The
+    columns c_p^dag rho and rho c_p^dag both land in the (k + 1, k) blocks,
+    where the correlators <c_n(tau) c_m^dag> and <c_m^dag c_n(tau)> are
+    exponential sums sum_m w_m exp(lam_m tau), whose one-sided transform at
     z = omega + i eta is exactly sum_m w_m (-1 / (lam_m + i z)): the lines
     carry the grid's eta Lorentzian, as the Dyson solve's do. No Re lam
     exceeds 0 beyond roundoff and FreqGrid keeps eta at two spacings or more,
@@ -361,22 +385,7 @@ def qme_greens(gen, sites, warmup_time, grid):
     sites = _distinct_sites(sites, gen.n_sites)
     dim = 2**gen.n_sites
     bases = _sector_bases(gen.n_sites)
-    rho = np.zeros((dim, dim), dtype=complex)
-    residual = 0.0
-    for k, basis in enumerate(bases):
-        lv = gen.block(k, k)
-        lam, vecs, vinv = _block_eig(lv, (k, k))
-        v = vecs @ (np.exp(lam * float(warmup_time))
-                    * (vinv @ np.eye(basis.size).reshape(-1) / dim))
-        residual = max(residual, float(np.max(np.abs(lv @ v))))
-        rho[np.ix_(basis, basis)] = v.reshape(basis.size, basis.size)
-    if residual > 1e-7:
-        warnings.warn(
-            f"steady-state residual {residual:.2e} above 1e-07; increase warmup_time",
-            stacklevel=2,
-        )
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
+    rho = _stationary_state(gen, bases)
 
     cs = [_annihilator(s, gen.n_sites) for s in sites]
     # G^> = -i <c_q(tau) c_p^dag> and G^< = i <c_p^dag c_q(tau)>, so G^R's
@@ -468,26 +477,13 @@ def lindblad_occupations(h, gamma1, gamma2star, site, t_grid):
     return _propagate(lv, m0, t_grid)[:, :: n + 1].real
 
 
-@dataclass
-class TlsTrajectory:
-    """Occupations from the exact single-excitation evolution."""
-
-    t_grid: np.ndarray
-    qubit_occupations: np.ndarray
-    tls_occupations: np.ndarray
-    site: int
-
-    @property
-    def total(self):
-        return self.qubit_occupations.sum(axis=1) + self.tls_occupations.sum(axis=1)
-
-
 def exact_tls_evolve(h, baths, site, t_grid):
-    """Exact unitary dynamics of the chain plus its TLS environments.
+    """(n_t, N + levels) occupations of the chain's sites, then its TLS levels.
 
-    Valid for one excitation above the vacuum: the string-dressed spin model
-    and the quadratic tunneling model coincide in that sector, so the
-    evolution is an eigensolve in the (N + total levels)-dimensional space.
+    Exact unitary dynamics of the chain plus its TLS environments, valid for
+    one excitation above the vacuum: the string-dressed spin model and the
+    quadratic tunneling model coincide in that sector, so the evolution is an
+    eigensolve in the (N + total levels)-dimensional space.
     The excitation starts on chain site `site`; the TLS levels start empty.
     """
 
@@ -519,10 +515,4 @@ def exact_tls_evolve(h, baths, site, t_grid):
     amp0 = u[site, :].conj()  # initial amplitudes in the eigenbasis
     phases = np.exp(-1j * np.outer(t_grid, energies))
     psi = (phases * amp0[None, :]) @ u.T
-    occ = np.abs(psi) ** 2
-    return TlsTrajectory(
-        t_grid=t_grid,
-        qubit_occupations=occ[:, :n],
-        tls_occupations=occ[:, n:],
-        site=site,
-    )
+    return np.abs(psi) ** 2

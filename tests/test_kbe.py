@@ -13,6 +13,7 @@ from noisychain.errors import CapacityError
 from noisychain.harness import _Plan, config_from_dict, find_spectral_peaks
 from noisychain.kbe import (
     MEMORY_CAP_BYTES,
+    MarkovSelfEnergy,
     _memory_rows,
     _start,
     equal_time_keldysh,
@@ -253,7 +254,7 @@ def test_narrow_band_crossover_to_markov():
     # kernel tracks it to its O(dt^2) error (measured 5.7e-5, bound with a
     # 1.75x margin), far inside the golden-rule gap above
     exact = qme.exact_tls_evolve(h, [bath], 0, run.t_grid)
-    assert np.max(np.abs(n[:, 0] - exact.qubit_occupations[:, 0])) < 1e-4
+    assert np.max(np.abs(n[:, 0] - exact[:, 0])) < 1e-4
 
 
 def test_initial_state_validation():
@@ -351,14 +352,19 @@ def test_stream_bytes_bounds_traced_peak():
     # short one-site jobs where the scratch that does not grow with the
     # time count sets the peak: one level over 51 and 101 times (0.56 and
     # 0.63; 1.55 and 1.18 before that scratch was counted) and 100 levels
-    # over 51 times (0.95; was 1.03)
+    # over 51 times (0.95; was 1.03). The Markov closure on 1 and 5 sites
+    # over 51 and 501 times and on 20 and 40 sites over 501 times: 0.62 to
+    # 0.97 (up to 7.3 on one site before its fixed scratch was counted)
     chain, bath = _narrow_band()
     one = build_chain(1, 2.5, 0.0, boundary="open")
     short = [(one, tls_memory_self_energy([sample_tls_bath(0.05, k, (0.5, 4.5), seed=2)]),
               t_max, 0.01) for k, t_max in ((1, 0.5), (1, 1.0), (100, 0.5))]
+    markov = [(build_chain(n, 0.0, 1.0, boundary="open"), markov_self_energy(np.full(n, 0.2)),
+               t_max, 0.01) for n, t_max in ((1, 0.5), (1, 5.0), (5, 0.5), (5, 5.0),
+                                               (20, 5.0), (40, 5.0))]
     for h, sigma, t_max, dt in (_fig4_top(42),
                                 (chain, tls_memory_self_energy([bath]), 2.0, 0.01),
-                                *short):
+                                *short, *markov):
         m = int(round(t_max / dt)) + 1
         tracemalloc.start()
         try:
@@ -366,4 +372,5 @@ def test_stream_bytes_bounds_traced_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < stream_bytes(h.n_sites, m, h.n_sites * sigma.levels)
+        levels = None if isinstance(sigma, MarkovSelfEnergy) else h.n_sites * sigma.levels
+        assert peak < stream_bytes(h.n_sites, m, levels), (h.n_sites, m, peak)
