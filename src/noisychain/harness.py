@@ -369,9 +369,9 @@ def _cross_validate(cfg):
     # writer's columns and their temporaries) and one block of formatted
     # cells at 600 B a row. Whole runs under tracemalloc peak at 0.68 and
     # 0.62 of the summed rules for kbe on 10 and 40 wide-band sites over
-    # 300001 and 20001 times, 0.28 for kbe on fig4-top over 2561 times (its
-    # memory rows alone at 0.63 of `stream_bytes`), 0.89 for lindblad on 10
-    # sites over 100001
+    # 300001 and 20001 times, 0.11 for kbe on fig4-top over 2561 times (the
+    # write block dominates its rule; the memory closure alone peaks at 0.83
+    # of `stream_bytes`), 0.89 for lindblad on 10 sites over 100001
     n = cfg.system.n_sites
     n_t = cfg.time.t_max / cfg.time.dt + 1 if cfg.time is not None else 0
     artifact = 64 * n_t * n + 600 * _WRITE_BLOCK
@@ -391,7 +391,7 @@ def _cross_validate(cfg):
         _check_memory("bath.n_tls", f"exact_tls on {d} levels",
                       32 * d * d + 48 * n_t * d + artifact)
     if "kbe" in cfg.engines:
-        levels = n * cfg.bath.n_tls if cfg.bath.kind == "tls" else None
+        levels = cfg.bath.n_tls if cfg.bath.kind == "tls" else None
         _check_memory("time.t_max", f"kbe on {n} sites",
                       stream_bytes(n, n_t, levels) + artifact, "; shorten t_max or increase dt")
     if "blochredfield" in cfg.engines and n > qme.DENSE_MAX_SITES:

@@ -2,25 +2,35 @@
 
 The chain starts with one particle on one site, every other site empty and
 no correlation with the baths at t = 0; the integrator returns what an
-occupation trajectory reads, the equal-time Keldysh diagonal K_ii(t, t).
-Two bath closures are supported: an instantaneous decay approximation (site
-decay rates, no memory) and the full memory kernel of tunneling two-level
-environments. Both use second-order stepping so halving dt cuts the error
-by four; that convergence ratio is pinned by a test and must not be traded
-away for exactness tricks.
+occupation trajectory reads, the equal-time Keldysh diagonal
+K_ii(t, t) = -i (1 - 2 n_i(t)). Two bath closures are supported: an
+instantaneous decay approximation (site decay rates, no memory) and the
+full memory kernel of tunneling two-level environments. Both use
+second-order stepping so halving dt cuts the error by four; tests pin that
+convergence ratio for both closures, and it must not be traded away for
+exactness tricks.
 
 Without memory the equal-time function obeys its own closed equation,
 dK/dt = A K + K A^dag - i Gamma with A = -i h - Gamma/2, so K(t, t) is
 stepped alone: O(n^3) work per step and an (n_times, n) output. With memory
-its slope reads the whole two-time history. The retarded function never
-reads the initial state and h and the kernels are time-independent, so
-R(t, t') = R(t - t') is stepped as one lag series. The Keldysh rows
-K(t_i, t_j), j <= i, carry the initial state and are streamed, keeping
-only what the next step reads: the top row, row 0 of its conjugation
-mirrors and the exponential-sum accumulators, all in one (site, time,
-column) layout with the sites stacked. Working memory then grows as
-(t_max/dt) * n^2 * (1 + levels per site), not as (t_max/dt)^2. Jobs whose
-working set (`stream_bytes`) would exceed a few gigabytes are refused
+the retarded function never reads the initial state and h and the kernels
+are time-independent, so R(t, t') = R(t - t') is stepped as one lag series
+(Heun steps, the memory sum as a one-step recurrence over the bath levels).
+The baths start uncorrelated with the chain and their kernels are
+stationary, so the Langreth rule gives the equal-time lesser function from
+R alone: with U = iR,
+    G^<(t, t) = U(t) G^<(0, 0) U(t)^dag
+                + int int G^R(t, s) Sigma^<(s - s') G^A(s', t) ds ds',
+and Sigma^< is a sum of exponentials over the levels, so the double
+integral factorizes:
+    n_i(t) = |U_{i,site}(t)|^2 + sum_{a,l} g_{a,l}^2 f_{a,l} |v_{a,l,i}(t)|^2,
+    v_{a,l}(t) = int_0^t U(tau)[:, a] e^{i eps_l tau} dtau,
+a running trapezoid sum over level l of site a's bath (coupling g, energy
+eps, occupation f). Occupations are sums of squares with nonnegative
+weights, and K follows from G^> - G^< = -i at equal times. Work grows as
+(t_max/dt) * n^2 * levels per site; memory as (t_max/dt) * (n + levels per
+site) for the kernel table plus n^2 * levels per site for the sums. Jobs
+whose working set (`stream_bytes`) would exceed a few gigabytes are refused
 before any step rather than left to swap.
 """
 
@@ -139,34 +149,32 @@ def _n_times(t_max, dt):
     return int(round(steps)) + 1
 
 
-def stream_bytes(n_sites, n_times, n_levels=None):
+def stream_bytes(n_sites, n_times, levels=None):
     """Working-set estimate of `equal_time_keldysh` in bytes.
 
-    n_levels is n times the padded level axis (`MemorySelfEnergy.levels`)
-    of a memory closure, None for the Markov closure. The Markov closure
-    holds the complex (n_times, n) output, about 11 complex (n, n) scratch
-    matrices (K, the two slopes and the matmul temporaries) and 16 * 512
-    bytes that do not grow with the time count. The memory core holds about
-    12 complex (n_times, n, n) planes (the lag tables, row 0 of the mirrors,
-    the Keldysh row, its slopes, predictor, corrector and memory sums) plus
-    3 + 1/n complex (n_times, n, n_levels) tables (the Keldysh accumulators,
-    one double-buffered, and the phase table), plus 16 (8 n n_levels + 2048)
-    bytes that do not grow with the time count (fixed overhead and per-step
-    (n, levels, n) temporaries). Measured with tracemalloc: the output plus
-    10.5 to 11.8 scratch matrices at n = 10 to 80 with 101 and 2001 times,
-    and up to 6.2 kB more at n = 1 to 10: 0.56 to 0.99 of the rule at n = 1
-    to 40 over 51 to 2001 times, 0.79 for one site over 51 times in a fresh
-    process. Over 201 times, 15.1 to 15.6 planes and tables at n = 10, 20
-    and 40 with one level per site, 4.4 to 5.4, 3.6 to 4.0 and 3.3 to 3.4
-    tables at n = 1, 2 and 5 with 100 to 400 levels per site: 0.46 to 0.74
-    of the rule, 0.63 on fig4-top; one site over 3 to 201 times: 0.44 to
-    0.70 with one level, 0.95 with 100 levels.
+    levels is the padded level axis (`MemorySelfEnergy.levels`) of a memory
+    closure, None for the Markov closure. The Markov closure holds the
+    complex (n_times, n) output, about 11 complex (n, n) scratch matrices
+    (K, the two slopes and the matmul temporaries) and 16 * 512 bytes that
+    do not grow with the time count. Measured with tracemalloc: the output
+    plus 10.5 to 11.8 scratch matrices at n = 10 to 80 with 101 and 2001
+    times, and up to 6.2 kB more at n = 1 to 10: 0.56 to 0.99 of the rule
+    at n = 1 to 40 over 51 to 2001 times, 0.79 for one site over 51 times
+    in a fresh process. The memory closure peaks while it builds the kernel
+    table: the two complex (n_times, n) kernels, up to three complex
+    (n_times, levels) phase tables (one site's, while the next site's is
+    built) and about 4 complex (n_times,) columns. Its steps add about 5
+    complex (n, levels, n) memory sums and temporaries and 12 complex
+    (n, n) matrices, and 16 * 1024 bytes do not grow with anything.
+    Measured: 0.61 to 0.96 of the rule at n = 1 to 40 and 1 to 4000 levels
+    over 51 to 2001 times, 0.83 on fig4-top; 0.33 to 0.43 for one site with
+    one level over 3 to 201 times, where the fixed term dominates.
     """
 
-    if n_levels is None:
+    if levels is None:
         return 16 * (n_times * n_sites + 11 * n_sites**2 + 512)
-    return 16 * (n_times * (16 * n_sites**2 + 7 * n_levels * n_sites)
-                 + 8 * n_levels * n_sites + 2048)
+    return 16 * (n_times * (2 * n_sites + 3 * levels + 4)
+                 + n_sites**2 * (5 * levels + 12) + 1024)
 
 
 def check_step(h, sigma, dt):
@@ -193,8 +201,7 @@ def _start(h, sigma, site, t_max, dt):
     m = _n_times(t_max, dt)
     check_step(h, sigma, dt)
     markov = isinstance(sigma, MarkovSelfEnergy)
-    levels = None if markov else n * sigma.levels
-    need = stream_bytes(n, m, levels)
+    need = stream_bytes(n, m, None if markov else sigma.levels)
     if need > MEMORY_CAP_BYTES:
         raise CapacityError(
             f"the integrator needs about {need / 1e9:.1f} GB "
@@ -219,10 +226,7 @@ def equal_time_keldysh(h, sigma, site, t_max, dt):
     m, f0 = _start(h, sigma, site, t_max, dt)
     if isinstance(sigma, MarkovSelfEnergy):
         return _markov_diagonal(h.matrix, sigma.rates, f0, m, dt)
-    out = np.empty((m, h.n_sites), dtype=complex)
-    for i, (_, kel) in enumerate(_memory_rows(h.matrix, sigma, f0, m, dt)):
-        out[i] = kel[i].diagonal()
-    return out
+    return 1j * (2.0 * _memory_occupations(h.matrix, sigma, site, m, dt) - 1.0)
 
 
 def _markov_diagonal(hm, rates, f0, m, dt):
@@ -245,76 +249,38 @@ def _markov_diagonal(hm, rates, f0, m, dt):
     return out
 
 
-def _memory_rows(hm, sigma, f0, m, dt):
-    n = hm.shape[0]
-    eye = np.eye(n, dtype=complex)
-    srf, skf = sigma.kernels(dt, m)
-    t_grid = np.arange(m) * dt
+def _memory_occupations(hm, sigma, site, m, dt):
+    """(m, n) occupations n_i(t) by the Langreth rule from the retarded lag
+    series L[q] = R(t_q, 0) = -i U(t_q)."""
 
-    # The kernels are exact exponential sums over bath levels, so each
-    # trapezoid memory sum obeys a one-step recurrence in the top time and
-    # the history is never rescanned: O(m^2) work instead of O(m^3). Sites
-    # are stacked, each padded to the level axis with zero-weight levels.
+    n = hm.shape[0]
+    srf = sigma.kernels(dt, m)[0]
+
+    # Sites are stacked, each padded to the level axis with zero-weight
+    # levels: eps the level energies, wr the retarded kernel weights -i g^2,
+    # wf the lesser ones g^2 f
     lv = sigma.levels
     eps = np.zeros((n, lv))
     wr = np.zeros((n, lv), dtype=complex)
-    wk = np.zeros((n, lv), dtype=complex)
+    wf = np.zeros((n, lv))
     for a, bath in enumerate(sigma.baths):
         if bath is None:
             continue
         k = bath.energies.size
         gsq = bath.couplings**2
-        beta_b = inverse_temperature(bath.temperature)
-        hole = 1.0 - 2.0 * fermi_occupation(bath.energies, beta_b)
         eps[a, :k] = bath.energies
         wr[a, :k] = -1j * gsq
-        wk[a, :k] = -1j * gsq * hole
+        wf[a, :k] = gsq * fermi_occupation(bath.energies, inverse_temperature(bath.temperature))
     dphase = np.exp(-1j * eps * dt)[:, :, None]
-    tphase = np.exp(1j * (t_grid[None, :, None] * eps[:, None, :]))  # (n, m, levels)
-
-    # The retarded function depends on the lag only: h and the kernels are
-    # time-independent, it never reads the initial state, and every step of
-    # the scheme keeps that. So R(t_r, t_j) = L[r - j], L[q] = R(t_q, 0), is
-    # stepped as one lag series, the newest lag only:
-    #   lags[q], plags[q] = L[q] corrected and predicted; the predicted row
-    #                       at t_r is plags[r::-1];
-    #   front[a, s] = sum_{k=0..q} e^{-i eps_s (q - k) dt} L[k][a, :], the
-    #                 retarded memory sum of the newest lag q.
-    # Keldysh rows carry the initial state and are streamed as
-    # X[a, j, c] = K(t_r, t_j)[a, c], their accumulators behind a level axis:
-    #   qk[a, s, j] = sum_{u=0..r} e^{+i eps_s t_u}        K(t_u, t_j)[a, :]
-    #   g3[a, s, j] = sum_{u=0..j} e^{+i eps_s t_u} R(t_j, t_u)^dag [a, :]
-    # qk tracks the top row r and is double-buffered (qk_c committed, qk_s
-    # scratch) so the corrector can rebuild from the committed state; g3
-    # freezes once column j is born.
-    # Row 0 of the conjugation mirrors, the only history the edge terms read:
-    #   k0[a, u] = K(t_0, t_u)[a, :] = -K(t_u, 0)^dag[a, :]
-    #   ga0[a, u] = GA(t_0, t_u)[a, :] = L[u]^dag[a, :]
-    lags, plags = np.zeros((2, m, n, n), dtype=complex)
-    front = np.zeros((n, lv, n), dtype=complex)
-    qk_c, qk_s, g3 = np.zeros((3, n, lv, m, n), dtype=complex)
-    k0, ga0 = np.zeros((2, n, m, n), dtype=complex)
     diag = np.arange(n)
 
-    def advance(src, dst, krows, rrow, r1):
-        # move the committed Keldysh sums at row r1 - 1 up to row r1 using
-        # the new rows, and (re)build the sums of the column born at r1 from
-        # the conjugation mirrors GA[u, r1] = R(t_r1, t_u)^dag and
-        # K[u, r1] = -K(t_r1, t_u)^dag; rrow[u] = R(t_r1, t_u)
-        gcol = np.conj(rrow.transpose(2, 0, 1))
-        kcol = -np.conj(krows[:, :r1].transpose(2, 1, 0))
-        ph_new = tphase[:, r1]
-        # products land in the destination, so no table-sized temporary
-        np.multiply(ph_new[:, :, None, None], krows[:, None], out=dst[:, :, : r1 + 1])
-        dst[:, :, : r1 + 1] += src[:, :, : r1 + 1]
-        dst[:, :, r1] = (
-            tphase[:, :r1].swapaxes(1, 2) @ kcol + ph_new[:, :, None] * krows[:, r1, None, :]
-        )
-        g3[:, :, r1] = tphase[:, : r1 + 1].swapaxes(1, 2) @ gcol
-
-    def contract(w, acc, r):
-        return (w[:, None, :] @ acc[:, :, : r + 1].reshape(n, lv, -1)).reshape(n, r + 1, n)
-
+    # The kernels are exact exponential sums over bath levels, so both
+    # trapezoid sums over the history obey one-step recurrences and only
+    # the newest lag is kept:
+    #   front[a, s] = sum_{k=0..q} e^{-i eps_s (q - k) dt} L[k][a, :], the
+    #                 retarded memory sum of lag q (uniform weights);
+    #   vel[a, s]   = e^{-i eps_s t_q} int_0^{t_q} e^{i eps_s tau} L(tau)[:, a]
+    #                 dtau, the trapezoid rule; |vel| = |v| since |L| = |U|
     def rslope(q, lag, acc):
         # retarded slope of lag q from its memory sum acc. The uniform-weight
         # sum needs trapezoid edge fixes: half its k = 0 term (L[0] = -i,
@@ -324,55 +290,25 @@ def _memory_rows(hm, sigma, f0, m, dt):
         t1 -= 0.5 * dt * srf[0][:, None] * lag
         return -1j * (hm @ lag + t1)
 
-    def kslope(r, qk, krow):
-        cph = np.conj(tphase[:, r])
-        t2 = contract(wr * cph, qk, r) * dt
-        t3 = contract(wk * cph, g3, r) * dt
-        # edge fixes: both edges of t2; the u = 0 and u = j (GA diagonal +i)
-        # edges of t3, the diagonal ones t3[a, j, a] at lag r - j
-        t2 -= 0.5 * dt * srf[r][:, None, None] * k0[:, : r + 1]
-        t2 -= 0.5 * dt * srf[0][:, None, None] * krow
-        t3 -= 0.5 * dt * skf[r][:, None, None] * ga0[:, : r + 1]
-        t3[diag, :, diag] -= (0.5j * dt * skf[r::-1]).T
-        return -1j * ((hm @ krow.reshape(n, -1)).reshape(krow.shape) + t2 + t3)
-
-    # t = 0 seeds
-    lags[0] = plags[0] = -1j * eye
-    krow = (-1j * (eye - 2.0 * f0))[:, None]
-    k0[:, 0] = -np.conj(krow[:, 0].T)
-    ga0[:, 0] = np.conj(lags[0].T)
-    front[:] = lags[0][:, None, :]
-    qk_c[:, :, 0] = krow
-    g3[:, :, 0] = 1j * eye[:, None, :]
-    yield lags[0::-1], krow.swapaxes(0, 1)
-
+    lag = -1j * np.eye(n, dtype=complex)
+    front = np.repeat(lag[:, None, :], lv, axis=1)
+    vel = np.zeros((n, lv, n), dtype=complex)
+    occ = np.zeros((m, n))
+    occ[0, site] = 1.0
     for i in range(m - 1):
-        dr1 = rslope(i, lags[i], front)
-        dk1 = kslope(i, qk_c, krow)
-        fd1 = dk1[:, i] - dk1[:, i].conj().T
-        # predictor at t_{i+1}: the newest lag and the Keldysh row
-        plags[i + 1] = lags[i] + dt * dr1
-        kp = np.empty((n, i + 2, n), dtype=complex)
-        kp[:, : i + 1] = krow + dt * dk1
-        kp[:, i + 1] = krow[:, i] + dt * fd1
-        k0[:, i + 1] = -np.conj(kp[:, 0].T)
-        ga0[:, i + 1] = np.conj(plags[i + 1].T)
-        advance(qk_c, qk_s, kp, plags[i + 1 :: -1], i + 1)
-        # corrector re-evaluates the slopes on the predicted lag and row
-        dr2 = rslope(i + 1, plags[i + 1], dphase * front + plags[i + 1][:, None, :])
-        dk2 = kslope(i + 1, qk_s, kp)
-        fd2 = dk2[:, i + 1] - dk2[:, i + 1].conj().T
-        lags[i + 1] = lags[i] + 0.5 * dt * (dr1 + dr2)
-        kc = np.empty_like(kp)
-        kc[:, : i + 1] = krow + 0.5 * dt * (dk1 + dk2[:, : i + 1])
-        kc[:, i + 1] = krow[:, i] + 0.5 * dt * (fd1 + fd2)
-        k0[:, i + 1] = -np.conj(kc[:, 0].T)
-        ga0[:, i + 1] = np.conj(lags[i + 1].T)
-        advance(qk_c, qk_s, kc, lags[i + 1 :: -1], i + 1)
-        # dphase on the left: swapping the factors of a complex product can
-        # change its last bit, and the whole-row oracle multiplies this way
+        # Heun step of the newest lag: predictor, then the corrector on it
+        dr1 = rslope(i, lag, front)
+        plag = lag + dt * dr1
+        dr2 = rslope(i + 1, plag, dphase * front + plag[:, None, :])
+        new = lag + 0.5 * dt * (dr1 + dr2)
+        # dphase on the left, the operand order the quoted measurements
+        # used: swapping the factors of a complex product can change its
+        # last bit
         np.multiply(dphase, front, out=front)
-        front += lags[i + 1][:, None, :]
-        qk_c, qk_s = qk_s, qk_c
-        krow = kc
-        yield lags[i + 1 :: -1], krow.swapaxes(0, 1)
+        front += new[:, None, :]
+        vel += 0.5 * dt * lag.T[:, None, :]
+        vel *= dphase
+        vel += 0.5 * dt * new.T[:, None, :]
+        lag = new
+        occ[i + 1] = np.abs(lag[:, site]) ** 2 + wf.ravel() @ (np.abs(vel.reshape(-1, n)) ** 2)
+    return occ

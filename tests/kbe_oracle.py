@@ -1,16 +1,17 @@
 """Two-time planes, closed forms and transforms that only tests need.
 
-noisychain.kbe returns only the equal-time Keldysh diagonal. kbe_integrate
-runs the full two-time equations of motion instead and collects them into
-the lower-triangle planes of TwoTimeGreens, so tests can check any point of
-them: the Markov rows by the brute-force row stepper below, the memory rows
-by the integrator's own core, which steps the retarded function as one lag
-series (its rows are views of the lag table read backwards) and streams
-the Keldysh rows. per_site_memory_rows is that core as it ran before its
-sites were stacked into one array, stepping whole retarded rows, kept as
-the reference the lag core must reproduce. analytic_gk is the closed form the
-integrator converges to when the decay rates commute with the chain, and
-late_time_spectrum turns the final-time slice of a run into
+noisychain.kbe returns only the equal-time Keldysh diagonal, and with
+memory kernels it reads the occupations off the retarded lag series by the
+Langreth rule. kbe_integrate runs the full two-time equations of motion
+instead and collects them into the lower-triangle planes of TwoTimeGreens,
+so tests can check any point of them: the Markov rows by the brute-force
+row stepper below, the memory rows by per_site_memory_rows, which steps
+whole retarded rows and the Keldysh rows K(t_i, t_j), j <= i, with
+per-site exponential-sum accumulators. It discretizes the Keldysh side
+independently of the Langreth route, so the two agree to their O(dt^2)
+gap and both converge to the exact solve. analytic_gk is the closed form
+the integrator converges to when the decay rates commute with the chain,
+and late_time_spectrum turns the final-time slice of a run into
 frequency-domain functions through a tapered Fourier sum.
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from noisychain.baths import inverse_temperature
-from noisychain.kbe import MarkovSelfEnergy, _memory_rows, _start
+from noisychain.kbe import MarkovSelfEnergy, _start
 from noisychain.lattice import FreqGreens, fermi_occupation
 
 
@@ -71,7 +72,7 @@ def kbe_integrate(h, sigma, site, t_max, dt):
     if isinstance(sigma, MarkovSelfEnergy):
         rows = _markov_rows(h.matrix, sigma.rates, f0, m, dt)
     else:
-        rows = _memory_rows(h.matrix, sigma, f0, m, dt)
+        rows = per_site_memory_rows(h.matrix, sigma, f0, m, dt)
     n = h.n_sites
     ret = np.zeros((m, m, n, n), dtype=complex)
     kel = np.zeros((m, m, n, n), dtype=complex)
@@ -190,10 +191,10 @@ def late_time_spectrum(greens, grid):
 
 
 def per_site_memory_rows(hm, sigma, f0, m, dt):
-    """The memory core as it ran before the site-stacked layout: per-site
+    """Memory rows (ret, kel) of shape (i + 1, n, n), X(t_i, t_j) for j <= i,
+    by second-order stepping of both two-time equations: per-site
     accumulators of shape (levels, m, n), one tensordot per site and memory
-    term, column 0 kept as full matrices and mirrored on every slope. Rows
-    are yielded as kbe._memory_rows yields them, shape (i + 1, n, n)."""
+    term, column 0 kept as full matrices and mirrored on every slope."""
 
     n = hm.shape[0]
     eye = np.eye(n, dtype=complex)

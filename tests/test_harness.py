@@ -733,7 +733,7 @@ def test_kbe_step_checked_before_any_output(tmp_path, capsys):
 
 def test_kbe_long_memory_run_validates():
     # fig4-top over four times its preset span: the full two-time planes
-    # would need about 7.9 GB, the streamed rows a few MB
+    # would need about 21 GB, the kbe working set about 1.7 MB
     raw = preset_config("fig4-top")
     raw["time"]["t_max"] = 40.0
     cfg = config_from_dict(raw)

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 from noisychain import qme
 from noisychain.baths import TlsBath, sample_tls_bath
 from noisychain.errors import CapacityError
-from noisychain.harness import _Plan, config_from_dict, find_spectral_peaks
+from noisychain.harness import (
+    _Plan,
+    config_from_dict,
+    find_spectral_peaks,
+    read_artifact,
+    run_experiment,
+)
 from noisychain.kbe import (
     MEMORY_CAP_BYTES,
     MarkovSelfEnergy,
-    _memory_rows,
     _start,
     equal_time_keldysh,
     markov_self_energy,
@@ -52,21 +57,21 @@ def _narrow_band():
     return h, sample_tls_bath(0.05, 200, (0.5, 4.5), seed=2)
 
 
-def _worst_row_gap(h, sigma, t_max, dt):
-    """Largest |stacked - per-site| over a run exciting site 0: over every
-    retarded and Keldysh row, and over the equal-time Keldysh diagonals
-    K(t_i, t_i) alone; 0.0 means the two cores agree bit for bit."""
+def _uneven_chain(temperatures=(0.0, 0.0)):
+    """Three open sites: one level on site 0, none on site 1, three on site
+    2, the baths at the given temperatures."""
 
-    m, f0 = _start(h, sigma, 0, t_max, dt)
-    rows = diag = 0.0
-    pairs = zip(_memory_rows(h.matrix, sigma, f0, m, dt),
-                per_site_memory_rows(h.matrix, sigma, f0, m, dt))
-    for i, ((r_new, k_new), (r_ref, k_ref)) in enumerate(pairs):
-        assert r_new.shape == r_ref.shape and k_new.shape == k_ref.shape
-        rows = max(rows, float(np.max(np.abs(r_new - r_ref))),
-                   float(np.max(np.abs(k_new - k_ref))))
-        diag = max(diag, float(np.max(np.abs(k_new[i].diagonal() - k_ref[i].diagonal()))))
-    return rows, diag
+    h = build_chain(3, 0.5, 1.0, boundary="open")
+    baths = [
+        TlsBath(levels=((1.0, 0.1),), temperature=temperatures[0]),
+        None,
+        TlsBath(levels=((0.8, 0.05), (1.2, 0.07), (1.6, 0.04)), temperature=temperatures[1]),
+    ]
+    return h, baths
+
+
+def _shipped_occupations(h, sigma, site, t_max, dt):
+    return 0.5 * (1.0 + equal_time_keldysh(h, sigma, site, t_max, dt).imag)
 
 
 def test_markov_exponential_decay():
@@ -109,9 +114,9 @@ def test_single_tls_rabi_oscillation():
     # one qubit resonant with one TLS: occupation cos^2(g t)
     h = build_chain(1, 1.0, 0.0, boundary="open")
     bath = TlsBath(levels=((1.0, 0.05),))
-    run = kbe_integrate(h, tls_memory_self_energy([bath]), 0, 20.0, 0.01)
-    n, _ = occupations(run)
-    assert np.max(np.abs(n[:, 0] - np.cos(0.05 * run.t_grid) ** 2)) < 5e-5
+    n = _shipped_occupations(h, tls_memory_self_energy([bath]), 0, 20.0, 0.01)
+    t_grid = 0.01 * np.arange(n.shape[0])
+    assert np.max(np.abs(n[:, 0] - np.cos(0.05 * t_grid) ** 2)) < 5e-5
 
 
 def test_memory_kernels_single_level():
@@ -165,8 +170,8 @@ def test_memory_capacity_guard():
     h = build_chain(40, 0.0, 1.0)
     with pytest.raises(CapacityError, match="GB"):
         _start(h, markov_self_energy([0.1] * 40), 0, 1e6, 0.02)
-    # the streamed memory rows grow as m n (n + levels): one site with a
-    # dense two-level ensemble over 2 10^4 steps is refused too
+    # the memory closure's kernel table grows as m levels: one site with a
+    # dense two-level ensemble over 2 10^4 steps (about 3.8 GB) is refused too
     h = build_chain(1, 2.0, 0.0, boundary="open")
     bath = sample_tls_bath(0.05, 4000, (1.5, 2.5), seed=1)
     with pytest.raises(CapacityError, match="GB"):
@@ -181,21 +186,56 @@ def test_time_grid_validation():
 
 
 def test_stream_diagonal_matches_collected_plane():
-    # the equal-time diagonal must be the diagonal of the oracle's full
-    # plane bit for bit, for both closures: the Markov closure steps K(t, t)
-    # alone, the memory closure streams the rows the oracle collects
-    h = build_chain(3, 0.5, 1.0, boundary="open")
-    baths = [
-        TlsBath(levels=((1.0, 0.1),)),
-        None,
-        TlsBath(levels=((0.8, 0.05), (1.2, 0.07), (1.6, 0.04))),
-    ]
-    for sigma in (markov_self_energy([0.3, 0.1, 0.2]), tls_memory_self_energy(baths)):
-        diag = equal_time_keldysh(h, sigma, 1, 2.0, 0.02)
-        plane = kbe_integrate(h, sigma, 1, 2.0, 0.02)
-        idx = np.arange(plane.n_times)
-        assert diag.shape == (101, 3)
-        assert np.array_equal(diag, np.diagonal(plane.keldysh[idx, idx], axis1=1, axis2=2))
+    # the Markov closure steps K(t, t) alone, and its equal-time diagonal is
+    # the diagonal of the oracle's full plane bit for bit
+    h, baths = _uneven_chain()
+    sigma = markov_self_energy([0.3, 0.1, 0.2])
+    diag = equal_time_keldysh(h, sigma, 1, 2.0, 0.02)
+    plane = kbe_integrate(h, sigma, 1, 2.0, 0.02)
+    idx = np.arange(plane.n_times)
+    assert diag.shape == (101, 3)
+    assert np.array_equal(diag, np.diagonal(plane.keldysh[idx, idx], axis1=1, axis2=2))
+    # the memory closure reads the occupations off the retarded lag series
+    # (Langreth rule) while the oracle steps the Keldysh rows: the two
+    # discretize differently and agree to their O(dt^2) gap (measured
+    # 4.70e-5, bound with a 2.1x margin). Halving dt cuts each route's
+    # error against the exact solve by about four (measured 3.98 for the
+    # shipped route, 4.02 for the oracle)
+    sigma = tls_memory_self_energy(baths)
+    errors = []
+    for dt in (0.02, 0.01):
+        shipped = _shipped_occupations(h, sigma, 1, 2.0, dt)
+        plane = kbe_integrate(h, sigma, 1, 2.0, dt)
+        oracle, _ = occupations(plane)
+        exact = qme.exact_tls_evolve(h, baths, 1, plane.t_grid)[:, :3]
+        if dt == 0.02:
+            assert np.max(np.abs(shipped - oracle)) < 1e-4
+        errors.append([np.max(np.abs(shipped - exact)), np.max(np.abs(oracle - exact))])
+    ratios = np.divide(*errors)
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
+def test_warm_bath_lesser_term_matches_oracle():
+    # at the TlsBath temperature cap, a tenth of each bath's lowest level,
+    # the levels hold f up to 4.5e-5 and feed the chain back through the
+    # lesser kernel. The shipped route adds this as the f-weighted sum of
+    # squares, the oracle steps it into the Keldysh rows; the retarded
+    # function does not depend on temperature, so warm minus cold isolates
+    # the term (up to 1.2e-6 here, nowhere negative). The two routes agree
+    # on it to an O(dt^2) gap of 1.04e-4 of its size, bound with a 1.9x
+    # margin; uneven level counts, site 1 without a bath
+    h, cold = _uneven_chain()
+    _, warm = _uneven_chain((0.1, 0.08))
+    shipped, oracle = [], []
+    for baths in (warm, cold):
+        sigma = tls_memory_self_energy(baths)
+        shipped.append(_shipped_occupations(h, sigma, 1, 2.0, 0.02))
+        oracle.append(occupations(kbe_integrate(h, sigma, 1, 2.0, 0.02))[0])
+    d_shipped = shipped[0] - shipped[1]
+    d_oracle = oracle[0] - oracle[1]
+    size = np.max(np.abs(d_oracle))
+    assert size > 1e-6 and np.all(d_shipped >= 0.0)
+    assert np.max(np.abs(d_shipped - d_oracle)) < 2e-4 * size
 
 
 def test_two_time_accessors():
@@ -246,14 +286,14 @@ def test_narrow_band_crossover_to_markov():
     # broad flat band at weak coupling: structured environment relaxes the
     # qubit at the flat-band golden-rule rate
     h, bath = _narrow_band()
-    run = kbe_integrate(h, tls_memory_self_energy([bath]), 0, 16.0, 0.01)
-    n, _ = occupations(run)
-    dev = np.max(np.abs(n[:, 0] - np.exp(-0.05 * run.t_grid)))
+    n = _shipped_occupations(h, tls_memory_self_energy([bath]), 0, 16.0, 0.01)
+    t_grid = 0.01 * np.arange(n.shape[0])
+    dev = np.max(np.abs(n[:, 0] - np.exp(-0.05 * t_grid)))
     assert dev < 0.05
     # the exact single-excitation solve on the same 200 levels: the memory
-    # kernel tracks it to its O(dt^2) error (measured 5.7e-5, bound with a
-    # 1.75x margin), far inside the golden-rule gap above
-    exact = qme.exact_tls_evolve(h, [bath], 0, run.t_grid)
+    # kernel tracks it to its O(dt^2) error (measured 6.8e-5, bound with a
+    # 1.5x margin), far inside the golden-rule gap above
+    exact = qme.exact_tls_evolve(h, [bath], 0, t_grid)
     assert np.max(np.abs(n[:, 0] - exact[:, 0])) < 1e-4
 
 
@@ -283,47 +323,45 @@ def test_integrator_keeps_occupations_bounded(n, rate, site):
     assert np.all(np.diff(n_tot) < 1e-10)
 
 
-def test_stacked_core_matches_per_site_oracle():
-    # the lag-stepped memory core reproduces the per-site core it replaced:
-    # fig4-top at its 641 rows for the seed whose occupations dip furthest
-    # below zero, the first 161 rows at two more seeds; one qubit on 200
-    # levels; all-None baths, whose level axis is kept one wide; uneven
-    # level counts, site 0's single level padded to three. The equal-time
-    # diagonals, all a trajectory reads, agree bit for bit. Whole rows agree
-    # to roundoff: the oracle's own retarded rows are lag-only to 6.5e-17
-    # only (see the next test), and the lag core sums each lag once, at the
-    # BLAS width of one n-column block instead of a whole row. Measured worst
-    # 3.8e-16 (Keldysh, fig4-top), bound with a 2.6x margin
-    h, sigma, t_max, dt = _fig4_top(286046148)
-    cases = [(h, sigma, t_max, dt)]
-    for seed in (42, 7):
-        h, sigma, _, dt = _fig4_top(seed)
-        cases.append((h, sigma, 2.5, dt))
-    h, bath = _narrow_band()
-    cases.append((h, tls_memory_self_energy([bath]), 1.0, 0.01))
-    chain = build_chain(3, 0.5, 1.0, boundary="open")
-    cases.append((chain, tls_memory_self_energy([None] * 3), 1.0, 0.01))
-    uneven = [
-        TlsBath(levels=((1.0, 0.1),)),
-        None,
-        TlsBath(levels=((0.8, 0.05), (1.2, 0.07), (1.6, 0.04))),
-    ]
-    cases.append((chain, tls_memory_self_energy(uneven), 2.0, 0.02))
-    for case in cases:
-        rows, diag = _worst_row_gap(*case)
-        assert diag == 0.0
-        assert rows <= 1e-15
+def test_memory_closure_converges_at_second_order():
+    # fig4-top against the exact solve at its preset dt, dt/2 and dt/4:
+    # each halving cuts the kernel's error by about four (measured 7.45e-5,
+    # 1.89e-5 and 4.75e-6; ratios 3.94 and 3.97), the second order the
+    # module promises
+    h, sigma, t_max, dt = _fig4_top(42)
+    errors = []
+    for step in (dt, dt / 2, dt / 4):
+        n = _shipped_occupations(h, sigma, 0, t_max, step)
+        exact = qme.exact_tls_evolve(h, sigma.baths, 0, step * np.arange(n.shape[0]))
+        errors.append(np.max(np.abs(n - exact[:, :h.n_sites])))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
+def test_fig4_top_occupations_stay_nonnegative(tmp_path):
+    # TLS seed 286046148 is where the stepped Keldysh rows dipped furthest
+    # below zero (-6.1e-6 at site 0, t = 8.41, at the old dt 2^-6). The
+    # shipped route writes every occupation as a sum of squares with
+    # nonnegative weights, so its artifact stays in [0, 1]
+    raw = preset_config("fig4-top")
+    raw["seed"] = 286046148
+    raw["engines"] = ["kbe"]
+    result = run_experiment(config_from_dict(raw), out_root=tmp_path)
+    occ = read_artifact(result.run_dir / "kbe_trajectory.csv")["columns"]["occupation"]
+    assert occ.min() >= 0.0 and occ.max() <= 1.0
 
 
 def test_oracle_retarded_rows_are_lag_only():
-    # the lag core rests on R(t_i, t_j) = R(t_{i-j}, 0): h and the kernels
+    # the lag series rests on R(t_i, t_j) = R(t_{i-j}, 0): h and the kernels
     # are time-independent and the retarded equation never reads the
     # initial state. The per-site oracle, which steps whole rows, keeps it
-    # to roundoff on fig4-top over all 641 rows (measured 6.5e-17, bound
-    # with a 3x margin) and bit for bit on the narrow band
+    # to roundoff on fig4-top's span at twice its step, 641 rows (measured
+    # 6.5e-17, bound with a 3x margin), and bit for bit on the narrow band
     chain, bath = _narrow_band()
     narrow = (chain, tls_memory_self_energy([bath]), 1.0, 0.01)
-    for (h, sigma, t_max, dt), bound in ((_fig4_top(286046148), 2e-16), (narrow, 0.0)):
+    h, sigma, t_max, dt = _fig4_top(286046148)
+    coarse = (h, sigma, t_max, 2 * dt)
+    for (h, sigma, t_max, dt), bound in ((coarse, 2e-16), (narrow, 0.0)):
         m, f0 = _start(h, sigma, 0, t_max, dt)
         col0 = np.empty((m, h.n_sites, h.n_sites), dtype=complex)
         worst = 0.0
@@ -334,37 +372,41 @@ def test_oracle_retarded_rows_are_lag_only():
 
 
 def test_memory_rule_counts_padded_levels():
-    # the stacked core pads every site to the largest level count, so one
-    # dense site among 19 bare ones costs 20 dense sites: about 18 GB here,
-    # refused by the pre-step check, though its 4000 real levels alone
-    # would fit. The check is called alone so that a regression fails the
-    # test instead of allocating the job
+    # the memory sums pad every site to the largest level count, so one
+    # dense site among 19 bare ones costs 20 dense sites: about 3.7 GB
+    # here, refused by the pre-step check, though the dense site alone
+    # would take 0.5 GB. The check is called alone so that a regression
+    # fails the test instead of allocating the job
     h = build_chain(20, 2.0, 0.5, boundary="open")
-    baths = [sample_tls_bath(0.05, 4000, (1.5, 2.5), seed=1)] + [None] * 19
-    assert stream_bytes(20, 101, 4000) < MEMORY_CAP_BYTES
+    baths = [sample_tls_bath(0.05, 100_000, (1.5, 2.5), seed=1)] + [None] * 19
+    assert stream_bytes(1, 101, 100_000) < MEMORY_CAP_BYTES
     with pytest.raises(CapacityError, match="GB"):
         _start(h, tls_memory_self_energy(baths), 0, 1.0, 0.01)
 
 
 def test_stream_bytes_bounds_traced_peak():
     # the working-set rule bounds what a real run allocates: fig4-top
-    # (measured 0.63 of the rule), a short narrow-band run (0.66), and the
-    # short one-site jobs where the scratch that does not grow with the
-    # time count sets the peak: one level over 51 and 101 times (0.56 and
-    # 0.63; 1.55 and 1.18 before that scratch was counted) and 100 levels
-    # over 51 times (0.95; was 1.03). The Markov closure on 1 and 5 sites
-    # over 51 and 501 times and on 20 and 40 sites over 501 times: 0.62 to
-    # 0.97 (up to 7.3 on one site before its fixed scratch was counted)
+    # (measured 0.83 of the rule), a short narrow-band run (0.66), two
+    # sites with 100 levels each, where the last site's phase table is
+    # built while the first one's is still held (0.95), and the short
+    # one-site jobs where the scratch that does not grow with the time
+    # count sets the peak: one level over 51 and 101 times (0.34 and 0.35)
+    # and 100 levels over 51 times (0.77). The Markov closure on 1 and 5
+    # sites over 51 and 501 times and on 20 and 40 sites over 501 times:
+    # 0.62 to 0.97 (up to 7.3 on one site before its fixed scratch was
+    # counted)
     chain, bath = _narrow_band()
     one = build_chain(1, 2.5, 0.0, boundary="open")
     short = [(one, tls_memory_self_energy([sample_tls_bath(0.05, k, (0.5, 4.5), seed=2)]),
               t_max, 0.01) for k, t_max in ((1, 0.5), (1, 1.0), (100, 0.5))]
+    pair = build_chain(2, 2.5, 0.1, boundary="open")
+    two = tls_memory_self_energy([sample_tls_bath(0.05, 100, (0.5, 4.5), seed=s) for s in (2, 3)])
     markov = [(build_chain(n, 0.0, 1.0, boundary="open"), markov_self_energy(np.full(n, 0.2)),
                t_max, 0.01) for n, t_max in ((1, 0.5), (1, 5.0), (5, 0.5), (5, 5.0),
                                                (20, 5.0), (40, 5.0))]
     for h, sigma, t_max, dt in (_fig4_top(42),
                                 (chain, tls_memory_self_energy([bath]), 2.0, 0.01),
-                                *short, *markov):
+                                (pair, two, 2.0, 0.01), *short, *markov):
         m = int(round(t_max / dt)) + 1
         tracemalloc.start()
         try:
@@ -372,5 +414,5 @@ def test_stream_bytes_bounds_traced_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        levels = None if isinstance(sigma, MarkovSelfEnergy) else h.n_sites * sigma.levels
+        levels = None if isinstance(sigma, MarkovSelfEnergy) else sigma.levels
         assert peak < stream_bytes(h.n_sites, m, levels), (h.n_sites, m, peak)
