@@ -100,22 +100,16 @@ class MemorySelfEnergy:
         return max([1] + [b.energies.size for b in self.baths if b is not None])
 
     def kernels(self, dt, n_lags):
-        """Site-diagonal kernels on the lag grid: (retarded, keldysh)."""
+        """Site-diagonal retarded kernels on the lag grid, (n_lags, n_sites)."""
 
-        n = self.n_sites
-        sr = np.zeros((n_lags, n), dtype=complex)
-        sk = np.zeros((n_lags, n), dtype=complex)
+        sr = np.zeros((n_lags, self.n_sites), dtype=complex)
         lags = np.arange(n_lags) * dt
         for site, bath in enumerate(self.baths):
-            if bath is None:
-                continue
-            gsq = bath.couplings**2
-            beta_b = inverse_temperature(bath.temperature)
-            hole = 1.0 - 2.0 * fermi_occupation(bath.energies, beta_b)
-            phases = np.exp(-1j * np.outer(lags, bath.energies))
-            sr[:, site] = -1j * (phases @ gsq)
-            sk[:, site] = -1j * (phases @ (gsq * hole))
-        return sr, sk
+            if bath is not None:
+                phases = -1j * np.outer(lags, bath.energies)
+                sr[:, site] = -1j * (np.exp(phases, out=phases) @ bath.couplings**2)
+                del phases
+        return sr
 
 
 def markov_self_energy(rates):
@@ -160,15 +154,15 @@ def stream_bytes(n_sites, n_times, levels=None):
     plus 10.5 to 11.8 scratch matrices at n = 10 to 80 with 101 and 2001
     times, and up to 6.2 kB more at n = 1 to 10: 0.56 to 0.99 of the rule
     at n = 1 to 40 over 51 to 2001 times, 0.79 for one site over 51 times
-    in a fresh process. The memory closure peaks while it builds the kernel
-    table: the two complex (n_times, n) kernels, up to three complex
-    (n_times, levels) phase tables (one site's, while the next site's is
-    built) and about 4 complex (n_times,) columns. Its steps add about 5
-    complex (n, levels, n) memory sums and temporaries and 12 complex
-    (n, n) matrices, and 16 * 1024 bytes do not grow with anything.
-    Measured: 0.61 to 0.96 of the rule at n = 1 to 40 and 1 to 4000 levels
-    over 51 to 2001 times, 0.83 on fig4-top; 0.33 to 0.43 for one site with
-    one level over 3 to 201 times, where the fixed term dominates.
+    in a fresh process. The memory closure holds the complex (n_times, n)
+    retarded kernel, one site's complex (n_times, levels) phase table with
+    its real lag-energy product, and about 4 complex (n_times,) columns;
+    its steps add about 5 complex (n, levels, n) memory sums and
+    temporaries and 12 complex (n, n) matrices, and 16 * 1024 bytes do not
+    grow with anything. The rule's time term, 2 n + 3 levels + 4 columns,
+    is about twice that at many levels. Measured: 0.29 to 0.80 of the rule
+    at n = 1 to 40 and 1 to 4000 levels over 51 to 2001 times, 0.60 on
+    fig4-top.
     """
 
     if levels is None:
@@ -254,7 +248,7 @@ def _memory_occupations(hm, sigma, site, m, dt):
     series L[q] = R(t_q, 0) = -i U(t_q)."""
 
     n = hm.shape[0]
-    srf = sigma.kernels(dt, m)[0]
+    srf = sigma.kernels(dt, m)
 
     # Sites are stacked, each padded to the level axis with zero-weight
     # levels: eps the level energies, wr the retarded kernel weights -i g^2,

@@ -6,7 +6,9 @@ components of shape (n_points, n_sites), with the textbook sign layout
 retarded = shift - i*gamma/2 (gamma >= 0) and an imaginary Keldysh part.
 Advanced components are never stored; they are hermitian conjugates of the
 retarded ones. The on-grid quadratures (noise convolutions and
-Kramers-Kronig shifts) are Toeplitz products, evaluated by FFT convolution.
+Kramers-Kronig shifts) are Toeplitz products, evaluated by FFT convolution
+once per symmetry orbit: a dephasing bath on every site of a chain with
+np.roll(h.matrix, 1, axis=(0, 1)) equal to h.matrix is computed at site 0.
 The dressed Green functions come from a direct Dyson solve,
 G^+ = (omega + i*eta - h - Sigma^+)^-1, for the rows of the requested
 sites only. It runs on the chain's band structure, a tridiagonal h plus
@@ -215,13 +217,13 @@ def _bath_groups(baths):
 def _tail_rates(bath, tail_nu, w, empty, occ):
     """C(nu - w) @ empty + C(w - nu) @ occ per tail nu, unscaled. S is even
     and J odd, so one sample at nu - w gives both, C = (S +- J)/2 bit for bit.
-    Blocks stay at 64 rows: the BLAS sums round by the row count, and other
-    sizes move fig2-lower's keldysh bytes."""
+    Blocks stay at 64 rows: the BLAS sums round by the row count, and 128
+    rows move fig3-top's keldysh bytes, one block fig2-lower's and fig3's."""
 
     out = np.empty((tail_nu.size, empty.shape[1]))
     for start in range(0, tail_nu.size, 64):
         c_out, j = _ohmic_parts(bath, tail_nu[start : start + 64, None] - w)
-        # in place, j freed before the products: this loop sets fig3's peak RSS
+        # in place, j freed before the products: this sets fig3-top's peak RSS
         c_in = c_out - j
         c_in *= 0.5
         c_out += j
@@ -245,10 +247,12 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     and the Keldysh part is the same combination with a relative minus sign
     (times -i). The level shift is the Kramers-Kronig transform of gamma
     with geometric tail grids so the wide ohmic background is not truncated
-    at the output window. Sites with equal baths are computed together on
-    (n_points, n_group) arrays, so the bath noise power is sampled once per
-    distinct bath on the difference grid, and once per tail point for both
-    signs of nu - w. Returns the diagonals as a SelfEnergy.
+    at the output window. Sites with equal baths form a group, so the bath
+    noise power is sampled once per group on the difference grid and once
+    per tail point for both signs of nu - w. A group on every site of a
+    chain with np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix)
+    is one orbit, computed for site 0 and broadcast; any other group is
+    computed column by column. Returns the diagonals as a SelfEnergy.
     """
 
     baths = _bath_list(baths, h.n_sites, OhmicBath, "dephasing")
@@ -263,6 +267,7 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
             stacklevel=2,
         )
 
+    ring = np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix)
     f = fermi_occupation(w, beta_sys)
     edge = np.ones(n_pts)
     edge[0] = edge[-1] = 0.5
@@ -277,9 +282,10 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     sk_diag = np.zeros((n_pts, h.n_sites), dtype=complex)
     shift = np.zeros((n_pts, h.n_sites))
     for bath, sites in _bath_groups(baths).items():
+        rep = sites[:1] if ring and len(sites) == h.n_sites else sites
         c_diff = noise_power(bath, m)
-        empty = a0[:, sites] * (1.0 - f)[:, None] * edge[:, None]
-        occ = a0[:, sites] * f[:, None] * edge[:, None]
+        empty = a0[:, rep] * (1.0 - f)[:, None] * edge[:, None]
+        occ = a0[:, rep] * f[:, None] * edge[:, None]
         conv_e = fft_convolve(empty, c_diff[:, None])[on_grid]
         conv_o = fft_convolve(occ, c_diff[::-1, None])[on_grid]
         g_main = scale * (conv_e + conv_o)

@@ -190,6 +190,22 @@ def late_time_spectrum(greens, grid):
     return FreqGreens(grid=grid, retarded=ret, keldysh=kel)
 
 
+def keldysh_kernels(sigma, dt, n_lags):
+    """Site-diagonal Keldysh kernels of a memory closure on the lag grid,
+    (n_lags, n_sites): -i sum_l g_l^2 (1 - 2 f_l) e^{-i eps_l t} per site,
+    the companion of MemorySelfEnergy.kernels that only this stepper reads."""
+
+    sk = np.zeros((n_lags, sigma.n_sites), dtype=complex)
+    lags = np.arange(n_lags) * dt
+    for site, bath in enumerate(sigma.baths):
+        if bath is None:
+            continue
+        hole = 1.0 - 2.0 * fermi_occupation(bath.energies, inverse_temperature(bath.temperature))
+        phases = np.exp(-1j * np.outer(lags, bath.energies))
+        sk[:, site] = -1j * (phases @ (bath.couplings**2 * hole))
+    return sk
+
+
 def per_site_memory_rows(hm, sigma, f0, m, dt):
     """Memory rows (ret, kel) of shape (i + 1, n, n), X(t_i, t_j) for j <= i,
     by second-order stepping of both two-time equations: per-site
@@ -198,7 +214,8 @@ def per_site_memory_rows(hm, sigma, f0, m, dt):
 
     n = hm.shape[0]
     eye = np.eye(n, dtype=complex)
-    srf, skf = sigma.kernels(dt, m)
+    srf = sigma.kernels(dt, m)
+    skf = keldysh_kernels(sigma, dt, m)
     t_grid = np.arange(m) * dt
 
     # The kernels are exact exponential sums over bath levels, so each

@@ -6,13 +6,17 @@ frequency grid by FFT convolution; these helpers reach the same numbers by
 summing every term (O(n^2) per profile), to check that they do. The tail
 sum of dephasing_self_energy samples the bath once per point for both signs
 of nu - w; dephasing_tail_direct samples it at each sign on its own.
+dephasing_self_energy computes one column per symmetry orbit;
+dephasing_site_by_site is the column-per-site route every other bath group
+takes, applied to every group.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from noisychain.baths import noise_power
+from noisychain import keldysh
+from noisychain.baths import OhmicBath, fft_convolve, noise_power
 from noisychain.keldysh import _site_spectral_diag
 from noisychain.lattice import fermi_occupation
 
@@ -81,3 +85,33 @@ def dephasing_tail_direct(bath, tail_nu, w, empty, occ):
             noise_power(bath, w[None, :] - nu) @ occ
         )
     return out
+
+
+def dephasing_site_by_site(h, baths, beta_sys, grid):
+    """(retarded, keldysh) diagonals of dephasing_self_energy with every bath
+    group computed one column per site, orbit or not."""
+
+    baths = keldysh._bath_list(baths, h.n_sites, OhmicBath, "dephasing")
+    a0, _ = _site_spectral_diag(h, grid)
+    w, n_pts = grid.omegas, grid.n_points
+    f = fermi_occupation(w, beta_sys)
+    edge = np.ones(n_pts)
+    edge[0] = edge[-1] = 0.5
+    tail_nu, tail_wts = keldysh._tail_points(grid, baths)
+    m = np.arange(-(n_pts - 1), n_pts) * grid.spacing
+    on_grid = slice(n_pts - 1, 2 * n_pts - 1)
+    scale = grid.spacing / (2.0 * np.pi)
+    retarded = np.zeros((n_pts, h.n_sites), dtype=complex)
+    kel = np.zeros((n_pts, h.n_sites), dtype=complex)
+    for bath, sites in keldysh._bath_groups(baths).items():
+        c_diff = noise_power(bath, m)
+        empty = a0[:, sites] * (1.0 - f)[:, None] * edge[:, None]
+        occ = a0[:, sites] * f[:, None] * edge[:, None]
+        conv_e = fft_convolve(empty, c_diff[:, None])[on_grid]
+        conv_o = fft_convolve(occ, c_diff[::-1, None])[on_grid]
+        g_main = scale * (conv_e + conv_o)
+        g_tail = scale * keldysh._tail_rates(bath, tail_nu, w, empty, occ)
+        shift = keldysh._shift_from_gamma(grid, g_main, tail_nu, tail_wts, g_tail)
+        retarded[:, sites] = shift - 0.5j * g_main
+        kel[:, sites] = -1j * scale * (conv_e - conv_o)
+    return retarded, kel

@@ -32,6 +32,7 @@ from noisychain.presets import preset_config
 from kbe_oracle import (
     analytic_gk,
     kbe_integrate,
+    keldysh_kernels,
     late_time_spectrum,
     occupations,
     per_site_memory_rows,
@@ -122,7 +123,8 @@ def test_single_tls_rabi_oscillation():
 def test_memory_kernels_single_level():
     bath = TlsBath(levels=((1.0, 0.1),))
     sigma = tls_memory_self_energy([bath, None])
-    sr, sk = sigma.kernels(0.1, 31)
+    sr = sigma.kernels(0.1, 31)
+    sk = keldysh_kernels(sigma, 0.1, 31)
     lags = 0.1 * np.arange(31)
     expected = -0.01j * np.exp(-1j * lags)
     assert np.allclose(sr[:, 0], expected, atol=1e-14)
@@ -136,7 +138,7 @@ def test_kernel_envelope_tracks_flat_band():
     width = 2.0
     bath = sample_tls_bath(0.1, 200, (1.5, 3.5), seed=5)
     sigma = tls_memory_self_energy([bath])
-    sr, _ = sigma.kernels(0.01, 4001)
+    sr = sigma.kernels(0.01, 4001)
     env = np.abs(sr[:, 0])
     assert env[0] == pytest.approx(0.1 * width / (2.0 * np.pi), rel=1e-12)
     # dephased tail: beyond a few inverse bandwidths the envelope is small
@@ -386,12 +388,12 @@ def test_memory_rule_counts_padded_levels():
 
 def test_stream_bytes_bounds_traced_peak():
     # the working-set rule bounds what a real run allocates: fig4-top
-    # (measured 0.83 of the rule), a short narrow-band run (0.66), two
-    # sites with 100 levels each, where the last site's phase table is
-    # built while the first one's is still held (0.95), and the short
+    # (measured 0.60 of the rule), a short narrow-band run (0.56), two
+    # sites with 100 levels each, where the first site's phase table must
+    # be freed before the last one's is built (0.60), and the short
     # one-site jobs where the scratch that does not grow with the time
-    # count sets the peak: one level over 51 and 101 times (0.34 and 0.35)
-    # and 100 levels over 51 times (0.77). The Markov closure on 1 and 5
+    # count sets the peak: one level over 51 and 101 times (0.34 and 0.29)
+    # and 100 levels over 51 times (0.76). The Markov closure on 1 and 5
     # sites over 51 and 501 times and on 20 and 40 sites over 501 times:
     # 0.62 to 0.97 (up to 7.3 on one site before its fixed scratch was
     # counted)

@@ -30,7 +30,11 @@ from noisychain.lattice import (
 from noisychain.presets import preset_config
 from bath_oracle import dephasing_rate_function
 from dyson_oracle import lu_dyson_solve, ring_site_greens
-from quadrature_oracle import dephasing_convolutions_direct, dephasing_tail_direct
+from quadrature_oracle import (
+    dephasing_convolutions_direct,
+    dephasing_site_by_site,
+    dephasing_tail_direct,
+)
 
 
 def _const_self_energy(grid, n, value):
@@ -360,21 +364,65 @@ def test_closed_form_rates_match_convolution():
     assert rel < 0.01
 
 
+def _match_single_site_calls(h, baths, beta, grid, sites):
+    """Self-energy of `baths`, each column in `sites` pinned at 1e-12 of its
+    max against a call that puts that site's bath on that site alone. One
+    bathed site is never an orbit, so the lone call takes the per-site
+    route (equal cutoffs, so both calls share one tail grid)."""
+
+    sigma = dephasing_self_energy(h, baths, beta, grid)
+    for i in sites:
+        alone = [baths[i] if k == i else None for k in range(h.n_sites)]
+        ref = dephasing_self_energy(h, alone, beta, grid)
+        for mine, col in ((sigma.retarded, ref.retarded), (sigma.keldysh, ref.keldysh)):
+            assert np.max(np.abs(mine[:, i] - col[:, i])) <= 1e-12 * np.max(np.abs(col[:, i]))
+    return sigma
+
+
 def test_dephasing_groups_match_single_site_calls():
     # sites with equal baths are computed together; every column must match
-    # a call that puts that site's bath on that site alone (equal cutoffs,
-    # so both calls share one tail grid)
-    h = build_chain(4, 2.0, 1.0, boundary="open")
+    # a call that puts that site's bath on that site alone. No group here is
+    # one orbit, so each keeps the site-by-site route bit for bit: an open
+    # chain, a ring with one site bath-less, and a ring with one perturbed
+    # onsite entry built by hand, whose boundary is "periodic" by default
     b1 = OhmicBath(alpha=0.01, cutoff=20.0, temperature=5.0)
     b2 = OhmicBath(alpha=0.03, cutoff=20.0, temperature=2.0)
-    baths = [b1, b2, None, b1]
     grid = FreqGrid(-1.0, 5.0, 601)
-    sigma = dephasing_self_energy(h, baths, 0.2, grid)
-    for i, bath in enumerate(baths):
-        alone = dephasing_self_energy(h, [bath if k == i else None for k in range(4)], 0.2, grid)
-        for mine, ref in ((sigma.retarded, alone.retarded), (sigma.keldysh, alone.keldysh)):
-            assert np.max(np.abs(mine[:, i] - ref[:, i])) <= 1e-12 * np.max(np.abs(ref[:, i]))
-    assert not np.any(sigma.retarded[:, 2]) and not np.any(sigma.keldysh[:, 2])
+    ring = build_chain(4, 2.0, 1.0)
+    bumped = ring.matrix.copy()
+    bumped[2, 2] += 1e-9
+    for h, baths in ((build_chain(4, 2.0, 1.0, boundary="open"), [b1, b2, None, b1]),
+                     (ring, [b1, b1, None, b1]),
+                     (HoppingHamiltonian(4, bumped), [b1] * 4)):
+        sigma = _match_single_site_calls(h, baths, 0.2, grid, range(4))
+        retarded, kel = dephasing_site_by_site(h, baths, 0.2, grid)
+        assert np.array_equal(sigma.retarded, retarded) and np.array_equal(sigma.keldysh, kel)
+        for i, bath in enumerate(baths):
+            if bath is None:
+                assert not np.any(sigma.retarded[:, i]) and not np.any(sigma.keldysh[:, i])
+
+
+@pytest.mark.parametrize("preset, gamma2", [
+    ("fig2-lower", None),
+    ("fig2-upper", None),
+    *[(name, g2) for name in ("fig3-top", "fig3-bottom") for g2 in (0.05, 0.4)],
+])
+def test_ring_orbit_matches_single_site_calls(preset, gamma2):
+    # a bath on every site of a uniform ring is one orbit: site 0's column
+    # is computed and broadcast, and each column stays within 1e-12 of its
+    # max of that site's own per-site column (measured at most 1.2e-13 on
+    # every site and sweep width)
+    plan = _Plan(config_from_dict(preset_config(preset)))
+    cfg = plan.cfg
+    n = cfg.system.n_sites
+    baths = plan.site_baths
+    if gamma2 is not None:
+        baths = [OhmicBath(alpha=gamma2 / cfg.bath.temperature, cutoff=cfg.bath.cutoff,
+                           temperature=cfg.bath.temperature)] * n
+    sigma = _match_single_site_calls(plan.h, baths, cfg.system.beta, plan.grid,
+                                     sorted({0, 1, n // 2, n - 1}))
+    for part in (sigma.retarded, sigma.keldysh):
+        assert np.array_equal(part, np.repeat(part[:, :1], n, axis=1))
 
 
 def test_dephasing_convolutions_match_direct_sums():
