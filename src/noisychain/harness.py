@@ -14,7 +14,13 @@ Every artifact is a CSV of one kind, and SCHEMAS holds each kind's header:
 one writer writes them all and read_artifact tells the kinds apart by it.
 All floats are written as %.12e so reruns with the same config and seed
 produce byte-identical bodies; wall-clock information lives only in the
-manifest. Frequencies and times are in units of the hopping.
+manifest. The writer encodes a block of rows at a time as numpy arrays:
+a float's 13 digits are |x| scaled by exact powers of ten and rounded to
+an integer, kept only where the scaling error provably cannot change that
+rounding or the decade. Every other cell (near-ties, inf, nan, subnormals,
+exponents outside -32 ... 34) is formatted by % itself, so every cell is
+byte for byte "%.12e" % v. Frequencies and times are in units of the
+hopping.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import importlib.metadata
-import itertools
 import json
 import math
 import numbers
@@ -84,8 +89,8 @@ SCHEMAS = {
     "peak_counts": ("gamma2", "n_peaks"),
 }
 TEXT_COLUMNS = {"pair", "site", "n_peaks"}
-# rows the artifact writer formats at a time
-_WRITE_BLOCK = 65536
+# rows the artifact writer encodes at a time
+_WRITE_BLOCK = 4096
 
 _REQUIRED = object()
 
@@ -364,17 +369,17 @@ def _cross_validate(cfg):
             raise ConfigError("engines", "width sweeps run the keldysh engine only")
         if cfg.bath.alpha is not None:
             raise ConfigError("bath.alpha", "leave alpha unset when sweeping widths")
-    # memory rules, each naming the field that sets it. A trajectory adds its
-    # artifact: 64 B per (time, site) row (occupations, Keldysh diagonal, the
-    # writer's columns and their temporaries) and one block of formatted
-    # cells at 600 B a row. Whole runs under tracemalloc peak at 0.68 and
-    # 0.62 of the summed rules for kbe on 10 and 40 wide-band sites over
-    # 300001 and 20001 times, 0.11 for kbe on fig4-top over 2561 times (the
-    # write block dominates its rule; the memory closure alone peaks at 0.83
-    # of `stream_bytes`), 0.89 for lindblad on 10 sites over 100001
+    # memory rules, each naming the field that sets it; a trajectory engine's
+    # rule adds its artifact (`_artifact_bytes`). Whole runs under
+    # tracemalloc peak at 0.71 and 0.69 of the kbe rule on 10 and 40
+    # wide-band sites over 300001 and 20001 times, 0.45 for kbe alone on
+    # fig4-top, 0.94 to 0.98 of the lindblad rule on 1 to 10 sites over
+    # 10^5 to 10^6 times, and at 0.71 and 0.87 of the largest rule for
+    # fig4-top and for fig4-bottom over 200001 times (kbe and lindblad,
+    # compared: 139 MB, where reading back at U16 labels took 210 MB)
     n = cfg.system.n_sites
     n_t = cfg.time.t_max / cfg.time.dt + 1 if cfg.time is not None else 0
-    artifact = 64 * n_t * n + 600 * _WRITE_BLOCK
+    artifact = _artifact_bytes(n_t, n)
     # lindblad trajectories peak at up to 9 dense N^2 x N^2 complex matrices
     # (the generator, its step and the Pade work of qme._expm): whole runs
     # measured 7.0 times 16 N^4 bytes at N = 20, 30 and 40 on the presets'
@@ -394,6 +399,10 @@ def _cross_validate(cfg):
         levels = cfg.bath.n_tls if cfg.bath.kind == "tls" else None
         _check_memory("time.t_max", f"kbe on {n} sites",
                       stream_bytes(n, n_t, levels) + artifact, "; shorten t_max or increase dt")
+    # the trajectory comparison runs after the engines have freed theirs
+    if cfg.time is not None and len(set(cfg.engines) - {"keldysh"}) > 1:
+        _check_memory("time.t_max", f"comparing trajectories of {n} sites",
+                      _readback_bytes(n_t, n), "; shorten t_max or increase dt")
     if "blochredfield" in cfg.engines and n > qme.DENSE_MAX_SITES:
         raise ConfigError("system.n_sites", "engine 'blochredfield' runs registers of "
                           f"at most {qme.DENSE_MAX_SITES} sites")
@@ -411,6 +420,26 @@ def _cross_validate(cfg):
         if {"keldysh", "lindblad", "blochredfield"} & set(cfg.engines):
             _check_memory("grid.n_points", f"spectra on {cfg.grid.n_points} points",
                           per_point * cfg.grid.n_points)
+
+
+def _artifact_bytes(n_t, n):
+    """Traced-memory rule of writing an (n_t, n) trajectory: 64 B per
+    (time, site) row for the occupations, the Keldysh diagonal and the
+    writer's columns, and 600 B per row of one _WRITE_BLOCK for the
+    encoder's cell table and temporaries. Measured: 56 B a row and 282 to
+    285 B per block row; 0.53 of the rule over 1.6 blocks, 0.86 over 244."""
+
+    return 64 * n_t * n + 600 * _WRITE_BLOCK
+
+
+def _readback_bytes(n_t, n):
+    """Traced-memory rule of comparing two (n_t, n) trajectories: both
+    files are read back at once, 48 B a row each as parsed (four floats
+    and a 16-byte label) plus the labels as text and the comparison's
+    masks. compare_artifacts measured 122-138 B a row over 10^6 rows of
+    1, 5 and 40 sites."""
+
+    return 160 * n_t * n
 
 
 def _check_memory(name, what, need, hint=""):
@@ -526,19 +555,114 @@ class _Plan:
 def _write_table(path, kind, columns):
     """Write a `kind` artifact: its header, then one row per entry of the
     equal-length columns, a mapping from header name to values. Floats are
-    written as %.12e, text columns as given. Rows are formatted in blocks
-    of _WRITE_BLOCK, each by one % on a repeated row template, so the
-    formatted cells never hold a whole file."""
+    written as %.12e, text columns as given (str of each entry). Rows are
+    encoded _WRITE_BLOCK at a time into a NUL-padded byte table with one
+    fixed-width slot per cell and its separator; dropping the NULs leaves
+    the block's bytes, so no formatted cell outlives its block. Float
+    cells come from `_e12_words`, byte for byte the cells of "%.12e" % v."""
 
     names = SCHEMAS[kind]
     cols = [np.asarray(columns[name]) if name in TEXT_COLUMNS
             else np.asarray(columns[name], dtype=float) for name in names]
-    row = ",".join("%s" if name in TEXT_COLUMNS else "%.12e" for name in names) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
         for start in range(0, len(cols[0]), _WRITE_BLOCK):
-            block = [col[start:start + _WRITE_BLOCK].tolist() for col in cols]
-            fh.write(row * len(block[0]) % tuple(itertools.chain.from_iterable(zip(*block))))
+            cells = [_text_cells(col[start:start + _WRITE_BLOCK]) if name in TEXT_COLUMNS
+                     else col[start:start + _WRITE_BLOCK] for name, col in zip(names, cols)]
+            # slots are whole uint32 words: a float takes 5 words and one
+            # more for its separator, a text cell its bytes and a separator
+            widths = [24 if c.ndim == 1 else -(-(c.shape[1] + 1) // 4) * 4 for c in cells]
+            ends = np.cumsum(widths)
+            row = np.zeros(ends[-1], dtype=np.uint8)
+            row[ends - 1] = ord(",")
+            row[-1] = ord("\n")
+            table = np.empty((len(cells[0]), row.size), dtype=np.uint8)
+            table[:] = row
+            for cell, end, width in zip(cells, ends, widths):
+                at = end - width
+                if cell.ndim == 1:
+                    _e12_words(cell, table.view(np.uint32)[:, at // 4:at // 4 + 5])
+                else:
+                    table[:, at:at + cell.shape[1]] = cell
+            fh.write(table[table != 0])
+
+
+def _byte_words(cells):
+    # equal-length ASCII cells, one per 4 bytes, as uint32 words in byte order
+    return np.frombuffer("".join(cells).encode(), dtype=np.uint32)
+
+
+# Tables of the %.12e encoder, indexed by i = 34 - e for the decimal exponents
+# e = 34 ... -32 of its fast path. 10^k is exact for 0 <= k <= 22, so
+# |x| 10^(12 - e) is one exact scaling, or two below e = -10
+_POW10 = np.array([float(f"1e{k}") for k in range(23)])
+_SCALE_K = np.arange(67) - 22
+_SCALE_MUL = _POW10[np.clip(_SCALE_K, 0, 22)]
+_SCALE_MUL2 = _POW10[np.clip(_SCALE_K - 22, 0, 22)]
+_SCALE_DIV = _POW10[np.clip(-_SCALE_K, 0, 22)]
+_EXPONENT = _byte_words("e%+03d" % (34 - i) for i in range(67))
+_LEAD = _byte_words("\0" + sign + str(digit) + "." for sign in "\0-" for digit in range(10))
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_QUADS = np.stack(np.meshgrid(*[_DIGITS] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+
+
+def _e12_words(x, cells):
+    """Write "%.12e" % v for each v of the float array x into cells, its
+    (x.size, 5) uint32 words, byte for byte and NUL-padded.
+
+    With e = floor(log10 |x|), s = |x| 10^(12 - e) by exact powers of ten
+    and d = rint(s), the cell is sign, d's 13 digits with a point after
+    the first, and e. The scaling rounds at most twice, so s is within
+    0.003 of the exact value below 2^44, and a cell with 10^12 <= s,
+    d < 10^13 and |s - d| < 0.49 has the correctly rounded digits in the
+    right decade. Every other cell (near-ties, exponents log10 misjudged
+    or outside -32 ... 34, inf, nan, subnormals) is formatted by % itself;
+    +-0 takes the fast path.
+    """
+
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.log10(a, out=np.zeros_like(a), where=a > 0)
+        i = np.clip(34.0 - np.floor(e, out=e), 0, 66, out=e).astype(np.intp)
+        s = a * _SCALE_MUL[i]
+        s *= _SCALE_MUL2[i]
+        s /= _SCALE_DIV[i]
+        d = np.rint(s)
+        ok = (s >= 1e12) & (d < 1e13) & (np.abs(s - d) < 0.49) | (a == 0)
+    d[~ok] = 0.0
+    # the digits in float: every quotient below is floored exactly
+    lead = np.floor(d / 1e12)
+    d -= lead * 1e12
+    hi = np.floor(d / 1e8)
+    d -= hi * 1e8
+    mid = np.floor(d / 1e4)
+    d -= mid * 1e4
+    lead += 10 * np.signbit(x)
+    cells[:, 0] = _LEAD[lead.astype(np.intp)]
+    cells[:, 1] = _QUADS[hi.astype(np.intp)]
+    cells[:, 2] = _QUADS[mid.astype(np.intp)]
+    cells[:, 3] = _QUADS[d.astype(np.intp)]
+    cells[:, 4] = _EXPONENT[i]
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        text = np.array(["%.12e" % v for v in x[slow].tolist()], dtype="S20")
+        cells[slow] = text.view(np.uint32).reshape(slow.size, 5)
+
+
+def _text_cells(col):
+    """(col.size, width) uint8 cells of a text column, NUL-padded: the
+    digits of nonnegative integers, else the UTF-8 bytes of str(v)."""
+
+    if col.dtype.kind in "iu" and col.min() >= 0:
+        place = 10 ** np.arange(len(str(col.max())) - 1, -1, -1)
+        cells = (col[:, None] // place % 10 + ord("0")).astype(np.uint8)
+        cells[(col[:, None] < place) & (place > 1)] = 0
+        return cells
+    col = np.ascontiguousarray(col.astype(str, copy=False))
+    codes = col.view(np.uint32).reshape(col.size, -1)  # NUL-padded code points
+    if codes.max(initial=0) < 128:
+        return codes.astype(np.uint8)
+    return np.char.encode(col, "utf-8").view(np.uint8).reshape(col.size, -1)
 
 
 def _write_site_table(path, kind, axis, tables):
@@ -581,20 +705,23 @@ def read_artifact(path):
         kind = next((k for k, cols in SCHEMAS.items() if header == cols), None)
         if kind is None:
             raise ValueError(f"{path.name}: unrecognized schema {list(header)}")
-        first = fh.readline()
-        if not first:
+        if not fh.readline():
             raise ValueError(f"{path.name}: no data rows")
-        # text cells are short labels: site indices, "i-j" pairs and counts
-        dtype = [(name, "U16" if name in TEXT_COLUMNS else float) for name in header]
-        body = np.loadtxt(itertools.chain([first], fh), delimiter=",", dtype=dtype, ndmin=1)
+    # text cells are short ASCII labels (site indices, "i-j" pairs and
+    # counts), read as bytes; loadtxt reads the file by its path, which
+    # makes no Python object per line
+    dtype = [(name, "S16" if name in TEXT_COLUMNS else float) for name in header]
+    body = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=1, skiprows=1)
     cols = {}
     for name in header:
         col = body[name]
         if name in TEXT_COLUMNS:
-            width = int(np.char.str_len(col).max())
+            width = max(1, int(np.char.str_len(col).max()))
             if width >= 16:
                 raise ValueError(f"{path.name}: a '{name}' cell is 16 or more characters long")
-            col = col.astype(f"U{max(1, width)}")
+            # loadtxt stores text as Latin-1, so each byte is its code point
+            codes = np.ascontiguousarray(col).view(np.uint8).reshape(col.size, 16)[:, :width]
+            col = codes.astype(np.uint32).view(f"U{width}").ravel()
         cols[name] = col
     return {"kind": kind, "columns": cols, "path": str(path)}
 
@@ -722,8 +849,14 @@ def peak_table_from_csv(path, prominence=0.01, window=3):
     if art["kind"] != "spectra":
         raise ValueError(f"{Path(path).name}: peaks needs a spectra artifact")
     cols = art["columns"]
-    # preserve file order
-    return {tag: _pair_peaks(cols, tag, prominence, window) for tag in dict.fromkeys(cols["pair"])}
+    return {tag: _pair_peaks(cols, tag, prominence, window) for tag in _labels(cols["pair"])}
+
+
+def _labels(col):
+    """The distinct labels of a text column, in file order."""
+
+    labels, first = np.unique(col, return_index=True)
+    return labels[np.argsort(first)].tolist()
 
 
 # --------------------------------------------------------------- engines --
@@ -932,9 +1065,8 @@ def _compare_spectra(art_a, art_b, tolerances, prominence, window):
     tol_fwhm = tolerances.get("fwhm")
     tol_sum = tolerances.get("sumrule")
     metrics = []
-    pairs_a = list(dict.fromkeys(a_cols["pair"]))
-    pairs_b = set(dict.fromkeys(b_cols["pair"]))
-    shared = [t for t in pairs_a if t in pairs_b]
+    pairs_b = set(_labels(b_cols["pair"]))
+    shared = [t for t in _labels(a_cols["pair"]) if t in pairs_b]
     if not shared:
         raise ValueError("no shared pairs between the spectra artifacts")
     for tag in shared:
@@ -973,9 +1105,8 @@ def _compare_spectra(art_a, art_b, tolerances, prominence, window):
 def _compare_trajectories(art_a, art_b, tolerances):
     a_cols, b_cols = art_a["columns"], art_b["columns"]
     name_a, name_b = art_a["path"], art_b["path"]
-    sites_a = list(dict.fromkeys(a_cols["site"]))
-    sites_b = set(dict.fromkeys(b_cols["site"]))
-    shared = [s for s in sites_a if s in sites_b]
+    sites_b = set(_labels(b_cols["site"]))
+    shared = [s for s in _labels(a_cols["site"]) if s in sites_b]
     if not shared:
         raise ValueError("no shared sites between the trajectory artifacts")
     tol_traj = tolerances.get("trajectory")

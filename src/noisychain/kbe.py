@@ -155,20 +155,21 @@ def stream_bytes(n_sites, n_times, levels=None):
     times, and up to 6.2 kB more at n = 1 to 10: 0.56 to 0.99 of the rule
     at n = 1 to 40 over 51 to 2001 times, 0.79 for one site over 51 times
     in a fresh process. The memory closure holds the complex (n_times, n)
-    retarded kernel, one site's complex (n_times, levels) phase table with
-    its real lag-energy product, and about 4 complex (n_times,) columns;
-    its steps add about 5 complex (n, levels, n) memory sums and
-    temporaries and 12 complex (n, n) matrices, and 16 * 1024 bytes do not
-    grow with anything. The rule's time term, 2 n + 3 levels + 4 columns,
-    is about twice that at many levels. Measured: 0.29 to 0.80 of the rule
-    at n = 1 to 40 and 1 to 4000 levels over 51 to 2001 times, 0.60 on
-    fig4-top.
+    retarded kernel and the (n_times, n) occupations, which end as the
+    complex output; building one site's complex (n_times, levels) phase
+    table takes its real lag-energy product too, 1.5 complex columns per
+    level, counted as 2. Its steps add about 5 complex (n, levels, n)
+    memory sums and temporaries, 3 complex (n, levels) level tables and 12
+    complex (n, n) matrices, and 16 * 8192 bytes (numpy's ufunc buffers) do
+    not grow with anything. Measured: 0.06 to 0.79 of the rule at n = 1 to
+    40 and 1 to 4000 levels over 51 to 2001 times, 0.70 to 0.75 on one
+    site with 1000 to 4000 levels, 0.51 on fig4-top.
     """
 
     if levels is None:
         return 16 * (n_times * n_sites + 11 * n_sites**2 + 512)
-    return 16 * (n_times * (2 * n_sites + 3 * levels + 4)
-                 + n_sites**2 * (5 * levels + 12) + 1024)
+    return 16 * (n_times * (2 * n_sites + 2 * levels + 4)
+                 + n_sites * levels * (5 * n_sites + 3) + 12 * n_sites**2 + 8192)
 
 
 def check_step(h, sigma, dt):

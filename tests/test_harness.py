@@ -522,6 +522,150 @@ def test_artifact_io_matches_csv_module(tmp_path):
                 assert np.array_equal(got, expect[name], equal_nan=name not in TEXT_COLUMNS)
 
 
+def _e12_lines(x):
+    # the encoder's cells of x, one per line, its NUL padding dropped
+    words = np.zeros((x.size, 6), dtype=np.uint32)
+    harness._e12_words(x, words[:, :5])
+    cells = words.view(np.uint8)
+    cells[:, -1] = ord("\n")
+    return cells[cells != 0].tobytes().decode().splitlines()
+
+
+def _assert_percent_e12(x):
+    x = np.asarray(x, dtype=float).ravel()
+    want = ["%.12e" % v for v in x.tolist()]
+    got = _e12_lines(x)
+    wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([np.nextafter(values, -np.inf), values, np.nextafter(values, np.inf)])
+
+
+def test_e12_encoder_matches_percent_format(tmp_path, monkeypatch):
+    # every cell of the array encoder is the cell of "%.12e" % v: random
+    # values over every decimal exponent, the 13-digit ties (k + 1/2) 10^j
+    # (exact in binary for j = 0 ... 3, the nearest double elsewhere), the
+    # powers of ten and the values that round into the next decade with
+    # their one-ulp neighbours (these cover the edges of the fast path,
+    # exponents -32 ... 34 with one exact scaling from -10 up),
+    # subnormals, +-0, +-inf and nan, and every float column that one run
+    # of each preset writes
+    rng = np.random.default_rng(23)
+    n = 100_000
+    with np.errstate(over="ignore"):
+        spread = (rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 10.0, n)
+                  * 10.0 ** rng.integers(-320, 309, n))
+    digits = rng.integers(10**12, 10**13, 40)
+    ties = [float(f"{k}5e{j - 1}") for k in digits for j in range(-40, 41)]
+    ties += [(float(k) + 0.5) * 10.0**j for k in digits for j in range(4)]
+    powers = [float(f"1e{j}") for j in range(-323, 309)]
+    carries = [float(f"9.9999999999995e{j}") for j in range(-310, 308)]
+    edges = np.concatenate([rng.uniform(1.0, 10.0, 1000) * float(f"1e{j}")
+                            for j in (-33, -32, -11, -10, 34, 35)])
+    subnormals = rng.integers(1, 2**52, 1000).astype(np.uint64).view(np.float64)
+    odd = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+           1.7976931348623157e308]
+    for x in (spread, ties, _neighbours(powers), _neighbours(carries), _neighbours(edges),
+              subnormals, -subnormals, odd):
+        _assert_percent_e12(x)
+
+    columns = []
+
+    def collect(path, kind, cols):
+        columns.extend(cols[name] for name in SCHEMAS[kind] if name not in TEXT_COLUMNS)
+        _write_table(path, kind, cols)
+
+    monkeypatch.setattr(harness, "_write_table", collect)
+    for name in preset_names():
+        run_experiment(config_from_dict(preset_config(name)), out_root=tmp_path)
+    assert len(columns) == 100  # six presets, 21 artifacts
+    for col in columns:
+        _assert_percent_e12(col)
+
+
+def test_integer_labels_match_csv_module(tmp_path):
+    # site columns arrive as integer arrays and are written from their
+    # digits: one- to four-digit indices, zero included, give the bytes of
+    # str() per cell
+    site = np.concatenate([np.tile(np.arange(12), 3), [0, 7, 10, 99, 100, 1005]])
+    columns = {"omega": np.linspace(-1.0, 1.0, site.size), "site": site,
+               "gamma": np.full(site.size, 0.25), "shift": -np.arange(site.size) / 3.0}
+    ours, ref = tmp_path / "ours_rates.csv", tmp_path / "ref_rates.csv"
+    _write_table(ours, "rates", columns)
+    _csv_write(ref, "rates", columns)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_trajectory_write_stays_within_its_artifact_term(tmp_path):
+    # the artifact term that every trajectory engine's memory rule adds
+    # bounds a real write: the engine's occupations and Keldysh diagonal,
+    # the writer's columns and one block of cell tables. 20001 times of 5
+    # sites make 24 blocks; measured 0.76 of the term (the inputs take
+    # 56 B a row, the cell tables 282 B per block row against the rule's
+    # 600)
+    n_t, n = 20001, 5
+    assert n_t * n > 3 * harness._WRITE_BLOCK
+    t = np.linspace(0.0, 200.0, n_t)
+    u = np.random.default_rng(5).random((n_t, n))
+    tracemalloc.start()
+    try:
+        kel = 1j * (2.0 * u - 1.0)
+        occ = 0.5 * (1.0 + kel.imag)
+        harness._write_trajectory(tmp_path / "kbe_trajectory.csv", t, occ, kel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < harness._artifact_bytes(n_t, n)
+
+
+def test_trajectory_comparison_stays_within_its_read_back_rule(tmp_path, monkeypatch):
+    # comparing two trajectories reads both files back at once. Over 200001
+    # times of 5 sites, 10^6 rows a file, that peaks at 0.77 of the rule
+    # (123 MB; 209 MB when labels were parsed as 16-character text), and
+    # validation charges it to a config that compares trajectories, naming
+    # time.t_max: fig4-bottom over these times, whose kbe and lindblad
+    # rules stay below the read-back's
+    n_t, n = 200001, 5
+    t = np.linspace(0.0, 8000.0, n_t)
+    rng = np.random.default_rng(6)
+    a, b = tmp_path / "a_trajectory.csv", tmp_path / "b_trajectory.csv"
+    harness._write_trajectory(a, t, rng.random((n_t, n)))
+    harness._write_trajectory(b, t, rng.random((n_t, n)))
+    tracemalloc.start()
+    try:
+        report = compare_artifacts(a, b, {"trajectory": 1.0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.metrics[0].note == f"{n} shared site(s)"
+    assert peak < harness._readback_bytes(n_t, n)
+    raw = preset_config("fig4-bottom")
+    raw["time"]["t_max"] = (n_t - 1) * raw["time"]["dt"]
+    config_from_dict(copy.deepcopy(raw))
+    monkeypatch.setattr(harness, "MEMORY_CAP_BYTES", harness._readback_bytes(n_t, n) - 1)
+    with pytest.raises(ConfigError, match="time.t_max") as info:
+        config_from_dict(raw)
+    assert "comparing trajectories of 5 sites" in str(info.value)
+
+
+def test_labels_keep_file_order(tmp_path):
+    # distinct pairs and sites come in the order the file first names them
+    assert harness._labels(np.array(["3-4", "0-0", "3-4", "10-1", "0-0"])) == ["3-4", "0-0", "10-1"]
+    omega = np.linspace(0.0, 4.0, 401)
+    curves = {"1-1": _lorentzian(omega, 1.0, 0.1), "0-0": _lorentzian(omega, 3.0, 0.1)}
+    columns = {name: np.zeros(2 * omega.size) for name in SCHEMAS["spectra"]}
+    columns.update(omega=np.tile(omega, 2), pair=np.repeat(list(curves), omega.size),
+                   spectral=np.concatenate(list(curves.values())))
+    path = tmp_path / "x_spectra.csv"
+    _write_table(path, "spectra", columns)
+    table = peak_table_from_csv(path)
+    assert list(table) == ["1-1", "0-0"]
+    assert [round(p.position, 2) for tag in table for p in table[tag]] == [1.0, 3.0]
+
+
 def test_compare_unresolved_widths(tmp_path):
     # two lines so close that the dip between them stays above half height
     w = np.linspace(-2.0, 2.0, 1001)
@@ -733,7 +877,7 @@ def test_kbe_step_checked_before_any_output(tmp_path, capsys):
 
 def test_kbe_long_memory_run_validates():
     # fig4-top over four times its preset span: the full two-time planes
-    # would need about 21 GB, the kbe working set about 1.7 MB
+    # would need about 21 GB, the kbe working set about 1.6 MB
     raw = preset_config("fig4-top")
     raw["time"]["t_max"] = 40.0
     cfg = config_from_dict(raw)

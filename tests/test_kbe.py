@@ -173,11 +173,11 @@ def test_memory_capacity_guard():
     with pytest.raises(CapacityError, match="GB"):
         _start(h, markov_self_energy([0.1] * 40), 0, 1e6, 0.02)
     # the memory closure's kernel table grows as m levels: one site with a
-    # dense two-level ensemble over 2 10^4 steps (about 3.8 GB) is refused too
+    # dense two-level ensemble over 4 10^4 steps (about 5.1 GB) is refused too
     h = build_chain(1, 2.0, 0.0, boundary="open")
     bath = sample_tls_bath(0.05, 4000, (1.5, 2.5), seed=1)
     with pytest.raises(CapacityError, match="GB"):
-        _start(h, tls_memory_self_energy([bath]), 0, 400.0, 0.02)
+        _start(h, tls_memory_self_energy([bath]), 0, 800.0, 0.02)
 
 
 def test_time_grid_validation():
@@ -375,9 +375,9 @@ def test_oracle_retarded_rows_are_lag_only():
 
 def test_memory_rule_counts_padded_levels():
     # the memory sums pad every site to the largest level count, so one
-    # dense site among 19 bare ones costs 20 dense sites: about 3.7 GB
+    # dense site among 19 bare ones costs 20 dense sites: about 3.6 GB
     # here, refused by the pre-step check, though the dense site alone
-    # would take 0.5 GB. The check is called alone so that a regression
+    # would take 0.3 GB. The check is called alone so that a regression
     # fails the test instead of allocating the job
     h = build_chain(20, 2.0, 0.5, boundary="open")
     baths = [sample_tls_bath(0.05, 100_000, (1.5, 2.5), seed=1)] + [None] * 19
@@ -388,12 +388,12 @@ def test_memory_rule_counts_padded_levels():
 
 def test_stream_bytes_bounds_traced_peak():
     # the working-set rule bounds what a real run allocates: fig4-top
-    # (measured 0.60 of the rule), a short narrow-band run (0.56), two
+    # (measured 0.51 of the rule), a short narrow-band run (0.75), two
     # sites with 100 levels each, where the first site's phase table must
-    # be freed before the last one's is built (0.60), and the short
+    # be freed before the last one's is built (0.74), and the short
     # one-site jobs where the scratch that does not grow with the time
-    # count sets the peak: one level over 51 and 101 times (0.34 and 0.29)
-    # and 100 levels over 51 times (0.76). The Markov closure on 1 and 5
+    # count sets the peak: one level over 51 and 101 times (0.06 each)
+    # and 100 levels over 51 times (0.67). The Markov closure on 1 and 5
     # sites over 51 and 501 times and on 20 and 40 sites over 501 times:
     # 0.62 to 0.97 (up to 7.3 on one site before its fixed scratch was
     # counted)
