@@ -2,9 +2,10 @@
 
 Frequency-domain pipeline: build_chain -> bath objects -> steady_state_greens
 -> spectral_weight / extract_rates. Time-domain pipeline: equal_time_keldysh
-(the equal-time Keldysh diagonal after one site is excited, under Markov
-rates or sampled memory kernels), or the master-equation evolvers in qme. The harness module runs validated configs end to end and the
-CLI (`noisychain`) wraps it; shipped example setups live in presets.
+(the equal-time Keldysh diagonal after one site is excited, under wide-band
+decay or sampled memory kernels), or the master-equation evolvers in qme.
+The harness module runs validated configs end to end and the CLI
+(`noisychain`) wraps it; shipped example setups live in presets.
 """
 
 from importlib.metadata import PackageNotFoundError, version

@@ -47,7 +47,6 @@ from .kbe import (
     MEMORY_CAP_BYTES,
     check_step,
     equal_time_keldysh,
-    markov_self_energy,
     stream_bytes,
     tls_memory_self_energy,
 )
@@ -371,12 +370,11 @@ def _cross_validate(cfg):
             raise ConfigError("bath.alpha", "leave alpha unset when sweeping widths")
     # memory rules, each naming the field that sets it; a trajectory engine's
     # rule adds its artifact (`_artifact_bytes`). Whole runs under
-    # tracemalloc peak at 0.71 and 0.69 of the kbe rule on 10 and 40
-    # wide-band sites over 300001 and 20001 times, 0.45 for kbe alone on
-    # fig4-top, 0.94 to 0.98 of the lindblad rule on 1 to 10 sites over
-    # 10^5 to 10^6 times, and at 0.71 and 0.87 of the largest rule for
-    # fig4-top and for fig4-bottom over 200001 times (kbe and lindblad,
-    # compared: 139 MB, where reading back at U16 labels took 210 MB)
+    # tracemalloc peak at 0.54 and 0.56 of the kbe rule on 10 and 40
+    # wide-band sites over 300001 and 20001 times, 0.64 for kbe alone on
+    # fig4-top, and at 0.44 and 0.77 of the largest rule for fig4-top and
+    # for fig4-bottom over 200001 times (kbe and lindblad, compared:
+    # 124 MB, where reading back at U16 labels took 210 MB)
     n = cfg.system.n_sites
     n_t = cfg.time.t_max / cfg.time.dt + 1 if cfg.time is not None else 0
     artifact = _artifact_bytes(n_t, n)
@@ -384,10 +382,12 @@ def _cross_validate(cfg):
     # (the generator, its step and the Pade work of qme._expm): whole runs
     # measured 7.0 times 16 N^4 bytes at N = 20, 30 and 40 on the presets'
     # step (degree 5) and 9.05 at N = 30 on steps that take degree 9 or 13;
-    # the propagated (n_t, N^2) states add theirs
+    # the propagation keeps the complex (n_t, N) diagonal. Whole runs
+    # measured 0.54 to 0.79 of this rule at N = 1 to 30 over 2001 to 10^6
+    # times (0.79 on one site over 10^6)
     if "lindblad" in cfg.engines and cfg.time is not None:
         _check_memory("system.n_sites", f"lindblad trajectories of {n} sites",
-                      160 * n**4 + 16 * n_t * n**2 + artifact)
+                      160 * n**4 + 16 * n_t * n + artifact)
     # exact_tls peaks at about 4 dense (d, d) float eigensystems plus 3
     # complex (n_t, d) amplitude tables, d = N (1 + n_tls): measured 4.0 and
     # 3.0 times 8 d^2 and 16 n_t d bytes at d = 105 to 5005, n_t = 641 to 100001
@@ -396,7 +396,7 @@ def _cross_validate(cfg):
         _check_memory("bath.n_tls", f"exact_tls on {d} levels",
                       32 * d * d + 48 * n_t * d + artifact)
     if "kbe" in cfg.engines:
-        levels = cfg.bath.n_tls if cfg.bath.kind == "tls" else None
+        levels = cfg.bath.n_tls if cfg.bath.kind == "tls" else 1
         _check_memory("time.t_max", f"kbe on {n} sites",
                       stream_bytes(n, n_t, levels) + artifact, "; shorten t_max or increase dt")
     # the trajectory comparison runs after the engines have freed theirs
@@ -410,16 +410,27 @@ def _cross_validate(cfg):
         for i, j in cfg.grid.pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ConfigError("grid.pairs", f"pair ({i}, {j}) outside the chain")
-        # spectra hold a few (n_points, s, s) tables of the s pair sites and
-        # (n_points, N) site rows; keldysh adds its bath tables and self-energy
-        # diagonals. Peaks measured with tracemalloc, per point: keldysh 4.8,
-        # 5.7, 7.2 and 14.3 kB at N = 5, 10, 20 and 40; lindblad and
-        # blochredfield 0.3 kB at s = 2 and 1.7-5.0 kB at s = 5-10
-        s = len(_pair_sites(cfg.grid.pairs))
-        per_point = 64 * s * s + 32 * n + (4800 + 250 * n) * ("keldysh" in cfg.engines)
         if {"keldysh", "lindblad", "blochredfield"} & set(cfg.engines):
             _check_memory("grid.n_points", f"spectra on {cfg.grid.n_points} points",
-                          per_point * cfg.grid.n_points)
+                          _spectra_bytes(cfg))
+
+
+def _spectra_bytes(cfg):
+    """Traced-memory rule of a run's spectra, by grid point. Spectra hold a
+    few (n_points, s, s) tables of the s pair sites and (n_points, N) site
+    rows; keldysh adds its bath tables and self-energy diagonals. Peaks
+    measured with tracemalloc, per point: keldysh 4.8, 5.7, 7.2 and 14.3 kB
+    at N = 5, 10, 20 and 40; lindblad and blochredfield 0.3 kB at s = 2 and
+    1.7-5.0 kB at s = 5-10. A run that compares two or more spectra reads
+    both files back at once, 240 B per point and pair: compare_artifacts
+    measured 186-194 B over 1 to 25 pairs and 4001 to 100001 points."""
+
+    n = cfg.system.n_sites
+    s = len(_pair_sites(cfg.grid.pairs))
+    per_point = 64 * s * s + 32 * n + (4800 + 250 * n) * ("keldysh" in cfg.engines)
+    if len({"keldysh", "lindblad", "blochredfield"} & set(cfg.engines)) > 1:
+        per_point += 240 * len(cfg.grid.pairs)
+    return per_point * cfg.grid.n_points
 
 
 def _artifact_bytes(n_t, n):
@@ -502,10 +513,7 @@ class _Plan:
             raise ConfigError("bath", str(exc))
         self.kbe_sigma = None
         if "kbe" in cfg.engines:
-            if cfg.bath.kind == "wideband":
-                self.kbe_sigma = markov_self_energy(np.full(sys_cfg.n_sites, cfg.bath.rate))
-            else:
-                self.kbe_sigma = tls_memory_self_energy(self.site_baths)
+            self.kbe_sigma = tls_memory_self_energy(self.site_baths)
             try:
                 check_step(self.h, self.kbe_sigma, cfg.time.dt)
             except ValueError as exc:

@@ -3,22 +3,22 @@
 The chain starts with one particle on one site, every other site empty and
 no correlation with the baths at t = 0; the integrator returns what an
 occupation trajectory reads, the equal-time Keldysh diagonal
-K_ii(t, t) = -i (1 - 2 n_i(t)). Two bath closures are supported: an
-instantaneous decay approximation (site decay rates, no memory) and the
-full memory kernel of tunneling two-level environments. Both use
-second-order stepping so halving dt cuts the error by four; tests pin that
-convergence ratio for both closures, and it must not be traded away for
+K_ii(t, t) = -i (1 - 2 n_i(t)). Each site couples to nothing, to a wide
+band (a constant decay rate Gamma, no memory) or to tunneling two-level
+environments (a memory kernel). The wide band is the flat-band limit of the
+kernel: Sigma^R(t) = -i (Gamma/2) delta(t) on an empty band, a local
+-i Gamma/2 in the retarded slope with no levels and no lesser term, so one
+stepper serves both. Second-order stepping: halving dt cuts the error by
+four; tests pin that convergence ratio, and it must not be traded away for
 exactness tricks.
 
-Without memory the equal-time function obeys its own closed equation,
-dK/dt = A K + K A^dag - i Gamma with A = -i h - Gamma/2, so K(t, t) is
-stepped alone: O(n^3) work per step and an (n_times, n) output. With memory
-the retarded function never reads the initial state and h and the kernels
-are time-independent, so R(t, t') = R(t - t') is stepped as one lag series
-(Heun steps, the memory sum as a one-step recurrence over the bath levels).
-The baths start uncorrelated with the chain and their kernels are
-stationary, so the Langreth rule gives the equal-time lesser function from
-R alone: with U = iR,
+h and the kernels are time-independent and the retarded function never
+reads the initial state, so R(t, t') = R(t - t') is stepped as one lag
+series (Heun steps, the memory sum as a one-step recurrence over the bath
+levels). The self-energy is site-diagonal, so the columns of R decouple and
+only those the occupations read are stepped. The baths start uncorrelated
+with the chain and their kernels are stationary, so the Langreth rule gives
+the equal-time lesser function from R alone: with U = iR,
     G^<(t, t) = U(t) G^<(0, 0) U(t)^dag
                 + int int G^R(t, s) Sigma^<(s - s') G^A(s', t) ds ds',
 and Sigma^< is a sum of exponentials over the levels, so the double
@@ -39,14 +39,13 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .baths import TlsBath, inverse_temperature
+from .baths import TlsBath, WideBandBath, inverse_temperature
 from .errors import CapacityError
 from .lattice import fermi_occupation
 
 __all__ = [
     "STABILITY_LIMIT",
     "MEMORY_CAP_BYTES",
-    "MarkovSelfEnergy",
     "MemorySelfEnergy",
     "markov_self_energy",
     "tls_memory_self_energy",
@@ -60,34 +59,17 @@ MEMORY_CAP_BYTES = 3_000_000_000
 
 
 @dataclass
-class MarkovSelfEnergy:
-    """Instantaneous decay closure: one empty-band rate per site."""
-
-    rates: np.ndarray
-
-    def __post_init__(self):
-        self.rates = np.asarray(self.rates, dtype=float)
-        if self.rates.ndim != 1:
-            raise ValueError("rates must be a 1d array")
-        if np.any(self.rates < 0):
-            raise ValueError("rates must be nonnegative")
-
-    @property
-    def n_sites(self):
-        return self.rates.size
-
-
-@dataclass
 class MemorySelfEnergy:
-    """Memory kernels of tunneling two-level environments, one per site."""
+    """Site-diagonal bath closure: per site a TlsBath (memory kernel), a
+    WideBandBath (memoryless decay) or None."""
 
     baths: tuple
 
     def __post_init__(self):
         self.baths = tuple(self.baths)
         for b in self.baths:
-            if b is not None and not isinstance(b, TlsBath):
-                raise TypeError("memory kernels support TlsBath entries only")
+            if b is not None and not isinstance(b, (TlsBath, WideBandBath)):
+                raise TypeError("the integrator supports TlsBath and WideBandBath entries only")
 
     @property
     def n_sites(self):
@@ -97,23 +79,31 @@ class MemorySelfEnergy:
     def levels(self):
         """Level axis of the stacked memory core: the largest per-site level
         count, at least one (sites with fewer get zero-weight levels)."""
-        return max([1] + [b.energies.size for b in self.baths if b is not None])
+        return max([1] + [b.energies.size for b in self.baths if isinstance(b, TlsBath)])
 
-    def kernels(self, dt, n_lags):
-        """Site-diagonal retarded kernels on the lag grid, (n_lags, n_sites)."""
+    @property
+    def rates(self):
+        """Wide-band decay rate per site, 0 on every other site."""
+        return np.array([b.rate if isinstance(b, WideBandBath) else 0.0 for b in self.baths])
 
-        sr = np.zeros((n_lags, self.n_sites), dtype=complex)
+    def kernels(self, dt, n_lags, sites=None):
+        """Site-diagonal retarded kernels on the lag grid, (n_lags, len(sites))
+        for the given sites (all by default); a wide band has none."""
+
+        sites = range(self.n_sites) if sites is None else sites
+        sr = np.zeros((n_lags, len(sites)), dtype=complex)
         lags = np.arange(n_lags) * dt
-        for site, bath in enumerate(self.baths):
-            if bath is not None:
+        for k, site in enumerate(sites):
+            bath = self.baths[site]
+            if isinstance(bath, TlsBath):
                 phases = -1j * np.outer(lags, bath.energies)
-                sr[:, site] = -1j * (np.exp(phases, out=phases) @ bath.couplings**2)
+                sr[:, k] = -1j * (np.exp(phases, out=phases) @ bath.couplings**2)
                 del phases
         return sr
 
 
 def markov_self_energy(rates):
-    return MarkovSelfEnergy(rates=np.asarray(rates, dtype=float))
+    return MemorySelfEnergy(baths=tuple(WideBandBath(float(r)) for r in rates))
 
 
 def tls_memory_self_energy(baths):
@@ -121,14 +111,9 @@ def tls_memory_self_energy(baths):
 
 
 def _fastest_scale(h, sigma):
-    scale = float(np.linalg.norm(h.matrix, 2))
-    if isinstance(sigma, MarkovSelfEnergy):
-        if sigma.rates.size:
-            scale = max(scale, float(np.max(sigma.rates)))
-    else:
-        for bath in sigma.baths:
-            if bath is None or not bath.levels:
-                continue
+    scale = max(float(np.linalg.norm(h.matrix, 2)), float(np.max(sigma.rates, initial=0.0)))
+    for bath in sigma.baths:
+        if isinstance(bath, TlsBath) and bath.levels:
             scale = max(scale, float(np.max(np.abs(bath.energies))))
             scale = max(scale, float(np.sqrt(np.sum(bath.couplings**2))))
     return scale
@@ -143,31 +128,23 @@ def _n_times(t_max, dt):
     return int(round(steps)) + 1
 
 
-def stream_bytes(n_sites, n_times, levels=None):
+def stream_bytes(n_sites, n_times, levels):
     """Working-set estimate of `equal_time_keldysh` in bytes.
 
-    levels is the padded level axis (`MemorySelfEnergy.levels`) of a memory
-    closure, None for the Markov closure. The Markov closure holds the
-    complex (n_times, n) output, about 11 complex (n, n) scratch matrices
-    (K, the two slopes and the matmul temporaries) and 16 * 512 bytes that
-    do not grow with the time count. Measured with tracemalloc: the output
-    plus 10.5 to 11.8 scratch matrices at n = 10 to 80 with 101 and 2001
-    times, and up to 6.2 kB more at n = 1 to 10: 0.56 to 0.99 of the rule
-    at n = 1 to 40 over 51 to 2001 times, 0.79 for one site over 51 times
-    in a fresh process. The memory closure holds the complex (n_times, n)
-    retarded kernel and the (n_times, n) occupations, which end as the
-    complex output; building one site's complex (n_times, levels) phase
-    table takes its real lag-energy product too, 1.5 complex columns per
-    level, counted as 2. Its steps add about 5 complex (n, levels, n)
-    memory sums and temporaries, 3 complex (n, levels) level tables and 12
-    complex (n, n) matrices, and 16 * 8192 bytes (numpy's ufunc buffers) do
-    not grow with anything. Measured: 0.06 to 0.79 of the rule at n = 1 to
-    40 and 1 to 4000 levels over 51 to 2001 times, 0.70 to 0.75 on one
-    site with 1000 to 4000 levels, 0.51 on fig4-top.
+    levels is the padded level axis (`MemorySelfEnergy.levels`, 1 without
+    two-level environments). The integrator holds the complex
+    (n_times, columns) retarded kernel table of the stepped columns and the
+    (n_times, n) occupations, which end as the complex output; building one
+    site's complex (n_times, levels) phase table takes its real lag-energy
+    product too, 1.5 complex columns per level, counted as 2. Its steps add
+    about 5 complex (n, levels, n) memory sums and temporaries, 3 complex
+    (n, levels) level tables and 12 complex (n, n) matrices, and 16 * 8192
+    bytes (numpy's ufunc buffers) do not grow with anything. Measured with
+    tracemalloc: 0.07 to 0.76 of the rule at n = 1 to 40 and 1 to 4000
+    levels over 51 to 2001 times, with occupied levels on every site or on
+    none; 0.07 to 0.64 on wide bands alone; 0.52 on fig4-top.
     """
 
-    if levels is None:
-        return 16 * (n_times * n_sites + 11 * n_sites**2 + 512)
     return 16 * (n_times * (2 * n_sites + 2 * levels + 4)
                  + n_sites * levels * (5 * n_sites + 3) + 12 * n_sites**2 + 8192)
 
@@ -195,8 +172,7 @@ def _start(h, sigma, site, t_max, dt):
         raise ValueError(f"site {site} outside chain of {n}")
     m = _n_times(t_max, dt)
     check_step(h, sigma, dt)
-    markov = isinstance(sigma, MarkovSelfEnergy)
-    need = stream_bytes(n, m, None if markov else sigma.levels)
+    need = stream_bytes(n, m, sigma.levels)
     if need > MEMORY_CAP_BYTES:
         raise CapacityError(
             f"the integrator needs about {need / 1e9:.1f} GB "
@@ -210,46 +186,23 @@ def _start(h, sigma, site, t_max, dt):
 def equal_time_keldysh(h, sigma, site, t_max, dt):
     """Equal-time Keldysh diagonal K_ii(t, t) after exciting `site` at t = 0.
 
-    h drives the dynamics and sigma closes the bath coupling (decay rates or
-    memory kernels). Checks the site counts, the time grid, the step against
-    the fastest scale in the problem and the working set against the memory
-    cap before any step. Returns a complex (n_times, n) array on the uniform
-    grid arange(0, t_max, dt) inclusive; site occupations follow as
+    h drives the dynamics and sigma closes the bath coupling (decay rates,
+    memory kernels or both). Checks the site counts, the time grid, the step
+    against the fastest scale in the problem and the working set against the
+    memory cap before any step. Returns a complex (n_times, n) array on the
+    uniform grid arange(0, t_max, dt) inclusive; site occupations follow as
     n_i(t) = (1 + Im K_ii(t, t)) / 2.
     """
 
-    m, f0 = _start(h, sigma, site, t_max, dt)
-    if isinstance(sigma, MarkovSelfEnergy):
-        return _markov_diagonal(h.matrix, sigma.rates, f0, m, dt)
+    m, _ = _start(h, sigma, site, t_max, dt)
     return 1j * (2.0 * _memory_occupations(h.matrix, sigma, site, m, dt) - 1.0)
-
-
-def _markov_diagonal(hm, rates, f0, m, dt):
-    n = hm.shape[0]
-    gd = np.diag(rates).astype(complex)
-    a_mat = -1j * hm - 0.5 * gd
-    a_dag = a_mat.conj().T
-
-    def rhs(k):
-        return a_mat @ k + k @ a_dag - 1j * gd
-
-    k = -1j * (np.eye(n, dtype=complex) - 2.0 * f0)
-    out = np.empty((m, n), dtype=complex)
-    out[0] = k.diagonal()
-    for i in range(1, m):
-        f1 = rhs(k)
-        f2 = rhs(k + dt * f1)
-        k = k + 0.5 * dt * (f1 + f2)
-        out[i] = k.diagonal()
-    return out
 
 
 def _memory_occupations(hm, sigma, site, m, dt):
     """(m, n) occupations n_i(t) by the Langreth rule from the retarded lag
-    series L[q] = R(t_q, 0) = -i U(t_q)."""
+    series L[q] = R(t_q, 0) = -i U(t_q), stepped on the columns it reads."""
 
     n = hm.shape[0]
-    srf = sigma.kernels(dt, m)
 
     # Sites are stacked, each padded to the level axis with zero-weight
     # levels: eps the level energies, wr the retarded kernel weights -i g^2,
@@ -259,7 +212,7 @@ def _memory_occupations(hm, sigma, site, m, dt):
     wr = np.zeros((n, lv), dtype=complex)
     wf = np.zeros((n, lv))
     for a, bath in enumerate(sigma.baths):
-        if bath is None:
+        if not isinstance(bath, TlsBath):
             continue
         k = bath.energies.size
         gsq = bath.couplings**2
@@ -267,27 +220,40 @@ def _memory_occupations(hm, sigma, site, m, dt):
         wr[a, :k] = -1j * gsq
         wf[a, :k] = gsq * fermi_occupation(bath.energies, inverse_temperature(bath.temperature))
     dphase = np.exp(-1j * eps * dt)[:, :, None]
-    diag = np.arange(n)
+
+    # The occupations read column `site` of U and, through v, the column of
+    # every site whose bath holds an occupied level; no other column is
+    # stepped. warm indexes those sites among the stepped columns
+    stepped = wf.any(axis=1)
+    hot = np.flatnonzero(stepped)
+    stepped[site] = True
+    cols = np.flatnonzero(stepped)
+    warm = np.searchsorted(cols, hot)
+    here = int(np.searchsorted(cols, site))
+    srf = sigma.kernels(dt, m, cols)
+    # local terms of the retarded slope in one matrix: h, the wide bands'
+    # -i Gamma/2 and the trapezoid's half weight on the memory sum's newest
+    # lag (kernel at lag 0); edge * srf[q] is the other half-weight edge,
+    # L[0] = -i on the stepped columns' own sites (kernel at lag q)
+    loc = -1j * (hm - np.diag(0.5j * sigma.rates + 0.5 * dt * sigma.kernels(dt, 1)[0]))
+    edge = 0.5j * np.eye(n)[:, cols]
 
     # The kernels are exact exponential sums over bath levels, so both
     # trapezoid sums over the history obey one-step recurrences and only
     # the newest lag is kept:
     #   front[a, s] = sum_{k=0..q} e^{-i eps_s (q - k) dt} L[k][a, :], the
     #                 retarded memory sum of lag q (uniform weights);
-    #   vel[a, s]   = e^{-i eps_s t_q} int_0^{t_q} e^{i eps_s tau} L(tau)[:, a]
-    #                 dtau, the trapezoid rule; |vel| = |v| since |L| = |U|
+    #   vel[b, s]   = e^{-i eps_s t_q} int_0^{t_q} e^{i eps_s tau} L(tau)[:, a]
+    #                 dtau for warm site a = hot[b], the trapezoid rule;
+    #                 |vel| = |v| since |L| = |U|
     def rslope(q, lag, acc):
-        # retarded slope of lag q from its memory sum acc. The uniform-weight
-        # sum needs trapezoid edge fixes: half its k = 0 term (L[0] = -i,
-        # kernel at lag q) and half its k = q term (kernel at lag 0)
-        t1 = (wr[:, None, :] @ acc)[:, 0] * dt
-        t1[diag, diag] += 0.5j * dt * srf[q]
-        t1 -= 0.5 * dt * srf[0][:, None] * lag
-        return -1j * (hm @ lag + t1)
+        return loc @ lag - 1j * dt * ((wr[:, None, :] @ acc)[:, 0] + edge * srf[q])
 
-    lag = -1j * np.eye(n, dtype=complex)
+    lag = -1j * np.eye(n, dtype=complex)[:, cols]
     front = np.repeat(lag[:, None, :], lv, axis=1)
-    vel = np.zeros((n, lv, n), dtype=complex)
+    vel = np.zeros((hot.size, lv, n), dtype=complex)
+    vphase = dphase[hot]
+    wfv = wf[hot].ravel()
     occ = np.zeros((m, n))
     occ[0, site] = 1.0
     for i in range(m - 1):
@@ -301,9 +267,11 @@ def _memory_occupations(hm, sigma, site, m, dt):
         # last bit
         np.multiply(dphase, front, out=front)
         front += new[:, None, :]
-        vel += 0.5 * dt * lag.T[:, None, :]
-        vel *= dphase
-        vel += 0.5 * dt * new.T[:, None, :]
+        occ[i + 1] = np.abs(new[:, here]) ** 2
+        if hot.size:
+            vel += 0.5 * dt * lag[:, warm].T[:, None, :]
+            vel *= vphase
+            vel += 0.5 * dt * new[:, warm].T[:, None, :]
+            occ[i + 1] += wfv @ (np.abs(vel.reshape(-1, n)) ** 2)
         lag = new
-        occ[i + 1] = np.abs(lag[:, site]) ** 2 + wf.ravel() @ (np.abs(vel.reshape(-1, n)) ** 2)
     return occ

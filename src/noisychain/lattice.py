@@ -104,14 +104,11 @@ class HoppingHamiltonian:
 
     n_sites: int
     matrix: np.ndarray
-    boundary: str = "periodic"
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix)
         if self.matrix.shape != (self.n_sites, self.n_sites):
             raise ValueError("matrix shape does not match n_sites")
-        if self.boundary not in ("periodic", "open"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
         if np.max(np.abs(self.matrix - self.matrix.conj().T)) > HERM_TOL:
             raise ValueError("matrix is not hermitian")
 
@@ -149,7 +146,7 @@ def build_chain(n_sites, onsite, hopping, boundary="periodic"):
     if boundary == "periodic":
         m[n_sites - 1, 0] += t
         m[0, n_sites - 1] += t
-    return HoppingHamiltonian(n_sites, m, boundary)
+    return HoppingHamiltonian(n_sites, m)
 
 
 def diagonalize(h):

@@ -101,7 +101,7 @@ PRESETS = {
     "fig3-bottom": None,  # filled below: same sweep at doubled system size
     # transient decay into a flat continuum: the memoryless two-time
     # integrator against the relaxation Lindblad equation; they differ by
-    # 3.95e-4 from every start site of the ring, 2.5 times inside the bound
+    # 1.39e-4 from every start site of the ring, 7.2 times inside the bound
     "fig4-bottom": {
         "version": 1,
         "system": {"n_sites": 5, "onsite": 0.0, "hopping": 1.0, "boundary": "periodic"},

@@ -293,11 +293,13 @@ def _expm(a):
     return r
 
 
-def _propagate(lv, v, t_grid):
-    """v carried by dv/dt = lv v to every point of a uniform t_grid.
+def _propagate(lv, v, t_grid, keep=slice(None)):
+    """v[keep] at every point of a uniform t_grid, v carried by dv/dt = lv v.
 
     One exp(lv dt) from _expm carries each point to the next; a grid that
     starts after t = 0 takes one more exponential to reach its first point.
+    Only the kept entries are stored, so a caller that reads a few of them
+    holds (n_t, few) values, not the whole state at every point.
     """
 
     t_grid = np.asarray(t_grid, dtype=float)
@@ -310,12 +312,13 @@ def _propagate(lv, v, t_grid):
         raise ValueError("t_grid must be uniform for propagator stepping")
     if t_grid[0] > 0:
         v = _expm(lv * t_grid[0]) @ v
-    out = np.empty((t_grid.size,) + v.shape, dtype=complex)
-    out[0] = v
+    out = np.empty((t_grid.size,) + v[keep].shape, dtype=complex)
+    out[0] = v[keep]
     if t_grid.size > 1:
         prop = _expm(lv * steps[0])
         for k in range(1, t_grid.size):
-            out[k] = prop @ out[k - 1]
+            v = prop @ v
+            out[k] = v[keep]
     return out
 
 
@@ -428,7 +431,7 @@ def redfield_occupations(gen, site, t_grid):
         raise ValueError(f"site {site} outside chain of {n}")
     v0 = np.zeros(n * n, dtype=complex)
     v0[(n - 1 - site) * (n + 1)] = 1.0
-    return _propagate(gen.block(1, 1), v0, t_grid)[:, :: -(n + 1)].real
+    return _propagate(gen.block(1, 1), v0, t_grid, slice(None, None, -(n + 1))).real.copy()
 
 
 def _check_rates(gamma1, gamma2star):
@@ -474,7 +477,7 @@ def lindblad_occupations(h, gamma1, gamma2star, site, t_grid):
     lv = -1j * (np.kron(h.matrix, ident) - np.kron(ident, h.matrix.T)) - np.diag(decay.ravel())
     m0 = np.zeros(n * n, dtype=complex)
     m0[site * (n + 1)] = 1.0  # row-major vec(M): M_ii sits at i * (n + 1)
-    return _propagate(lv, m0, t_grid)[:, :: n + 1].real
+    return _propagate(lv, m0, t_grid, slice(None, None, n + 1)).real.copy()
 
 
 def exact_tls_evolve(h, baths, site, t_grid):

@@ -4,8 +4,8 @@ noisychain.kbe returns only the equal-time Keldysh diagonal, and with
 memory kernels it reads the occupations off the retarded lag series by the
 Langreth rule. kbe_integrate runs the full two-time equations of motion
 instead and collects them into the lower-triangle planes of TwoTimeGreens,
-so tests can check any point of them: the Markov rows by the brute-force
-row stepper below, the memory rows by per_site_memory_rows, which steps
+so tests can check any point of them: wide-band rows by the brute-force
+row stepper below, memory rows by per_site_memory_rows, which steps
 whole retarded rows and the Keldysh rows K(t_i, t_j), j <= i, with
 per-site exponential-sum accumulators. It discretizes the Keldysh side
 independently of the Langreth route, so the two agree to their O(dt^2)
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from noisychain.baths import inverse_temperature
-from noisychain.kbe import MarkovSelfEnergy, _start
+from noisychain.baths import WideBandBath, inverse_temperature
+from noisychain.kbe import _start
 from noisychain.lattice import FreqGreens, fermi_occupation
 
 
@@ -66,11 +66,15 @@ class TwoTimeGreens:
 
 def kbe_integrate(h, sigma, site, t_max, dt):
     """Full two-time planes after exciting `site` at t = 0, with the checks
-    of noisychain.kbe.equal_time_keldysh run first."""
+    of noisychain.kbe.equal_time_keldysh run first. The closure's baths are
+    all wide bands or all two-level environments (or None)."""
 
     m, f0 = _start(h, sigma, site, t_max, dt)
-    if isinstance(sigma, MarkovSelfEnergy):
+    wide = [isinstance(b, WideBandBath) for b in sigma.baths]
+    if all(wide):
         rows = _markov_rows(h.matrix, sigma.rates, f0, m, dt)
+    elif any(wide):
+        raise ValueError("the oracle steps wide bands or two-level baths, not both")
     else:
         rows = per_site_memory_rows(h.matrix, sigma, f0, m, dt)
     n = h.n_sites

@@ -164,9 +164,9 @@ def test_linewidth_sweep_merges_peaks_and_tightens_with_size(tmp_path):
 
 def test_two_time_integrator_tracks_markovian_decay(tmp_path):
     # five qubits with flat decay channels, one excitation: the two-time
-    # integrator and the master equation agree to 1e-3 in occupation over
-    # five decay times (measured 3.95e-4 from every start site of the
-    # ring), and the total occupation never grows
+    # integrator and the master equation agree to 1.5e-4 in occupation over
+    # five decay times (measured 1.394e-4 from every start site of the
+    # ring, a 7.6% margin), and the total occupation never grows
     started = time.monotonic()
     result = _run_preset("fig4-bottom", tmp_path)
     assert result.ok, result.engine_errors or [
@@ -183,7 +183,7 @@ def test_two_time_integrator_tracks_markovian_decay(tmp_path):
     dev = max(
         float(np.max(np.abs(occ_k[s] - occ_l[s]))) for s in occ_k
     )
-    assert dev <= 1e-3, dev
+    assert dev <= 1.5e-4, dev
     n_tot = np.sum([occ_k[s] for s in occ_k], axis=0)
     assert np.all(np.diff(n_tot) <= 1e-12)
     assert time.monotonic() - started < 120.0

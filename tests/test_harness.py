@@ -281,11 +281,11 @@ def test_lindblad_trajectory_memory_rejected_before_any_output(tmp_path, capsys)
     raw["system"]["n_sites"] = 80
     with pytest.raises(ConfigError, match="system.n_sites"):
         config_from_dict(copy.deepcopy(raw))
-    # over 10^6 steps the propagated (n_t, N^2) states and the artifact
-    # dominate: 20 sites need about 7.7 GB
+    # over 10^6 steps the kept (n_t, N) diagonal and the artifact
+    # dominate: 40 sites need about 3.6 GB
     long_run = copy.deepcopy(raw)
     long_run["engines"] = ["lindblad"]
-    long_run["system"]["n_sites"] = 20
+    long_run["system"]["n_sites"] = 40
     long_run["time"] = {"t_max": 1000.0, "dt": 0.001}
     with pytest.raises(ConfigError, match="system.n_sites"):
         config_from_dict(long_run)
@@ -651,6 +651,28 @@ def test_trajectory_comparison_stays_within_its_read_back_rule(tmp_path, monkeyp
     assert "comparing trajectories of 5 sites" in str(info.value)
 
 
+def test_spectra_comparison_stays_within_its_rule(tmp_path):
+    # a run that compares two spectra reads both files back at once, one
+    # row per point and pair: fig2-upper's lindblad and blochredfield
+    # spectra on all 25 pairs of its 5 sites over 20001 points peak at
+    # 95 MB under tracemalloc, 93 MB of it in the comparison. That is 0.61
+    # of the spectra rule, which counted 35 MB before it counted the
+    # read-back
+    raw = preset_config("fig2-upper")
+    raw["engines"] = ["lindblad", "blochredfield"]
+    raw["grid"]["pairs"] = [[i, j] for i in range(5) for j in range(5)]
+    raw["grid"]["n_points"] = 20001
+    cfg = config_from_dict(raw)
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg, out_root=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.engine_errors and len(result.reports) == 1
+    assert peak < harness._spectra_bytes(cfg)
+
+
 def test_labels_keep_file_order(tmp_path):
     # distinct pairs and sites come in the order the file first names them
     assert harness._labels(np.array(["3-4", "0-0", "3-4", "10-1", "0-0"])) == ["3-4", "0-0", "10-1"]
@@ -829,17 +851,17 @@ def test_exact_tls_size_checked_before_any_output(tmp_path, capsys):
 
 def test_kbe_memory_checked_before_any_output(tmp_path, capsys):
     # the kbe working set and its trajectory artifact are sized at
-    # validation, naming time.t_max: a 100-site wide-band run over 10^6
-    # steps fits the cap in the integrator (1.6 GB) but not with its
-    # artifact (about 8 GB), so it is refused before any engine writes and
+    # validation, naming time.t_max: a 50-site wide-band run over 10^6
+    # steps fits the cap in the integrator (1.7 GB) but not with its
+    # artifact (about 4.9 GB), so it is refused before any engine writes and
     # before any large array exists; 20 sites fit
     raw = preset_config("fig4-bottom")
     raw["engines"] = ["kbe"]
     raw["time"] = {"t_max": 1000.0, "dt": 0.001}
     raw["system"]["n_sites"] = 20
     config_from_dict(copy.deepcopy(raw))
-    raw["system"]["n_sites"] = 100
-    assert stream_bytes(100, 1_000_001) < MEMORY_CAP_BYTES
+    raw["system"]["n_sites"] = 50
+    assert stream_bytes(50, 1_000_001, 1) < MEMORY_CAP_BYTES
     path = tmp_path / "fig4-bottom.yaml"
     path.write_text(yaml.safe_dump(raw))
     out = tmp_path / "out-fig4-bottom"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisychain import qme
-from noisychain.baths import TlsBath, sample_tls_bath
+from noisychain.baths import TlsBath, WideBandBath, sample_tls_bath
 from noisychain.errors import CapacityError
 from noisychain.harness import (
     _Plan,
@@ -19,7 +19,6 @@ from noisychain.harness import (
 )
 from noisychain.kbe import (
     MEMORY_CAP_BYTES,
-    MarkovSelfEnergy,
     _start,
     equal_time_keldysh,
     markov_self_energy,
@@ -165,10 +164,10 @@ def test_stability_guard():
 
 
 def test_memory_capacity_guard():
-    # without memory only the (m, n) diagonal is kept: a 40-site chain over
-    # 5 10^7 steps (about 32 GB) is refused before any step. The pre-step
-    # check is called alone, so that a regression fails the test instead of
-    # starting the job
+    # wide bands keep no levels, yet the (m, n) occupations and output grow
+    # with the time count: a 40-site chain over 5 10^7 steps (about 69 GB)
+    # is refused before any step. The pre-step check is called alone, so
+    # that a regression fails the test instead of starting the job
     h = build_chain(40, 0.0, 1.0)
     with pytest.raises(CapacityError, match="GB"):
         _start(h, markov_self_energy([0.1] * 40), 0, 1e6, 0.02)
@@ -188,15 +187,21 @@ def test_time_grid_validation():
 
 
 def test_stream_diagonal_matches_collected_plane():
-    # the Markov closure steps K(t, t) alone, and its equal-time diagonal is
-    # the diagonal of the oracle's full plane bit for bit
+    # on wide bands the lag series is Heun's step of dR/dt = (-i h - Gamma/2) R,
+    # which is the oracle's quadratic one-step propagator, so the shipped
+    # occupations are |R(t, 0)[:, site]|^2 of the oracle's retarded plane to
+    # roundoff (measured 2.9e-15 over the three start sites, bound with a
+    # 3.4x margin). The oracle's Keldysh diagonal steps its own equation and
+    # differs by its O(dt^2) gap (measured 4.2e-5)
     h, baths = _uneven_chain()
     sigma = markov_self_energy([0.3, 0.1, 0.2])
-    diag = equal_time_keldysh(h, sigma, 1, 2.0, 0.02)
-    plane = kbe_integrate(h, sigma, 1, 2.0, 0.02)
-    idx = np.arange(plane.n_times)
-    assert diag.shape == (101, 3)
-    assert np.array_equal(diag, np.diagonal(plane.keldysh[idx, idx], axis1=1, axis2=2))
+    for site in range(3):
+        diag = equal_time_keldysh(h, sigma, site, 2.0, 0.02)
+        plane = kbe_integrate(h, sigma, site, 2.0, 0.02)
+        assert diag.shape == (101, 3)
+        occ = 0.5 * (1.0 + diag.imag)
+        assert np.max(np.abs(occ - np.abs(plane.retarded[:, 0, :, site]) ** 2)) < 1e-14
+        assert np.max(np.abs(occ - occupations(plane)[0])) < 1e-4
     # the memory closure reads the occupations off the retarded lag series
     # (Langreth rule) while the oracle steps the Keldysh rows: the two
     # discretize differently and agree to their O(dt^2) gap (measured
@@ -340,6 +345,50 @@ def test_memory_closure_converges_at_second_order():
     assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
 
 
+def test_wide_band_matches_lindblad_at_second_order():
+    # on fig4-bottom's ring the wide band and lindblad_occupations solve the
+    # same equation, dM/dt = -i[h, M] - gamma1 M, the latter exactly, so the
+    # gap is Heun's error on the lag series: measured 1.394e-4, 3.484e-5 and
+    # 8.709e-6 at dt 0.04, 0.02 and 0.01 from every start site, 4.00 per
+    # halving. The preset's step is bounded with a 7.6% margin
+    raw = preset_config("fig4-bottom")
+    plan = _Plan(config_from_dict(raw))
+    errors = []
+    for dt in (0.04, 0.02, 0.01):
+        worst = 0.0
+        for site in range(plan.h.n_sites):
+            n = _shipped_occupations(plan.h, plan.kbe_sigma, site, raw["time"]["t_max"], dt)
+            ref = qme.lindblad_occupations(plan.h, raw["bath"]["rate"], 0.0, site,
+                                           dt * np.arange(n.shape[0]))
+            worst = max(worst, float(np.max(np.abs(n - ref))))
+        errors.append(worst)
+    assert errors[0] < 1.5e-4, errors
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
+def test_mixed_closure_matches_its_parts():
+    # a wide band, no bath and a two-level bath on three uncoupled sites:
+    # each site evolves as it does alone. With site 0 excited, site 2 fills
+    # only through its bath's occupied levels, by the warm minus the cold
+    # lone run (up to 4.4e-7 here), so the stepped columns, 0 and 2, are
+    # not the first two. Measured gaps 0 and 5.6e-17
+    chain = build_chain(3, 0.5, 0.0, boundary="open")
+    one = build_chain(1, 0.5, 0.0, boundary="open")
+    wide = WideBandBath(0.3)
+    levels = ((0.8, 0.05), (1.2, 0.07))
+    cold = _shipped_occupations(one, tls_memory_self_energy([TlsBath(levels)]), 0, 2.0, 0.02)
+    alone = _shipped_occupations(one, tls_memory_self_energy([wide]), 0, 2.0, 0.02)
+    zero = 0.0 * cold
+    for tls in (TlsBath(levels), TlsBath(levels, temperature=0.08)):
+        sigma = tls_memory_self_energy([wide, None, tls])
+        lone = _shipped_occupations(one, tls_memory_self_energy([tls]), 0, 2.0, 0.02)
+        first = _shipped_occupations(chain, sigma, 0, 2.0, 0.02)
+        last = _shipped_occupations(chain, sigma, 2, 2.0, 0.02)
+        assert np.max(np.abs(first - np.c_[alone, zero, lone - cold])) <= 1e-15
+        assert np.max(np.abs(last - np.c_[zero, zero, lone])) <= 1e-15
+
+
 def test_fig4_top_occupations_stay_nonnegative(tmp_path):
     # TLS seed 286046148 is where the stepped Keldysh rows dipped furthest
     # below zero (-6.1e-6 at site 0, t = 8.41, at the old dt 2^-6). The
@@ -388,27 +437,31 @@ def test_memory_rule_counts_padded_levels():
 
 def test_stream_bytes_bounds_traced_peak():
     # the working-set rule bounds what a real run allocates: fig4-top
-    # (measured 0.51 of the rule), a short narrow-band run (0.75), two
+    # (measured 0.52 of the rule), a short narrow-band run (0.76), two
     # sites with 100 levels each, where the first site's phase table must
-    # be freed before the last one's is built (0.74), and the short
-    # one-site jobs where the scratch that does not grow with the time
-    # count sets the peak: one level over 51 and 101 times (0.06 each)
-    # and 100 levels over 51 times (0.67). The Markov closure on 1 and 5
-    # sites over 51 and 501 times and on 20 and 40 sites over 501 times:
-    # 0.62 to 0.97 (up to 7.3 on one site before its fixed scratch was
-    # counted)
+    # be freed before the last one's is built (0.75), five sites whose ten
+    # levels are all occupied, so every column and its level sums are
+    # stepped (0.39), and the short one-site jobs where the scratch that
+    # does not grow with the time count sets the peak: one level over 51
+    # and 101 times (0.07 each) and 100 levels over 51 times (0.69).
+    # Wide bands on 1 and 5 sites over 51 and 501 times and on 20 and 40
+    # sites over 501 times: 0.07 to 0.62
     chain, bath = _narrow_band()
     one = build_chain(1, 2.5, 0.0, boundary="open")
     short = [(one, tls_memory_self_energy([sample_tls_bath(0.05, k, (0.5, 4.5), seed=2)]),
               t_max, 0.01) for k, t_max in ((1, 0.5), (1, 1.0), (100, 0.5))]
     pair = build_chain(2, 2.5, 0.1, boundary="open")
     two = tls_memory_self_energy([sample_tls_bath(0.05, 100, (0.5, 4.5), seed=s) for s in (2, 3)])
-    markov = [(build_chain(n, 0.0, 1.0, boundary="open"), markov_self_energy(np.full(n, 0.2)),
-               t_max, 0.01) for n, t_max in ((1, 0.5), (1, 5.0), (5, 0.5), (5, 5.0),
-                                               (20, 5.0), (40, 5.0))]
+    warm = tls_memory_self_energy([sample_tls_bath(0.05, 10, (1.5, 2.5), seed=s, temperature=0.15)
+                                   for s in range(5)])
+    wide = [(build_chain(n, 0.0, 1.0, boundary="open"), markov_self_energy(np.full(n, 0.2)),
+             t_max, 0.01) for n, t_max in ((1, 0.5), (1, 5.0), (5, 0.5), (5, 5.0),
+                                           (20, 5.0), (40, 5.0))]
     for h, sigma, t_max, dt in (_fig4_top(42),
                                 (chain, tls_memory_self_energy([bath]), 2.0, 0.01),
-                                (pair, two, 2.0, 0.01), *short, *markov):
+                                (pair, two, 2.0, 0.01),
+                                (build_chain(5, 2.0, 0.5, boundary="open"), warm, 2.0, 0.01),
+                                *short, *wide):
         m = int(round(t_max / dt)) + 1
         tracemalloc.start()
         try:
@@ -416,5 +469,4 @@ def test_stream_bytes_bounds_traced_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        levels = None if isinstance(sigma, MarkovSelfEnergy) else sigma.levels
-        assert peak < stream_bytes(h.n_sites, m, levels), (h.n_sites, m, peak)
+        assert peak < stream_bytes(h.n_sites, m, sigma.levels), (h.n_sites, m, peak)

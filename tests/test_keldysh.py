@@ -294,7 +294,7 @@ def test_banded_solve_matches_refined_lu():
                 m[1, 2] *= np.exp(0.7j)
                 m[n - 1, 0] *= np.exp(-0.4j)
                 m[2, 1], m[0, n - 1] = np.conj(m[1, 2]), np.conj(m[n - 1, 0])
-            h = HoppingHamiltonian(n, m, boundary)
+            h = HoppingHamiltonian(n, m)
             for sites in (None, [n - 1, 0]):
                 g = dyson_solve(h, beta, sigma, sites)
                 ref = lu_dyson_solve(h, beta, sigma, sites)
@@ -384,7 +384,7 @@ def test_dephasing_groups_match_single_site_calls():
     # a call that puts that site's bath on that site alone. No group here is
     # one orbit, so each keeps the site-by-site route bit for bit: an open
     # chain, a ring with one site bath-less, and a ring with one perturbed
-    # onsite entry built by hand, whose boundary is "periodic" by default
+    # onsite entry built by hand
     b1 = OhmicBath(alpha=0.01, cutoff=20.0, temperature=5.0)
     b2 = OhmicBath(alpha=0.03, cutoff=20.0, temperature=2.0)
     grid = FreqGrid(-1.0, 5.0, 601)

@@ -330,7 +330,7 @@ def test_expm_matches_scipy():
     # cond(V) of the generator is 6.5e7 and an eigendecomposition step is off
     # by 9.0e-10 (1.1e-16). Bound 4e-15 on all
     generators = []
-    capture = lambda lv, v, t_grid: generators.append(lv) or v[None]
+    capture = lambda lv, v, t_grid, keep: generators.append(lv) or v[None, keep]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qme, "_propagate", capture)
         for n in (5, 20, 40):
