@@ -10,14 +10,17 @@ artifact it wrote, so two runs are byte-identical when a diff of their
 With --against DIR, the output root of an earlier run, each CSV that DIR
 also holds gets a `moved` line: "identical" when the bytes match, else the
 largest move of each float column as a share of that column's max|value|
-in DIR.
+in DIR. A preset's report.json gets one too: "identical" when every
+comparison metric has the same value as in DIR, else the largest move.
 
-The two sweep presets dominate the runtime; everything else finishes in
-seconds. Expect a couple of minutes total.
+The two sweep presets take the longest, about 0.15 s (fig3-top) and
+0.2 s (fig3-bottom); the whole script, imports included, runs in 1.1-1.2 s
+on a 2-core Xeon with numpy 2.4.
 """
 
 import argparse
 import hashlib
+import json
 import sys
 import time
 from pathlib import Path
@@ -48,6 +51,30 @@ def moves(path, ref):
     return ", ".join(parts)
 
 
+def _metric_values(path):
+    # {(file a, file b, metric): value}, files by name: run dirs differ
+    return {(Path(r["file_a"]).name, Path(r["file_b"]).name, m["name"]): m["value"]
+            for r in json.loads(path.read_text()) for m in r["metrics"]}
+
+
+def metric_moves(path, ref):
+    """'identical' when every report.json metric of `path` has its value in
+    `ref`, else the largest move and how many metrics moved."""
+
+    new, old = _metric_values(path), _metric_values(ref)
+    if new == old:
+        return "identical"
+    keys = new.keys() | old.keys()
+    changed = [k for k in keys if k not in new or k not in old or new[k] != old[k]]
+    summary = f"{len(changed)} of {len(keys)} metrics moved"
+    numeric = [k for k in changed if None not in (new.get(k), old.get(k))]
+    if not numeric:
+        return summary
+    k = max(numeric, key=lambda k: abs(new[k] - old[k]))
+    return (f"{summary}, largest {k[2]} ({k[0]} vs {k[1]}): {old[k]:.12g} -> "
+            f"{new[k]:.12g}, |move| {abs(new[k] - old[k]):.2e}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="noisychain-out", help="output root")
@@ -71,6 +98,10 @@ def main():
                 print(f"    sha256 {digest[:12]}  {name}/{fname}")
                 if args.against and (ref := Path(args.against, name, fname)).is_file():
                     print(f"    moved  {name}/{fname}: {moves(res.run_dir / fname, ref)}")
+        ref = Path(args.against or "", name, "report.json")
+        if args.against and res.reports and ref.is_file():
+            moved = metric_moves(res.run_dir / "report.json", ref)
+            print(f"    moved  {name}/report.json: {moved}")
         for rep in res.reports:
             for line in rep.summary_lines():
                 print(f"    {line}")

@@ -1,8 +1,9 @@
 """Spectra and relaxation dynamics of dissipative tight-binding chains.
 
 Frequency-domain pipeline: build_chain -> bath objects -> steady_state_greens
--> spectral_weight / extract_rates. Time-domain pipeline: equal_time_keldysh
-(the equal-time Keldysh diagonal after one site is excited, under wide-band
+-> spectral_weight / extract_rates. Time-domain pipeline:
+equal_time_occupations and equal_time_keldysh (the site occupations and the
+equal-time Keldysh diagonal after one site is excited, under wide-band
 decay or sampled memory kernels), or the master-equation evolvers in qme.
 The harness module runs validated configs end to end and the CLI
 (`noisychain`) wraps it; shipped example setups live in presets.
@@ -32,6 +33,7 @@ from .harness import (
 )
 from .kbe import (
     equal_time_keldysh,
+    equal_time_occupations,
     markov_self_energy,
     tls_memory_self_energy,
 )
@@ -77,6 +79,7 @@ __all__ = [
     "load_config",
     "run_experiment",
     "equal_time_keldysh",
+    "equal_time_occupations",
     "markov_self_energy",
     "tls_memory_self_energy",
     "RateFunction",

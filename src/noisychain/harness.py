@@ -46,11 +46,11 @@ from .errors import ConfigError
 from .kbe import (
     MEMORY_CAP_BYTES,
     check_step,
-    equal_time_keldysh,
+    equal_time_occupations,
     stream_bytes,
     tls_memory_self_energy,
 )
-from .keldysh import extract_rates, steady_state_greens
+from .keldysh import SelfEnergy, dyson_solve, extract_rates, steady_state_greens
 from .lattice import FreqGrid, build_chain
 
 __all__ = [
@@ -368,6 +368,10 @@ def _cross_validate(cfg):
             raise ConfigError("engines", "width sweeps run the keldysh engine only")
         if cfg.bath.alpha is not None:
             raise ConfigError("bath.alpha", "leave alpha unset when sweeping widths")
+        names = [_sweep_file(g2) for g2 in cfg.sweep_gamma2]
+        clash = [name for name in names if names.count(name) > 1]
+        if clash:
+            raise ConfigError("sweep.gamma2", f"two widths would both write {clash[0]}")
     # memory rules, each naming the field that sets it; a trajectory engine's
     # rule adds its artifact (`_artifact_bytes`). Whole runs under
     # tracemalloc peak at 0.54 and 0.56 of the kbe rule on 10 and 40
@@ -522,7 +526,7 @@ class _Plan:
     def _build_baths(self, bc, seed, n_sites):
         if bc.kind == "ohmic":
             if bc.alpha is None:
-                return None  # sweeps build per-width baths on the fly
+                return None  # sweeps build the bath of their first width
             bath = OhmicBath(alpha=bc.alpha, cutoff=bc.cutoff, temperature=bc.temperature)
             return [bath] * n_sites
         if bc.kind == "wideband":
@@ -891,6 +895,10 @@ def _write_spectra(path, omegas, greens, pairs, sites):
     return columns
 
 
+def _sweep_file(gamma2):
+    return f"keldysh_spectra_gamma2_{gamma2:g}.csv"
+
+
 def _run_keldysh(plan, run_dir):
     cfg = plan.cfg
     pairs = cfg.grid.pairs
@@ -905,18 +913,22 @@ def _run_keldysh(plan, run_dir):
                           {"gamma": rates.gamma, "shift": rates.shift})
         return {"keldysh_spectra.csv": "spectra", "keldysh_rates.csv": "rates"}
 
+    # the Born self-energy is linear in alpha = gamma2 / T: it is computed
+    # at the first width and scaled by alpha / alpha_first for the others
+    # (bit for bit at power-of-two ratios, such as every shipped width)
     files = {}
     counts = []
-    for g2 in cfg.sweep_gamma2:
-        bath = OhmicBath(
-            alpha=g2 / cfg.bath.temperature,
-            cutoff=cfg.bath.cutoff,
-            temperature=cfg.bath.temperature,
-        )
-        greens, _ = steady_state_greens(
-            plan.h, [bath] * cfg.system.n_sites, cfg.system.beta, plan.grid, sites=sites
-        )
-        name = f"keldysh_spectra_gamma2_{g2:g}.csv"
+    alphas = [g2 / cfg.bath.temperature for g2 in cfg.sweep_gamma2]
+    bath = OhmicBath(alpha=alphas[0], cutoff=cfg.bath.cutoff, temperature=cfg.bath.temperature)
+    greens, sigma = steady_state_greens(
+        plan.h, [bath] * cfg.system.n_sites, cfg.system.beta, plan.grid, sites=sites
+    )
+    for i, g2 in enumerate(cfg.sweep_gamma2):
+        if i:
+            r = alphas[i] / alphas[0]
+            scaled = SelfEnergy(plan.grid, r * sigma.retarded, r * sigma.keldysh)
+            greens = dyson_solve(plan.h, cfg.system.beta, scaled, sites)
+        name = _sweep_file(g2)
         columns = _write_spectra(run_dir / name, plan.grid.omegas, greens, pairs, sites)
         files[name] = "spectra"
         tag = "{}-{}".format(*pairs[0])
@@ -966,10 +978,9 @@ def _run_qme_trajectory(plan, run_dir, kind):
 
 def _run_kbe(plan, run_dir):
     cfg = plan.cfg
-    kel = equal_time_keldysh(plan.h, plan.kbe_sigma, cfg.initial.excited_site,
-                             cfg.time.t_max, cfg.time.dt)
-    occ = 0.5 * (1.0 + kel.imag)
-    _write_trajectory(run_dir / "kbe_trajectory.csv", plan.t_grid, occ, kel)
+    occ = equal_time_occupations(plan.h, plan.kbe_sigma, cfg.initial.excited_site,
+                                 cfg.time.t_max, cfg.time.dt)
+    _write_trajectory(run_dir / "kbe_trajectory.csv", plan.t_grid, occ)
     return {"kbe_trajectory.csv": "trajectory"}
 
 

@@ -2,15 +2,15 @@
 
 The chain starts with one particle on one site, every other site empty and
 no correlation with the baths at t = 0; the integrator returns what an
-occupation trajectory reads, the equal-time Keldysh diagonal
-K_ii(t, t) = -i (1 - 2 n_i(t)). Each site couples to nothing, to a wide
-band (a constant decay rate Gamma, no memory) or to tunneling two-level
-environments (a memory kernel). The wide band is the flat-band limit of the
-kernel: Sigma^R(t) = -i (Gamma/2) delta(t) on an empty band, a local
--i Gamma/2 in the retarded slope with no levels and no lesser term, so one
-stepper serves both. Second-order stepping: halving dt cuts the error by
-four; tests pin that convergence ratio, and it must not be traded away for
-exactness tricks.
+occupation trajectory reads, the site occupations n_i(t), and from them the
+equal-time Keldysh diagonal K_ii(t, t) = -i (1 - 2 n_i(t)). Each site
+couples to nothing, to a wide band (a constant decay rate Gamma, no memory)
+or to tunneling two-level environments (a memory kernel). The wide band is
+the flat-band limit of the kernel: Sigma^R(t) = -i (Gamma/2) delta(t) on an
+empty band, a local -i Gamma/2 in the retarded slope with no levels and no
+lesser term, so one stepper serves both. Second-order stepping: halving dt
+cuts the error by four; tests pin that convergence ratio, and it must not
+be traded away for exactness tricks.
 
 h and the kernels are time-independent and the retarded function never
 reads the initial state, so R(t, t') = R(t - t') is stepped as one lag
@@ -51,6 +51,7 @@ __all__ = [
     "tls_memory_self_energy",
     "stream_bytes",
     "check_step",
+    "equal_time_occupations",
     "equal_time_keldysh",
 ]
 
@@ -129,7 +130,8 @@ def _n_times(t_max, dt):
 
 
 def stream_bytes(n_sites, n_times, levels):
-    """Working-set estimate of `equal_time_keldysh` in bytes.
+    """Working-set estimate of `equal_time_keldysh` in bytes, an upper
+    bound for `equal_time_occupations`, which keeps the output real.
 
     levels is the padded level axis (`MemorySelfEnergy.levels`, 1 without
     two-level environments). The integrator holds the complex
@@ -183,19 +185,27 @@ def _start(h, sigma, site, t_max, dt):
     return m, f0
 
 
-def equal_time_keldysh(h, sigma, site, t_max, dt):
-    """Equal-time Keldysh diagonal K_ii(t, t) after exciting `site` at t = 0.
+def equal_time_occupations(h, sigma, site, t_max, dt):
+    """Site occupations n_i(t) after exciting `site` at t = 0.
 
     h drives the dynamics and sigma closes the bath coupling (decay rates,
     memory kernels or both). Checks the site counts, the time grid, the step
     against the fastest scale in the problem and the working set against the
-    memory cap before any step. Returns a complex (n_times, n) array on the
-    uniform grid arange(0, t_max, dt) inclusive; site occupations follow as
-    n_i(t) = (1 + Im K_ii(t, t)) / 2.
+    memory cap before any step. Returns a real (n_times, n) array on the
+    uniform grid arange(0, t_max, dt) inclusive, as the stepper sums it:
+    an occupation far below 1 keeps its digits, which (1 + Im K) / 2 loses.
     """
 
     m, _ = _start(h, sigma, site, t_max, dt)
-    return 1j * (2.0 * _memory_occupations(h.matrix, sigma, site, m, dt) - 1.0)
+    return _memory_occupations(h.matrix, sigma, site, m, dt)
+
+
+def equal_time_keldysh(h, sigma, site, t_max, dt):
+    """Equal-time Keldysh diagonal K_ii(t, t) = i (2 n_i(t) - 1) after
+    exciting `site` at t = 0, a complex (n_times, n) array from
+    `equal_time_occupations` (same arguments and checks)."""
+
+    return 1j * (2.0 * equal_time_occupations(h, sigma, site, t_max, dt) - 1.0)
 
 
 def _memory_occupations(hm, sigma, site, m, dt):

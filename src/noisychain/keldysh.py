@@ -253,6 +253,12 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     chain with np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix)
     is one orbit, computed for site 0 and broadcast; any other group is
     computed column by column. Returns the diagonals as a SelfEnergy.
+
+    Every term is linear in the baths' alpha: J and S = J/tanh, both
+    convolutions, the tail sums and the Kramers-Kronig shift. Scaling every
+    alpha by r scales the result by r, bit for bit when r is a power of two
+    (no rounding step sees a different mantissa), so a width sweep computes
+    it once and scales it per width.
     """
 
     baths = _bath_list(baths, h.n_sites, OhmicBath, "dephasing")

@@ -244,6 +244,23 @@ def test_sweep_rules():
             config_from_dict(bad)
 
 
+def test_sweep_widths_sharing_a_file_name_rejected_before_any_output(tmp_path, capsys):
+    # widths name their spectra by %g, so 0.1 and 0.1000001 would both
+    # write keldysh_spectra_gamma2_0.1.csv
+    raw = preset_config("fig3-top")
+    for widths in ([0.1, 0.1000001, 0.4], [0.2, 0.2]):
+        raw["sweep"]["gamma2"] = widths
+        with pytest.raises(ConfigError, match="sweep.gamma2.*gamma2_0.[12].csv"):
+            config_from_dict(raw)
+    path = tmp_path / "clash.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "sweep.gamma2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    raw["sweep"]["gamma2"] = [0.1, 0.100001, 0.4]  # %g keeps 6 digits: 0.100001
+    config_from_dict(raw)
+
+
 def test_register_caps_rejected_before_any_output(tmp_path, capsys):
     # the register engine beyond its site cap fails validation, so the
     # keldysh engine listed first never writes a run directory

@@ -21,6 +21,7 @@ from noisychain.kbe import (
     MEMORY_CAP_BYTES,
     _start,
     equal_time_keldysh,
+    equal_time_occupations,
     markov_self_energy,
     stream_bytes,
     tls_memory_self_energy,
@@ -70,8 +71,6 @@ def _uneven_chain(temperatures=(0.0, 0.0)):
     return h, baths
 
 
-def _shipped_occupations(h, sigma, site, t_max, dt):
-    return 0.5 * (1.0 + equal_time_keldysh(h, sigma, site, t_max, dt).imag)
 
 
 def test_markov_exponential_decay():
@@ -114,7 +113,7 @@ def test_single_tls_rabi_oscillation():
     # one qubit resonant with one TLS: occupation cos^2(g t)
     h = build_chain(1, 1.0, 0.0, boundary="open")
     bath = TlsBath(levels=((1.0, 0.05),))
-    n = _shipped_occupations(h, tls_memory_self_energy([bath]), 0, 20.0, 0.01)
+    n = equal_time_occupations(h, tls_memory_self_energy([bath]), 0, 20.0, 0.01)
     t_grid = 0.01 * np.arange(n.shape[0])
     assert np.max(np.abs(n[:, 0] - np.cos(0.05 * t_grid) ** 2)) < 5e-5
 
@@ -211,7 +210,7 @@ def test_stream_diagonal_matches_collected_plane():
     sigma = tls_memory_self_energy(baths)
     errors = []
     for dt in (0.02, 0.01):
-        shipped = _shipped_occupations(h, sigma, 1, 2.0, dt)
+        shipped = equal_time_occupations(h, sigma, 1, 2.0, dt)
         plane = kbe_integrate(h, sigma, 1, 2.0, dt)
         oracle, _ = occupations(plane)
         exact = qme.exact_tls_evolve(h, baths, 1, plane.t_grid)[:, :3]
@@ -236,7 +235,7 @@ def test_warm_bath_lesser_term_matches_oracle():
     shipped, oracle = [], []
     for baths in (warm, cold):
         sigma = tls_memory_self_energy(baths)
-        shipped.append(_shipped_occupations(h, sigma, 1, 2.0, 0.02))
+        shipped.append(equal_time_occupations(h, sigma, 1, 2.0, 0.02))
         oracle.append(occupations(kbe_integrate(h, sigma, 1, 2.0, 0.02))[0])
     d_shipped = shipped[0] - shipped[1]
     d_oracle = oracle[0] - oracle[1]
@@ -293,7 +292,7 @@ def test_narrow_band_crossover_to_markov():
     # broad flat band at weak coupling: structured environment relaxes the
     # qubit at the flat-band golden-rule rate
     h, bath = _narrow_band()
-    n = _shipped_occupations(h, tls_memory_self_energy([bath]), 0, 16.0, 0.01)
+    n = equal_time_occupations(h, tls_memory_self_energy([bath]), 0, 16.0, 0.01)
     t_grid = 0.01 * np.arange(n.shape[0])
     dev = np.max(np.abs(n[:, 0] - np.exp(-0.05 * t_grid)))
     assert dev < 0.05
@@ -338,7 +337,7 @@ def test_memory_closure_converges_at_second_order():
     h, sigma, t_max, dt = _fig4_top(42)
     errors = []
     for step in (dt, dt / 2, dt / 4):
-        n = _shipped_occupations(h, sigma, 0, t_max, step)
+        n = equal_time_occupations(h, sigma, 0, t_max, step)
         exact = qme.exact_tls_evolve(h, sigma.baths, 0, step * np.arange(n.shape[0]))
         errors.append(np.max(np.abs(n - exact[:, :h.n_sites])))
     ratios = np.array(errors[:-1]) / np.array(errors[1:])
@@ -357,7 +356,7 @@ def test_wide_band_matches_lindblad_at_second_order():
     for dt in (0.04, 0.02, 0.01):
         worst = 0.0
         for site in range(plan.h.n_sites):
-            n = _shipped_occupations(plan.h, plan.kbe_sigma, site, raw["time"]["t_max"], dt)
+            n = equal_time_occupations(plan.h, plan.kbe_sigma, site, raw["time"]["t_max"], dt)
             ref = qme.lindblad_occupations(plan.h, raw["bath"]["rate"], 0.0, site,
                                            dt * np.arange(n.shape[0]))
             worst = max(worst, float(np.max(np.abs(n - ref))))
@@ -377,14 +376,14 @@ def test_mixed_closure_matches_its_parts():
     one = build_chain(1, 0.5, 0.0, boundary="open")
     wide = WideBandBath(0.3)
     levels = ((0.8, 0.05), (1.2, 0.07))
-    cold = _shipped_occupations(one, tls_memory_self_energy([TlsBath(levels)]), 0, 2.0, 0.02)
-    alone = _shipped_occupations(one, tls_memory_self_energy([wide]), 0, 2.0, 0.02)
+    cold = equal_time_occupations(one, tls_memory_self_energy([TlsBath(levels)]), 0, 2.0, 0.02)
+    alone = equal_time_occupations(one, tls_memory_self_energy([wide]), 0, 2.0, 0.02)
     zero = 0.0 * cold
     for tls in (TlsBath(levels), TlsBath(levels, temperature=0.08)):
         sigma = tls_memory_self_energy([wide, None, tls])
-        lone = _shipped_occupations(one, tls_memory_self_energy([tls]), 0, 2.0, 0.02)
-        first = _shipped_occupations(chain, sigma, 0, 2.0, 0.02)
-        last = _shipped_occupations(chain, sigma, 2, 2.0, 0.02)
+        lone = equal_time_occupations(one, tls_memory_self_energy([tls]), 0, 2.0, 0.02)
+        first = equal_time_occupations(chain, sigma, 0, 2.0, 0.02)
+        last = equal_time_occupations(chain, sigma, 2, 2.0, 0.02)
         assert np.max(np.abs(first - np.c_[alone, zero, lone - cold])) <= 1e-15
         assert np.max(np.abs(last - np.c_[zero, zero, lone])) <= 1e-15
 
@@ -400,6 +399,27 @@ def test_fig4_top_occupations_stay_nonnegative(tmp_path):
     result = run_experiment(config_from_dict(raw), out_root=tmp_path)
     occ = read_artifact(result.run_dir / "kbe_trajectory.csv")["columns"]["occupation"]
     assert occ.min() >= 0.0 and occ.max() <= 1.0
+
+
+@pytest.mark.parametrize("preset", ["fig4-top", "fig4-bottom"])
+def test_artifact_occupations_are_the_stepper_sums(tmp_path, preset):
+    # the artifact writes the stepper's occupations cell for cell, digits
+    # below 1e-16 included, and the Keldysh diagonal as i (2 n - 1), which
+    # is equal_time_keldysh bit for bit
+    raw = preset_config(preset)
+    raw["engines"] = ["kbe"]
+    cfg = config_from_dict(raw)
+    plan = _Plan(cfg)
+    args = (plan.h, plan.kbe_sigma, cfg.initial.excited_site, cfg.time.t_max, cfg.time.dt)
+    occ = equal_time_occupations(*args)
+    kel = equal_time_keldysh(*args)
+    assert np.array_equal(kel, 1j * (2.0 * occ - 1.0))
+    result = run_experiment(cfg, out_root=tmp_path)
+    cells = (result.run_dir / "kbe_trajectory.csv").read_text().splitlines()[1:]
+    for col, values in ((2, occ), (3, kel.real), (4, kel.imag)):
+        assert [row.split(",")[col] for row in cells] == ["%.12e" % v for v in values.ravel()]
+    if preset == "fig4-top":
+        assert 0 < occ[occ > 0].min() < 1e-20  # the digits (1 + Im K) / 2 would lose
 
 
 def test_oracle_retarded_rows_are_lag_only():
