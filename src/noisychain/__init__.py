@@ -1,10 +1,10 @@
 """Spectra and relaxation dynamics of dissipative tight-binding chains.
 
-Frequency-domain pipeline: build_chain -> bath objects -> steady_state_greens
--> spectral_weight / extract_rates. Time-domain pipeline:
-equal_time_occupations and equal_time_keldysh (the site occupations and the
-equal-time Keldysh diagonal after one site is excited, under wide-band
-decay or sampled memory kernels), or the master-equation evolvers in qme.
+Frequency-domain pipeline: build_chain -> one bath (or None) per site ->
+steady_state_greens -> extract_rates. Time-domain pipeline:
+equal_time_occupations on a MemorySelfEnergy (the site occupations after one
+site is excited, under wide-band decay or sampled memory kernels), or the
+master-equation evolvers in qme.
 The harness module runs validated configs end to end and the CLI
 (`noisychain`) wraps it; shipped example setups live in presets.
 """
@@ -12,14 +12,11 @@ The harness module runs validated configs end to end and the CLI
 from importlib.metadata import PackageNotFoundError, version
 
 from .baths import (
-    FlatNoise,
     OhmicBath,
     TlsBath,
     WideBandBath,
     noise_power,
-    power_spectral_density,
     sample_tls_bath,
-    spectral_function,
 )
 from .errors import CapacityError, ConfigError, SingularFrequencyError
 from .harness import (
@@ -31,18 +28,12 @@ from .harness import (
     load_config,
     run_experiment,
 )
-from .kbe import (
-    equal_time_keldysh,
-    equal_time_occupations,
-    markov_self_energy,
-    tls_memory_self_energy,
-)
+from .kbe import MemorySelfEnergy, equal_time_occupations
 from .keldysh import (
     RateFunction,
     SelfEnergy,
     dyson_solve,
     extract_rates,
-    spectral_weight,
     steady_state_greens,
 )
 from .lattice import FreqGreens, FreqGrid, build_chain, ideal_greens
@@ -60,14 +51,11 @@ except PackageNotFoundError:
 
 __all__ = [
     "__version__",
-    "FlatNoise",
     "OhmicBath",
     "TlsBath",
     "WideBandBath",
     "noise_power",
-    "power_spectral_density",
     "sample_tls_bath",
-    "spectral_function",
     "CapacityError",
     "ConfigError",
     "SingularFrequencyError",
@@ -78,15 +66,12 @@ __all__ = [
     "find_spectral_peaks",
     "load_config",
     "run_experiment",
-    "equal_time_keldysh",
+    "MemorySelfEnergy",
     "equal_time_occupations",
-    "markov_self_energy",
-    "tls_memory_self_energy",
     "RateFunction",
     "SelfEnergy",
     "dyson_solve",
     "extract_rates",
-    "spectral_weight",
     "steady_state_greens",
     "FreqGreens",
     "FreqGrid",

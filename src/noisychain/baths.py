@@ -7,6 +7,10 @@ S(omega) = J(omega)*coth(omega/2T) with the analytic omega->0 limit 2*alpha*T
 rates, is noise_power = (S + J)/2 = J*(n_bose + 1); it vanishes for
 absorption out of a T = 0 bath.
 
+A bath evaluates its own spectrum: OhmicBath.parts(omega) returns (S, J)
+in one pass, OhmicBath.support the half-width beyond which both vanish
+numerically, and noise_power and the Redfield generator read no more.
+
 All frequency arguments accept scalars or arrays.
 """
 
@@ -20,11 +24,8 @@ __all__ = [
     "OhmicBath",
     "TlsBath",
     "WideBandBath",
-    "FlatNoise",
-    "spectral_function",
-    "power_spectral_density",
+    "check_site_baths",
     "noise_power",
-    "support_halfwidth",
     "inverse_temperature",
     "fft_convolve",
     "gauss_panels",
@@ -48,6 +49,33 @@ class OhmicBath:
             raise ValueError("cutoff must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be nonnegative")
+
+    @property
+    def support(self):
+        """Half-width beyond which the noise power is numerically zero."""
+
+        return 45.0 * self.cutoff + 10.0 * self.temperature
+
+    def parts(self, omega):
+        """(S, J) at omega, from one exp(-|omega|/cutoff).
+
+        Operand order is that of the plain formulas, so S is even and J odd
+        bit for bit. The omega -> 0 limit is built only where some
+        |omega/2T| < 1e-8.
+        """
+
+        omega = np.asarray(omega, dtype=float)
+        decay = np.exp(-np.abs(omega) / self.cutoff)
+        j = self.alpha * omega * decay
+        if self.temperature == 0:
+            return np.abs(j), j
+        x = 0.5 * omega / self.temperature
+        small = np.abs(x) < 1e-8
+        if not small.any():
+            return j / np.tanh(x), j
+        # J/tanh with the smooth limit J'(0)/(beta/2) = 2*alpha*T*exp(-|w|/wc)
+        limit = 2.0 * self.alpha * self.temperature * decay
+        return np.where(small, limit, j / np.tanh(np.where(small, 1.0, x))), j
 
 
 @dataclass(frozen=True)
@@ -98,97 +126,34 @@ class WideBandBath:
             raise ValueError("rate must be nonnegative")
 
 
-@dataclass(frozen=True)
-class FlatNoise:
-    """Constant noise power over [-halfwidth, halfwidth]; zero outside.
-
-    White-noise stub: symmetric, so the antisymmetric part J vanishes and
-    detailed balance is that of an infinite-temperature bath. Used to pin
-    the flat-spectrum limit of the Redfield generator against the dephasing
-    Lindblad generator.
-    """
-
-    level: float
-    halfwidth: float
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
-        if not self.halfwidth > 0:
-            raise ValueError("halfwidth must be positive")
-
-
 def inverse_temperature(temperature):
     """Bath beta = 1/T, inf at T = 0."""
 
     return np.inf if temperature == 0 else 1.0 / temperature
 
 
-def spectral_function(bath, omega):
-    """Antisymmetric coupling density J(omega)."""
-
-    omega = np.asarray(omega, dtype=float)
-    if isinstance(bath, OhmicBath):
-        return bath.alpha * omega * np.exp(-np.abs(omega) / bath.cutoff)
-    if isinstance(bath, FlatNoise):
-        return np.zeros_like(omega)
-    raise TypeError(f"no spectral function for {type(bath).__name__}")
-
-
-def _ohmic_parts(bath, omega):
-    """(S, J) of an ohmic bath at omega, from one exp(-|omega|/cutoff).
-
-    Operand order is that of the plain formulas, so S is even and J odd bit
-    for bit. The omega -> 0 limit is built only where some |omega/2T| < 1e-8.
-    """
-
-    if not isinstance(bath, OhmicBath):
-        raise TypeError(f"no power spectrum for {type(bath).__name__}")
-    decay = np.exp(-np.abs(omega) / bath.cutoff)
-    j = bath.alpha * omega * decay
-    if bath.temperature == 0:
-        return np.abs(j), j
-    x = 0.5 * omega / bath.temperature
-    small = np.abs(x) < 1e-8
-    if not small.any():
-        return j / np.tanh(x), j
-    # J/tanh with the smooth limit J'(0)/(beta/2) = 2*alpha*T*exp(-|w|/wc)
-    limit = 2.0 * bath.alpha * bath.temperature * decay
-    return np.where(small, limit, j / np.tanh(np.where(small, 1.0, x))), j
-
-
-def power_spectral_density(bath, omega):
-    """Symmetrized power spectrum S(omega) = J*coth(omega/2T), even in omega.
-
-    The omega -> 0 limit is taken analytically (2*alpha*T for the ohmic
-    form); T = 0 collapses to |J|. S(-omega) == S(omega) bitwise.
-    """
-
-    omega = np.asarray(omega, dtype=float)
-    if isinstance(bath, FlatNoise):
-        return np.where(np.abs(omega) <= bath.halfwidth, 2.0 * bath.level, 0.0)
-    return _ohmic_parts(bath, omega)[0]
-
-
 def noise_power(bath, omega):
     """Full quantum noise power C(omega) = (S + J)/2 = J*(n_bose + 1), with S
-    and J from one pass; C(-omega) is bitwise (S - J)/2 of that pass."""
+    and J from one bath.parts pass; C(-omega) is bitwise (S - J)/2 of it."""
 
-    omega = np.asarray(omega, dtype=float)
-    if isinstance(bath, FlatNoise):
-        return np.where(np.abs(omega) <= bath.halfwidth, bath.level, 0.0)
-    s, j = _ohmic_parts(bath, omega)
+    s, j = bath.parts(omega)
     return 0.5 * (s + j)
 
 
-def support_halfwidth(bath):
-    """Half-width beyond which the bath's noise power is numerically zero."""
+def check_site_baths(baths, takes, n_sites=None):
+    """The baths as a tuple, refused unless they are a list or tuple of
+    n_sites entries (any count if None), each None or a bath that takes(bath)
+    admits: a bare bath raises TypeError, a wrong count ValueError and a
+    refused entry TypeError naming its type."""
 
-    if isinstance(bath, OhmicBath):
-        return 45.0 * bath.cutoff + 10.0 * bath.temperature
-    if isinstance(bath, FlatNoise):
-        return bath.halfwidth
-    raise TypeError(f"no support estimate for {type(bath).__name__}")
+    if not isinstance(baths, (list, tuple)):
+        raise TypeError(f"pass a sequence of baths, one per site, not a {type(baths).__name__}")
+    if n_sites is not None and len(baths) != n_sites:
+        raise ValueError(f"need one bath entry per site: {len(baths)} for {n_sites} sites")
+    for bath in baths:
+        if bath is not None and not takes(bath):
+            raise TypeError(f"unsupported bath type {type(bath).__name__}")
+    return tuple(baths)
 
 
 def _next_fast_len(n):

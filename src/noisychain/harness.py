@@ -45,10 +45,10 @@ from .baths import OhmicBath, WideBandBath, noise_power, sample_tls_bath
 from .errors import ConfigError
 from .kbe import (
     MEMORY_CAP_BYTES,
+    MemorySelfEnergy,
     check_step,
     equal_time_occupations,
     stream_bytes,
-    tls_memory_self_energy,
 )
 from .keldysh import SelfEnergy, dyson_solve, extract_rates, steady_state_greens
 from .lattice import FreqGrid, build_chain
@@ -400,7 +400,7 @@ def _cross_validate(cfg):
         _check_memory("bath.n_tls", f"exact_tls on {d} levels",
                       32 * d * d + 48 * n_t * d + artifact)
     if "kbe" in cfg.engines:
-        levels = cfg.bath.n_tls if cfg.bath.kind == "tls" else 1
+        levels = cfg.bath.n_tls if cfg.bath.kind == "tls" else 0
         _check_memory("time.t_max", f"kbe on {n} sites",
                       stream_bytes(n, n_t, levels) + artifact, "; shorten t_max or increase dt")
     # the trajectory comparison runs after the engines have freed theirs
@@ -517,7 +517,7 @@ class _Plan:
             raise ConfigError("bath", str(exc))
         self.kbe_sigma = None
         if "kbe" in cfg.engines:
-            self.kbe_sigma = tls_memory_self_energy(self.site_baths)
+            self.kbe_sigma = MemorySelfEnergy(self.site_baths)
             try:
                 check_step(self.h, self.kbe_sigma, cfg.time.dt)
             except ValueError as exc:

@@ -2,8 +2,8 @@
 
 The chain starts with one particle on one site, every other site empty and
 no correlation with the baths at t = 0; the integrator returns what an
-occupation trajectory reads, the site occupations n_i(t), and from them the
-equal-time Keldysh diagonal K_ii(t, t) = -i (1 - 2 n_i(t)). Each site
+occupation trajectory reads, the site occupations n_i(t), from which the
+equal-time Keldysh diagonal is K_ii(t, t) = -i (1 - 2 n_i(t)). Each site
 couples to nothing, to a wide band (a constant decay rate Gamma, no memory)
 or to tunneling two-level environments (a memory kernel). The wide band is
 the flat-band limit of the kernel: Sigma^R(t) = -i (Gamma/2) delta(t) on an
@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from .baths import TlsBath, WideBandBath, inverse_temperature
+from .baths import TlsBath, WideBandBath, check_site_baths, inverse_temperature
 from .errors import CapacityError
 from .lattice import fermi_occupation
 
@@ -47,12 +47,9 @@ __all__ = [
     "STABILITY_LIMIT",
     "MEMORY_CAP_BYTES",
     "MemorySelfEnergy",
-    "markov_self_energy",
-    "tls_memory_self_energy",
     "stream_bytes",
     "check_step",
     "equal_time_occupations",
-    "equal_time_keldysh",
 ]
 
 STABILITY_LIMIT = 0.05  # max allowed (fastest scale) * dt
@@ -61,16 +58,13 @@ MEMORY_CAP_BYTES = 3_000_000_000
 
 @dataclass
 class MemorySelfEnergy:
-    """Site-diagonal bath closure: per site a TlsBath (memory kernel), a
-    WideBandBath (memoryless decay) or None."""
+    """Site-diagonal bath closure, one entry per site: a TlsBath (memory
+    kernel), a WideBandBath (memoryless decay) or None."""
 
     baths: tuple
 
     def __post_init__(self):
-        self.baths = tuple(self.baths)
-        for b in self.baths:
-            if b is not None and not isinstance(b, (TlsBath, WideBandBath)):
-                raise TypeError("the integrator supports TlsBath and WideBandBath entries only")
+        self.baths = check_site_baths(self.baths, lambda b: isinstance(b, (TlsBath, WideBandBath)))
 
     @property
     def n_sites(self):
@@ -79,8 +73,8 @@ class MemorySelfEnergy:
     @property
     def levels(self):
         """Level axis of the stacked memory core: the largest per-site level
-        count, at least one (sites with fewer get zero-weight levels)."""
-        return max([1] + [b.energies.size for b in self.baths if isinstance(b, TlsBath)])
+        count (0 without two-level baths); sites with fewer get zero weights."""
+        return max((b.energies.size for b in self.baths if isinstance(b, TlsBath)), default=0)
 
     @property
     def rates(self):
@@ -103,14 +97,6 @@ class MemorySelfEnergy:
         return sr
 
 
-def markov_self_energy(rates):
-    return MemorySelfEnergy(baths=tuple(WideBandBath(float(r)) for r in rates))
-
-
-def tls_memory_self_energy(baths):
-    return MemorySelfEnergy(baths=tuple(baths))
-
-
 def _fastest_scale(h, sigma):
     scale = max(float(np.linalg.norm(h.matrix, 2)), float(np.max(sigma.rates, initial=0.0)))
     for bath in sigma.baths:
@@ -130,10 +116,10 @@ def _n_times(t_max, dt):
 
 
 def stream_bytes(n_sites, n_times, levels):
-    """Working-set estimate of `equal_time_keldysh` in bytes, an upper
-    bound for `equal_time_occupations`, which keeps the output real.
+    """Working-set estimate in bytes of `equal_time_occupations` plus the
+    complex Keldysh diagonal i (2 n - 1) made from its output.
 
-    levels is the padded level axis (`MemorySelfEnergy.levels`, 1 without
+    levels is the padded level axis (`MemorySelfEnergy.levels`, 0 without
     two-level environments). The integrator holds the complex
     (n_times, columns) retarded kernel table of the stepped columns and the
     (n_times, n) occupations, which end as the complex output; building one
@@ -144,7 +130,7 @@ def stream_bytes(n_sites, n_times, levels):
     bytes (numpy's ufunc buffers) do not grow with anything. Measured with
     tracemalloc: 0.07 to 0.76 of the rule at n = 1 to 40 and 1 to 4000
     levels over 51 to 2001 times, with occupied levels on every site or on
-    none; 0.07 to 0.64 on wide bands alone; 0.52 on fig4-top.
+    none; 0.08 to 0.67 on wide bands alone (no level axis); 0.52 on fig4-top.
     """
 
     return 16 * (n_times * (2 * n_sites + 2 * levels + 4)
@@ -198,14 +184,6 @@ def equal_time_occupations(h, sigma, site, t_max, dt):
 
     m, _ = _start(h, sigma, site, t_max, dt)
     return _memory_occupations(h.matrix, sigma, site, m, dt)
-
-
-def equal_time_keldysh(h, sigma, site, t_max, dt):
-    """Equal-time Keldysh diagonal K_ii(t, t) = i (2 n_i(t) - 1) after
-    exciting `site` at t = 0, a complex (n_times, n) array from
-    `equal_time_occupations` (same arguments and checks)."""
-
-    return 1j * (2.0 * equal_time_occupations(h, sigma, site, t_max, dt) - 1.0)
 
 
 def _memory_occupations(hm, sigma, site, m, dt):

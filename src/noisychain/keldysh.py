@@ -30,7 +30,7 @@ from .baths import (
     OhmicBath,
     TlsBath,
     WideBandBath,
-    _ohmic_parts,
+    check_site_baths,
     fft_convolve,
     inverse_temperature,
     noise_power,
@@ -53,7 +53,6 @@ __all__ = [
     "dephasing_self_energy",
     "tls_embedding_self_energy",
     "dyson_solve",
-    "spectral_weight",
     "steady_state_greens",
 ]
 
@@ -192,18 +191,6 @@ def _shift_from_gamma(grid, gamma_main, tail_nu, tail_wts, gamma_tail):
     return main / (2.0 * np.pi)
 
 
-def _bath_list(baths, n_sites, allowed, what):
-    if baths is None or isinstance(baths, allowed):
-        baths = [baths] * n_sites
-    baths = list(baths)
-    if len(baths) != n_sites:
-        raise ValueError(f"need one {what} entry per site (or a single bath)")
-    for b in baths:
-        if b is not None and not isinstance(b, allowed):
-            raise TypeError(f"unsupported bath type {type(b).__name__} for {what}")
-    return baths
-
-
 def _bath_groups(baths):
     """{bath: [site, ...]}, grouping sites whose baths are equal; None skipped."""
 
@@ -222,7 +209,7 @@ def _tail_rates(bath, tail_nu, w, empty, occ):
 
     out = np.empty((tail_nu.size, empty.shape[1]))
     for start in range(0, tail_nu.size, 64):
-        c_out, j = _ohmic_parts(bath, tail_nu[start : start + 64, None] - w)
+        c_out, j = bath.parts(tail_nu[start : start + 64, None] - w)
         # in place, j freed before the products: this sets fig3-top's peak RSS
         c_in = c_out - j
         c_in *= 0.5
@@ -261,7 +248,8 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     it once and scales it per width.
     """
 
-    baths = _bath_list(baths, h.n_sites, OhmicBath, "dephasing")
+    # the tails read each bath's cutoff
+    baths = check_site_baths(baths, lambda b: isinstance(b, OhmicBath), h.n_sites)
     a0, eig = _site_spectral_diag(h, grid)
     w = grid.omegas
     n_pts = grid.n_points
@@ -319,9 +307,7 @@ def tls_embedding_self_energy(baths, grid):
     Sigma^+ = -i*rate/2, Sigma^K = -i*rate.
     """
 
-    if isinstance(baths, (TlsBath, WideBandBath)):
-        raise TypeError("pass a sequence of baths, one entry per site")
-    baths = _bath_list(baths, len(list(baths)), (TlsBath, WideBandBath), "embedding")
+    baths = check_site_baths(baths, lambda b: isinstance(b, (TlsBath, WideBandBath)))
     smearing = 2.0 * grid.spacing
     w = grid.omegas
     n = len(baths)
@@ -452,24 +438,17 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
     return FreqGreens(grid=grid, retarded=gr, keldysh=gk)
 
 
-def spectral_weight(g):
-    """Hermitian spectral function i(G^+ - G^-), shape (n_points, n, n)."""
-
-    return 1j * (g.retarded - g.advanced)
-
-
 def steady_state_greens(h, baths, beta_sys, grid, sites=None):
     """Convenience pipeline: self-energy, then the direct Dyson solve.
 
-    Bath types pick the self-energy: ohmic baths go through the dephasing
-    convolution, TLS/wide-band baths through the embedding form. Returns
-    (greens, sigma); greens covers `sites` only (default: every site), see
-    dyson_solve.
+    baths holds one bath or None per site (check_site_baths). Bath types
+    pick the self-energy: ohmic baths go through the dephasing convolution,
+    TLS/wide-band baths through the embedding form. Returns (greens, sigma);
+    greens covers `sites` only (default: every site), see dyson_solve.
     """
 
-    if isinstance(baths, (OhmicBath, TlsBath, WideBandBath)) or baths is None:
-        baths = [baths] * h.n_sites
-    baths = list(baths)
+    known = (OhmicBath, TlsBath, WideBandBath)
+    baths = check_site_baths(baths, lambda b: isinstance(b, known), h.n_sites)
     kinds = {type(b) for b in baths if b is not None}
     if not kinds:
         zeros = np.zeros((grid.n_points, h.n_sites), dtype=complex)

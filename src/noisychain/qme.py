@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baths import FlatNoise, OhmicBath, TlsBath, gauss_panels, noise_power, support_halfwidth
+from .baths import TlsBath, check_site_baths, gauss_panels, noise_power
 from .errors import CapacityError
 from .lattice import FreqGreens, ideal_greens
 
@@ -171,7 +171,7 @@ def _half_transform(bath, gaps):
     2 pi i T k at any temperature.
     """
 
-    half = support_halfwidth(bath)
+    half = bath.support
     keys, where = np.unique(np.round(gaps.ravel(), 12), return_inverse=True)
     grade = half * 0.5 ** np.arange(40)
     edges = np.tile(np.concatenate([-grade, [0.0], grade[::-1]]), (keys.size, 1))
@@ -196,16 +196,13 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
     built once per distinct bath and only on gaps within a sector: coupling
     elements between sectors vanish, so their gaps are never used. The
     principal values are what moves peak positions; dropping them leaves
-    pure linewidths.
+    pure linewidths. baths holds one entry per site: None, or a hashable
+    bath with parts and support, such as an OhmicBath.
     """
 
     n = h.n_sites
     _register_guard(n)
-    if isinstance(baths, (OhmicBath, FlatNoise)) or baths is None:
-        baths = [baths] * n
-    baths = list(baths)
-    if len(baths) != n:
-        raise ValueError("need one bath entry per site (or a single bath)")
+    baths = check_site_baths(baths, lambda b: hasattr(b, "parts"), n)
     bases = _sector_bases(n)
     energies, transforms = [], []
     for basis in bases:
@@ -221,8 +218,6 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
     for i, bath in enumerate(baths):
         if bath is None:
             continue
-        if not isinstance(bath, (OhmicBath, FlatNoise)):
-            raise TypeError(f"unsupported bath type {type(bath).__name__}")
         if bath not in thetas:
             table = (_half_transform(bath, gaps) if lamb_shift
                      else 0.5 * noise_power(bath, gaps))
@@ -488,15 +483,11 @@ def exact_tls_evolve(h, baths, site, t_grid):
     quadratic tunneling model coincide in that sector, so the evolution is an
     eigensolve in the (N + total levels)-dimensional space.
     The excitation starts on chain site `site`; the TLS levels start empty.
+    baths holds one TlsBath or None per site.
     """
 
     n = h.n_sites
-    baths = list(baths)
-    if len(baths) != n:
-        raise ValueError("need one baths entry per site")
-    for b in baths:
-        if b is not None and not isinstance(b, TlsBath):
-            raise TypeError("exact_tls_evolve supports TlsBath entries only")
+    baths = check_site_baths(baths, lambda b: isinstance(b, TlsBath), n)
     if not 0 <= site < n:
         raise ValueError(f"site {site} outside chain of {n}")
     n_levels = sum(len(b.levels) for b in baths if b is not None)

@@ -1,33 +1,57 @@
-"""Bath correlators and closed-form dephasing rates that only tests need.
+"""Bath correlators, closed-form dephasing rates and a white-noise bath that
+only tests need.
 
 boson_correlators and tls_spectral_density are the frequency-domain views of
 an ohmic bath and of a sampled two-level-system ensemble; the pipeline works
-from spectral_function, power_spectral_density and the level list directly.
-dephasing_rate_function is the eigenbasis closed form of the dephasing rates
-that noisychain.keldysh.dephasing_self_energy reaches by grid convolution.
+from bath.parts and the level list directly. dephasing_rate_function is the
+eigenbasis closed form of the dephasing rates that
+noisychain.keldysh.dephasing_self_energy reaches by grid convolution.
+FlatNoise is white noise over a finite band; it evaluates its own spectrum
+as a shipped bath does, so it plugs into noise_power and the Redfield
+generator unchanged.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from noisychain.baths import (
-    OhmicBath,
-    TlsBath,
-    power_spectral_density,
-    principal_value_transform,
-    spectral_function,
-)
-from noisychain.keldysh import (
-    RateFunction,
-    _bath_groups,
-    _bath_list,
-    _shift_from_gamma,
-    _tail_points,
-)
+from noisychain.baths import OhmicBath, TlsBath, principal_value_transform
+from noisychain.keldysh import RateFunction, _bath_groups, _shift_from_gamma, _tail_points
 from noisychain.lattice import FreqGreens, diagonalize, thermal_factor
+
+
+@dataclass(frozen=True)
+class FlatNoise:
+    """Constant noise power over [-halfwidth, halfwidth]; zero outside.
+
+    White-noise stub: symmetric, so the antisymmetric part J vanishes and
+    detailed balance is that of an infinite-temperature bath. Used to pin
+    the flat-spectrum limit of the Redfield generator against the dephasing
+    Lindblad generator.
+    """
+
+    level: float
+    halfwidth: float
+
+    def __post_init__(self):
+        if self.level < 0:
+            raise ValueError("level must be nonnegative")
+        if not self.halfwidth > 0:
+            raise ValueError("halfwidth must be positive")
+
+    @property
+    def support(self):
+        return self.halfwidth
+
+    def parts(self, omega):
+        """(S, J) = (2 level inside the band, 0 outside; 0 everywhere)."""
+
+        omega = np.asarray(omega, dtype=float)
+        s = np.where(np.abs(omega) <= self.halfwidth, 2.0 * self.level, 0.0)
+        return s, np.zeros_like(omega)
 
 
 def boson_correlators(bath, grid):
@@ -48,8 +72,7 @@ def boson_correlators(bath, grid):
             "real part will be truncated",
             stacklevel=2,
         )
-    j = spectral_function(bath, w)
-    s = power_spectral_density(bath, w)
+    s, j = bath.parts(w)
     re_dr = principal_value_transform(j, w) / (2.0 * np.pi)
     dr = (re_dr - 0.5j * j)[:, None, None]
     dk = (-1j * s)[:, None, None].astype(complex)
@@ -85,7 +108,6 @@ def dephasing_rate_function(h, baths, beta_sys, grid):
     up to the eta smearing of the free spectral function.
     """
 
-    baths = _bath_list(baths, h.n_sites, OhmicBath, "dephasing")
     eig = diagonalize(h)
     w = grid.omegas
     weights = np.abs(eig.transform) ** 2  # (site, k)
@@ -94,8 +116,7 @@ def dephasing_rate_function(h, baths, beta_sys, grid):
 
     def closed_form(bath, sites, nu_grid):
         diff = nu_grid[:, None] - eig.energies[None, :]
-        s = power_spectral_density(bath, diff)
-        j = spectral_function(bath, diff)
+        s, j = bath.parts(diff)
         return 0.5 * ((s + j * f_k[None, :]) @ weights[sites].T)
 
     gamma = np.zeros((grid.n_points, h.n_sites))

@@ -1,18 +1,18 @@
 """Two-time planes, closed forms and transforms that only tests need.
 
-noisychain.kbe returns only the equal-time Keldysh diagonal, and with
-memory kernels it reads the occupations off the retarded lag series by the
-Langreth rule. kbe_integrate runs the full two-time equations of motion
-instead and collects them into the lower-triangle planes of TwoTimeGreens,
-so tests can check any point of them: wide-band rows by the brute-force
-row stepper below, memory rows by per_site_memory_rows, which steps
-whole retarded rows and the Keldysh rows K(t_i, t_j), j <= i, with
-per-site exponential-sum accumulators. It discretizes the Keldysh side
-independently of the Langreth route, so the two agree to their O(dt^2)
-gap and both converge to the exact solve. analytic_gk is the closed form
-the integrator converges to when the decay rates commute with the chain,
-and late_time_spectrum turns the final-time slice of a run into
-frequency-domain functions through a tapered Fourier sum.
+noisychain.kbe returns only the equal-time occupations, which it reads
+off the retarded lag series by the Langreth rule. kbe_integrate runs the
+full two-time equations of motion instead and collects them into the
+lower-triangle planes of TwoTimeGreens, so tests can check any point of
+them: wide-band rows by the brute-force row stepper below, memory rows by
+per_site_memory_rows, which steps whole retarded rows and the Keldysh rows
+K(t_i, t_j), j <= i, with per-site exponential-sum accumulators. It
+discretizes the Keldysh side independently of the Langreth route, so the
+two agree to their O(dt^2) gap and both converge to the exact solve.
+analytic_gk is the closed form the integrator converges to when the decay
+rates commute with the chain, and late_time_spectrum turns the final-time
+slice of a run into frequency-domain functions through a tapered Fourier
+sum. wide_bands builds the memoryless closure from a list of rates.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from noisychain.baths import WideBandBath, inverse_temperature
-from noisychain.kbe import _start
+from noisychain.kbe import MemorySelfEnergy, _start
 from noisychain.lattice import FreqGreens, fermi_occupation
 
 
@@ -64,9 +64,15 @@ class TwoTimeGreens:
         return -self.keldysh[j, i].conj().T
 
 
+def wide_bands(rates):
+    """The memoryless closure: one WideBandBath of each rate, one per site."""
+
+    return MemorySelfEnergy([WideBandBath(float(r)) for r in rates])
+
+
 def kbe_integrate(h, sigma, site, t_max, dt):
     """Full two-time planes after exciting `site` at t = 0, with the checks
-    of noisychain.kbe.equal_time_keldysh run first. The closure's baths are
+    of noisychain.kbe.equal_time_occupations run first. The closure's baths are
     all wide bands or all two-level environments (or None)."""
 
     m, f0 = _start(h, sigma, site, t_max, dt)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from noisychain import keldysh
-from noisychain.baths import OhmicBath, fft_convolve, noise_power
+from noisychain.baths import fft_convolve, noise_power
 from noisychain.keldysh import _site_spectral_diag
 from noisychain.lattice import fermi_occupation
 
@@ -91,7 +91,6 @@ def dephasing_site_by_site(h, baths, beta_sys, grid):
     """(retarded, keldysh) diagonals of dephasing_self_energy with every bath
     group computed one column per site, orbit or not."""
 
-    baths = keldysh._bath_list(baths, h.n_sites, OhmicBath, "dephasing")
     a0, _ = _site_spectral_diag(h, grid)
     w, n_pts = grid.omegas, grid.n_points
     f = fermi_occupation(w, beta_sys)

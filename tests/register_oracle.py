@@ -287,8 +287,6 @@ def global_redfield_superoperator(h, baths, secular=False, lamb_shift=True):
 
     n = h.n_sites
     _register_guard(n)
-    if not isinstance(baths, list):
-        baths = [baths] * n
     energies, v = np.linalg.eigh(spin_hamiltonian(h))
     gaps = energies[:, None] - energies[None, :]
     dim = 2**n

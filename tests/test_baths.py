@@ -10,47 +10,43 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisychain.baths import (
-    FlatNoise,
     OhmicBath,
     TlsBath,
     _next_fast_len,
     fft_convolve,
     noise_power,
-    power_spectral_density,
     principal_value_transform,
     sample_tls_bath,
-    spectral_function,
-    support_halfwidth,
 )
 from noisychain.lattice import FreqGrid
-from bath_oracle import boson_correlators, tls_spectral_density
+from bath_oracle import FlatNoise, boson_correlators, tls_spectral_density
 from quadrature_oracle import principal_value_direct
 
 
 def test_ohmic_coupling_density_value():
     bath = OhmicBath(alpha=0.1, cutoff=5.0, temperature=1.0)
     # alpha * omega * exp(-omega/cutoff) at omega = 1
-    assert spectral_function(bath, 1.0) == pytest.approx(0.08187307530779818, rel=1e-12)
+    assert bath.parts(1.0)[1] == pytest.approx(0.08187307530779818, rel=1e-12)
 
 
 def test_ohmic_coupling_density_is_odd():
     bath = OhmicBath(alpha=0.3, cutoff=2.0, temperature=0.5)
     w = np.linspace(-10.0, 10.0, 101)
-    assert np.allclose(spectral_function(bath, w), -spectral_function(bath, -w))
+    assert np.allclose(bath.parts(w)[1], -bath.parts(-w)[1])
 
 
 def test_ohmic_power_spectrum_zero_frequency_limit():
     # S(0) = 2 * alpha * T, taken analytically rather than via coth overflow
     bath = OhmicBath(alpha=0.0125, cutoff=3.0, temperature=40.0)
-    assert power_spectral_density(bath, 0.0) == pytest.approx(1.0, rel=1e-12)
-    assert power_spectral_density(bath, 1e-9) == pytest.approx(1.0, rel=1e-6)
+    assert bath.parts(0.0)[0] == pytest.approx(1.0, rel=1e-12)
+    assert bath.parts(1e-9)[0] == pytest.approx(1.0, rel=1e-6)
 
 
 def test_ohmic_zero_temperature():
     bath = OhmicBath(alpha=0.2, cutoff=4.0, temperature=0.0)
     w = np.linspace(-8.0, 8.0, 41)
-    assert np.allclose(power_spectral_density(bath, w),
-                       np.abs(spectral_function(bath, w)))
+    s, j = bath.parts(w)
+    assert np.allclose(s, np.abs(j))
     # absorption from an empty bath is forbidden at T = 0
     assert noise_power(bath, -1.0) == pytest.approx(0.0, abs=1e-15)
 
@@ -65,7 +61,7 @@ def test_detailed_balance():
 
 def test_flat_noise_levels():
     bath = FlatNoise(level=0.6, halfwidth=3.0)
-    assert power_spectral_density(bath, 0.0) == pytest.approx(1.2)
+    assert bath.parts(0.0)[0] == pytest.approx(1.2)
     assert noise_power(bath, 1.0) == pytest.approx(0.6)
     assert noise_power(bath, 10.0) == pytest.approx(0.0)
 
@@ -210,15 +206,15 @@ def test_tls_bath_temperature_cap():
 
 def test_boson_correlators_structure():
     bath = OhmicBath(alpha=0.05, cutoff=2.0, temperature=1.0)
-    half = support_halfwidth(bath)
+    half = bath.support
     grid = FreqGrid(-half, half, 4001)
     corr = boson_correlators(bath, grid)
     w = grid.omegas
     sr = corr.retarded[:, 0, 0]
     # Im Sigma+ = -J/2, Keldysh = -i S
-    assert np.allclose(sr.imag, -0.5 * spectral_function(bath, w), atol=1e-12)
+    assert np.allclose(sr.imag, -0.5 * bath.parts(w)[1], atol=1e-12)
     assert np.allclose(corr.keldysh[:, 0, 0],
-                       -1j * power_spectral_density(bath, w), atol=1e-12)
+                       -1j * bath.parts(w)[0], atol=1e-12)
     # odd Im part makes the dispersive Re part even in omega
     assert np.allclose(sr.real, sr.real[::-1], atol=1e-10)
 
@@ -246,10 +242,11 @@ def test_noise_power_nonnegative_and_symmetries(alpha, cutoff, temperature, w):
     bath = OhmicBath(alpha=alpha, cutoff=cutoff, temperature=temperature)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # coth overflow near w = 0 is benign
-        s, j = power_spectral_density(bath, w), spectral_function(bath, w)
+        s, j = bath.parts(w)
+        s_neg, j_neg = bath.parts(-w)
         assert noise_power(bath, w) >= 0.0
-        assert power_spectral_density(bath, -w) == s
-        assert spectral_function(bath, -w) == -j
+        assert s_neg == s
+        assert j_neg == -j
         assert noise_power(bath, -w) == 0.5 * (s - j)
         assert noise_power(bath, w) == 0.5 * (s + j)
 
@@ -259,7 +256,7 @@ def test_scalar_frequencies_match_the_array_path():
     # 0.0 and 1e-9 take the small-|w/2T| limit
     for bath in (OhmicBath(alpha=0.2, cutoff=4.0, temperature=0.0),
                  OhmicBath(alpha=0.0125, cutoff=3.0, temperature=40.0)):
-        for fn in (noise_power, power_spectral_density, spectral_function):
+        for fn in (noise_power, lambda b, w: b.parts(w)[0], lambda b, w: b.parts(w)[1]):
             for w in (-1.0, 0.0, 1e-9, 2.5):
                 value = fn(bath, w)
                 assert np.shape(value) == ()

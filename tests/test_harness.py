@@ -1061,6 +1061,30 @@ def test_every_exported_name_resolves():
         assert len(set(module.__all__)) == len(module.__all__), module.__name__
 
 
+def test_every_top_level_definition_is_used_in_src():
+    # code that only tests call belongs in tests/: every top-level function
+    # and class of the package is named somewhere in src/ outside its own
+    # definition. Strings in __all__ and the names an import binds are not
+    # uses, so a re-export alone does not count
+    trees = [ast.parse(path.read_text())
+             for path in Path(noisychain.__file__).parent.glob("*.py")]
+    uses = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, set()).add(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, set()).add(node)
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                inside = set(ast.walk(node))
+                if not uses.get(node.name, set()) - inside:
+                    unused.append(node.name)
+    assert not unused
+
+
 def test_import_leaves_out_signal_and_stats():
     # the package and its CLI load neither scipy.signal nor scipy.stats,
     # which together cost more start-up time than most runs take; scipy.sparse

@@ -19,12 +19,10 @@ from noisychain.harness import (
 )
 from noisychain.kbe import (
     MEMORY_CAP_BYTES,
+    MemorySelfEnergy,
     _start,
-    equal_time_keldysh,
     equal_time_occupations,
-    markov_self_energy,
     stream_bytes,
-    tls_memory_self_energy,
 )
 from noisychain.lattice import FreqGrid, build_chain
 from noisychain.presets import preset_config
@@ -36,6 +34,7 @@ from kbe_oracle import (
     late_time_spectrum,
     occupations,
     per_site_memory_rows,
+    wide_bands,
 )
 
 
@@ -75,7 +74,7 @@ def _uneven_chain(temperatures=(0.0, 0.0)):
 
 def test_markov_exponential_decay():
     gamma = 1.0
-    run = kbe_integrate(_lone_site(), markov_self_energy([gamma]), 0, 2.0, 1e-3)
+    run = kbe_integrate(_lone_site(), wide_bands([gamma]), 0, 2.0, 1e-3)
     t = run.t_grid
     n, _ = occupations(run)
     assert np.max(np.abs(n[:, 0] - np.exp(-gamma * t))) < 1e-6
@@ -87,7 +86,7 @@ def test_markov_exponential_decay():
 def test_matches_commuting_closed_form():
     h = build_chain(3, 0.0, 1.0)
     rates = [0.3, 0.3, 0.3]
-    run = kbe_integrate(h, markov_self_energy(rates), 0, 2.0, 0.01)
+    run = kbe_integrate(h, wide_bands(rates), 0, 2.0, 0.01)
     m = run.n_times
     worst = 0.0
     for i, j in ((m - 1, m - 1), (m - 1, m // 2), (m // 2, m // 4), (m - 1, 0)):
@@ -113,14 +112,14 @@ def test_single_tls_rabi_oscillation():
     # one qubit resonant with one TLS: occupation cos^2(g t)
     h = build_chain(1, 1.0, 0.0, boundary="open")
     bath = TlsBath(levels=((1.0, 0.05),))
-    n = equal_time_occupations(h, tls_memory_self_energy([bath]), 0, 20.0, 0.01)
+    n = equal_time_occupations(h, MemorySelfEnergy([bath]), 0, 20.0, 0.01)
     t_grid = 0.01 * np.arange(n.shape[0])
     assert np.max(np.abs(n[:, 0] - np.cos(0.05 * t_grid) ** 2)) < 5e-5
 
 
 def test_memory_kernels_single_level():
     bath = TlsBath(levels=((1.0, 0.1),))
-    sigma = tls_memory_self_energy([bath, None])
+    sigma = MemorySelfEnergy([bath, None])
     sr = sigma.kernels(0.1, 31)
     sk = keldysh_kernels(sigma, 0.1, 31)
     lags = 0.1 * np.arange(31)
@@ -135,7 +134,7 @@ def test_kernel_envelope_tracks_flat_band():
     # many levels across a band: |kernel(0)| = rate * width / 2pi, fast decay
     width = 2.0
     bath = sample_tls_bath(0.1, 200, (1.5, 3.5), seed=5)
-    sigma = tls_memory_self_energy([bath])
+    sigma = MemorySelfEnergy([bath])
     sr = sigma.kernels(0.01, 4001)
     env = np.abs(sr[:, 0])
     assert env[0] == pytest.approx(0.1 * width / (2.0 * np.pi), rel=1e-12)
@@ -146,10 +145,10 @@ def test_kernel_envelope_tracks_flat_band():
 
 def test_empty_bath_matches_zero_rate():
     h = build_chain(2, 0.5, 1.0)
-    mem = kbe_integrate(h, tls_memory_self_energy([TlsBath(levels=()),
+    mem = kbe_integrate(h, MemorySelfEnergy([TlsBath(levels=()),
                                                    TlsBath(levels=())]),
                         0, 1.0, 0.01)
-    mark = kbe_integrate(h, markov_self_energy([0.0, 0.0]), 0, 1.0, 0.01)
+    mark = kbe_integrate(h, wide_bands([0.0, 0.0]), 0, 1.0, 0.01)
     assert np.max(np.abs(mem.keldysh - mark.keldysh)) < 1e-8
     # closed system: total occupation conserved
     _, n_tot = occupations(mem)
@@ -159,7 +158,7 @@ def test_empty_bath_matches_zero_rate():
 def test_stability_guard():
     h = build_chain(1, 10.0, 0.0, boundary="open")
     with pytest.raises(ValueError, match="dt"):
-        kbe_integrate(h, markov_self_energy([0.1]), 0, 10.0, 0.1)
+        kbe_integrate(h, wide_bands([0.1]), 0, 10.0, 0.1)
 
 
 def test_memory_capacity_guard():
@@ -169,20 +168,20 @@ def test_memory_capacity_guard():
     # that a regression fails the test instead of starting the job
     h = build_chain(40, 0.0, 1.0)
     with pytest.raises(CapacityError, match="GB"):
-        _start(h, markov_self_energy([0.1] * 40), 0, 1e6, 0.02)
+        _start(h, wide_bands([0.1] * 40), 0, 1e6, 0.02)
     # the memory closure's kernel table grows as m levels: one site with a
     # dense two-level ensemble over 4 10^4 steps (about 5.1 GB) is refused too
     h = build_chain(1, 2.0, 0.0, boundary="open")
     bath = sample_tls_bath(0.05, 4000, (1.5, 2.5), seed=1)
     with pytest.raises(CapacityError, match="GB"):
-        _start(h, tls_memory_self_energy([bath]), 0, 800.0, 0.02)
+        _start(h, MemorySelfEnergy([bath]), 0, 800.0, 0.02)
 
 
 def test_time_grid_validation():
     with pytest.raises(ValueError):
-        kbe_integrate(_lone_site(), markov_self_energy([0.1]), 0, 1.05, 0.1)
+        kbe_integrate(_lone_site(), wide_bands([0.1]), 0, 1.05, 0.1)
     with pytest.raises(ValueError):
-        kbe_integrate(_lone_site(), markov_self_energy([0.1]), 0, -1.0, 0.1)
+        kbe_integrate(_lone_site(), wide_bands([0.1]), 0, -1.0, 0.1)
 
 
 def test_stream_diagonal_matches_collected_plane():
@@ -193,12 +192,11 @@ def test_stream_diagonal_matches_collected_plane():
     # 3.4x margin). The oracle's Keldysh diagonal steps its own equation and
     # differs by its O(dt^2) gap (measured 4.2e-5)
     h, baths = _uneven_chain()
-    sigma = markov_self_energy([0.3, 0.1, 0.2])
+    sigma = wide_bands([0.3, 0.1, 0.2])
     for site in range(3):
-        diag = equal_time_keldysh(h, sigma, site, 2.0, 0.02)
+        occ = equal_time_occupations(h, sigma, site, 2.0, 0.02)
         plane = kbe_integrate(h, sigma, site, 2.0, 0.02)
-        assert diag.shape == (101, 3)
-        occ = 0.5 * (1.0 + diag.imag)
+        assert occ.shape == (101, 3)
         assert np.max(np.abs(occ - np.abs(plane.retarded[:, 0, :, site]) ** 2)) < 1e-14
         assert np.max(np.abs(occ - occupations(plane)[0])) < 1e-4
     # the memory closure reads the occupations off the retarded lag series
@@ -207,7 +205,7 @@ def test_stream_diagonal_matches_collected_plane():
     # 4.70e-5, bound with a 2.1x margin). Halving dt cuts each route's
     # error against the exact solve by about four (measured 3.98 for the
     # shipped route, 4.02 for the oracle)
-    sigma = tls_memory_self_energy(baths)
+    sigma = MemorySelfEnergy(baths)
     errors = []
     for dt in (0.02, 0.01):
         shipped = equal_time_occupations(h, sigma, 1, 2.0, dt)
@@ -234,7 +232,7 @@ def test_warm_bath_lesser_term_matches_oracle():
     _, warm = _uneven_chain((0.1, 0.08))
     shipped, oracle = [], []
     for baths in (warm, cold):
-        sigma = tls_memory_self_energy(baths)
+        sigma = MemorySelfEnergy(baths)
         shipped.append(equal_time_occupations(h, sigma, 1, 2.0, 0.02))
         oracle.append(occupations(kbe_integrate(h, sigma, 1, 2.0, 0.02))[0])
     d_shipped = shipped[0] - shipped[1]
@@ -246,7 +244,7 @@ def test_warm_bath_lesser_term_matches_oracle():
 
 def test_two_time_accessors():
     h = build_chain(2, 0.0, 1.0)
-    run = kbe_integrate(h, markov_self_energy([0.1, 0.1]), 0, 1.0, 0.05)
+    run = kbe_integrate(h, wide_bands([0.1, 0.1]), 0, 1.0, 0.05)
     # retarded vanishes for t < t'; Keldysh mirrors anti-hermitially
     assert not np.any(run.retarded_at(3, 7))
     assert np.allclose(run.keldysh_at(3, 7), -run.keldysh_at(7, 3).conj().T,
@@ -255,7 +253,7 @@ def test_two_time_accessors():
 
 def test_occupations_stay_physical():
     h = build_chain(4, 1.0, 0.8)
-    run = kbe_integrate(h, markov_self_energy([0.2] * 4), 1, 8.0, 0.02)
+    run = kbe_integrate(h, wide_bands([0.2] * 4), 1, 8.0, 0.02)
     n, n_tot = occupations(run)
     # excursions below zero sit at the integrator's O(dt^2) error scale
     assert np.all(n > -1e-4) and np.all(n < 1.0 + 1e-4)
@@ -266,7 +264,7 @@ def test_occupations_stay_physical():
 def test_late_time_spectrum_line():
     # relaxed single level: Lorentzian at the level, window-limited width
     gamma = 0.25
-    run = kbe_integrate(_lone_site(), markov_self_energy([gamma]), 0, 40.0, 0.04)
+    run = kbe_integrate(_lone_site(), wide_bands([gamma]), 0, 40.0, 0.04)
     grid = FreqGrid(-2.0, 2.0, 801)
     spec = late_time_spectrum(run, grid)
     a = (1j * (spec.retarded - spec.advanced))[:, 0, 0].real
@@ -280,7 +278,7 @@ def test_late_time_spectrum_line():
 def test_late_time_distribution_handoff():
     # empty decay channels drain the site; the final slice then satisfies
     # the empty-band relation K = (G+ - G-), window broadening cancelling
-    run = kbe_integrate(_lone_site(), markov_self_energy([0.25]), 0, 40.0, 0.04)
+    run = kbe_integrate(_lone_site(), wide_bands([0.25]), 0, 40.0, 0.04)
     grid = FreqGrid(-2.0, 2.0, 801)
     spec = late_time_spectrum(run, grid)
     diff = spec.keldysh - (spec.retarded - spec.advanced)
@@ -292,7 +290,7 @@ def test_narrow_band_crossover_to_markov():
     # broad flat band at weak coupling: structured environment relaxes the
     # qubit at the flat-band golden-rule rate
     h, bath = _narrow_band()
-    n = equal_time_occupations(h, tls_memory_self_energy([bath]), 0, 16.0, 0.01)
+    n = equal_time_occupations(h, MemorySelfEnergy([bath]), 0, 16.0, 0.01)
     t_grid = 0.01 * np.arange(n.shape[0])
     dev = np.max(np.abs(n[:, 0] - np.exp(-0.05 * t_grid)))
     assert dev < 0.05
@@ -307,12 +305,12 @@ def test_initial_state_validation():
     # the excitation must sit on the chain, checked before any step; at
     # t = 0 it fills its site and leaves the others empty
     h = build_chain(3, 0.0, 1.0)
-    for closure in (markov_self_energy([0.1] * 3), tls_memory_self_energy([None] * 3)):
+    for closure in (wide_bands([0.1] * 3), MemorySelfEnergy([None] * 3)):
         for site in (-1, 3):
             with pytest.raises(ValueError, match="outside chain"):
-                equal_time_keldysh(h, closure, site, 1.0, 0.01)
-        kel = equal_time_keldysh(h, closure, 1, 1.0, 0.01)
-        assert np.array_equal(0.5 * (1.0 + kel[0].imag), [0.0, 1.0, 0.0])
+                equal_time_occupations(h, closure, site, 1.0, 0.01)
+        occ = equal_time_occupations(h, closure, 1, 1.0, 0.01)
+        assert np.array_equal(occ[0], [0.0, 1.0, 0.0])
 
 
 @settings(max_examples=10, deadline=None)
@@ -323,7 +321,7 @@ def test_initial_state_validation():
 )
 def test_integrator_keeps_occupations_bounded(n, rate, site):
     h = build_chain(n, 0.5, 0.5)
-    run = kbe_integrate(h, markov_self_energy([rate] * n), site % n, 2.0, 0.02)
+    run = kbe_integrate(h, wide_bands([rate] * n), site % n, 2.0, 0.02)
     occ, n_tot = occupations(run)
     assert np.all(occ > -1e-4) and np.all(occ < 1.0 + 1e-4)
     assert np.all(np.diff(n_tot) < 1e-10)
@@ -376,12 +374,12 @@ def test_mixed_closure_matches_its_parts():
     one = build_chain(1, 0.5, 0.0, boundary="open")
     wide = WideBandBath(0.3)
     levels = ((0.8, 0.05), (1.2, 0.07))
-    cold = equal_time_occupations(one, tls_memory_self_energy([TlsBath(levels)]), 0, 2.0, 0.02)
-    alone = equal_time_occupations(one, tls_memory_self_energy([wide]), 0, 2.0, 0.02)
+    cold = equal_time_occupations(one, MemorySelfEnergy([TlsBath(levels)]), 0, 2.0, 0.02)
+    alone = equal_time_occupations(one, MemorySelfEnergy([wide]), 0, 2.0, 0.02)
     zero = 0.0 * cold
     for tls in (TlsBath(levels), TlsBath(levels, temperature=0.08)):
-        sigma = tls_memory_self_energy([wide, None, tls])
-        lone = equal_time_occupations(one, tls_memory_self_energy([tls]), 0, 2.0, 0.02)
+        sigma = MemorySelfEnergy([wide, None, tls])
+        lone = equal_time_occupations(one, MemorySelfEnergy([tls]), 0, 2.0, 0.02)
         first = equal_time_occupations(chain, sigma, 0, 2.0, 0.02)
         last = equal_time_occupations(chain, sigma, 2, 2.0, 0.02)
         assert np.max(np.abs(first - np.c_[alone, zero, lone - cold])) <= 1e-15
@@ -404,16 +402,14 @@ def test_fig4_top_occupations_stay_nonnegative(tmp_path):
 @pytest.mark.parametrize("preset", ["fig4-top", "fig4-bottom"])
 def test_artifact_occupations_are_the_stepper_sums(tmp_path, preset):
     # the artifact writes the stepper's occupations cell for cell, digits
-    # below 1e-16 included, and the Keldysh diagonal as i (2 n - 1), which
-    # is equal_time_keldysh bit for bit
+    # below 1e-16 included, and the Keldysh diagonal as i (2 n - 1)
     raw = preset_config(preset)
     raw["engines"] = ["kbe"]
     cfg = config_from_dict(raw)
     plan = _Plan(cfg)
-    args = (plan.h, plan.kbe_sigma, cfg.initial.excited_site, cfg.time.t_max, cfg.time.dt)
-    occ = equal_time_occupations(*args)
-    kel = equal_time_keldysh(*args)
-    assert np.array_equal(kel, 1j * (2.0 * occ - 1.0))
+    occ = equal_time_occupations(plan.h, plan.kbe_sigma, cfg.initial.excited_site,
+                                 cfg.time.t_max, cfg.time.dt)
+    kel = 1j * (2.0 * occ - 1.0)
     result = run_experiment(cfg, out_root=tmp_path)
     cells = (result.run_dir / "kbe_trajectory.csv").read_text().splitlines()[1:]
     for col, values in ((2, occ), (3, kel.real), (4, kel.imag)):
@@ -429,7 +425,7 @@ def test_oracle_retarded_rows_are_lag_only():
     # to roundoff on fig4-top's span at twice its step, 641 rows (measured
     # 6.5e-17, bound with a 3x margin), and bit for bit on the narrow band
     chain, bath = _narrow_band()
-    narrow = (chain, tls_memory_self_energy([bath]), 1.0, 0.01)
+    narrow = (chain, MemorySelfEnergy([bath]), 1.0, 0.01)
     h, sigma, t_max, dt = _fig4_top(286046148)
     coarse = (h, sigma, t_max, 2 * dt)
     for (h, sigma, t_max, dt), bound in ((coarse, 2e-16), (narrow, 0.0)):
@@ -452,7 +448,7 @@ def test_memory_rule_counts_padded_levels():
     baths = [sample_tls_bath(0.05, 100_000, (1.5, 2.5), seed=1)] + [None] * 19
     assert stream_bytes(1, 101, 100_000) < MEMORY_CAP_BYTES
     with pytest.raises(CapacityError, match="GB"):
-        _start(h, tls_memory_self_energy(baths), 0, 1.0, 0.01)
+        _start(h, MemorySelfEnergy(baths), 0, 1.0, 0.01)
 
 
 def test_stream_bytes_bounds_traced_peak():
@@ -465,27 +461,27 @@ def test_stream_bytes_bounds_traced_peak():
     # does not grow with the time count sets the peak: one level over 51
     # and 101 times (0.07 each) and 100 levels over 51 times (0.69).
     # Wide bands on 1 and 5 sites over 51 and 501 times and on 20 and 40
-    # sites over 501 times: 0.07 to 0.62
+    # sites over 501 times, which keep no level axis: 0.08 to 0.67
     chain, bath = _narrow_band()
     one = build_chain(1, 2.5, 0.0, boundary="open")
-    short = [(one, tls_memory_self_energy([sample_tls_bath(0.05, k, (0.5, 4.5), seed=2)]),
+    short = [(one, MemorySelfEnergy([sample_tls_bath(0.05, k, (0.5, 4.5), seed=2)]),
               t_max, 0.01) for k, t_max in ((1, 0.5), (1, 1.0), (100, 0.5))]
     pair = build_chain(2, 2.5, 0.1, boundary="open")
-    two = tls_memory_self_energy([sample_tls_bath(0.05, 100, (0.5, 4.5), seed=s) for s in (2, 3)])
-    warm = tls_memory_self_energy([sample_tls_bath(0.05, 10, (1.5, 2.5), seed=s, temperature=0.15)
+    two = MemorySelfEnergy([sample_tls_bath(0.05, 100, (0.5, 4.5), seed=s) for s in (2, 3)])
+    warm = MemorySelfEnergy([sample_tls_bath(0.05, 10, (1.5, 2.5), seed=s, temperature=0.15)
                                    for s in range(5)])
-    wide = [(build_chain(n, 0.0, 1.0, boundary="open"), markov_self_energy(np.full(n, 0.2)),
+    wide = [(build_chain(n, 0.0, 1.0, boundary="open"), wide_bands(np.full(n, 0.2)),
              t_max, 0.01) for n, t_max in ((1, 0.5), (1, 5.0), (5, 0.5), (5, 5.0),
                                            (20, 5.0), (40, 5.0))]
     for h, sigma, t_max, dt in (_fig4_top(42),
-                                (chain, tls_memory_self_energy([bath]), 2.0, 0.01),
+                                (chain, MemorySelfEnergy([bath]), 2.0, 0.01),
                                 (pair, two, 2.0, 0.01),
                                 (build_chain(5, 2.0, 0.5, boundary="open"), warm, 2.0, 0.01),
                                 *short, *wide):
         m = int(round(t_max / dt)) + 1
         tracemalloc.start()
         try:
-            equal_time_keldysh(h, sigma, 0, t_max, dt)
+            kel = 1j * (2.0 * equal_time_occupations(h, sigma, 0, t_max, dt) - 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,17 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from noisychain import harness, keldysh
+from noisychain import harness, keldysh, qme
 from noisychain.baths import OhmicBath, TlsBath, WideBandBath
 from noisychain.errors import SingularFrequencyError
 from noisychain.harness import _Plan, config_from_dict, find_spectral_peaks
+from noisychain.kbe import MemorySelfEnergy, equal_time_occupations
 from noisychain.keldysh import (
     RateFunction,
     SelfEnergy,
     dephasing_self_energy,
     dyson_solve,
     extract_rates,
-    spectral_weight,
     steady_state_greens,
     tls_embedding_self_energy,
 )
@@ -28,7 +28,7 @@ from noisychain.lattice import (
     thermal_factor,
 )
 from noisychain.presets import preset_config
-from bath_oracle import dephasing_rate_function
+from bath_oracle import FlatNoise, dephasing_rate_function
 from dyson_oracle import lu_dyson_solve, ring_site_greens
 from quadrature_oracle import (
     dephasing_convolutions_direct,
@@ -206,7 +206,7 @@ def test_one_site_solve_stays_small():
     bath = OhmicBath(alpha=0.1 / 300.0, cutoff=800.0, temperature=300.0)
     tracemalloc.start()
     try:
-        g, _ = steady_state_greens(h, bath, 1.0 / 300.0, grid, sites=[0])
+        g, _ = steady_state_greens(h, [bath] * 40, 1.0 / 300.0, grid, sites=[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -263,7 +263,7 @@ def test_ring_matches_closed_form_oracle():
     h40 = build_chain(40, 2.0, 1.0)
     for g2 in (0.05, 0.1, 0.2, 0.4):
         bath = OhmicBath(alpha=g2 / 300.0, cutoff=800.0, temperature=300.0)
-        sr = dephasing_self_energy(h40, bath, beta, grid).retarded[:, 0]
+        sr = dephasing_self_energy(h40, [bath] * 40, beta, grid).retarded[:, 0]
         ref_k = -2j * sr.imag  # any Keldysh part: only G^+ is checked
         for n in (3, 40, 80, 160):
             sigma = SelfEnergy(grid=grid, retarded=np.repeat(sr[:, None], n, axis=1),
@@ -321,7 +321,7 @@ def test_wideband_line_shape():
     h = build_chain(1, 1.0, 0.0, boundary="open")
     grid = FreqGrid(-1.0, 3.0, 2001, eta=0.01)
     g, _ = steady_state_greens(h, [WideBandBath(rate)], 1.0, grid)
-    a = spectral_weight(g)[:, 0, 0].real
+    a = (1j * (g.retarded - g.advanced))[:, 0, 0].real
     peaks = find_spectral_peaks(grid.omegas, a)
     assert len(peaks) == 1
     assert peaks[0].position == pytest.approx(1.0, abs=grid.spacing)
@@ -345,7 +345,7 @@ def test_dressed_spectral_sum_rule():
     bath = OhmicBath(alpha=0.01, cutoff=20.0, temperature=5.0)
     grid = FreqGrid(-1.0, 5.0, 1201)
     g, _ = steady_state_greens(h, [bath] * 3, 0.2, grid)
-    a = spectral_weight(g)
+    a = 1j * (g.retarded - g.advanced)
     for i in range(3):
         norm = np.trapezoid(a[:, i, i].real, grid.omegas) / (2.0 * np.pi)
         assert norm == pytest.approx(1.0, abs=0.02)
@@ -557,10 +557,43 @@ def test_tls_embedding_single_pole():
     assert np.max(np.abs(sigma.retarded[:, 0] - expected)) < 1e-14
 
 
-def test_tls_embedding_rejects_bare_bath():
-    grid = FreqGrid(0.0, 2.0, 101)
-    with pytest.raises(TypeError, match="sequence"):
-        tls_embedding_self_energy(TlsBath(levels=((1.0, 0.3),)), grid)
+_PAIR = build_chain(2, 1.0, 0.5)
+_BAND = FreqGrid(-1.0, 3.0, 101)
+# each engine entry point on a two-site chain: (run it on baths, a bath it
+# takes, a bath it refuses); a closure or a self-energy of the wrong site
+# count is refused where it meets the chain
+_ENTRY_POINTS = {
+    "steady_state_greens": (lambda baths: steady_state_greens(_PAIR, baths, 1.0, _BAND),
+                            OhmicBath(alpha=0.1, cutoff=5.0, temperature=1.0),
+                            FlatNoise(level=0.1, halfwidth=10.0)),
+    "tls_embedding_self_energy": (
+        lambda baths: dyson_solve(_PAIR, 1.0, tls_embedding_self_energy(baths, _BAND)),
+        TlsBath(levels=((1.0, 0.3),)), OhmicBath(alpha=0.1, cutoff=5.0, temperature=1.0)),
+    "bloch_redfield_generator": (lambda baths: qme.bloch_redfield_generator(_PAIR, baths),
+                                 FlatNoise(level=0.1, halfwidth=10.0), TlsBath(levels=())),
+    "exact_tls_evolve": (lambda baths: qme.exact_tls_evolve(_PAIR, baths, 0, [0.0, 0.1]),
+                         TlsBath(levels=((1.0, 0.3),)), WideBandBath(0.1)),
+    "MemorySelfEnergy": (
+        lambda baths: equal_time_occupations(_PAIR, MemorySelfEnergy(baths), 0, 0.1, 0.01),
+        WideBandBath(0.1), OhmicBath(alpha=0.1, cutoff=5.0, temperature=1.0)),
+}
+
+
+@pytest.mark.parametrize("refusal", ["bare", "length", "kind"])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_engines_take_one_bath_per_site(entry, refusal):
+    # every entry point takes one bath (or None) per site and refuses a
+    # bare bath, a wrong site count and a bath kind it cannot run, naming
+    # the kind; with one bath per site it runs
+    run, good, bad = _ENTRY_POINTS[entry]
+    run([good, None])
+    baths, error, match = {
+        "bare": (good, TypeError, "sequence"),
+        "length": ([good] * 3, ValueError, "site"),
+        "kind": ([good, bad], TypeError, type(bad).__name__),
+    }[refusal]
+    with pytest.raises(error, match=match):
+        run(baths)
 
 
 def test_steady_state_rejects_mixed_bath_kinds():

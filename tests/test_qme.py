@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisychain import qme
-from noisychain.baths import FlatNoise, OhmicBath, TlsBath, noise_power, support_halfwidth
+from noisychain.baths import OhmicBath, TlsBath, noise_power
 from noisychain.errors import CapacityError
 from noisychain.harness import _Plan, config_from_dict
 from noisychain.lattice import FreqGreens, FreqGrid, HoppingHamiltonian, build_chain
 from noisychain.presets import preset_config
 
+from bath_oracle import FlatNoise
 from register_oracle import (
     LindbladGenerator,
     assembled_superoperator,
@@ -100,7 +101,7 @@ def test_flat_noise_redfield_is_dephasing_lindblad():
     # half the noise level
     h = build_chain(2, 1.0, 0.6)
     level = 0.4
-    br = qme.bloch_redfield_generator(h, FlatNoise(level=level, halfwidth=1e8))
+    br = qme.bloch_redfield_generator(h, [FlatNoise(level=level, halfwidth=1e8)] * 2)
     lb = LindbladGenerator(n_sites=2, hamiltonian=spin_hamiltonian(h),
                            gamma1=0.0, gamma2star=level / 2.0)
     assert np.max(np.abs(assembled_superoperator(br) - lb.superoperator())) < 1e-8
@@ -146,7 +147,7 @@ def test_dephased_site_line_shape():
     # weight, near-unit weight (the Lorentzian tails past the grid eat a few
     # percent); white noise at 0.4 is pure dephasing at gamma2star = 0.2
     h = build_chain(1, 1.0, 0.0, boundary="open")
-    gen = qme.bloch_redfield_generator(h, FlatNoise(level=0.4, halfwidth=1e8))
+    gen = qme.bloch_redfield_generator(h, [FlatNoise(level=0.4, halfwidth=1e8)])
     grid = FreqGrid(-1.0, 3.0, 2001)
     gg = qme.qme_greens(gen, (0, 0), grid)
     assert gg.retarded.shape == (grid.n_points, 1, 1)
@@ -212,7 +213,8 @@ def test_eigen_route_matches_stepping_oracle():
     sites = (2, 0, 1)
     for secular in (False, True):
         for lamb_shift in (True, False):
-            gen = qme.bloch_redfield_generator(h, bath, secular=secular, lamb_shift=lamb_shift)
+            gen = qme.bloch_redfield_generator(h, [bath] * n, secular=secular,
+                                               lamb_shift=lamb_shift)
             got = qme.qme_greens(gen, sites, grid)
             rho = steady_state(gen, np.eye(2**n) / 2**n, 6000.0)
             ref = resolvent_greens(gen, rho, sites, grid)
@@ -242,7 +244,7 @@ def test_stationary_blocks_are_zero_modes():
     h = build_chain(3, 0.2, 1.0, boundary="open")
     bath = OhmicBath(alpha=0.05, cutoff=2.0, temperature=0.3)
     gens = [qme.bloch_redfield_generator(plan.h, plan.site_baths)]
-    gens += [qme.bloch_redfield_generator(h, bath, secular=secular, lamb_shift=lamb_shift)
+    gens += [qme.bloch_redfield_generator(h, [bath] * 3, secular=secular, lamb_shift=lamb_shift)
              for secular in (False, True) for lamb_shift in (True, False)]
     for gen in gens:
         n = gen.n_sites
@@ -275,11 +277,10 @@ def test_gap_table_shared_across_equal_baths(monkeypatch):
         refs = {(i, b): single(i, b) for i in range(n) for b in (cold, hot)}
         mixed = ([cold, hot, None] + [cold, hot])[:n]
         equal = [OhmicBath(alpha=0.002, cutoff=4.0, temperature=0.2) for _ in range(n)]
-        for baths, n_tables in ((cold, 1), (equal, 1), (mixed, 2)):
+        for baths, n_tables in (([cold] * n, 1), (equal, 1), (mixed, 2)):
             tables.clear()
             gen = qme.bloch_redfield_generator(h, baths, lamb_shift=lamb_shift)
-            per_site = baths if isinstance(baths, list) else [baths] * n
-            want = [refs[(i, b)] for i, b in enumerate(per_site) if b is not None]
+            want = [refs[(i, b)] for i, b in enumerate(baths) if b is not None]
             assert len(gen.lambda_ops) == len(want)
             for got, ref in zip(gen.lambda_ops, want):
                 assert len(got) == len(ref) == n + 1  # one block per sector
@@ -299,7 +300,7 @@ def test_half_transform_matches_tight_quad():
     # the table used to run (default tolerance, no kink) was off by 2.1e-7
     plan = _fig2_upper_plan()
     bath = plan.site_baths[0]
-    half = support_halfwidth(bath)
+    half = bath.support
     energies = [np.linalg.eigvalsh(qme._sector_hamiltonian(plan.h, basis))
                 for basis in qme._sector_bases(plan.h.n_sites)]
     keys = np.unique(np.round(np.concatenate([np.subtract.outer(e, e).ravel()
@@ -371,7 +372,7 @@ def test_sector_generator_matches_global_eigenbasis_oracle():
     # particle-number sectors are exactly zero
     bath = OhmicBath(alpha=0.05, cutoff=2.0, temperature=0.3)
     plan = _fig2_upper_plan()
-    for h, baths in ((build_chain(3, 0.2, 1.0, boundary="open"), bath),
+    for h, baths in ((build_chain(3, 0.2, 1.0, boundary="open"), [bath] * 3),
                      (plan.h, plan.site_baths)):
         n = h.n_sites
         number = np.array([bin(i).count("1") for i in range(2**n)])
@@ -438,7 +439,7 @@ def test_redfield_occupations_match_register_route():
     plan = _fig2_upper_plan()
     bath = OhmicBath(alpha=0.05, cutoff=2.0, temperature=0.3)
     t = np.linspace(0.0, 8.0, 41)
-    for h, baths in ((build_chain(3, 0.2, 1.0, boundary="open"), bath),
+    for h, baths in ((build_chain(3, 0.2, 1.0, boundary="open"), [bath] * 3),
                      (plan.h, plan.site_baths)):
         n = h.n_sites
         cs = [jw_fermion(i, n) for i in range(n)]
@@ -505,7 +506,7 @@ def test_evolve_validates_state_and_grid():
 def test_register_capacity_guards():
     with pytest.raises(CapacityError):
         qme.bloch_redfield_generator(build_chain(6, 1.0, 0.5),
-                                     FlatNoise(level=0.1, halfwidth=1e6))
+                                     [FlatNoise(level=0.1, halfwidth=1e6)] * 6)
     with pytest.raises(CapacityError):
         jw_fermion(0, 13)
 
