@@ -8,17 +8,15 @@ and collapses sooner because its level spacing is half as wide.
 """
 
 import argparse
-import csv
 import sys
 
-from noisychain.harness import config_from_dict, run_experiment
+from noisychain.harness import config_from_dict, read_artifact, run_experiment
 from noisychain.presets import preset_config
 
 
 def staircase(run_dir):
-    with open(run_dir / "peak_counts.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [(float(r["gamma2"]), int(r["n_peaks"])) for r in rows]
+    cols = read_artifact(run_dir / "peak_counts.csv")["columns"]
+    return [(float(g2), int(n)) for g2, n in zip(cols["gamma2"], cols["n_peaks"])]
 
 
 def main():

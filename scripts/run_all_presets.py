@@ -7,11 +7,14 @@ artifact it wrote, so two runs are byte-identical when a diff of their
 
     diff <(run_all_presets.py --out a | grep sha256) <(... --out b | grep sha256)
 
-With --against DIR, the output root of an earlier run, each CSV that DIR
-also holds gets a `moved` line: "identical" when the bytes match, else the
+With --against DIR, the output root of an earlier run, each CSV gets a
+`moved` line: "identical" when the bytes match the file in DIR, else the
 largest move of each float column as a share of that column's max|value|
 in DIR. A preset's report.json gets one too: "identical" when every
 comparison metric has the same value as in DIR, else the largest move.
+An artifact that DIR's manifest lists and this run did not write gets a
+`moved` line too. The script exits 1 when any file moved, is missing from
+DIR, or is missing from this run.
 
 The two sweep presets take the longest, about 0.15 s (fig3-top) and
 0.2 s (fig3-bottom); the whole script, imports included, runs in 1.1-1.2 s
@@ -84,7 +87,7 @@ def main():
     args = ap.parse_args()
 
     names = args.only or preset_names()
-    failed = []
+    failed, moved = [], []
     for name in names:
         cfg = config_from_dict(preset_config(name))
         t0 = time.time()
@@ -92,16 +95,25 @@ def main():
         wall = time.time() - t0
         status = "ok" if res.ok else "FAILED"
         print(f"{name:14s} {wall:6.1f}s  {status}  -> {res.run_dir}")
+        checked = []  # (file, how to compare it with its copy in DIR)
         for fname in res.artifacts:
             if fname.endswith(".csv"):
                 digest = hashlib.sha256((res.run_dir / fname).read_bytes()).hexdigest()
                 print(f"    sha256 {digest[:12]}  {name}/{fname}")
-                if args.against and (ref := Path(args.against, name, fname)).is_file():
-                    print(f"    moved  {name}/{fname}: {moves(res.run_dir / fname, ref)}")
-        ref = Path(args.against or "", name, "report.json")
-        if args.against and res.reports and ref.is_file():
-            moved = metric_moves(res.run_dir / "report.json", ref)
-            print(f"    moved  {name}/report.json: {moved}")
+                checked.append((fname, moves))
+        if res.reports:
+            checked.append(("report.json", metric_moves))
+        for fname, compare in checked if args.against else ():
+            ref = Path(args.against, name, fname)
+            how = compare(res.run_dir / fname, ref) if ref.is_file() else "missing from DIR"
+            print(f"    moved  {name}/{fname}: {how}")
+            if how != "identical":
+                moved.append(f"{name}/{fname}")
+        ref = Path(args.against or "", name, "manifest.json")
+        listed = json.loads(ref.read_text())["artifacts"] if args.against and ref.is_file() else []
+        for fname in sorted(set(listed) - {f for f, _ in checked}):
+            print(f"    moved  {name}/{fname}: missing from this run")
+            moved.append(f"{name}/{fname}")
         for rep in res.reports:
             for line in rep.summary_lines():
                 print(f"    {line}")
@@ -111,8 +123,9 @@ def main():
             failed.append(name)
     if failed:
         print(f"failed presets: {', '.join(failed)}")
-        return 1
-    return 0
+    if moved:
+        print(f"moved against {args.against}: {', '.join(moved)}")
+    return 1 if failed or moved else 0
 
 
 if __name__ == "__main__":

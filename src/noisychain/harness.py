@@ -10,6 +10,10 @@ that span sections, and the run plan builds every module object. So an
 invalid config is rejected, naming its field, before any computation
 starts, and never leaves half-written artifacts behind.
 
+ENGINES says which artifact kinds each engine computes and on which bath
+kinds; the engine rules of `_cross_validate` and a run's jobs (spectra,
+width sweep or trajectory) derive from it.
+
 Every artifact is a CSV of one kind, and SCHEMAS holds each kind's header:
 one writer writes them all and read_artifact tells the kinds apart by it.
 All floats are written as %.12e so reruns with the same config and seed
@@ -32,6 +36,7 @@ import json
 import math
 import numbers
 import platform
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -72,7 +77,19 @@ __all__ = [
     "resolve_out_root",
 ]
 
-ENGINES = ("keldysh", "kbe", "lindblad", "blochredfield", "exact_tls")
+_BATH_KINDS = ("ohmic", "tls", "wideband")
+# engine -> the artifact kinds it computes and the bath kinds it runs on;
+# it computes spectra on the grid section and trajectories on the time
+# section (_SECTION), each when the config gives that section
+_Engine = namedtuple("_Engine", "kinds baths")
+ENGINES = {
+    "keldysh": _Engine(("spectra",), _BATH_KINDS),
+    "kbe": _Engine(("trajectory",), ("tls", "wideband")),
+    "lindblad": _Engine(("spectra", "trajectory"), _BATH_KINDS),
+    "blochredfield": _Engine(("spectra", "trajectory"), ("ohmic",)),
+    "exact_tls": _Engine(("trajectory",), ("tls",)),
+}
+_SECTION = {"spectra": "grid", "trajectory": "time"}
 CONFIG_VERSION = 1
 OUT_ENV_VAR = "NOISYCHAIN_OUT"
 # time-grid cap: every trajectory engine writes one CSV row per step and
@@ -202,7 +219,7 @@ class SystemConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class BathConfig:
-    kind: str = _spec(str, check=_one_of("ohmic", "tls", "wideband"))
+    kind: str = _spec(str, check=_one_of(*_BATH_KINDS))
     # required unless sweeping widths, which is a cross-section rule
     alpha: float = _spec(float, None, _NONNEGATIVE, kinds=("ohmic",))
     cutoff: float = _spec(float, check=_POSITIVE, kinds=("ohmic",))
@@ -332,16 +349,20 @@ def config_from_dict(raw, name=None):
     return cfg
 
 
+def _computing(cfg, kind):
+    """The engines of cfg that compute `kind` artifacts, in config order."""
+
+    return [e for e in cfg.engines if kind in ENGINES[e].kinds and getattr(cfg, _SECTION[kind])]
+
+
 def _cross_validate(cfg):
-    needs_grid = {"keldysh"}
-    needs_time = {"kbe", "exact_tls"}
     for e in cfg.engines:
-        if e in needs_grid and cfg.grid is None:
-            raise ConfigError("grid", f"engine '{e}' needs the grid section")
-        if e in needs_time and cfg.time is None:
-            raise ConfigError("time", f"engine '{e}' needs the time section")
-        if e in ("lindblad", "blochredfield") and cfg.grid is None and cfg.time is None:
-            raise ConfigError("engines", f"engine '{e}' needs a grid or time section")
+        sections, baths = [_SECTION[k] for k in ENGINES[e].kinds], ENGINES[e].baths
+        if not any(getattr(cfg, s) for s in sections):
+            raise ConfigError(sections[0] if len(sections) == 1 else "engines",
+                              f"engine '{e}' needs a {' or '.join(sections)} section")
+        if cfg.bath.kind not in baths:
+            raise ConfigError("bath.kind", f"engine '{e}' runs on {' or '.join(baths)} baths only")
     if cfg.time is not None and cfg.time.t_max / cfg.time.dt > MAX_TIME_STEPS:
         raise ConfigError(
             "time.dt", f"t_max/dt = {cfg.time.t_max / cfg.time.dt:.3g} exceeds "
@@ -349,14 +370,6 @@ def _cross_validate(cfg):
         )
     if not 0 <= cfg.initial.excited_site < cfg.system.n_sites:
         raise ConfigError("initial.excited_site", "outside the chain")
-    if "kbe" in cfg.engines and cfg.bath.kind == "ohmic":
-        raise ConfigError(
-            "bath.kind", "the two-time integrator takes wideband or tls baths only"
-        )
-    if "exact_tls" in cfg.engines and cfg.bath.kind != "tls":
-        raise ConfigError("bath.kind", "exact_tls needs a tls bath")
-    if "blochredfield" in cfg.engines and cfg.bath.kind != "ohmic":
-        raise ConfigError("bath.kind", "blochredfield needs an ohmic bath")
     if cfg.sweep is None and cfg.bath.kind == "ohmic" and cfg.bath.alpha is None:
         raise ConfigError("bath.alpha", "missing required field")
     if cfg.sweep is not None:
@@ -389,7 +402,7 @@ def _cross_validate(cfg):
     # the propagation keeps the complex (n_t, N) diagonal. Whole runs
     # measured 0.54 to 0.79 of this rule at N = 1 to 30 over 2001 to 10^6
     # times (0.79 on one site over 10^6)
-    if "lindblad" in cfg.engines and cfg.time is not None:
+    if "lindblad" in _computing(cfg, "trajectory"):
         _check_memory("system.n_sites", f"lindblad trajectories of {n} sites",
                       160 * n**4 + 16 * n_t * n + artifact)
     # exact_tls peaks at about 4 dense (d, d) float eigensystems plus 3
@@ -404,7 +417,7 @@ def _cross_validate(cfg):
         _check_memory("time.t_max", f"kbe on {n} sites",
                       stream_bytes(n, n_t, levels) + artifact, "; shorten t_max or increase dt")
     # the trajectory comparison runs after the engines have freed theirs
-    if cfg.time is not None and len(set(cfg.engines) - {"keldysh"}) > 1:
+    if len(_computing(cfg, "trajectory")) > 1:
         _check_memory("time.t_max", f"comparing trajectories of {n} sites",
                       _readback_bytes(n_t, n), "; shorten t_max or increase dt")
     if "blochredfield" in cfg.engines and n > qme.DENSE_MAX_SITES:
@@ -414,35 +427,40 @@ def _cross_validate(cfg):
         for i, j in cfg.grid.pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise ConfigError("grid.pairs", f"pair ({i}, {j}) outside the chain")
-        if {"keldysh", "lindblad", "blochredfield"} & set(cfg.engines):
-            _check_memory("grid.n_points", f"spectra on {cfg.grid.n_points} points",
-                          _spectra_bytes(cfg))
+    if _computing(cfg, "spectra"):
+        _check_memory("grid.n_points", f"spectra on {cfg.grid.n_points} points",
+                      _spectra_bytes(cfg))
 
 
 def _spectra_bytes(cfg):
     """Traced-memory rule of a run's spectra, by grid point. Spectra hold a
     few (n_points, s, s) tables of the s pair sites and (n_points, N) site
-    rows; keldysh adds its bath tables and self-energy diagonals. Peaks
-    measured with tracemalloc, per point: keldysh 4.8, 5.7, 7.2 and 14.3 kB
-    at N = 5, 10, 20 and 40; lindblad and blochredfield 0.3 kB at s = 2 and
-    1.7-5.0 kB at s = 5-10. A run that compares two or more spectra reads
-    both files back at once, 240 B per point and pair: compare_artifacts
-    measured 186-194 B over 1 to 25 pairs and 4001 to 100001 points."""
+    rows; keldysh adds its bath tables and self-energy diagonals, and on
+    tls baths one site's complex (n_points, n_tls) pole denominators and
+    quotients, 32 B per point and level. Peaks measured with tracemalloc,
+    per point: keldysh 4.8, 5.7, 7.2 and 14.3 kB at N = 5, 10, 20 and 40;
+    lindblad and blochredfield 0.3 kB at s = 2 and 1.7-5.0 kB at s = 5-10.
+    A run that compares two or more spectra reads both files back at once,
+    240 B per point and pair: compare_artifacts measured 186-194 B over 1
+    to 25 pairs and 4001 to 100001 points."""
 
     n = cfg.system.n_sites
     s = len(_pair_sites(cfg.grid.pairs))
-    per_point = 64 * s * s + 32 * n + (4800 + 250 * n) * ("keldysh" in cfg.engines)
-    if len({"keldysh", "lindblad", "blochredfield"} & set(cfg.engines)) > 1:
+    engines = _computing(cfg, "spectra")
+    per_point = 64 * s * s + 32 * n
+    if "keldysh" in engines:  # n_tls is None off tls baths
+        per_point += 4800 + 250 * n + 32 * (cfg.bath.n_tls or 0)
+    if len(engines) > 1:
         per_point += 240 * len(cfg.grid.pairs)
     return per_point * cfg.grid.n_points
 
 
 def _artifact_bytes(n_t, n):
     """Traced-memory rule of writing an (n_t, n) trajectory: 64 B per
-    (time, site) row for the occupations, the Keldysh diagonal and the
-    writer's columns, and 600 B per row of one _WRITE_BLOCK for the
-    encoder's cell table and temporaries. Measured: 56 B a row and 282 to
-    285 B per block row; 0.53 of the rule over 1.6 blocks, 0.86 over 244."""
+    (time, site) row for the engine's occupations, and 600 B per row of
+    one _WRITE_BLOCK for a block's columns, cell table and temporaries.
+    Measured: 8 B a row and 318 B per block row; 0.24 of the rule over 24
+    blocks of 5 sites, 0.19 over 49 blocks of one site."""
 
     return 64 * n_t * n + 600 * _WRITE_BLOCK
 
@@ -540,63 +558,58 @@ class _Plan:
         ]
 
     def gamma_rates(self):
-        """(gamma1, gamma2star) for the Lindblad candidate, per D-ledger rules:
-        explicit config values win, otherwise derived from the bath kind."""
+        """(gamma1, gamma2star) of the lindblad engine. A rate that the qme
+        section gives is taken as is; otherwise gamma1 is the bath's decay
+        rate (the wide band's rate, the tls target rate, 0 on an ohmic bath)
+        and gamma2star half the ohmic bath's noise power at zero frequency
+        (0 on the other kinds)."""
 
-        bc = self.cfg.bath
-        g1 = self.cfg.qme.gamma1
-        g2 = self.cfg.qme.gamma2star
-        if g1 is None:
-            if bc.kind == "wideband":
-                g1 = bc.rate
-            elif bc.kind == "tls":
-                g1 = bc.target_rate
-            else:
-                g1 = 0.0
-        if g2 is None:
-            if bc.kind == "ohmic":  # never a sweep: sweeps run keldysh only
-                g2 = 0.5 * float(noise_power(self.site_baths[0], np.array([0.0]))[0])
-            else:
-                g2 = 0.0
-        return float(g1), float(g2)
+        bc, g1, g2 = self.cfg.bath, self.cfg.qme.gamma1, self.cfg.qme.gamma2star
+        if g1 is None:  # the fields of the other bath kinds are None
+            g1 = bc.rate if bc.kind == "wideband" else bc.target_rate or 0.0
+        if g2 is None and bc.kind == "ohmic":  # never a sweep: sweeps run keldysh only
+            g2 = 0.5 * float(noise_power(self.site_baths[0], np.array([0.0]))[0])
+        return float(g1), float(g2 or 0.0)
 
 
 # ------------------------------------------------------------- artifacts --
 
 
-def _write_table(path, kind, columns):
-    """Write a `kind` artifact: its header, then one row per entry of the
-    equal-length columns, a mapping from header name to values. Floats are
-    written as %.12e, text columns as given (str of each entry). Rows are
-    encoded _WRITE_BLOCK at a time into a NUL-padded byte table with one
-    fixed-width slot per cell and its separator; dropping the NULs leaves
-    the block's bytes, so no formatted cell outlives its block. Float
-    cells come from `_e12_words`, byte for byte the cells of "%.12e" % v."""
+def _write_table(path, kind, blocks):
+    """Write a `kind` artifact: its header, then the rows of each block, a
+    mapping from header name to equal-length columns (a whole table is one
+    block). Floats are written as %.12e, text columns as given (str of each
+    entry). Rows are encoded _WRITE_BLOCK at a time into a NUL-padded byte
+    table with one fixed-width slot per cell and its separator; dropping
+    the NULs leaves those rows' bytes, so no formatted cell outlives its
+    rows. Float cells come from `_e12_words`, byte for byte the cells of
+    "%.12e" % v."""
 
     names = SCHEMAS[kind]
-    cols = [np.asarray(columns[name]) if name in TEXT_COLUMNS
-            else np.asarray(columns[name], dtype=float) for name in names]
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
-        for start in range(0, len(cols[0]), _WRITE_BLOCK):
-            cells = [_text_cells(col[start:start + _WRITE_BLOCK]) if name in TEXT_COLUMNS
-                     else col[start:start + _WRITE_BLOCK] for name, col in zip(names, cols)]
-            # slots are whole uint32 words: a float takes 5 words and one
-            # more for its separator, a text cell its bytes and a separator
-            widths = [24 if c.ndim == 1 else -(-(c.shape[1] + 1) // 4) * 4 for c in cells]
-            ends = np.cumsum(widths)
-            row = np.zeros(ends[-1], dtype=np.uint8)
-            row[ends - 1] = ord(",")
-            row[-1] = ord("\n")
-            table = np.empty((len(cells[0]), row.size), dtype=np.uint8)
-            table[:] = row
-            for cell, end, width in zip(cells, ends, widths):
-                at = end - width
-                if cell.ndim == 1:
-                    _e12_words(cell, table.view(np.uint32)[:, at // 4:at // 4 + 5])
-                else:
-                    table[:, at:at + cell.shape[1]] = cell
-            fh.write(table[table != 0])
+        for block in blocks:
+            cols = [np.asarray(block[name]) if name in TEXT_COLUMNS
+                    else np.asarray(block[name], dtype=float) for name in names]
+            for start in range(0, len(cols[0]), _WRITE_BLOCK):
+                cells = [_text_cells(col[start:start + _WRITE_BLOCK]) if name in TEXT_COLUMNS
+                         else col[start:start + _WRITE_BLOCK] for name, col in zip(names, cols)]
+                # slots are whole uint32 words: a float takes 5 words and one
+                # more for its separator, a text cell its bytes and a separator
+                widths = [24 if c.ndim == 1 else -(-(c.shape[1] + 1) // 4) * 4 for c in cells]
+                ends = np.cumsum(widths)
+                row = np.zeros(ends[-1], dtype=np.uint8)
+                row[ends - 1] = ord(",")
+                row[-1] = ord("\n")
+                table = np.empty((len(cells[0]), row.size), dtype=np.uint8)
+                table[:] = row
+                for cell, end, width in zip(cells, ends, widths):
+                    at = end - width
+                    if cell.ndim == 1:
+                        _e12_words(cell, table.view(np.uint32)[:, at // 4:at // 4 + 5])
+                    else:
+                        table[:, at:at + cell.shape[1]] = cell
+                fh.write(table[table != 0])
 
 
 def _byte_words(cells):
@@ -677,27 +690,32 @@ def _text_cells(col):
     return np.char.encode(col, "utf-8").view(np.uint8).reshape(col.size, -1)
 
 
-def _write_site_table(path, kind, axis, tables):
-    """A `kind` artifact of (axis.size, n_sites) tables named by their
-    columns, in axis order with the site index changing fastest."""
+def _site_blocks(kind, axis, tables):
+    """Blocks of a `kind` artifact with a row per axis value and site, the
+    site index changing fastest; tables maps the other columns to
+    (axis.size, n_sites) arrays. Each block is built from a slice of axis
+    rows, about _WRITE_BLOCK rows, so no whole-artifact column is made."""
 
-    n_rows, n = next(iter(tables.values())).shape
-    columns = {SCHEMAS[kind][0]: np.repeat(axis, n),
-               "site": np.tile(np.arange(n), n_rows)}
-    columns.update((name, table.ravel()) for name, table in tables.items())
-    _write_table(path, kind, columns)
+    n = next(iter(tables.values())).shape[1]
+    step = max(1, _WRITE_BLOCK // n)
+    for start in range(0, len(axis), step):
+        rows = slice(start, start + step)
+        block = {name: table[rows].ravel() for name, table in tables.items()}
+        block[SCHEMAS[kind][0]] = np.repeat(axis[rows], n)
+        block["site"] = np.tile(np.arange(n), len(axis[rows]))
+        yield block
 
 
-def _write_trajectory(path, t_grid, occ, keldysh=None):
-    """Occupation trajectory artifact; keldysh is the equal-time diagonal,
-    by default K_ii(t, t) = -i (1 - 2 n_i) of the occupations."""
+def _write_trajectory(path, t_grid, occ):
+    """Occupation trajectory artifact; its Keldysh columns are the equal-time
+    diagonal K_ii(t, t) = -i (1 - 2 n_i) of the occupations, block by block."""
 
-    if keldysh is None:
-        keldysh = 1j * (2.0 * occ - 1.0)
-    _write_site_table(
-        path, "trajectory", t_grid,
-        {"occupation": occ, "re_keldysh": keldysh.real, "im_keldysh": keldysh.imag},
-    )
+    def blocks():
+        for block in _site_blocks("trajectory", t_grid, {"occupation": occ}):
+            keldysh = 1j * (2.0 * block["occupation"] - 1.0)
+            yield {**block, "re_keldysh": keldysh.real, "im_keldysh": keldysh.imag}
+
+    _write_table(path, "trajectory", blocks())
 
 
 def read_artifact(path):
@@ -891,7 +909,7 @@ def _write_spectra(path, omegas, greens, pairs, sites):
         per_pair.append((omegas, np.full(omegas.size, f"{i}-{j}"), ret.real, ret.imag,
                          kel.real, kel.imag, spectral))
     columns = dict(zip(SCHEMAS["spectra"], map(np.concatenate, zip(*per_pair))))
-    _write_table(path, "spectra", columns)
+    _write_table(path, "spectra", [columns])
     return columns
 
 
@@ -899,23 +917,33 @@ def _sweep_file(gamma2):
     return f"keldysh_spectra_gamma2_{gamma2:g}.csv"
 
 
-def _run_keldysh(plan, run_dir):
-    cfg = plan.cfg
-    pairs = cfg.grid.pairs
-    sites = _pair_sites(pairs)
-    if cfg.sweep_gamma2 is None:
-        greens, sigma = steady_state_greens(
-            plan.h, plan.site_baths, cfg.system.beta, plan.grid, sites=sites
-        )
-        _write_spectra(run_dir / "keldysh_spectra.csv", plan.grid.omegas, greens, pairs, sites)
+def _run_spectra(plan, run_dir, engine):
+    cfg, sites = plan.cfg, _pair_sites(plan.cfg.grid.pairs)
+    if engine == "keldysh":
+        greens, sigma = steady_state_greens(plan.h, plan.site_baths, cfg.system.beta, plan.grid,
+                                            sites=sites)
+    elif engine == "lindblad":
+        greens = qme.lindblad_greens(plan.h, *plan.gamma_rates(), sites, plan.grid)
+    else:
+        greens = qme.qme_greens(_redfield_generator(plan), sites, plan.grid)
+    name = f"{engine}_spectra.csv"
+    _write_spectra(run_dir / name, plan.grid.omegas, greens, cfg.grid.pairs, sites)
+    files = {name: "spectra"}
+    if engine == "keldysh":
         rates = extract_rates(sigma)
-        _write_site_table(run_dir / "keldysh_rates.csv", "rates", rates.grid.omegas,
-                          {"gamma": rates.gamma, "shift": rates.shift})
-        return {"keldysh_spectra.csv": "spectra", "keldysh_rates.csv": "rates"}
+        _write_table(run_dir / "keldysh_rates.csv", "rates", _site_blocks(
+            "rates", rates.grid.omegas, {"gamma": rates.gamma, "shift": rates.shift}))
+        files["keldysh_rates.csv"] = "rates"
+    return files
 
+
+def _run_sweep(plan, run_dir):
     # the Born self-energy is linear in alpha = gamma2 / T: it is computed
     # at the first width and scaled by alpha / alpha_first for the others
     # (bit for bit at power-of-two ratios, such as every shipped width)
+    cfg = plan.cfg
+    pairs = cfg.grid.pairs
+    sites = _pair_sites(pairs)
     files = {}
     counts = []
     alphas = [g2 / cfg.bath.temperature for g2 in cfg.sweep_gamma2]
@@ -934,80 +962,45 @@ def _run_keldysh(plan, run_dir):
         tag = "{}-{}".format(*pairs[0])
         counts.append(len(_pair_peaks(columns, tag, cfg.peaks.prominence, cfg.peaks.window)))
     _write_table(run_dir / "peak_counts.csv", "peak_counts",
-                 {"gamma2": cfg.sweep_gamma2, "n_peaks": [str(c) for c in counts]})
+                 [{"gamma2": cfg.sweep_gamma2, "n_peaks": [str(c) for c in counts]}])
     files["peak_counts.csv"] = "peak_counts"
     return files
 
 
+def _run_trajectory(plan, run_dir, engine):
+    cfg, site, t = plan.cfg, plan.cfg.initial.excited_site, plan.t_grid
+    if engine == "kbe":
+        occ = equal_time_occupations(plan.h, plan.kbe_sigma, site, cfg.time.t_max, cfg.time.dt)
+    elif engine == "exact_tls":
+        occ = qme.exact_tls_evolve(plan.h, plan.site_baths, site, t)[:, :plan.h.n_sites]
+    elif engine == "lindblad":
+        occ = qme.lindblad_occupations(plan.h, *plan.gamma_rates(), site, t)
+    else:
+        occ = qme.redfield_occupations(_redfield_generator(plan), site, t)
+    _write_trajectory(run_dir / f"{engine}_trajectory.csv", t, occ)
+    return {f"{engine}_trajectory.csv": "trajectory"}
+
+
 def _redfield_generator(plan):
-    return qme.bloch_redfield_generator(
-        plan.h,
-        plan.site_baths,
-        secular=plan.cfg.qme.secular,
-        lamb_shift=plan.cfg.qme.lamb_shift,
-    )
-
-
-def _run_qme_spectra(plan, run_dir, kind):
-    pairs = plan.cfg.grid.pairs
-    sites = _pair_sites(pairs)
-    if kind == "lindblad":
-        g1, g2 = plan.gamma_rates()
-        greens = qme.lindblad_greens(plan.h, g1, g2, sites, plan.grid)
-    else:
-        greens = qme.qme_greens(_redfield_generator(plan), sites, plan.grid)
-    name = f"{kind}_spectra.csv"
-    _write_spectra(run_dir / name, plan.grid.omegas, greens, pairs, sites)
-    return {name: "spectra"}
-
-
-def _run_qme_trajectory(plan, run_dir, kind):
-    if kind == "lindblad":
-        g1, g2 = plan.gamma_rates()
-        occ = qme.lindblad_occupations(
-            plan.h, g1, g2, plan.cfg.initial.excited_site, plan.t_grid
-        )
-    else:
-        occ = qme.redfield_occupations(
-            _redfield_generator(plan), plan.cfg.initial.excited_site, plan.t_grid
-        )
-    name = f"{kind}_trajectory.csv"
-    _write_trajectory(run_dir / name, plan.t_grid, occ)
-    return {name: "trajectory"}
-
-
-def _run_kbe(plan, run_dir):
-    cfg = plan.cfg
-    occ = equal_time_occupations(plan.h, plan.kbe_sigma, cfg.initial.excited_site,
-                                 cfg.time.t_max, cfg.time.dt)
-    _write_trajectory(run_dir / "kbe_trajectory.csv", plan.t_grid, occ)
-    return {"kbe_trajectory.csv": "trajectory"}
-
-
-def _run_exact_tls(plan, run_dir):
-    occ = qme.exact_tls_evolve(plan.h, plan.site_baths, plan.cfg.initial.excited_site,
-                               plan.t_grid)
-    _write_trajectory(run_dir / "exact_tls_trajectory.csv", plan.t_grid, occ[:, :plan.h.n_sites])
-    return {"exact_tls_trajectory.csv": "trajectory"}
+    return qme.bloch_redfield_generator(plan.h, plan.site_baths, secular=plan.cfg.qme.secular,
+                                        lamb_shift=plan.cfg.qme.lamb_shift)
 
 
 def _engine_jobs(plan):
     """(label, function, args) per engine job, in config order. A job runs
     function(plan, run_dir, *args), which writes its artifacts into run_dir
-    and returns {file name: kind}. The register engines run one job per
-    section: spectra on the grid, dynamics on the time grid."""
+    and returns {file name: kind}. An engine runs a job per artifact kind it
+    computes (_computing): _run_spectra (keldysh adds its rates), or
+    _run_sweep over swept widths, and _run_trajectory, which is labelled
+    `<engine>-dynamics` when the engine computes spectra too."""
 
-    cfg = plan.cfg
-    single = {"keldysh": _run_keldysh, "kbe": _run_kbe, "exact_tls": _run_exact_tls}
-    jobs = []
+    cfg, jobs = plan.cfg, []
     for e in cfg.engines:
-        if e in single:
-            jobs.append((e, single[e], ()))
-            continue
-        if cfg.grid is not None:
-            jobs.append((e, _run_qme_spectra, (e,)))
-        if cfg.time is not None:
-            jobs.append((e + "-dynamics", _run_qme_trajectory, (e,)))
+        if e in _computing(cfg, "spectra"):
+            jobs.append((e, _run_sweep, ()) if cfg.sweep else (e, _run_spectra, (e,)))
+        if e in _computing(cfg, "trajectory"):
+            label = f"{e}-dynamics" if "spectra" in ENGINES[e].kinds else e
+            jobs.append((label, _run_trajectory, (e,)))
     return jobs
 
 

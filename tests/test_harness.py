@@ -171,6 +171,78 @@ def test_engine_section_cross_rules():
     config_from_dict(raw)  # the register steady state needs no knob
 
 
+_BATHS = {
+    "ohmic": {"kind": "ohmic", "alpha": 0.05, "cutoff": 5.0, "temperature": 1.0},
+    "tls": {"kind": "tls", "target_rate": 0.2, "n_tls": 2, "band": [0.5, 1.5]},
+    "wideband": {"kind": "wideband", "rate": 0.2},
+}
+_SECTIONS = {
+    "grid": {"grid": {"omega_min": -3.0, "omega_max": 3.0, "n_points": 121}},
+    "time": {"time": {"t_max": 0.2, "dt": 0.01}},
+}
+_SPECTRA = (["{e}"], ["{e}_spectra.csv"])
+_DYNAMICS = (["{e}-dynamics"], ["{e}_trajectory.csv"])
+_BOTH = (["{e}", "{e}-dynamics"], ["{e}_spectra.csv", "{e}_trajectory.csv"])
+_KELDYSH = (["keldysh"], ["keldysh_rates.csv", "keldysh_spectra.csv"])
+_TRAJECTORY = (["{e}"], ["{e}_trajectory.csv"])
+# (engine, sections) -> bath kind -> the ConfigError field, or the job
+# labels and artifact names of the run
+_CAPABILITIES = {
+    ("keldysh", ()): dict.fromkeys(_BATHS, "grid"),
+    ("keldysh", ("grid",)): dict.fromkeys(_BATHS, _KELDYSH),
+    ("keldysh", ("time",)): dict.fromkeys(_BATHS, "grid"),
+    ("keldysh", ("grid", "time")): dict.fromkeys(_BATHS, _KELDYSH),
+    ("kbe", ()): dict.fromkeys(_BATHS, "time"),
+    ("kbe", ("grid",)): dict.fromkeys(_BATHS, "time"),
+    ("kbe", ("time",)): {"ohmic": "bath.kind", "tls": _TRAJECTORY, "wideband": _TRAJECTORY},
+    ("kbe", ("grid", "time")): {"ohmic": "bath.kind", "tls": _TRAJECTORY,
+                                "wideband": _TRAJECTORY},
+    ("lindblad", ()): dict.fromkeys(_BATHS, "engines"),
+    ("lindblad", ("grid",)): dict.fromkeys(_BATHS, _SPECTRA),
+    ("lindblad", ("time",)): dict.fromkeys(_BATHS, _DYNAMICS),
+    ("lindblad", ("grid", "time")): dict.fromkeys(_BATHS, _BOTH),
+    ("blochredfield", ()): dict.fromkeys(_BATHS, "engines"),
+    ("blochredfield", ("grid",)): {"ohmic": _SPECTRA, "tls": "bath.kind",
+                                   "wideband": "bath.kind"},
+    ("blochredfield", ("time",)): {"ohmic": _DYNAMICS, "tls": "bath.kind",
+                                   "wideband": "bath.kind"},
+    ("blochredfield", ("grid", "time")): {"ohmic": _BOTH, "tls": "bath.kind",
+                                          "wideband": "bath.kind"},
+    ("exact_tls", ()): dict.fromkeys(_BATHS, "time"),
+    ("exact_tls", ("grid",)): dict.fromkeys(_BATHS, "time"),
+    ("exact_tls", ("time",)): {"ohmic": "bath.kind", "tls": _TRAJECTORY,
+                               "wideband": "bath.kind"},
+    ("exact_tls", ("grid", "time")): {"ohmic": "bath.kind", "tls": _TRAJECTORY,
+                                      "wideband": "bath.kind"},
+}
+
+
+def test_engine_capability_matrix(tmp_path):
+    # every engine on every set of sections and every bath kind: the config
+    # is refused naming the expected field, or it runs the expected jobs
+    # and writes the expected artifacts
+    assert {e for e, _ in _CAPABILITIES} == set(ENGINES)
+    for (engine, sections), by_bath in _CAPABILITIES.items():
+        for kind, expected in by_bath.items():
+            raw = {"version": 1, "name": f"{engine}-{'-'.join(sections)}-{kind}",
+                   "system": {"n_sites": 2, "onsite": 0.0, "hopping": 1.0, "boundary": "open"},
+                   "bath": _BATHS[kind], "engines": [engine]}
+            for section in sections:
+                raw.update(copy.deepcopy(_SECTIONS[section]))
+            case = (engine, sections, kind)
+            if isinstance(expected, str):
+                with pytest.raises(ConfigError) as info:
+                    config_from_dict(raw)
+                assert info.value.field == expected, case
+                continue
+            cfg = config_from_dict(raw)
+            labels, artifacts = ([s.format(e=engine) for s in part] for part in expected)
+            assert [job[0] for job in harness._engine_jobs(_Plan(cfg))] == labels, case
+            result = run_experiment(cfg, out_root=tmp_path)
+            assert not result.engine_errors, case
+            assert result.artifacts == artifacts, case
+
+
 def test_readme_schema_block_parses():
     # the README's config schema runs through the field tables, so a field
     # that is removed or renamed while still documented fails here. Only the
@@ -455,7 +527,7 @@ def test_write_table_round_trips_every_kind(tmp_path):
             for k, name in enumerate(header)
         }
         path = tmp_path / f"{kind}.csv"
-        _write_table(path, kind, columns)
+        _write_table(path, kind, [columns])
         art = read_artifact(path)
         assert art["kind"] == kind
         assert list(art["columns"]) == list(header)
@@ -465,10 +537,10 @@ def test_write_table_round_trips_every_kind(tmp_path):
 
 def test_write_table_bytes(tmp_path):
     path = tmp_path / "r_rates.csv"
-    _write_table(path, "rates", {
+    _write_table(path, "rates", [{
         "omega": [-0.0, 1e-300], "site": ["0", "17"], "gamma": [-1.5e300, 2.0],
         "shift": np.array([0.25, -3.0]),
-    })
+    }])
     assert path.read_bytes() == (
         b"omega,site,gamma,shift\n"
         b"-0.000000000000e+00,0,-1.500000000000e+300,2.500000000000e-01\n"
@@ -528,7 +600,7 @@ def test_artifact_io_matches_csv_module(tmp_path):
                     vals[: len(odd)] = odd[:n_rows]
                     columns[name] = vals
             ours, ref = tmp_path / f"{kind}_{n_rows}.csv", tmp_path / f"ref_{kind}_{n_rows}.csv"
-            _write_table(ours, kind, columns)
+            _write_table(ours, kind, [columns])
             _csv_write(ref, kind, columns)
             assert ours.read_bytes() == ref.read_bytes(), (kind, n_rows)
             art, expect = read_artifact(ours), _csv_read(ref)
@@ -589,18 +661,22 @@ def test_e12_encoder_matches_percent_format(tmp_path, monkeypatch):
               subnormals, -subnormals, odd):
         _assert_percent_e12(x)
 
-    columns = []
+    columns = {}  # (artifact, float column) -> its blocks
 
-    def collect(path, kind, cols):
-        columns.extend(cols[name] for name in SCHEMAS[kind] if name not in TEXT_COLUMNS)
-        _write_table(path, kind, cols)
+    def collect(path, kind, blocks):
+        blocks = list(blocks)
+        for block in blocks:
+            for name in SCHEMAS[kind]:
+                if name not in TEXT_COLUMNS:
+                    columns.setdefault((path, name), []).append(block[name])
+        _write_table(path, kind, blocks)
 
     monkeypatch.setattr(harness, "_write_table", collect)
     for name in preset_names():
         run_experiment(config_from_dict(preset_config(name)), out_root=tmp_path)
     assert len(columns) == 100  # six presets, 21 artifacts
-    for col in columns:
-        _assert_percent_e12(col)
+    for blocks in columns.values():
+        _assert_percent_e12(np.concatenate(blocks))
 
 
 def test_integer_labels_match_csv_module(tmp_path):
@@ -611,27 +687,25 @@ def test_integer_labels_match_csv_module(tmp_path):
     columns = {"omega": np.linspace(-1.0, 1.0, site.size), "site": site,
                "gamma": np.full(site.size, 0.25), "shift": -np.arange(site.size) / 3.0}
     ours, ref = tmp_path / "ours_rates.csv", tmp_path / "ref_rates.csv"
-    _write_table(ours, "rates", columns)
+    _write_table(ours, "rates", [columns])
     _csv_write(ref, "rates", columns)
     assert ours.read_bytes() == ref.read_bytes()
 
 
 def test_trajectory_write_stays_within_its_artifact_term(tmp_path):
     # the artifact term that every trajectory engine's memory rule adds
-    # bounds a real write: the engine's occupations and Keldysh diagonal,
-    # the writer's columns and one block of cell tables. 20001 times of 5
-    # sites make 24 blocks; measured 0.76 of the term (the inputs take
-    # 56 B a row, the cell tables 282 B per block row against the rule's
-    # 600)
+    # bounds a real write: the engine's occupations and one block of
+    # columns and cell tables. 20001 times of 5 sites make 24 blocks;
+    # measured 0.24 of the term (the occupations take 8 B a row, a block
+    # 318 B per block row against the rule's 600)
     n_t, n = 20001, 5
     assert n_t * n > 3 * harness._WRITE_BLOCK
     t = np.linspace(0.0, 200.0, n_t)
     u = np.random.default_rng(5).random((n_t, n))
     tracemalloc.start()
     try:
-        kel = 1j * (2.0 * u - 1.0)
-        occ = 0.5 * (1.0 + kel.imag)
-        harness._write_trajectory(tmp_path / "kbe_trajectory.csv", t, occ, kel)
+        occ = 0.5 * (1.0 + (2.0 * u - 1.0))
+        harness._write_trajectory(tmp_path / "kbe_trajectory.csv", t, occ)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -690,6 +764,47 @@ def test_spectra_comparison_stays_within_its_rule(tmp_path):
     assert peak < harness._spectra_bytes(cfg)
 
 
+def _keldysh_tls_config(n_points, n_tls):
+    return {"version": 1, "name": "keldysh-tls",
+            "system": {"n_sites": 5, "onsite": 2.0, "hopping": 0.5, "boundary": "open"},
+            "bath": {"kind": "tls", "target_rate": 0.2, "n_tls": n_tls, "band": [1.0, 3.0]},
+            "engines": ["keldysh"],
+            "grid": {"omega_min": 0.0, "omega_max": 4.0, "n_points": n_points,
+                     "pairs": [[0, 0], [0, 1]]}}
+
+
+@pytest.mark.parametrize("n_points, n_tls", [(2001, 2000), (4001, 1000)])
+def test_keldysh_tls_spectra_stay_within_their_rule(tmp_path, n_points, n_tls):
+    # keldysh on tls baths builds complex (n_points, n_tls) pole tables one
+    # site at a time, which the spectra rule counts at 32 B per point and
+    # level: a 5-site run peaks at 130 MB, 0.93 and 0.84 of the rule on
+    # these shapes, where the rule without the tables counted 13 and 26 MB
+    cfg = config_from_dict(_keldysh_tls_config(n_points, n_tls))
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg, out_root=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.engine_errors
+    assert peak < harness._spectra_bytes(cfg)
+
+
+def test_keldysh_tls_spectra_over_the_cap_rejected_before_any_allocation():
+    # 10^4 TLS per site on 20001 points are 6.4 GB of pole tables: refused
+    # by validation, naming grid.n_points, before any table is built
+    raw = _keldysh_tls_config(20001, 10_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="grid.n_points") as info:
+            config_from_dict(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.field == "grid.n_points"
+    assert peak < 100_000
+
+
 def test_labels_keep_file_order(tmp_path):
     # distinct pairs and sites come in the order the file first names them
     assert harness._labels(np.array(["3-4", "0-0", "3-4", "10-1", "0-0"])) == ["3-4", "0-0", "10-1"]
@@ -699,7 +814,7 @@ def test_labels_keep_file_order(tmp_path):
     columns.update(omega=np.tile(omega, 2), pair=np.repeat(list(curves), omega.size),
                    spectral=np.concatenate(list(curves.values())))
     path = tmp_path / "x_spectra.csv"
-    _write_table(path, "spectra", columns)
+    _write_table(path, "spectra", [columns])
     table = peak_table_from_csv(path)
     assert list(table) == ["1-1", "0-0"]
     assert [round(p.position, 2) for tag in table for p in table[tag]] == [1.0, 3.0]

@@ -505,7 +505,7 @@ def _sweep_greens(monkeypatch, raw, out):
 
     monkeypatch.setattr(harness, "_write_spectra", catch)
     monkeypatch.setattr(keldysh, "dephasing_self_energy", count)
-    harness._run_keldysh(plan, out)
+    harness._run_sweep(plan, out)
     return plan, caught, len(calls)
 
 
