@@ -9,7 +9,7 @@ The harness module runs validated configs end to end and the CLI
 (`noisychain`) wraps it; shipped example setups live in presets.
 """
 
-from importlib.metadata import PackageNotFoundError, version
+__version__ = "0.1.0"  # before the submodule imports: harness reads it
 
 from .baths import (
     OhmicBath,
@@ -43,11 +43,6 @@ from .qme import (
     exact_tls_evolve,
     qme_greens,
 )
-
-try:
-    __version__ = version("noisychain")
-except PackageNotFoundError:
-    __version__ = "0.1.0"
 
 __all__ = [
     "__version__",

@@ -14,8 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigError
 from .harness import (
     OUT_ENV_VAR,
@@ -40,6 +38,8 @@ def _tolerances(items):
         key, sep, val = item.partition("=")
         if not sep:
             raise ConfigError("--tolerance", f"expected key=value, got {item!r}")
+        import yaml  # here, not at module level: a run without --tolerance reads no YAML
+
         try:
             raw[key] = yaml.safe_load(val)
         except yaml.YAMLError:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import importlib.metadata
 import json
 import math
 import numbers
@@ -43,9 +42,8 @@ from pathlib import Path
 from types import UnionType
 
 import numpy as np
-import yaml
 
-from . import qme
+from . import __version__, qme
 from .baths import OhmicBath, WideBandBath, noise_power, sample_tls_bath
 from .errors import ConfigError
 from .kbe import (
@@ -483,6 +481,8 @@ def _check_memory(name, what, need, hint=""):
 
 def load_config(path):
     """Load and validate a YAML config file."""
+
+    import yaml  # here, not at module level: preset runs parse no YAML
 
     path = Path(path)
     try:
@@ -1207,12 +1207,8 @@ def _canonical_config(cfg):
 
 
 def _versions():
-    try:
-        own = importlib.metadata.version("noisychain")
-    except importlib.metadata.PackageNotFoundError:
-        own = "unknown"
     return {
-        "noisychain": own,
+        "noisychain": __version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
     }

@@ -88,6 +88,24 @@ def test_yaml_roundtrip(tmp_path):
     assert cfg.seed == 3
 
 
+def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
+    # yaml is imported inside its two readers, so both error branches run here
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: [tiny\n")
+    with pytest.raises(ConfigError, match="not valid YAML") as exc:
+        load_config(bad)
+    assert exc.value.field == "<root>"
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    assert "not valid YAML" in capsys.readouterr().err
+    assert not out.exists()
+    w = np.linspace(-2.0, 2.0, 101)
+    a = tmp_path / "a_spectra.csv"
+    _write_spectra(a, w, _lorentzian(w, 0.0, 0.2))
+    assert main(["compare", str(a), str(a), "--tolerance", "position=[1"]) == 2
+    assert "compare.tolerance.position" in capsys.readouterr().err
+
+
 def _set(raw, path, value):
     """raw with the dotted field path set to value, creating sections."""
 
@@ -891,6 +909,15 @@ def test_manifest_versions_leave_out_scipy(tmp_path):
     result = run_experiment(config_from_dict(_tiny_trajectory_config()), out_root=tmp_path)
     manifest = json.loads((result.run_dir / "manifest.json").read_text())
     assert sorted(manifest["versions"]) == ["noisychain", "numpy", "python"]
+    # the source that ran, not whichever distribution is installed
+    assert manifest["versions"]["noisychain"] == noisychain.__version__
+
+
+def test_version_matches_pyproject():
+    # the package version is written twice; this pins the copies together
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == noisychain.__version__
 
 
 def test_rerun_bodies_are_byte_identical(tmp_path):
@@ -1204,7 +1231,8 @@ def test_import_leaves_out_signal_and_stats():
     # the package and its CLI load neither scipy.signal nor scipy.stats,
     # which together cost more start-up time than most runs take; scipy.sparse
     # is loaded anyway by scipy.integrate, so the source itself is checked for
-    # imports of all three
+    # imports of all three. Nor do they load yaml (read only for a config
+    # file or a --tolerance value) or importlib.metadata
     banned = ("scipy.sparse", "scipy.signal", "scipy.stats")
     for path in Path(noisychain.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -1220,7 +1248,8 @@ def test_import_leaves_out_signal_and_stats():
     src = str(Path(noisychain.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import noisychain, noisychain.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'yaml', 'importlib.metadata') "
+        "if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -1231,7 +1260,9 @@ def test_import_leaves_out_signal_and_stats():
 def test_package_runs_without_scipy(tmp_path):
     # scipy is a test oracle only: no module of the package imports it, not
     # even inside a function, and with every scipy import blocked the package,
-    # its CLI and a fig2-upper plus a fig4-top run load no scipy module
+    # its CLI and a fig2-upper plus a fig4-top run load no scipy module. Those
+    # runs load no yaml or importlib.metadata either, so neither was merely
+    # put off from import time into the run
     for path in Path(noisychain.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -1257,10 +1288,11 @@ import noisychain, noisychain.cli
 for preset in ("fig2-upper", "fig4-top"):
     assert noisychain.cli.main(["run", "--config", preset, "--out", {str(tmp_path)!r}]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in ("yaml", "importlib.metadata") if m in sys.modules))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert out.stdout.strip().splitlines()[-2:] == ["[]", "[]"]
     assert {p.name for p in tmp_path.iterdir()} == {"fig2-upper", "fig4-top"}
 
 
