@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run every shipped preset and print one summary line per comparison.
 
-Under each preset line goes the 12-character sha256 prefix of every CSV
-artifact it wrote, so two runs are byte-identical when a diff of their
-`sha256` lines is empty:
+Each preset runs under tracemalloc, and its line gives the wall time and
+the traced peak of its run_experiment call. Under it goes the 12-character
+sha256 prefix of every CSV artifact it wrote, so two runs are
+byte-identical when a diff of their `sha256` lines is empty:
 
     diff <(run_all_presets.py --out a | grep sha256) <(... --out b | grep sha256)
 
@@ -16,9 +17,10 @@ An artifact that DIR's manifest lists and this run did not write gets a
 `moved` line too. The script exits 1 when any file moved, is missing from
 DIR, or is missing from this run.
 
-The two sweep presets take the longest, about 0.15 s (fig3-top) and
-0.2 s (fig3-bottom); the whole script, imports included, runs in 1.1-1.2 s
-on a 2-core Xeon with numpy 2.4.
+The two sweep presets take the longest, about 0.5-0.6 s (fig3-top) and
+1.0 s (fig3-bottom), and peak at 19.2 and 28.4 MB; the whole script,
+imports included, runs in 3.0-3.4 s on a 2-core Xeon with numpy 2.4.
+Tracing costs most of that: untraced, the script took 1.0-1.2 s.
 """
 
 import argparse
@@ -26,6 +28,7 @@ import hashlib
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -90,11 +93,16 @@ def main():
     failed, moved = [], []
     for name in names:
         cfg = config_from_dict(preset_config(name))
-        t0 = time.time()
-        res = run_experiment(cfg, out_root=args.out)
-        wall = time.time() - t0
+        tracemalloc.start()
+        try:
+            t0 = time.time()
+            res = run_experiment(cfg, out_root=args.out)
+            wall = time.time() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         status = "ok" if res.ok else "FAILED"
-        print(f"{name:14s} {wall:6.1f}s  {status}  -> {res.run_dir}")
+        print(f"{name:14s} {wall:6.1f}s  {peak / 1e6:6.1f} MB  {status}  -> {res.run_dir}")
         checked = []  # (file, how to compare it with its copy in DIR)
         for fname in res.artifacts:
             if fname.endswith(".csv"):

@@ -57,25 +57,44 @@ class OhmicBath:
         return 45.0 * self.cutoff + 10.0 * self.temperature
 
     def parts(self, omega):
-        """(S, J) at omega, from one exp(-|omega|/cutoff).
+        """(S, J) at omega: J = alpha*omega*exp(-|omega|/cutoff) and
+        S = J/tanh(omega/2T), |J| at T = 0.
 
-        Operand order is that of the plain formulas, so S is even and J odd
-        bit for bit. The omega -> 0 limit is built only where some
-        |omega/2T| < 1e-8.
+        Both are worked out in place in two new arrays of omega's shape
+        (omega is only read), with the operand order of the plain formulas,
+        so S is even and J odd bit for bit. The omega -> 0 limit
+        2*alpha*T*exp(-|omega|/cutoff) is built, in a third array, only
+        where some |omega/2T| < 1e-8.
         """
 
         omega = np.asarray(omega, dtype=float)
-        decay = np.exp(-np.abs(omega) / self.cutoff)
-        j = self.alpha * omega * decay
+        s = self._decay(omega)  # then x = omega/2T, then S
+        j = np.multiply(self.alpha, omega, out=np.empty_like(omega))
+        j *= s
         if self.temperature == 0:
-            return np.abs(j), j
-        x = 0.5 * omega / self.temperature
-        small = np.abs(x) < 1e-8
-        if not small.any():
-            return j / np.tanh(x), j
-        # J/tanh with the smooth limit J'(0)/(beta/2) = 2*alpha*T*exp(-|w|/wc)
-        limit = 2.0 * self.alpha * self.temperature * decay
-        return np.where(small, limit, j / np.tanh(np.where(small, 1.0, x))), j
+            return np.abs(j, out=s), j
+        np.multiply(0.5, omega, out=s)
+        s /= self.temperature
+        small = (s > -1e-8) & (s < 1e-8)  # |x| < 1e-8 without a float temporary
+        near_zero = small.any()
+        if near_zero:
+            np.copyto(s, 1.0, where=small)
+        np.tanh(s, out=s)
+        np.divide(j, s, out=s)
+        if near_zero:
+            # J/tanh with the smooth limit J'(0)/(beta/2) = 2*alpha*T*exp(-|w|/wc)
+            limit = self._decay(omega)
+            limit *= 2.0 * self.alpha * self.temperature
+            np.copyto(s, limit, where=small)
+        return s, j
+
+    def _decay(self, omega):
+        """exp(-|omega|/cutoff) in a new array."""
+
+        decay = np.abs(omega, out=np.empty_like(omega))
+        np.negative(decay, out=decay)
+        decay /= self.cutoff
+        return np.exp(decay, out=decay)
 
 
 @dataclass(frozen=True)

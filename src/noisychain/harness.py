@@ -436,8 +436,10 @@ def _spectra_bytes(cfg):
     rows; keldysh adds its bath tables and self-energy diagonals, and on
     tls baths one site's complex (n_points, n_tls) pole denominators and
     quotients, 32 B per point and level. Peaks measured with tracemalloc,
-    per point: keldysh 4.8, 5.7, 7.2 and 14.3 kB at N = 5, 10, 20 and 40;
-    lindblad and blochredfield 0.3 kB at s = 2 and 1.7-5.0 kB at s = 5-10.
+    per point: keldysh 2.6, 3.2, 4.5 and 7.1 kB at N = 5, 10, 20 and 40
+    (open chains, pairs (0, 0) and (0, 1), one or four sweep widths, 2001
+    to 32001 points); lindblad and blochredfield 0.3 kB at s = 2 and
+    1.7-5.0 kB at s = 5-10.
     A run that compares two or more spectra reads both files back at once,
     240 B per point and pair: compare_artifacts measured 186-194 B over 1
     to 25 pairs and 4001 to 100001 points."""

@@ -13,7 +13,8 @@ The dressed Green functions come from a direct Dyson solve,
 G^+ = (omega + i*eta - h - Sigma^+)^-1, for the rows of the requested
 sites only. It runs on the chain's band structure, a tridiagonal h plus
 two ring corners: Thomas elimination over the open chain, vectorized over
-frequencies, and one Schur complement that closes the ring. Its Keldysh
+blocks of 512 frequencies, and one Schur complement that closes the ring,
+so its working set does not grow with the grid. Its Keldysh
 component carries an explicit 2*eta boundary term at the system
 temperature so the bare limit is recovered exactly when the self-energy
 vanishes.
@@ -57,6 +58,7 @@ __all__ = [
 ]
 
 RATE_FLOOR = -1e-10
+_DYSON_BLOCK = 512  # frequencies per block of the Dyson solve, as in qme.qme_greens
 
 
 @dataclass
@@ -186,7 +188,8 @@ def _shift_from_gamma(grid, gamma_main, tail_nu, tail_wts, gamma_tail):
 
     main = principal_value_transform(gamma_main, grid.omegas)
     if tail_nu.size:
-        kernel = 1.0 / (grid.omegas[:, None] - tail_nu[None, :])
+        kernel = np.subtract.outer(grid.omegas, tail_nu)
+        np.divide(1.0, kernel, out=kernel)
         main = main + kernel @ (tail_wts[:, None] * gamma_tail)
     return main / (2.0 * np.pi)
 
@@ -205,18 +208,20 @@ def _tail_rates(bath, tail_nu, w, empty, occ):
     """C(nu - w) @ empty + C(w - nu) @ occ per tail nu, unscaled. S is even
     and J odd, so one sample at nu - w gives both, C = (S +- J)/2 bit for bit.
     Blocks stay at 64 rows: the BLAS sums round by the row count, and 128
-    rows move fig3-top's keldysh bytes, one block fig2-lower's and fig3's."""
+    rows move fig3-top's keldysh bytes, one block fig2-lower's and fig3's.
+    A block holds three (64, n_points) tables at a time, the differences
+    and S and J, and is freed before the next one is sampled."""
 
     out = np.empty((tail_nu.size, empty.shape[1]))
     for start in range(0, tail_nu.size, 64):
-        c_out, j = bath.parts(tail_nu[start : start + 64, None] - w)
-        # in place, j freed before the products: this sets fig3-top's peak RSS
-        c_in = c_out - j
+        diff = tail_nu[start : start + 64, None] - w
+        c_out, j = bath.parts(diff)
+        c_in = np.subtract(c_out, j, out=diff)
         c_in *= 0.5
         c_out += j
         c_out *= 0.5
-        del j
         out[start : start + 64] = (c_out @ empty) + (c_in @ occ)
+        del diff, c_in, c_out, j
     return out
 
 
@@ -366,11 +371,13 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
     A y = e_i with A = omega + i*eta - h^T - Sigma^+. h must be a chain,
     tridiagonal plus the two ring corners (hopping phases allowed); any other
     h raises ValueError. The solve uses that band structure: Thomas
-    elimination, vectorized over frequencies, on the open chain of sites
-    0..N-2, with the s unit vectors and the ring's coupling column A[:N-1, N-1]
-    as right-hand sides, then one Schur complement on site N-1 closes the
-    ring. Work and memory are O(n_points * N * (s + 1)); no (n_points, N, N)
-    array is built when s < N.
+    elimination, vectorized over a block of 512 frequencies, on the open
+    chain of sites 0..N-2, with the s unit vectors and the ring's coupling
+    column A[:N-1, N-1] as right-hand sides, then one Schur complement on
+    site N-1 closes the ring. Work is O(n_points * N * (s + 1)); memory is
+    the two (n_points, s, s) outputs plus one block's working set,
+    O(512 * N * (s + 1)), whatever n_points is. No (n_points, N, N) array
+    is built when s < N.
 
     Nothing is pivoted, and that is safe for causal self-energies: with
     Im Sigma^+ <= 0 and eta > 0 the anti-hermitian part of A, and of every
@@ -393,20 +400,44 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
 
     sites = list(range(h.n_sites)) if sites is None else list(sites)
     w = grid.omegas
+    z = w + 1j * grid.eta
+    boundary = 2j * grid.eta * thermal_factor(w, beta_sys)
+    gr = np.empty((grid.n_points, len(sites), len(sites)), dtype=complex)
+    gk = np.empty_like(gr)
+    for start in range(0, grid.n_points, _DYSON_BLOCK):
+        blk = slice(start, start + _DYSON_BLOCK)
+        y = _chain_rows(h, (sub, sup, col, row), z[blk], sigma.retarded[blk], sites)
+        bad = ~np.isfinite(y).all(axis=(0, 2))
+        if np.any(bad):
+            raise SingularFrequencyError(w[blk][int(np.argmax(bad))])
+        rows = y.transpose(1, 2, 0)  # rows[:, a, :] is the row G^+_{sites[a], .}
+        kern = sigma.keldysh[blk] - boundary[blk, None]
+        gr[blk] = rows[:, :, sites]
+        np.matmul(rows * kern[:, None, :], np.conj(y.transpose(1, 0, 2)), out=gk[blk])
+    return FreqGreens(grid=grid, retarded=gr, keldysh=gk)
+
+
+def _chain_rows(h, couplings, z, sigma_r, sites):
+    """y[i, :, a] = G^+_{sites[a], i} on a block of frequencies z = omega +
+    i*eta, with Sigma^+ diagonals sigma_r (block, N): Thomas elimination on
+    the open chain, then the Schur complement on site N-1 (see dyson_solve).
+    A zero or non-finite pivot or Schur complement leaves non-finite
+    entries at its frequency and at no other."""
+
+    sub, sup, col, row = couplings
     n, s, m = h.n_sites, len(sites), h.n_sites - 1
     # diag[i] = A[i, i] per frequency, sites first so each row is contiguous
-    z = (w + 1j * grid.eta)[:, None]
-    diag = np.ascontiguousarray((z - np.diagonal(h.matrix) - sigma.retarded).T)
+    diag = np.ascontiguousarray((z[:, None] - np.diagonal(h.matrix) - sigma_r).T)
     # x[i, :, a] is G^+_{sites[a], i}; x[:m, :, s] works on B^-1 col, where B
     # is the open-chain block A[:m, :m]
-    x = np.zeros((n, grid.n_points, s + 1), dtype=complex)
+    x = np.zeros((n, z.size, s + 1), dtype=complex)
     x[sites, :, np.arange(s)] = 1.0
     x[:m, :, s] = col[:, None]
-    inv = np.empty((m, grid.n_points), dtype=complex)  # inverse pivots
+    inv = np.empty((m, z.size), dtype=complex)  # inverse pivots
     # a zero pivot or Schur complement divides by zero, and a non-finite one
     # is itself inf or nan; either leaves non-finite entries in y at that
-    # frequency, and frequencies never mix, so one finiteness check on y
-    # reports all three
+    # frequency, and frequencies never mix, so dyson_solve's one finiteness
+    # check on y reports all three
     with np.errstate(all="ignore"):
         for i in range(m):
             pivot = diag[i]
@@ -427,15 +458,7 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
         schur = diag[m] - coupled[:, s]
         x[m, :, :s] = (x[m, :, :s] - coupled[:, :s]) / schur[:, None]
         x[:m, :, :s] -= x[:m, :, s, None] * x[m, None, :, :s]
-        y = x[:, :, :s]
-        bad = ~np.isfinite(y).all(axis=(0, 2))
-    if np.any(bad):
-        raise SingularFrequencyError(w[int(np.argmax(bad))])
-    rows = y.transpose(1, 2, 0)  # rows[:, a, :] is the row G^+_{sites[a], .}
-    kern = sigma.keldysh - (2j * grid.eta * thermal_factor(w, beta_sys))[:, None]
-    gr = rows[:, :, sites]
-    gk = (rows * kern[:, None, :]) @ np.conj(y.transpose(1, 0, 2))
-    return FreqGreens(grid=grid, retarded=gr, keldysh=gk)
+    return x[:, :, :s]
 
 
 def steady_state_greens(h, baths, beta_sys, grid, sites=None):

@@ -1,8 +1,10 @@
 """Bath correlators, closed-form dephasing rates and a white-noise bath that
 only tests need.
 
-boson_correlators and tls_spectral_density are the frequency-domain views of
-an ohmic bath and of a sampled two-level-system ensemble; the pipeline works
+plain_parts is OhmicBath.parts by its plain formulas, one new array per
+operation; parts works the same operations out in place. boson_correlators
+and tls_spectral_density are the frequency-domain views of an ohmic bath
+and of a sampled two-level-system ensemble; the pipeline works
 from bath.parts and the level list directly. dephasing_rate_function is the
 eigenbasis closed form of the dephasing rates that
 noisychain.keldysh.dephasing_self_energy reaches by grid convolution.
@@ -52,6 +54,22 @@ class FlatNoise:
         omega = np.asarray(omega, dtype=float)
         s = np.where(np.abs(omega) <= self.halfwidth, 2.0 * self.level, 0.0)
         return s, np.zeros_like(omega)
+
+
+def plain_parts(bath, omega):
+    """(S, J) of an OhmicBath: J = alpha*omega*exp(-|omega|/cutoff) and
+    S = J/tanh(omega/2T), |J| at T = 0, with the limit
+    2*alpha*T*exp(-|omega|/cutoff) where |omega/2T| < 1e-8."""
+
+    omega = np.asarray(omega, dtype=float)
+    decay = np.exp(-np.abs(omega) / bath.cutoff)
+    j = bath.alpha * omega * decay
+    if bath.temperature == 0:
+        return np.abs(j), j
+    x = 0.5 * omega / bath.temperature
+    small = np.abs(x) < 1e-8
+    limit = 2.0 * bath.alpha * bath.temperature * decay
+    return np.where(small, limit, j / np.tanh(np.where(small, 1.0, x))), j
 
 
 def boson_correlators(bath, grid):

@@ -18,8 +18,9 @@ from noisychain.baths import (
     principal_value_transform,
     sample_tls_bath,
 )
+from noisychain.keldysh import _tail_points
 from noisychain.lattice import FreqGrid
-from bath_oracle import FlatNoise, boson_correlators, tls_spectral_density
+from bath_oracle import FlatNoise, boson_correlators, plain_parts, tls_spectral_density
 from quadrature_oracle import principal_value_direct
 
 
@@ -261,3 +262,31 @@ def test_scalar_frequencies_match_the_array_path():
                 value = fn(bath, w)
                 assert np.shape(value) == ()
                 assert float(value) == fn(bath, np.array([w, 1.0]))[0]
+
+
+def test_parts_match_the_plain_formulas_bit_for_bit():
+    # parts works in place; the bits are those of the plain formulas on a
+    # 64-row block of the fig3 Kramers-Kronig tail differences, on Python
+    # floats and 0-d arrays, at T = 0 and on both sides of |w/2T| = 1e-8
+    # (|w| = 8e-7 at T = 40), and the frequencies passed in stay as they were
+    grid = FreqGrid(0.2, 3.8, 3601)
+    hot = OhmicBath(alpha=0.05 / 300.0, cutoff=800.0, temperature=300.0)
+    cold = OhmicBath(alpha=0.2, cutoff=4.0, temperature=0.0)
+    warm = OhmicBath(alpha=0.0125, cutoff=3.0, temperature=40.0)
+    tail_nu, _ = _tail_points(grid, [hot])
+    block = tail_nu[:64, None] - grid.omegas
+    assert block.shape == (64, 3601)
+    near_zero = np.array([[-9e-7, -8e-7, -7.9e-7, -1e-9, 0.0],
+                          [1e-9, 7.9e-7, 8e-7, 9e-7, 2.5]])
+    cases = [(hot, block), (cold, block), (warm, near_zero), (cold, near_zero)]
+    cases += [(bath, w) for bath in (hot, cold, warm)
+              for w in (-1.0, 0.0, 1e-9, 2.5, np.array(0.0), np.array(-0.7))]
+    for bath, omega in cases:
+        before = np.array(omega, copy=True)
+        ref = plain_parts(bath, before)
+        mine = bath.parts(omega)
+        for a, b in zip(mine, ref):
+            assert np.shape(a) == np.shape(b) == np.shape(omega)
+            assert np.array_equal(a, b)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert np.array_equal(omega, before)

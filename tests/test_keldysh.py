@@ -303,6 +303,75 @@ def test_banded_solve_matches_refined_lu():
                     assert np.max(np.abs(mine - full)) <= 1e-12 * np.max(np.abs(full))
 
 
+def test_blocked_solve_matches_refined_lu_across_block_edges():
+    # the solve runs in blocks of keldysh._DYSON_BLOCK = 512 frequencies;
+    # grids of one block less one point, exactly one, one plus one point
+    # and three plus one (the last block then holds a single point), on a
+    # 7-site ring and open chain, for one site and for every site.
+    # FreqGrid admits no 1-point grid, so 2 points stand for the shortest
+    beta = 2.0
+    n = 7
+    site = np.arange(n)[None, :]
+    assert keldysh._DYSON_BLOCK == 512
+    for n_points in (2, 511, 512, 513, 1537):
+        grid = FreqGrid(-2.0, 3.0, n_points)
+        w = grid.omegas[:, None]
+        gamma = 0.1 + 0.05 * site + 0.03 * np.cos(w + site)
+        sigma = SelfEnergy(grid=grid, retarded=0.02 * site * w - 0.5j * gamma,
+                           keldysh=-1j * gamma * np.tanh(0.3 * w + 0.1 * site))
+        for boundary in ("open", "periodic"):
+            h = build_chain(n, 0.5, 1.0, boundary=boundary)
+            for sites in ([3], None):
+                g = dyson_solve(h, beta, sigma, sites)
+                ref = lu_dyson_solve(h, beta, sigma, sites)
+                for mine, full in ((g.retarded, ref.retarded), (g.keldysh, ref.keldysh)):
+                    assert mine.shape == full.shape
+                    assert np.max(np.abs(mine - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_singular_frequency_named_across_blocks():
+    # a self-energy that cancels the free inverse propagator at points of
+    # the second and third blocks only (512 frequencies each) and is causal
+    # everywhere else: the error names the second block's first bad point,
+    # not the first point of its block nor a point of the third
+    h = build_chain(1, 0.0, 0.0, boundary="open")
+    grid = FreqGrid(-1.0, 2.0, 1537)
+    bad = [512 + 37, 512 + 300, 1024 + 5]
+    diag = np.full((grid.n_points, 1), -0.1j)
+    diag[bad, 0] = grid.omegas[bad] + 1j * grid.eta
+    sigma = SelfEnergy(grid=grid, retarded=diag, keldysh=-2j * diag.imag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFrequencyError) as err:
+            dyson_solve(h, 1.0, sigma)
+    assert err.value.omega == grid.omegas[bad[0]]
+
+
+@pytest.mark.parametrize("preset, n_points, widths, bound", [
+    ("fig3-bottom", 3601, [0.05, 0.4], 15.4e6),
+    ("fig2-lower", None, None, 9.8e6),
+], ids=["dephasing-sweep", "fig2-lower"])
+def test_keldysh_runs_stay_within_traced_peaks(tmp_path, preset, n_points, widths, bound):
+    # whole runs under tracemalloc: the sweep at the benchmark's grid and
+    # widths (keldysh, N=40 ring) and fig2-lower (keldysh and lindblad, N=5).
+    # Measured 12.8 and 8.2-8.4 MB; the bounds are 1.2x 12.8 and 8.2.
+    # Before the Dyson solve ran in blocks and the bath tails in place the
+    # peaks were 26.3 and 18.0 MB
+    raw = preset_config(preset)
+    if n_points:
+        raw["grid"]["n_points"] = n_points
+        raw["sweep"]["gamma2"] = widths
+    cfg = config_from_dict(raw)
+    tracemalloc.start()
+    try:
+        result = harness.run_experiment(cfg, out_root=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    assert peak < bound
+
+
 def test_non_chain_hamiltonian_refused():
     # a next-nearest-neighbor hopping is neither a band entry nor a ring
     # corner; refused before any solve, also for a vanishing self-energy
