@@ -10,17 +10,20 @@ byte-identical when a diff of their `sha256` lines is empty:
 
 With --against DIR, the output root of an earlier run, each CSV gets a
 `moved` line: "identical" when the bytes match the file in DIR, else the
-largest move of each float column as a share of that column's max|value|
-in DIR. A preset's report.json gets one too: "identical" when every
-comparison metric has the same value as in DIR, else the largest move.
-An artifact that DIR's manifest lists and this run did not write gets a
-`moved` line too. The script exits 1 when any file moved, is missing from
-DIR, or is missing from this run.
+largest move of each float column, scaled by values in DIR. A spectra
+column is scaled by its pair's max|G^R| (re_retarded, im_retarded,
+spectral) or max|G^K| (re_keldysh, im_keldysh), so roundoff in a column
+that is zero in exact arithmetic, such as re_keldysh of a diagonal pair,
+reads as roundoff; any other column is scaled by its own max|value|. A
+preset's report.json gets a line too: "identical" when every comparison
+metric has the same value as in DIR, else the largest move. An artifact
+that DIR's manifest lists and this run did not write gets a `moved` line
+too. The script exits 1 when any file's bytes moved, however little, or
+a file is missing from DIR or from this run.
 
-The two sweep presets take the longest, about 0.5-0.6 s (fig3-top) and
-1.0 s (fig3-bottom), and peak at 19.2 and 28.4 MB; the whole script,
-imports included, runs in 3.0-3.4 s on a 2-core Xeon with numpy 2.4.
-Tracing costs most of that: untraced, the script took 1.0-1.2 s.
+Each preset takes 0.1-0.5 s under tracing; the two sweep presets peak
+highest, at 13.8 MB each, and the whole script, imports and tracing
+included, runs in 1.7-2.6 s on a 2-core Xeon with numpy 2.4.
 """
 
 import argparse
@@ -37,13 +40,28 @@ from noisychain.harness import TEXT_COLUMNS, config_from_dict, read_artifact, ru
 from noisychain.presets import preset_config, preset_names
 
 
+def _pair_scales(cols):
+    """{spectra column: per-row scale}, the max|G^R| or max|G^K| of the
+    row's pair in the spectra columns `cols`."""
+
+    _, row = np.unique(cols["pair"], return_inverse=True)
+    scales = {}
+    for part, names in (("retarded", ("re_retarded", "im_retarded", "spectral")),
+                        ("keldysh", ("re_keldysh", "im_keldysh"))):
+        peak = np.zeros(row.max() + 1)
+        np.maximum.at(peak, row, np.hypot(cols[f"re_{part}"], cols[f"im_{part}"]))
+        scales.update(dict.fromkeys(names, peak[row]))
+    return scales
+
+
 def moves(path, ref):
     """'identical', or the largest move per float column of `path` against
-    `ref` as a share of the ref column's max|value|."""
+    `ref`, scaled by values in `ref` as the module docstring says."""
 
     if path.read_bytes() == ref.read_bytes():
         return "identical"
     new, old = read_artifact(path)["columns"], read_artifact(ref)["columns"]
+    scales = _pair_scales(old) if "pair" in old else {}
     parts = []
     for name, col in new.items():
         if name in TEXT_COLUMNS or name not in old:
@@ -51,9 +69,9 @@ def moves(path, ref):
         if col.shape != old[name].shape:
             parts.append(f"{name} {old[name].size} -> {col.size} rows")
             continue
-        scale = np.max(np.abs(old[name]))
-        move = np.max(np.abs(col - old[name]))
-        parts.append(f"{name} {move / scale if scale else move:.2e}")
+        scale = scales.get(name, np.max(np.abs(old[name])))
+        move = np.abs(col - old[name]) / np.where(scale > 0, scale, 1.0)
+        parts.append(f"{name} {np.max(move):.2e}")
     return ", ".join(parts)
 
 

@@ -385,11 +385,11 @@ def _cross_validate(cfg):
             raise ConfigError("sweep.gamma2", f"two widths would both write {clash[0]}")
     # memory rules, each naming the field that sets it; a trajectory engine's
     # rule adds its artifact (`_artifact_bytes`). Whole runs under
-    # tracemalloc peak at 0.54 and 0.56 of the kbe rule on 10 and 40
-    # wide-band sites over 300001 and 20001 times, 0.64 for kbe alone on
-    # fig4-top, and at 0.44 and 0.77 of the largest rule for fig4-top and
-    # for fig4-bottom over 200001 times (kbe and lindblad, compared:
-    # 124 MB, where reading back at U16 labels took 210 MB)
+    # tracemalloc peak at 0.15 and 0.14 of the kbe rule on 10 and 40
+    # wide-band sites over 300001 and 20001 times, 0.65 for kbe alone on
+    # fig4-top, 0.81 and 0.86 for exact_tls on it over 10^5 times and one
+    # site over 10^6, and 0.61 and 0.77 of the largest rule for fig4-top and
+    # fig4-bottom over 200001 times (kbe and lindblad, compared: 124 MB)
     n = cfg.system.n_sites
     n_t = cfg.time.t_max / cfg.time.dt + 1 if cfg.time is not None else 0
     artifact = _artifact_bytes(n_t, n)
@@ -398,8 +398,8 @@ def _cross_validate(cfg):
     # measured 7.0 times 16 N^4 bytes at N = 20, 30 and 40 on the presets'
     # step (degree 5) and 9.05 at N = 30 on steps that take degree 9 or 13;
     # the propagation keeps the complex (n_t, N) diagonal. Whole runs
-    # measured 0.54 to 0.79 of this rule at N = 1 to 30 over 2001 to 10^6
-    # times (0.79 on one site over 10^6)
+    # measured 0.48 to 0.68 of this rule at N = 1 to 30 over 2001 to 10^6
+    # times (0.63 on one site over 10^6)
     if "lindblad" in _computing(cfg, "trajectory"):
         _check_memory("system.n_sites", f"lindblad trajectories of {n} sites",
                       160 * n**4 + 16 * n_t * n + artifact)
@@ -436,10 +436,10 @@ def _spectra_bytes(cfg):
     rows; keldysh adds its bath tables and self-energy diagonals, and on
     tls baths one site's complex (n_points, n_tls) pole denominators and
     quotients, 32 B per point and level. Peaks measured with tracemalloc,
-    per point: keldysh 2.6, 3.2, 4.5 and 7.1 kB at N = 5, 10, 20 and 40
-    (open chains, pairs (0, 0) and (0, 1), one or four sweep widths, 2001
-    to 32001 points); lindblad and blochredfield 0.3 kB at s = 2 and
-    1.7-5.0 kB at s = 5-10.
+    per point: keldysh 2.6, 3.2, 4.5 and 7.1 kB at N = 5, 10, 20 and 40 on
+    open chains, 1.9-2.1 kB on rings (one self-energy column), pairs (0, 0)
+    and (0, 1), one or four sweep widths, 2001 to 32001 points; lindblad
+    and blochredfield 0.3 kB at s = 2 and 1.7-5.0 kB at s = 5-10.
     A run that compares two or more spectra reads both files back at once,
     240 B per point and pair: compare_artifacts measured 186-194 B over 1
     to 25 pairs and 4001 to 100001 points."""
@@ -456,13 +456,13 @@ def _spectra_bytes(cfg):
 
 
 def _artifact_bytes(n_t, n):
-    """Traced-memory rule of writing an (n_t, n) trajectory: 64 B per
-    (time, site) row for the engine's occupations, and 600 B per row of
-    one _WRITE_BLOCK for a block's columns, cell table and temporaries.
-    Measured: 8 B a row and 318 B per block row; 0.24 of the rule over 24
-    blocks of 5 sites, 0.19 over 49 blocks of one site."""
+    """Traced-memory rule of writing an (n_t, n) trajectory: 32 B per (time,
+    site) row, twice the occupations (8 B) and time grid (8 B a time point,
+    a row on one site), and 600 B per row of one _WRITE_BLOCK for a block's
+    columns, cells and temporaries (318 B measured). Writes peak at 0.37 of
+    the rule over 24 blocks of 5 sites, 0.33 over 49 blocks of one site."""
 
-    return 64 * n_t * n + 600 * _WRITE_BLOCK
+    return 32 * n_t * n + 600 * _WRITE_BLOCK
 
 
 def _readback_bytes(n_t, n):
@@ -941,8 +941,8 @@ def _run_spectra(plan, run_dir, engine):
 
 def _run_sweep(plan, run_dir):
     # the Born self-energy is linear in alpha = gamma2 / T: it is computed
-    # at the first width and scaled by alpha / alpha_first for the others
-    # (bit for bit at power-of-two ratios, such as every shipped width)
+    # at the first width and its stored columns scaled by alpha / alpha_first
+    # for the others (bit for bit at power-of-two ratios, as every shipped width)
     cfg = plan.cfg
     pairs = cfg.grid.pairs
     sites = _pair_sites(pairs)
@@ -956,7 +956,7 @@ def _run_sweep(plan, run_dir):
     for i, g2 in enumerate(cfg.sweep_gamma2):
         if i:
             r = alphas[i] / alphas[0]
-            scaled = SelfEnergy(plan.grid, r * sigma.retarded, r * sigma.keldysh)
+            scaled = SelfEnergy(plan.grid, *(r * c for c in sigma.columns), sigma.n_sites)
             greens = dyson_solve(plan.h, cfg.system.beta, scaled, sites)
         name = _sweep_file(g2)
         columns = _write_spectra(run_dir / name, plan.grid.omegas, greens, pairs, sites)

@@ -4,17 +4,16 @@ Each site couples to its own bath, so every self-energy here is
 site-diagonal and is stored as its diagonal only: retarded and Keldysh
 components of shape (n_points, n_sites), with the textbook sign layout
 retarded = shift - i*gamma/2 (gamma >= 0) and an imaginary Keldysh part.
-Advanced components are never stored; they are hermitian conjugates of the
-retarded ones. The on-grid quadratures (noise convolutions and
-Kramers-Kronig shifts) are Toeplitz products, evaluated by FFT convolution
-once per symmetry orbit: a dephasing bath on every site of a chain with
-np.roll(h.matrix, 1, axis=(0, 1)) equal to h.matrix is computed at site 0.
-The dressed Green functions come from a direct Dyson solve,
-G^+ = (omega + i*eta - h - Sigma^+)^-1, for the rows of the requested
-sites only. It runs on the chain's band structure, a tridiagonal h plus
-two ring corners: Thomas elimination over the open chain, vectorized over
-blocks of 512 frequencies, and one Schur complement that closes the ring,
-so its working set does not grow with the grid. Its Keldysh
+A site-uniform one, sigma(omega)*1, is one (n_points, 1) column read on
+every site. Advanced components are never stored; they are hermitian
+conjugates of the retarded ones. The on-grid quadratures (noise
+convolutions and Kramers-Kronig shifts) are Toeplitz products, evaluated
+by FFT convolution once per symmetry orbit: a dephasing bath on every site
+of a chain with np.roll(h.matrix, 1, axis=(0, 1)) equal to h.matrix is
+computed at site 0, as one column. The dressed Green functions come from
+a direct Dyson solve, G^+ = (omega + i*eta - h - Sigma^+)^-1, for the
+requested sites only, 512 frequencies at a time: in the chain's eigenbasis
+for a uniform self-energy, else on its band structure. The Keldysh
 component carries an explicit 2*eta boundary term at the system
 temperature so the bare limit is recovered exactly when the self-energy
 vanishes.
@@ -38,13 +37,14 @@ from .baths import (
     principal_value_transform,
 )
 from .errors import SingularFrequencyError
+from .lattice import FREQ_BLOCK as _DYSON_BLOCK
 from .lattice import (
     FreqGreens,
     FreqGrid,
     diagonalize,
     fermi_occupation,
-    ideal_greens,
     thermal_factor,
+    uniform_greens,
 )
 
 __all__ = [
@@ -58,65 +58,71 @@ __all__ = [
 ]
 
 RATE_FLOOR = -1e-10
-_DYSON_BLOCK = 512  # frequencies per block of the Dyson solve, as in qme.qme_greens
+
+
+def _site_diagonals(grid, parts, dtype, n_sites):
+    """(parts read as (n_points, n_sites), n_sites); a lone column reads on every site."""
+
+    parts = [np.asarray(p, dtype=dtype) for p in parts]
+    shape = parts[0].shape
+    if len(shape) != 2:
+        raise ValueError("expected site diagonals of shape (n_points, n_sites)")
+    if shape[0] != grid.n_points:
+        raise ValueError("array length does not match grid.n_points")
+    if any(p.shape != shape for p in parts):
+        raise ValueError("component shapes disagree")
+    n_sites = shape[1] if n_sites is None else n_sites
+    if shape[1] not in (1, n_sites):
+        raise ValueError(f"expected one column or one per site of {n_sites}")
+    return [np.broadcast_to(p, (shape[0], n_sites)) for p in parts], n_sites
 
 
 @dataclass
 class SelfEnergy:
     """Site-diagonal self-energy sampled on a FreqGrid.
 
-    retarded and keldysh are the per-site diagonals, complex arrays of shape
-    (n_points, n_sites); off-diagonal entries cannot be represented.
+    retarded and keldysh are the per-site diagonals, read-only complex arrays
+    of shape (n_points, n_sites); off-diagonal entries cannot be represented.
+    A site-uniform sigma(omega)*1 is given and stored (`columns`) as one
+    (n_points, 1) column each, with n_sites.
     """
 
     grid: FreqGrid
     retarded: np.ndarray
     keldysh: np.ndarray
+    n_sites: int = None
 
     def __post_init__(self):
-        self.retarded = np.asarray(self.retarded, dtype=complex)
-        self.keldysh = np.asarray(self.keldysh, dtype=complex)
-        shape = self.retarded.shape
-        if len(shape) != 2:
-            raise ValueError("expected site diagonals of shape (n_points, n_sites)")
-        if shape[0] != self.grid.n_points:
-            raise ValueError("array length does not match grid.n_points")
-        if self.keldysh.shape != shape:
-            raise ValueError("component shapes disagree")
+        (self.retarded, self.keldysh), self.n_sites = _site_diagonals(
+            self.grid, (self.retarded, self.keldysh), complex, self.n_sites)
 
     @property
-    def n_sites(self):
-        return self.retarded.shape[1]
+    def columns(self):
+        return tuple(p[:, :1] if p.strides[1] == 0 else p for p in (self.retarded, self.keldysh))
 
 
 @dataclass
 class RateFunction:
     """Frequency-resolved decay rate and level shift per site.
 
-    gamma and shift are real arrays of shape (n_points, n_sites); gamma must
-    stay above -1e-10 (tiny negative excursions are quadrature noise, more
-    negative values indicate a sign-convention error upstream).
+    gamma and shift are real (n_points, n_sites) arrays, one column each when
+    site-uniform (see SelfEnergy); gamma must stay above -1e-10 (tiny negative
+    excursions are quadrature noise, more negative values indicate a
+    sign-convention error upstream).
     """
 
     grid: FreqGrid
     gamma: np.ndarray
     shift: np.ndarray
+    n_sites: int = None
 
     def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.shift = np.asarray(self.shift, dtype=float)
-        if self.gamma.ndim != 2 or self.gamma.shape[0] != self.grid.n_points:
-            raise ValueError("gamma must have shape (n_points, n_sites)")
-        if self.shift.shape != self.gamma.shape:
-            raise ValueError("gamma and shift shapes disagree")
+        (self.gamma, self.shift), self.n_sites = _site_diagonals(
+            self.grid, (self.gamma, self.shift), float, self.n_sites)
         if np.min(self.gamma) < RATE_FLOOR:
             raise ValueError(
                 f"negative rate {np.min(self.gamma):.3e} below the {RATE_FLOOR} floor"
             )
-
-    @property
-    def n_sites(self):
-        return self.gamma.shape[1]
 
 
 def extract_rates(sigma):
@@ -125,19 +131,22 @@ def extract_rates(sigma):
     gamma = -2 Im Sigma^+ (positive for decay), shift = Re Sigma^+.
     """
 
-    sr = sigma.retarded
-    return RateFunction(grid=sigma.grid, gamma=-2.0 * sr.imag, shift=sr.real.copy())
+    sr = sigma.columns[0]
+    return RateFunction(sigma.grid, -2.0 * sr.imag, sr.real.copy(), sigma.n_sites)
 
 
-def _site_spectral_diag(h, grid):
-    """Site-diagonal free spectral function, sum of eta Lorentzians (w, n)."""
+def _site_spectral_diag(h, grid, sites=None):
+    """(w, len(sites)) free spectral functions of `sites` (default: all), and h's eigensystem."""
 
     eig = diagonalize(h)
-    w = grid.omegas
     eta = grid.eta
-    lor = 2.0 * eta / ((w[:, None] - eig.energies[None, :]) ** 2 + eta**2)
-    weights = np.abs(eig.transform) ** 2  # (site, k)
-    return lor @ weights.T, eig
+    weights = np.abs(eig.transform if sites is None else eig.transform[sites]) ** 2
+    out = np.empty((grid.n_points, weights.shape[0]))
+    for start in range(0, grid.n_points, _DYSON_BLOCK):
+        blk = slice(start, start + _DYSON_BLOCK)
+        lor = 2.0 * eta / ((grid.omegas[blk, None] - eig.energies[None, :]) ** 2 + eta**2)
+        out[blk] = lor @ weights.T
+    return out, eig
 
 
 def _tail_points(grid, baths):
@@ -158,21 +167,11 @@ def _tail_points(grid, baths):
         steps.append(min(steps[-1] * 1.15, pad / 4.0))
         total += steps[-1]
     offsets = np.cumsum(steps)
-    right = grid.omega_max + offsets
-    left = grid.omega_min - offsets[::-1]
-    points = np.concatenate([left, right])
-    wts = np.empty_like(points)
-    n_side = offsets.size
-    side = np.empty(n_side)
-    # trapezoid weights for an open-ended side grid
-    side[0] = 0.5 * (steps[0] + steps[1]) if n_side > 1 else steps[0]
-    for i in range(1, n_side - 1):
-        side[i] = 0.5 * (steps[i] + steps[i + 1])
-    if n_side > 1:
-        side[-1] = 0.5 * steps[-1]
-    wts[n_side:] = side
-    wts[:n_side] = side[::-1]
-    return points, wts
+    points = np.concatenate([grid.omega_min - offsets[::-1], grid.omega_max + offsets])
+    # trapezoid weights for an open-ended side grid (pad spans many steps)
+    ends = np.append(steps, 0.0)
+    side = 0.5 * (ends[:-1] + ends[1:])
+    return points, np.concatenate([side[::-1], side])
 
 
 def _shift_from_gamma(grid, gamma_main, tail_nu, tail_wts, gamma_tail):
@@ -243,8 +242,8 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     noise power is sampled once per group on the difference grid and once
     per tail point for both signs of nu - w. A group on every site of a
     chain with np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix)
-    is one orbit, computed for site 0 and broadcast; any other group is
-    computed column by column. Returns the diagonals as a SelfEnergy.
+    is one orbit, computed for site 0 alone as one site-uniform column; any
+    other group is computed column by column. Returns a SelfEnergy.
 
     Every term is linear in the baths' alpha: J and S = J/tanh, both
     convolutions, the tail sums and the Kramers-Kronig shift. Scaling every
@@ -255,7 +254,10 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
 
     # the tails read each bath's cutoff
     baths = check_site_baths(baths, lambda b: isinstance(b, OhmicBath), h.n_sites)
-    a0, eig = _site_spectral_diag(h, grid)
+    groups = _bath_groups(baths)
+    ring = np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix)
+    orbit = ring and [len(sites) for sites in groups.values()] == [h.n_sites]
+    a0, eig = _site_spectral_diag(h, grid, [0] if orbit else None)
     w = grid.omegas
     n_pts = grid.n_points
     hstep = grid.spacing
@@ -266,7 +268,6 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
             stacklevel=2,
         )
 
-    ring = np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix)
     f = fermi_occupation(w, beta_sys)
     edge = np.ones(n_pts)
     edge[0] = edge[-1] = 0.5
@@ -277,27 +278,26 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     on_grid = slice(n_pts - 1, 2 * n_pts - 1)
     scale = hstep / (2.0 * np.pi)
 
-    gamma = np.zeros((n_pts, h.n_sites))
-    sk_diag = np.zeros((n_pts, h.n_sites), dtype=complex)
-    shift = np.zeros((n_pts, h.n_sites))
-    for bath, sites in _bath_groups(baths).items():
-        rep = sites[:1] if ring and len(sites) == h.n_sites else sites
+    retarded = np.zeros((n_pts, a0.shape[1]), dtype=complex)
+    kel = np.zeros_like(retarded)
+    for bath, sites in groups.items():
+        cols = [0] if orbit else sites
         c_diff = noise_power(bath, m)
-        empty = a0[:, rep] * (1.0 - f)[:, None] * edge[:, None]
-        occ = a0[:, rep] * f[:, None] * edge[:, None]
+        empty = a0[:, cols] * (1.0 - f)[:, None] * edge[:, None]
+        occ = a0[:, cols] * f[:, None] * edge[:, None]
         conv_e = fft_convolve(empty, c_diff[:, None])[on_grid]
         conv_o = fft_convolve(occ, c_diff[::-1, None])[on_grid]
         g_main = scale * (conv_e + conv_o)
         g_tail = scale * _tail_rates(bath, tail_nu, w, empty, occ)
-        gamma[:, sites] = g_main
-        sk_diag[:, sites] = -1j * scale * (conv_e - conv_o)
-        shift[:, sites] = _shift_from_gamma(grid, g_main, tail_nu, tail_wts, g_tail)
+        kel[:, cols] = -1j * scale * (conv_e - conv_o)
+        retarded.real[:, cols] = _shift_from_gamma(grid, g_main, tail_nu, tail_wts, g_tail)
+        retarded.imag[:, cols] = -0.5 * g_main
 
     # a0, f, edge weights and the noise power are all nonnegative, so gamma
     # is too up to the FFT's roundoff, about 1e-16 of max gamma; RATE_FLOOR
     # catches anything worse. Measured on every shipped preset and sweep
     # width: no negative entry, smallest 4.1e-6 (fig2-upper)
-    return SelfEnergy(grid=grid, retarded=shift - 0.5j * gamma, keldysh=sk_diag)
+    return SelfEnergy(grid=grid, retarded=retarded, keldysh=kel, n_sites=h.n_sites)
 
 
 def tls_embedding_self_energy(baths, grid):
@@ -358,35 +358,29 @@ def _chain_couplings(h):
 def dyson_solve(h, beta_sys, sigma, sites=None):
     """Dressed Green functions of the chain h under a site-diagonal self-energy.
 
-    Retarded: G^+ = (omega + i*eta - h - Sigma^+)^-1; the advanced component
-    is its hermitian conjugate. Keldysh: G^K = G^+ (Sigma^K - 2i*eta*F_sys) G^-,
-    where the boundary term carries the grid broadening at the system thermal
-    factor F_sys = tanh(beta_sys*omega/2); it is what makes the sigma = 0
-    limit the bare equilibrium propagator and keeps the fluctuation-
-    dissipation identity exact at matched temperatures.
+    G^+ = (omega + i*eta - h - Sigma^+)^-1, G^- its hermitian conjugate, and
+    G^K = G^+ (Sigma^K - 2i*eta*F_sys) G^-: the boundary term carries the
+    grid broadening at F_sys = tanh(beta_sys*omega/2), which makes the
+    sigma = 0 limit the bare equilibrium propagator and keeps the
+    fluctuation-dissipation identity exact at matched temperatures. Only
+    the entries between `sites` (default: every site) are returned, as
+    (n_points, s, s) arrays indexed by position in `sites`. h must be a
+    chain, tridiagonal plus the two ring corners (hopping phases allowed);
+    any other h raises ValueError before any solve. Both routes run 512
+    frequencies at a time: memory is the outputs plus O(512 N (s + 1)).
 
-    Only the entries between `sites` (default: every site) are returned, as
-    (n_points, s, s) arrays indexed by position in `sites`. They need only
-    the rows G^+_i. of those sites, which solve the transposed system
-    A y = e_i with A = omega + i*eta - h^T - Sigma^+. h must be a chain,
-    tridiagonal plus the two ring corners (hopping phases allowed); any other
-    h raises ValueError. The solve uses that band structure: Thomas
-    elimination, vectorized over a block of 512 frequencies, on the open
-    chain of sites 0..N-2, with the s unit vectors and the ring's coupling
-    column A[:N-1, N-1] as right-hand sides, then one Schur complement on
-    site N-1 closes the ring. Work is O(n_points * N * (s + 1)); memory is
-    the two (n_points, s, s) outputs plus one block's working set,
-    O(512 * N * (s + 1)), whatever n_points is. No (n_points, N, N) array
-    is built when s < N.
-
-    Nothing is pivoted, and that is safe for causal self-energies: with
-    Im Sigma^+ <= 0 and eta > 0 the anti-hermitian part of A, and of every
-    leading block of it, is diagonal and positive definite, so no leading
-    block is singular and no pivot, nor the Schur complement, can vanish.
-    A zero or non-finite pivot or Schur complement, which only a
-    non-causal Sigma^+ can produce, raises SingularFrequencyError at the
-    first such frequency. A vanishing self-energy returns
-    ideal_greens(h, beta_sys, grid, sites) itself.
+    A site-uniform Sigma^+ (one stored column, or vanishing) commutes with
+    h: lattice.uniform_greens solves it in the eigenbasis, in
+    O(N^3 + n_points N s^2), and at sigma = 0 gives ideal_greens bit for bit.
+    Any other is solved on the band (_chain_rows), in O(n_points N (s + 1)):
+    the rows G^+_i. solve A y = e_i, A = omega + i*eta - h^T - Sigma^+, by
+    Thomas elimination on the open chain of sites 0..N-2, and a Schur
+    complement on site N-1 closes the ring. Nothing is pivoted, which is
+    safe for causal self-energies: with Im Sigma^+ <= 0 and eta > 0 the
+    anti-hermitian part of A and of each leading block is diagonal and
+    positive definite, so no pivot or Schur complement vanishes. A zero or
+    non-finite pivot, Schur complement or z - sigma - E_k (only a non-causal
+    Sigma^+ makes one) raises SingularFrequencyError at its first frequency.
     """
 
     grid = sigma.grid
@@ -395,8 +389,9 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
     if sites is not None and not all(0 <= i < h.n_sites for i in sites):
         raise ValueError("sites must lie on the chain")
     sub, sup, col, row = _chain_couplings(h)
-    if not (np.any(sigma.retarded) or np.any(sigma.keldysh)):
-        return ideal_greens(h, beta_sys, grid, sites)
+    sr, sk = sigma.columns
+    if sr.shape[1] == 1 or not (np.any(sr) or np.any(sk)):
+        return uniform_greens(h, beta_sys, grid, sites, sr[:, 0], sk[:, 0])
 
     sites = list(range(h.n_sites)) if sites is None else list(sites)
     w = grid.omegas
@@ -406,12 +401,12 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
     gk = np.empty_like(gr)
     for start in range(0, grid.n_points, _DYSON_BLOCK):
         blk = slice(start, start + _DYSON_BLOCK)
-        y = _chain_rows(h, (sub, sup, col, row), z[blk], sigma.retarded[blk], sites)
+        y = _chain_rows(h, (sub, sup, col, row), z[blk], sr[blk], sites)
         bad = ~np.isfinite(y).all(axis=(0, 2))
         if np.any(bad):
             raise SingularFrequencyError(w[blk][int(np.argmax(bad))])
         rows = y.transpose(1, 2, 0)  # rows[:, a, :] is the row G^+_{sites[a], .}
-        kern = sigma.keldysh[blk] - boundary[blk, None]
+        kern = sk[blk] - boundary[blk, None]
         gr[blk] = rows[:, :, sites]
         np.matmul(rows * kern[:, None, :], np.conj(y.transpose(1, 0, 2)), out=gk[blk])
     return FreqGreens(grid=grid, retarded=gr, keldysh=gk)
@@ -474,8 +469,8 @@ def steady_state_greens(h, baths, beta_sys, grid, sites=None):
     baths = check_site_baths(baths, lambda b: isinstance(b, known), h.n_sites)
     kinds = {type(b) for b in baths if b is not None}
     if not kinds:
-        zeros = np.zeros((grid.n_points, h.n_sites), dtype=complex)
-        sigma = SelfEnergy(grid=grid, retarded=zeros, keldysh=zeros)
+        zero = np.zeros((grid.n_points, 1), dtype=complex)
+        sigma = SelfEnergy(grid=grid, retarded=zero, keldysh=zero, n_sites=h.n_sites)
     elif kinds <= {OhmicBath}:
         sigma = dephasing_self_energy(h, baths, beta_sys, grid)
     elif kinds <= {TlsBath, WideBandBath}:

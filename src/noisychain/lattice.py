@@ -1,9 +1,9 @@
 """Tight-binding chains and their free Green functions on a frequency grid.
 
-Single-particle Hamiltonians live here as plain hermitian matrices wrapped in
-a small dataclass, together with the uniform frequency grid used by every
-frequency-domain solver in the package and the ideal (bath-free) retarded and
-Keldysh components built from the eigendecomposition; advanced ones are derived.
+Single-particle Hamiltonians live here as hermitian matrices in a small
+dataclass, with the uniform frequency grid every frequency-domain solver uses
+and the retarded and Keldysh components under a site-uniform self-energy (ideal
+at zero) from the eigendecomposition; advanced ones are derived.
 
 Units: energies in units of the chain hopping unless stated otherwise.
 """
@@ -15,7 +15,10 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import SingularFrequencyError
+
 HERM_TOL = 1e-12
+FREQ_BLOCK = 512  # frequencies per block of a solve on the grid
 
 __all__ = [
     "FreqGrid",
@@ -27,6 +30,7 @@ __all__ = [
     "fermi_occupation",
     "thermal_factor",
     "ideal_greens",
+    "uniform_greens",
 ]
 
 
@@ -93,10 +97,6 @@ class FreqGreens:
     def advanced(self):
         return np.conj(np.swapaxes(self.retarded, 1, 2))
 
-    @property
-    def n_sites(self):
-        return self.retarded.shape[1]
-
 
 @dataclass
 class HoppingHamiltonian:
@@ -159,10 +159,8 @@ def diagonalize(h):
 
     energies, u = np.linalg.eigh(h.matrix)
     u = np.asarray(u, dtype=complex)
-    for k in range(u.shape[1]):
-        idx = int(np.argmax(np.abs(u[:, k])))
-        pivot = u[idx, k]
-        u[:, k] *= np.conj(pivot) / abs(pivot)
+    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    u *= np.conj(pivot) / np.abs(pivot)
     return EigenDecomposition(energies=energies, transform=u)
 
 
@@ -190,13 +188,40 @@ def ideal_greens(h, beta, grid, sites=None):
     The retarded resolvent carries the grid's eta broadening; the Keldysh
     component is the equilibrium combination (G+ - G-)*tanh(beta*omega/2).
     Only the entries between `sites` (default: every site) are built, as
-    (n_points, s, s) arrays indexed by position in `sites`.
+    (n_points, s, s) arrays indexed by position in `sites` (uniform_greens).
+    """
+
+    return uniform_greens(h, beta, grid, sites)
+
+
+def uniform_greens(h, beta, grid, sites=None, sigma_r=0.0, sigma_k=0.0):
+    """Green functions of the chain under a site-uniform self-energy.
+
+    sigma_r and sigma_k ((n_points,) or scalars) sit on every site and commute
+    with h = U diag(E) U^dag: G^+ = U D U^dag with
+    D = (omega + i*eta - sigma_r - E)^-1, and G^K = (sigma_k - 2i*eta*F)
+    U |D|^2 U^dag, F = tanh(beta*omega/2) as in keldysh.dyson_solve. Built
+    from the weights u_ik conj(u_jk), FREQ_BLOCK frequencies at a time; a
+    singular D raises SingularFrequencyError at its first frequency.
     """
 
     eig = diagonalize(h)
-    w = grid.omegas
-    denom = 1.0 / (w[:, None] + 1j * grid.eta - eig.energies[None, :])
     u = eig.transform if sites is None else eig.transform[list(sites)]
-    gr = np.einsum("ik,wk,jk->wij", u, denom, u.conj(), optimize=True)
-    gk = (gr - np.conj(np.swapaxes(gr, 1, 2))) * thermal_factor(w, beta)[:, None, None]
+    s = u.shape[0]
+    weights = (u.conj()[None, :, :] * u[:, None, :]).reshape(s * s, -1)
+    w = grid.omegas
+    z = w + 1j * grid.eta - sigma_r
+    kern = sigma_k - 2j * grid.eta * thermal_factor(w, beta)
+    gr = np.empty((grid.n_points, s, s), dtype=complex)
+    gk = np.empty_like(gr)
+    for start in range(0, grid.n_points, FREQ_BLOCK):
+        blk = slice(start, start + FREQ_BLOCK)
+        with np.errstate(all="ignore"):
+            d = 1.0 / (z[blk, None] - eig.energies)
+        bad = ~np.isfinite(d).all(axis=1)
+        if np.any(bad):
+            raise SingularFrequencyError(w[blk][int(np.argmax(bad))])
+        gr[blk] = np.dot(weights, d.T).T.reshape(-1, s, s)
+        d = d.real**2 + d.imag**2  # |D|^2, real, so diagonal G^K stays imaginary
+        gk[blk] = kern[blk, None, None] * np.dot(weights, d.T).T.reshape(-1, s, s)
     return FreqGreens(grid=grid, retarded=gr, keldysh=gk)

@@ -389,10 +389,11 @@ def test_lindblad_trajectory_memory_rejected_before_any_output(tmp_path, capsys)
     with pytest.raises(ConfigError, match="system.n_sites"):
         config_from_dict(copy.deepcopy(raw))
     # over 10^6 steps the kept (n_t, N) diagonal and the artifact
-    # dominate: 40 sites need about 3.6 GB
+    # dominate: 50 sites need about 3.4 GB (40 sites, 3.6 GB while the
+    # artifact term charged 64 B a row, now 2.3 GB, fit)
     long_run = copy.deepcopy(raw)
     long_run["engines"] = ["lindblad"]
-    long_run["system"]["n_sites"] = 40
+    long_run["system"]["n_sites"] = 50
     long_run["time"] = {"t_max": 1000.0, "dt": 0.001}
     with pytest.raises(ConfigError, match="system.n_sites"):
         config_from_dict(long_run)
@@ -714,8 +715,9 @@ def test_trajectory_write_stays_within_its_artifact_term(tmp_path):
     # the artifact term that every trajectory engine's memory rule adds
     # bounds a real write: the engine's occupations and one block of
     # columns and cell tables. 20001 times of 5 sites make 24 blocks;
-    # measured 0.24 of the term (the occupations take 8 B a row, a block
-    # 318 B per block row against the rule's 600)
+    # measured 0.37 of the term (the occupations take 8 B a row against the
+    # rule's 32, a block 318 B per block row against its 600; 0.24 when the
+    # term charged 64 B a row)
     n_t, n = 20001, 5
     assert n_t * n > 3 * harness._WRITE_BLOCK
     t = np.linspace(0.0, 200.0, n_t)
@@ -1012,7 +1014,7 @@ def test_kbe_memory_checked_before_any_output(tmp_path, capsys):
     # the kbe working set and its trajectory artifact are sized at
     # validation, naming time.t_max: a 50-site wide-band run over 10^6
     # steps fits the cap in the integrator (1.7 GB) but not with its
-    # artifact (about 4.9 GB), so it is refused before any engine writes and
+    # artifact (about 3.3 GB), so it is refused before any engine writes and
     # before any large array exists; 20 sites fit
     raw = preset_config("fig4-bottom")
     raw["engines"] = ["kbe"]

@@ -273,6 +273,65 @@ def test_ring_matches_closed_form_oracle():
             assert np.max(np.abs(g.retarded[:, 0, 0] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _uniform_pair(grid, sr, sk, n):
+    """A site-uniform self-energy stored as one column, and the same one
+    stored per site, which dyson_solve takes on its band route."""
+
+    one = SelfEnergy(grid=grid, retarded=sr[:, None], keldysh=sk[:, None], n_sites=n)
+    per_site = SelfEnergy(grid=grid, retarded=np.repeat(sr[:, None], n, axis=1),
+                          keldysh=np.repeat(sk[:, None], n, axis=1))
+    assert one.retarded.shape == per_site.retarded.shape == (grid.n_points, n)
+    assert one.columns[0].shape == (grid.n_points, 1)
+    return one, per_site
+
+
+def test_eigenbasis_route_matches_band_route():
+    # one stored column is solved in the chain's eigenbasis, the same
+    # self-energy stored per site by Thomas elimination and the ring's Schur
+    # complement: on rings of 2 to 160 sites under a frequency-dependent
+    # sigma, and on open chains under a uniform wide-band sigma (a uniform
+    # sigma commutes with any h), both components at 1e-13 of their max.
+    # Measured worst over every ring from 2 to 160 sites: 1.6e-14 (G^+) and
+    # 2.0e-14 (G^K) at N = 160; 7.5e-15 on open chains
+    beta = 2.0
+    grid = FreqGrid(-2.0, 3.0, 1201)
+    w = grid.omegas
+    gamma = 0.1 + 0.03 * np.cos(w)
+    cases = [(build_chain(n, 0.5, 1.0), 0.02 * w - 0.5j * gamma, -1j * gamma * np.tanh(0.3 * w))
+             for n in (2, 3, 4, 7, 40, 80, 160)]
+    rate = np.full(grid.n_points, 0.2)
+    cases += [(build_chain(n, 0.5, 1.0, boundary="open"), -0.5j * rate, -1j * rate)
+              for n in (2, 7, 40)]
+    for h, sr, sk in cases:
+        n = h.n_sites
+        one, per_site = _uniform_pair(grid, sr, sk, n)
+        for sites in ([0], [n - 1, 0, n // 2], None if n <= 7 else [1]):
+            g = dyson_solve(h, beta, one, sites)
+            ref = dyson_solve(h, beta, per_site, sites)
+            for mine, full in ((g.retarded, ref.retarded), (g.keldysh, ref.keldysh)):
+                assert mine.shape == full.shape
+                assert np.max(np.abs(mine - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_singular_frequency_reported_on_one_column():
+    # a 2-site ring (eps_k = +-1, exact) under one stored column that is
+    # z - eps at one grid point, where z - eps_k - sigma is exactly 0 for one
+    # eigenvalue; the grid is dyadic. No numpy warning may escape
+    h = build_chain(2, 0.0, 1.0)
+    assert np.array_equal(np.linalg.eigvalsh(h.matrix), [-1.0, 1.0])
+    grid = FreqGrid(-1.0, 1.0, 33)
+    k = 12
+    for eps in (1.0, -1.0):
+        col = np.full((grid.n_points, 1), -0.1j)
+        col[k] = grid.omegas[k] + 1j * grid.eta - eps
+        sigma = SelfEnergy(grid=grid, retarded=col, keldysh=-2j * col.imag, n_sites=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularFrequencyError) as err:
+                dyson_solve(h, 1.0, sigma, sites=[0])
+        assert err.value.omega == grid.omegas[k]
+
+
 def test_banded_solve_matches_refined_lu():
     # the band-structure solve against refined LU on open chains and rings
     # of 1, 2, 3 and 7 sites, with a self-energy that varies by site and
@@ -304,7 +363,7 @@ def test_banded_solve_matches_refined_lu():
 
 
 def test_blocked_solve_matches_refined_lu_across_block_edges():
-    # the solve runs in blocks of keldysh._DYSON_BLOCK = 512 frequencies;
+    # the band solve runs in blocks of keldysh._DYSON_BLOCK = 512 frequencies;
     # grids of one block less one point, exactly one, one plus one point
     # and three plus one (the last block then holds a single point), on a
     # 7-site ring and open chain, for one site and for every site.
@@ -347,20 +406,24 @@ def test_singular_frequency_named_across_blocks():
     assert err.value.omega == grid.omegas[bad[0]]
 
 
-@pytest.mark.parametrize("preset, n_points, widths, bound", [
-    ("fig3-bottom", 3601, [0.05, 0.4], 15.4e6),
-    ("fig2-lower", None, None, 9.8e6),
-], ids=["dephasing-sweep", "fig2-lower"])
-def test_keldysh_runs_stay_within_traced_peaks(tmp_path, preset, n_points, widths, bound):
-    # whole runs under tracemalloc: the sweep at the benchmark's grid and
-    # widths (keldysh, N=40 ring) and fig2-lower (keldysh and lindblad, N=5).
-    # Measured 12.8 and 8.2-8.4 MB; the bounds are 1.2x 12.8 and 8.2.
-    # Before the Dyson solve ran in blocks and the bath tails in place the
-    # peaks were 26.3 and 18.0 MB
+@pytest.mark.parametrize("preset, n_sites, bound", [
+    ("fig3-bottom", 40, 8.5e6),
+    ("fig2-lower", None, 9.3e6),
+    ("fig3-bottom", 400, 17.0e6),
+], ids=["dephasing-sweep", "fig2-lower", "ring-400"])
+def test_keldysh_runs_stay_within_traced_peaks(tmp_path, preset, n_sites, bound):
+    # whole runs under tracemalloc: fig3-bottom's sweep at the benchmark's
+    # grid (3601 points) and widths 0.05 and 0.4 on its 40-site ring and on
+    # a 400-site ring, and fig2-lower (keldysh and lindblad, N=5). Measured
+    # 7.0, 7.6-7.7 and 14.2 MB; the bounds are 1.2x those. Before a uniform
+    # self-energy was one column solved in the eigenbasis they were 12.8,
+    # 8.2-8.4 and 122 MB, and before the band solve ran in blocks 26.3 and
+    # 18.0 MB. Each run also stays within its config's memory rule
     raw = preset_config(preset)
-    if n_points:
-        raw["grid"]["n_points"] = n_points
-        raw["sweep"]["gamma2"] = widths
+    if n_sites:
+        raw["system"]["n_sites"] = n_sites
+        raw["grid"]["n_points"] = 3601
+        raw["sweep"]["gamma2"] = [0.05, 0.4]
     cfg = config_from_dict(raw)
     tracemalloc.start()
     try:
@@ -370,6 +433,7 @@ def test_keldysh_runs_stay_within_traced_peaks(tmp_path, preset, n_points, width
         tracemalloc.stop()
     assert result.ok
     assert peak < bound
+    assert peak < harness._spectra_bytes(cfg)
 
 
 def test_non_chain_hamiltonian_refused():
