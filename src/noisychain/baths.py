@@ -9,7 +9,8 @@ absorption out of a T = 0 bath.
 
 A bath evaluates its own spectrum: OhmicBath.parts(omega) returns (S, J)
 in one pass, OhmicBath.support the half-width beyond which both vanish
-numerically, and noise_power and the Redfield generator read no more.
+numerically, and noise_power, its Hilbert transform and the Redfield
+generator read no more.
 
 All frequency arguments accept scalars or arrays.
 """
@@ -29,6 +30,7 @@ __all__ = [
     "inverse_temperature",
     "fft_convolve",
     "gauss_panels",
+    "noise_power_transform",
     "principal_value_transform",
     "sample_tls_bath",
 ]
@@ -232,18 +234,17 @@ def principal_value_transform(values, omegas):
     to keep the log finite; values in the outer few percent of the grid are
     less reliable, as is anything this close to the integration boundary.
 
-    values is one profile (n,) or a block of profiles (n, k), transformed
-    column by column. The off-pole sum is a Toeplitz product in the grid
-    index: with trapezoid weights w and k_m = 1/m (k_0 = 0) it equals
+    The off-pole sum is a Toeplitz product in the grid index: with
+    trapezoid weights w and k_m = 1/m (k_0 = 0) it equals
     (w f) * k - f (w * k), and both discrete convolutions run as one FFT
-    convolution over the whole block.
+    convolution.
     """
 
     f = np.asarray(values)
     omegas = np.asarray(omegas, dtype=float)
     n = omegas.size
-    if omegas.ndim != 1 or f.ndim not in (1, 2) or f.shape[0] != n:
-        raise ValueError("values must have shape (n,) or (n, k) on the n omegas")
+    if omegas.ndim != 1 or f.shape != omegas.shape:
+        raise ValueError("values must have the shape (n,) of the n omegas")
     if n < 3:
         raise ValueError("need at least 3 grid points")
     h = omegas[1] - omegas[0]
@@ -256,13 +257,40 @@ def principal_value_transform(values, omegas):
     weights[0] = weights[-1] = 0.5
     m = np.arange(-(n - 1), n, dtype=float)
     kernel = np.divide(1.0, m, out=np.zeros_like(m), where=m != 0)
-    cols = f.reshape(n, -1)
-    conv = fft_convolve(
-        np.column_stack([weights[:, None] * cols, weights]), kernel[:, None]
-    )[n - 1 : 2 * n - 1]
-    off_pole = conv[:, :-1] - cols * conv[:, -1:]
-    pole = -h * weights[:, None] * np.gradient(cols, h, axis=0)
-    return (off_pole + pole + cols * log_term[:, None]).reshape(f.shape)
+    conv = fft_convolve(np.column_stack([weights * f, weights]), kernel[:, None])
+    conv = conv[n - 1 : 2 * n - 1]
+    pole = -h * weights * np.gradient(f, h)
+    return conv[:, 0] - f * conv[:, 1] + pole + f * log_term
+
+
+def noise_power_transform(bath, m):
+    """Noise power C and its Hilbert transform H(u) = P int C(nu)/(u - nu) d nu
+    on a uniform grid m symmetric about 0. H is the grid's own sum of
+    (C(nu) - C(u))/(u - nu), principal_value_transform less its log term;
+    plus C(u) log((L + u)/(L - u)), the subtracted constant over [-L, L] with
+    L = bath.support (at least one cell past the grid); plus that regular
+    integrand past either end of the grid out to L on 10-node Gauss-Legendre
+    panels, the first one cell wide and flush with the end, each later one
+    from a to 4a, summed 512 rows of m at a time."""
+
+    h = m[1] - m[0]
+    c = noise_power(bath, m)
+    lo = m - m[0]
+    hi = m[-1] - m
+    lo[0] = hi[-1] = 0.5 * h
+    big = max(bath.support, m[-1] + h)
+    out = principal_value_transform(c, m) - c * np.log(lo / hi)
+    out += c * np.log((big + m) / (big - m))
+    edges = [m[-1], m[-1] + h]
+    while edges[-1] < big:
+        edges.append(min(4.0 * edges[-1], big))
+    nu, w = gauss_panels(edges, 10)
+    nu, w = np.concatenate([-nu[::-1], nu]), np.concatenate([w[::-1], w])
+    c_nu = noise_power(bath, nu)
+    for start in range(0, m.size, 512):
+        blk = slice(start, start + 512)
+        out[blk] += ((c_nu - c[blk, None]) / (m[blk, None] - nu)) @ w
+    return c, out
 
 
 def sample_tls_bath(target_rate, n_tls, band, seed, temperature=0.0):

@@ -433,26 +433,29 @@ def _cross_validate(cfg):
 def _spectra_bytes(cfg):
     """Traced-memory rule of a run's spectra, by grid point. Spectra hold a
     few (n_points, s, s) tables of the s pair sites and (n_points, N) site
-    rows; keldysh adds its bath tables and self-energy diagonals, and on
-    tls baths one site's complex (n_points, n_tls) pole denominators and
-    quotients, 32 B per point and level. Peaks measured with tracemalloc,
-    per point: keldysh 2.6, 3.2, 4.5 and 7.1 kB at N = 5, 10, 20 and 40 on
-    open chains, 1.9-2.1 kB on rings (one self-energy column), pairs (0, 0)
-    and (0, 1), one or four sweep widths, 2001 to 32001 points; lindblad
-    and blochredfield 0.3 kB at s = 2 and 1.7-5.0 kB at s = 5-10.
-    A run that compares two or more spectra reads both files back at once,
-    240 B per point and pair: compare_artifacts measured 186-194 B over 1
-    to 25 pairs and 4001 to 100001 points."""
+    rows; keldysh adds its bath tables and self-energy diagonals, one column
+    per site except on an ohmic ring, which keeps one column and h's dense
+    eigensystem, and on tls baths one site's complex (n_points, n_tls) pole
+    denominators and quotients, 32 B per point and level. Peaks measured
+    with tracemalloc, per point: keldysh 2.6, 3.2, 4.5 and 7.1 kB at N = 5,
+    10, 20 and 40 on open chains, 0.5-1.4 kB on rings of 5 to 400 sites
+    (plus 49-57 B per N^2 at N = 700 and 1000), pairs (0, 0) and (0, 1), one
+    or four sweep widths, 2001 to 32001 points; lindblad and blochredfield
+    0.3 kB at s = 2 and 1.7-5.0 kB at s = 5-10. A run that compares two or
+    more spectra reads both files back at once, 240 B per point and pair:
+    compare_artifacts measured 186-194 B over 1 to 25 pairs and 4001 to
+    100001 points."""
 
     n = cfg.system.n_sites
     s = len(_pair_sites(cfg.grid.pairs))
     engines = _computing(cfg, "spectra")
+    ring = "keldysh" in engines and (cfg.system.boundary, cfg.bath.kind) == ("periodic", "ohmic")
     per_point = 64 * s * s + 32 * n
     if "keldysh" in engines:  # n_tls is None off tls baths
-        per_point += 4800 + 250 * n + 32 * (cfg.bath.n_tls or 0)
+        per_point += 1500 if ring else 4800 + 250 * n + 32 * (cfg.bath.n_tls or 0)
     if len(engines) > 1:
         per_point += 240 * len(cfg.grid.pairs)
-    return per_point * cfg.grid.n_points
+    return per_point * cfg.grid.n_points + (64 * n * n if ring else 0)
 
 
 def _artifact_bytes(n_t, n):

@@ -6,10 +6,11 @@ components of shape (n_points, n_sites), with the textbook sign layout
 retarded = shift - i*gamma/2 (gamma >= 0) and an imaginary Keldysh part.
 A site-uniform one, sigma(omega)*1, is one (n_points, 1) column read on
 every site. Advanced components are never stored; they are hermitian
-conjugates of the retarded ones. The on-grid quadratures (noise
-convolutions and Kramers-Kronig shifts) are Toeplitz products, evaluated
-by FFT convolution once per symmetry orbit: a dephasing bath on every site
-of a chain with np.roll(h.matrix, 1, axis=(0, 1)) equal to h.matrix is
+conjugates of the retarded ones. The dephasing rate is the free spectral
+function convolved with the bath's noise power C, and its level shift the
+same function convolved with C's Hilbert transform: Toeplitz products,
+evaluated by FFT once per symmetry orbit. A dephasing bath on every site of
+a chain with np.roll(h.matrix, 1, axis=(0, 1)) equal to h.matrix is
 computed at site 0, as one column. The dressed Green functions come from
 a direct Dyson solve, G^+ = (omega + i*eta - h - Sigma^+)^-1, for the
 requested sites only, 512 frequencies at a time: in the chain's eigenbasis
@@ -33,8 +34,7 @@ from .baths import (
     check_site_baths,
     fft_convolve,
     inverse_temperature,
-    noise_power,
-    principal_value_transform,
+    noise_power_transform,
 )
 from .errors import SingularFrequencyError
 from .lattice import FREQ_BLOCK as _DYSON_BLOCK
@@ -149,50 +149,6 @@ def _site_spectral_diag(h, grid, sites=None):
     return out, eig
 
 
-def _tail_points(grid, baths):
-    """Geometric tail grids flanking the main window, with trapezoid weights.
-
-    The tails reach 12 cutoffs of the widest bath plus one window width
-    beyond each edge. Spacing starts at the main grid spacing and grows by
-    15% per cell so the 1/(omega - nu) kernel stays resolved near the
-    junction while the far background is covered in O(100) points per side.
-    """
-
-    max_cut = max((b.cutoff for b in baths if b is not None), default=1.0)
-    pad = 12.0 * max_cut + (grid.omega_max - grid.omega_min)
-    h0 = grid.spacing
-    steps = [h0]
-    total = h0
-    while total < pad:
-        steps.append(min(steps[-1] * 1.15, pad / 4.0))
-        total += steps[-1]
-    offsets = np.cumsum(steps)
-    points = np.concatenate([grid.omega_min - offsets[::-1], grid.omega_max + offsets])
-    # trapezoid weights for an open-ended side grid (pad spans many steps)
-    ends = np.append(steps, 0.0)
-    side = 0.5 * (ends[:-1] + ends[1:])
-    return points, np.concatenate([side[::-1], side])
-
-
-def _shift_from_gamma(grid, gamma_main, tail_nu, tail_wts, gamma_tail):
-    """Kramers-Kronig shift of rate profiles, tails included.
-
-    Delta(omega) = (1/2pi) P int Gamma(nu)/(omega - nu) d nu, split into the
-    on-grid principal-value transform plus the pole-free tail quadrature.
-    Profiles are the columns of gamma_main (n_points, n) and gamma_tail
-    (n_tail, n). Truncating to the output window instead would bias peak
-    positions by a spurious log background whenever the rate profile is
-    wider than the window, which it always is for ohmic baths.
-    """
-
-    main = principal_value_transform(gamma_main, grid.omegas)
-    if tail_nu.size:
-        kernel = np.subtract.outer(grid.omegas, tail_nu)
-        np.divide(1.0, kernel, out=kernel)
-        main = main + kernel @ (tail_wts[:, None] * gamma_tail)
-    return main / (2.0 * np.pi)
-
-
 def _bath_groups(baths):
     """{bath: [site, ...]}, grouping sites whose baths are equal; None skipped."""
 
@@ -201,27 +157,6 @@ def _bath_groups(baths):
         if bath is not None:
             groups.setdefault(bath, []).append(i)
     return groups
-
-
-def _tail_rates(bath, tail_nu, w, empty, occ):
-    """C(nu - w) @ empty + C(w - nu) @ occ per tail nu, unscaled. S is even
-    and J odd, so one sample at nu - w gives both, C = (S +- J)/2 bit for bit.
-    Blocks stay at 64 rows: the BLAS sums round by the row count, and 128
-    rows move fig3-top's keldysh bytes, one block fig2-lower's and fig3's.
-    A block holds three (64, n_points) tables at a time, the differences
-    and S and J, and is freed before the next one is sampled."""
-
-    out = np.empty((tail_nu.size, empty.shape[1]))
-    for start in range(0, tail_nu.size, 64):
-        diff = tail_nu[start : start + 64, None] - w
-        c_out, j = bath.parts(diff)
-        c_in = np.subtract(c_out, j, out=diff)
-        c_in *= 0.5
-        c_out += j
-        c_out *= 0.5
-        out[start : start + 64] = (c_out @ empty) + (c_in @ occ)
-        del diff, c_in, c_out, j
-    return out
 
 
 def dephasing_self_energy(h, baths, beta_sys, grid):
@@ -236,29 +171,28 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
         gamma_i(w) = (1/2pi) int dx A_i(x) [ (1-f(x)) C(w-x) + f(x) C(x-w) ]
 
     and the Keldysh part is the same combination with a relative minus sign
-    (times -i). The level shift is the Kramers-Kronig transform of gamma
-    with geometric tail grids so the wide ohmic background is not truncated
-    at the output window. Sites with equal baths form a group, so the bath
-    noise power is sampled once per group on the difference grid and once
-    per tail point for both signs of nu - w. A group on every site of a
-    chain with np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix)
-    is one orbit, computed for site 0 alone as one site-uniform column; any
-    other group is computed column by column. Returns a SelfEnergy.
+    (times -i). The level shift is gamma's Kramers-Kronig transform over the
+    whole bath support; the transform commutes with the convolution, so it
+    is the same sum with C(u) replaced by H(u) = P int C(nu)/(u - nu) d nu
+    (noise_power_transform), the occupied term negated and the whole divided
+    by 2pi. Sites with equal baths form a group, which samples C and H once
+    on the difference grid. A group on every site of a chain with
+    np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix) is one
+    orbit, computed for site 0 alone as one site-uniform column; any other
+    group is computed column by column. Returns a SelfEnergy.
 
-    Every term is linear in the baths' alpha: J and S = J/tanh, both
-    convolutions, the tail sums and the Kramers-Kronig shift. Scaling every
-    alpha by r scales the result by r, bit for bit when r is a power of two
-    (no rounding step sees a different mantissa), so a width sweep computes
-    it once and scales it per width.
+    Every term is linear in the baths' alpha: J and S = J/tanh, H and the
+    four convolutions. Scaling every alpha by r scales the result by r, bit
+    for bit when r is a power of two (no rounding step sees a different
+    mantissa), so a width sweep computes it once and scales it per width.
     """
 
-    # the tails read each bath's cutoff
+    # the transform reads each bath's support
     baths = check_site_baths(baths, lambda b: isinstance(b, OhmicBath), h.n_sites)
     groups = _bath_groups(baths)
     ring = np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix)
     orbit = ring and [len(sites) for sites in groups.values()] == [h.n_sites]
     a0, eig = _site_spectral_diag(h, grid, [0] if orbit else None)
-    w = grid.omegas
     n_pts = grid.n_points
     hstep = grid.spacing
     if eig.energies.min() < grid.omega_min or eig.energies.max() > grid.omega_max:
@@ -268,10 +202,9 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
             stacklevel=2,
         )
 
-    f = fermi_occupation(w, beta_sys)
+    f = fermi_occupation(grid.omegas, beta_sys)
     edge = np.ones(n_pts)
     edge[0] = edge[-1] = 0.5
-    tail_nu, tail_wts = _tail_points(grid, baths)
 
     # difference grid of the convolution and the part of it that lands on w
     m = np.arange(-(n_pts - 1), n_pts) * hstep
@@ -282,16 +215,16 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     kel = np.zeros_like(retarded)
     for bath, sites in groups.items():
         cols = [0] if orbit else sites
-        c_diff = noise_power(bath, m)
+        c_diff, h_diff = noise_power_transform(bath, m)
         empty = a0[:, cols] * (1.0 - f)[:, None] * edge[:, None]
         occ = a0[:, cols] * f[:, None] * edge[:, None]
         conv_e = fft_convolve(empty, c_diff[:, None])[on_grid]
         conv_o = fft_convolve(occ, c_diff[::-1, None])[on_grid]
-        g_main = scale * (conv_e + conv_o)
-        g_tail = scale * _tail_rates(bath, tail_nu, w, empty, occ)
         kel[:, cols] = -1j * scale * (conv_e - conv_o)
-        retarded.real[:, cols] = _shift_from_gamma(grid, g_main, tail_nu, tail_wts, g_tail)
-        retarded.imag[:, cols] = -0.5 * g_main
+        retarded.imag[:, cols] = -0.5 * (scale * (conv_e + conv_o))
+        shift_e = fft_convolve(empty, h_diff[:, None])[on_grid]
+        shift_o = fft_convolve(occ, h_diff[::-1, None])[on_grid]
+        retarded.real[:, cols] = scale / (2.0 * np.pi) * (shift_e - shift_o)
 
     # a0, f, edge weights and the noise power are all nonnegative, so gamma
     # is too up to the FFT's roundoff, about 1e-16 of max gamma; RATE_FLOOR

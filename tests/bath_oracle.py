@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from noisychain.baths import OhmicBath, TlsBath, principal_value_transform
-from noisychain.keldysh import RateFunction, _bath_groups, _shift_from_gamma, _tail_points
+from noisychain.keldysh import RateFunction, _bath_groups
 from noisychain.lattice import FreqGreens, diagonalize, thermal_factor
 
 
@@ -121,27 +121,16 @@ def dephasing_rate_function(h, baths, beta_sys, grid):
     """Closed-form eigenbasis dephasing rates, no grid convolution.
 
     gamma_i(w) = (1/2) sum_k |U_ik|^2 [ S(w - e_k) + F(e_k) J(w - e_k) ]
-    with F the system thermal factor; the shift is the same Kramers-Kronig
-    machinery as the convolution route. Agrees with dephasing_self_energy
-    up to the eta smearing of the free spectral function.
+    with F the system thermal factor; the shift is left at zero. Agrees with
+    dephasing_self_energy up to the eta smearing of the free spectral
+    function.
     """
 
     eig = diagonalize(h)
-    w = grid.omegas
     weights = np.abs(eig.transform) ** 2  # (site, k)
     f_k = thermal_factor(eig.energies, beta_sys)
-    tail_nu, tail_wts = _tail_points(grid, baths)
-
-    def closed_form(bath, sites, nu_grid):
-        diff = nu_grid[:, None] - eig.energies[None, :]
-        s, j = bath.parts(diff)
-        return 0.5 * ((s + j * f_k[None, :]) @ weights[sites].T)
-
     gamma = np.zeros((grid.n_points, h.n_sites))
-    shift = np.zeros_like(gamma)
     for bath, sites in _bath_groups(baths).items():
-        g_main = closed_form(bath, sites, w)
-        g_tail = closed_form(bath, sites, tail_nu)
-        gamma[:, sites] = g_main
-        shift[:, sites] = _shift_from_gamma(grid, g_main, tail_nu, tail_wts, g_tail)
-    return RateFunction(grid=grid, gamma=gamma, shift=shift)
+        s, j = bath.parts(grid.omegas[:, None] - eig.energies[None, :])
+        gamma[:, sites] = 0.5 * ((s + j * f_k[None, :]) @ weights[sites].T)
+    return RateFunction(grid=grid, gamma=gamma, shift=np.zeros_like(gamma))

@@ -9,6 +9,7 @@ from scipy.signal import fftconvolve
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from noisychain import baths
 from noisychain.baths import (
     OhmicBath,
     TlsBath,
@@ -18,7 +19,6 @@ from noisychain.baths import (
     principal_value_transform,
     sample_tls_bath,
 )
-from noisychain.keldysh import _tail_points
 from noisychain.lattice import FreqGrid
 from bath_oracle import FlatNoise, boson_correlators, plain_parts, tls_spectral_density
 from quadrature_oracle import principal_value_direct
@@ -96,26 +96,26 @@ def test_principal_value_needs_three_points():
 
 
 def test_principal_value_fft_matches_direct_sum():
-    # the FFT route against the term-by-term sum, one profile at a time and
-    # as one (n, k) block, on every grid point including both endpoints;
-    # profiles: an off-center line, a wide odd ohmic shape, a complex one
-    # and a profile that is not small at either edge
+    # the FFT route against the term-by-term sum, one profile at a time, on
+    # every grid point including both endpoints; profiles: an off-center
+    # line, a wide odd ohmic shape, a complex one and a profile that is not
+    # small at either edge
     grid = np.linspace(0.2, 3.8, 2001)
-    block = np.column_stack([
+    profiles = [
         np.exp(-((grid - 1.1) / 0.2) ** 2),
         grid * np.exp(-np.abs(grid) / 0.8),
         np.exp(1j * 3.0 * grid) / (1.0 + grid**2),
         0.5 + np.sin(2.0 * grid),
-    ])
-    fft_block = principal_value_transform(block, grid)
-    assert fft_block.shape == block.shape
-    for k in range(block.shape[1]):
-        ref = principal_value_direct(block[:, k], grid)
-        scale = np.max(np.abs(ref))
-        for mine in (fft_block[:, k], principal_value_transform(block[:, k], grid)):
-            assert np.max(np.abs(mine - ref)) <= 1e-12 * scale
+    ]
+    for f in profiles:
+        ref = principal_value_direct(f, grid)
+        mine = principal_value_transform(f, grid)
+        assert mine.shape == f.shape
+        assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref))
     with pytest.raises(ValueError, match="shape"):
-        principal_value_transform(block[:-1], grid)
+        principal_value_transform(profiles[0][:-1], grid)
+    with pytest.raises(ValueError, match="shape"):
+        principal_value_transform(np.column_stack(profiles[:2]), grid)
 
 
 def test_fft_convolve_is_bitwise_fftconvolve():
@@ -238,8 +238,11 @@ def test_boson_correlators_narrow_grid_warns():
 @example(alpha=0.1, cutoff=2.0, temperature=3.0, w=1e-9)  # |w/2T| < 1e-8
 @example(alpha=0.1, cutoff=2.0, temperature=3.0, w=0.0)
 def test_noise_power_nonnegative_and_symmetries(alpha, cutoff, temperature, w):
-    # bitwise: the Kramers-Kronig tails take C(w - nu) = (S - J)/2 from the
-    # sample at nu - w, which holds bit for bit only through these identities
+    # bitwise: the occupied terms of the dephasing self-energy read C(x - w)
+    # and H(x - w) as c_diff[::-1] and H[::-1], the samples on the negated
+    # difference grid; c_diff[::-1] is (S - J)/2 of the sample at w - x bit
+    # for bit only through these identities, and H[::-1] is the transform of
+    # that reflected profile
     bath = OhmicBath(alpha=alpha, cutoff=cutoff, temperature=temperature)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # coth overflow near w = 0 is benign
@@ -264,18 +267,25 @@ def test_scalar_frequencies_match_the_array_path():
                 assert float(value) == fn(bath, np.array([w, 1.0]))[0]
 
 
-def test_parts_match_the_plain_formulas_bit_for_bit():
+def test_parts_match_the_plain_formulas_bit_for_bit(monkeypatch):
     # parts works in place; the bits are those of the plain formulas on a
-    # 64-row block of the fig3 Kramers-Kronig tail differences, on Python
+    # 64-row block of every frequency the fig3 bath transform samples (the
+    # difference grid and the panel nodes out to the support), on Python
     # floats and 0-d arrays, at T = 0 and on both sides of |w/2T| = 1e-8
     # (|w| = 8e-7 at T = 40), and the frequencies passed in stay as they were
     grid = FreqGrid(0.2, 3.8, 3601)
     hot = OhmicBath(alpha=0.05 / 300.0, cutoff=800.0, temperature=300.0)
     cold = OhmicBath(alpha=0.2, cutoff=4.0, temperature=0.0)
     warm = OhmicBath(alpha=0.0125, cutoff=3.0, temperature=40.0)
-    tail_nu, _ = _tail_points(grid, [hot])
-    block = tail_nu[:64, None] - grid.omegas
-    assert block.shape == (64, 3601)
+    sampled = []
+    monkeypatch.setattr(baths, "noise_power",
+                        lambda bath, omega: sampled.append(omega) or noise_power(bath, omega))
+    baths.noise_power_transform(hot, np.arange(-3600, 3601) * grid.spacing)
+    monkeypatch.undo()
+    values = np.concatenate(sampled)
+    block = values[: values.size // 64 * 64].reshape(64, -1)
+    assert values.size > 7201 and block.shape[1] >= 7201 // 64
+    assert 0.9 * hot.support < np.max(values) < hot.support
     near_zero = np.array([[-9e-7, -8e-7, -7.9e-7, -1e-9, 0.0],
                           [1e-9, 7.9e-7, 8e-7, 9e-7, 2.5]])
     cases = [(hot, block), (cold, block), (warm, near_zero), (cold, near_zero)]

@@ -407,13 +407,17 @@ def test_lindblad_trajectory_memory_rejected_before_any_output(tmp_path, capsys)
 
 def test_grid_size_rejected_before_any_output(tmp_path, capsys):
     # the spectra engines' frequency tables are sized at validation, naming
-    # grid.n_points: a million-point keldysh grid (about 6 GB) is refused
-    # before any engine writes, while the master-equation engines alone need
-    # far less and validate
+    # grid.n_points: a million-point keldysh grid on fig2-lower's 5 sites
+    # as an open chain (about 6.9 GB) is refused before any engine writes,
+    # while the master-equation engines alone need far less and validate.
+    # On the preset's ring keldysh keeps one self-energy column, 2.4 GB by
+    # the rule, and validates
     raw = preset_config("fig2-lower")
     raw["grid"]["n_points"] = 100_000
     config_from_dict(copy.deepcopy(raw))
     raw["grid"]["n_points"] = 1_000_000
+    config_from_dict(copy.deepcopy(raw))
+    raw["system"]["boundary"] = "open"
     with pytest.raises(ConfigError, match="grid.n_points"):
         config_from_dict(copy.deepcopy(raw))
     path = tmp_path / "fig2-lower.yaml"
@@ -424,6 +428,23 @@ def test_grid_size_rejected_before_any_output(tmp_path, capsys):
     assert not out.exists()
     raw["engines"] = ["lindblad"]
     config_from_dict(copy.deepcopy(raw))
+
+
+def test_ring_spectra_rule_charges_one_self_energy_column():
+    # keldysh on an ohmic ring keeps one self-energy column, so its rule
+    # charges 1.5 kB per point and h's dense eigensystem instead of 250 B
+    # per point and site: fig3-bottom on 1000 sites over 20001 points is
+    # 0.74 GB by the rule and validates (a 1000-site ring traced 54 MB over
+    # 2001 and 3601 points). The same chain open keeps a column per site,
+    # 5.7 GB by the rule, and is refused
+    raw = preset_config("fig3-bottom")
+    raw["system"]["n_sites"] = 1000
+    raw["grid"]["n_points"] = 20001
+    cfg = config_from_dict(copy.deepcopy(raw))
+    assert harness._spectra_bytes(cfg) < 0.75e9
+    raw["system"]["boundary"] = "open"
+    with pytest.raises(ConfigError, match="grid.n_points"):
+        config_from_dict(raw)
 
 
 def test_blochredfield_dynamics_conserve_the_excitation(tmp_path):

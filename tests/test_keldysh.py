@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from noisychain import harness, keldysh, qme
-from noisychain.baths import OhmicBath, TlsBath, WideBandBath
+from noisychain.baths import OhmicBath, TlsBath, WideBandBath, noise_power_transform
 from noisychain.errors import SingularFrequencyError
 from noisychain.harness import _Plan, config_from_dict, find_spectral_peaks
 from noisychain.kbe import MemorySelfEnergy, equal_time_occupations
@@ -31,9 +31,9 @@ from noisychain.presets import preset_config
 from bath_oracle import FlatNoise, dephasing_rate_function
 from dyson_oracle import lu_dyson_solve, ring_site_greens
 from quadrature_oracle import (
+    born_sigma_direct,
     dephasing_convolutions_direct,
     dephasing_site_by_site,
-    dephasing_tail_direct,
 )
 
 
@@ -407,24 +407,32 @@ def test_singular_frequency_named_across_blocks():
 
 
 @pytest.mark.parametrize("preset, n_sites, bound", [
-    ("fig3-bottom", 40, 8.5e6),
-    ("fig2-lower", None, 9.3e6),
+    ("fig3-bottom", 40, 3.0e6),
+    ("fig2-lower", None, 3.8e6),
     ("fig3-bottom", 400, 17.0e6),
-], ids=["dephasing-sweep", "fig2-lower", "ring-400"])
+    ("fig3-bottom", None, 4.8e6),
+], ids=["dephasing-sweep", "fig2-lower", "ring-400", "fig3-bottom"])
 def test_keldysh_runs_stay_within_traced_peaks(tmp_path, preset, n_sites, bound):
     # whole runs under tracemalloc: fig3-bottom's sweep at the benchmark's
     # grid (3601 points) and widths 0.05 and 0.4 on its 40-site ring and on
-    # a 400-site ring, and fig2-lower (keldysh and lindblad, N=5). Measured
-    # 7.0, 7.6-7.7 and 14.2 MB; the bounds are 1.2x those. Before a uniform
-    # self-energy was one column solved in the eigenbasis they were 12.8,
-    # 8.2-8.4 and 122 MB, and before the band solve ran in blocks 26.3 and
-    # 18.0 MB. Each run also stays within its config's memory rule
+    # a 400-site ring, fig2-lower (keldysh and lindblad, N=5) and the
+    # fig3-bottom preset itself (7201 points, four widths). Measured 2.45,
+    # 3.11, 14.2 and 4.00 MB; the bounds are 1.2x those. numpy loads its fft
+    # and polynomial modules on first use, which adds 0.4-0.8 MB of module
+    # objects to a run that comes first in its process; they are loaded
+    # before tracing starts, so every run is measured alike. While the shift
+    # was the rate's transform on geometric tail grids these runs traced
+    # 7.0, 7.6, 14.2 and 13.8 MB; before a uniform self-energy was one
+    # column solved in the eigenbasis 12.8, 8.2-8.4 and 122 MB, and before
+    # the band solve ran in blocks 26.3 and 18.0 MB. Each run also stays
+    # within its config's memory rule
     raw = preset_config(preset)
     if n_sites:
         raw["system"]["n_sites"] = n_sites
         raw["grid"]["n_points"] = 3601
         raw["sweep"]["gamma2"] = [0.05, 0.4]
     cfg = config_from_dict(raw)
+    np.fft, np.polynomial.legendre  # reading the attributes loads them
     tracemalloc.start()
     try:
         result = harness.run_experiment(cfg, out_root=tmp_path)
@@ -501,7 +509,7 @@ def _match_single_site_calls(h, baths, beta, grid, sites):
     """Self-energy of `baths`, each column in `sites` pinned at 1e-12 of its
     max against a call that puts that site's bath on that site alone. One
     bathed site is never an orbit, so the lone call takes the per-site
-    route (equal cutoffs, so both calls share one tail grid)."""
+    route."""
 
     sigma = dephasing_self_energy(h, baths, beta, grid)
     for i in sites:
@@ -559,44 +567,78 @@ def test_ring_orbit_matches_single_site_calls(preset, gamma2):
 
 
 def test_dephasing_convolutions_match_direct_sums():
-    # the FFT noise convolutions against one np.convolve per site column:
-    # the rate is -2 Im Sigma^+, the Keldysh diagonal is compared as is
+    # the four FFT convolutions against one np.convolve per site column, of
+    # the noise power C and of its transform H (and H[::-1]): the rate is
+    # -2 Im Sigma^+, the shift Re Sigma^+, the Keldysh diagonal as is
     h = build_chain(4, 2.0, 1.0, boundary="open")
     bath = OhmicBath(alpha=0.01, cutoff=20.0, temperature=5.0)
     grid = FreqGrid(-1.0, 5.0, 1201)
     sigma = dephasing_self_energy(h, [bath] * 4, 0.2, grid)
-    gamma, keldysh = dephasing_convolutions_direct(h, bath, 0.2, grid)
-    for mine, ref in ((-2.0 * sigma.retarded.imag, gamma), (sigma.keldysh, keldysh)):
+    gamma, shift, keldysh = dephasing_convolutions_direct(h, bath, 0.2, grid)
+    for mine, ref in ((-2.0 * sigma.retarded.imag, gamma), (sigma.retarded.real, shift),
+                      (sigma.keldysh, keldysh)):
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.max(np.abs(mine - ref), axis=0) <= 1e-12 * scale)
 
 
-@pytest.mark.parametrize("preset, gamma2, n_points", [
-    ("fig2-lower", None, None),
-    ("fig2-upper", None, None),
-    *[("fig3-bottom", g2, n) for n in (7201, 3601) for g2 in (0.05, 0.1, 0.2, 0.4)],
+# the preset baths: fig2-upper's, fig2-lower's and fig3's at two sweep widths,
+# each with its preset grid (omega_min, omega_max, n_points)
+_PRESET_BATHS = {
+    "fig2-upper": (OhmicBath(alpha=0.002, cutoff=4.0, temperature=0.2), (0.0, 4.0, 1601)),
+    "fig2-lower": (OhmicBath(alpha=0.1 / 300.0, cutoff=800.0, temperature=300.0),
+                   (0.0, 4.0, 4001)),
+    "fig3-0.05": (OhmicBath(alpha=0.05 / 300.0, cutoff=800.0, temperature=300.0),
+                  (0.2, 3.8, 7201)),
+    "fig3-0.4": (OhmicBath(alpha=0.4 / 300.0, cutoff=800.0, temperature=300.0),
+                 (0.2, 3.8, 7201)),
+}
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("fig2-upper", 1.3e-3),
+    ("fig2-lower", 1.0e-3),
+    ("fig3-0.05", 5.5e-4),
+    ("fig3-0.4", 5.5e-4),
 ])
-def test_one_sample_tail_matches_two_call_oracle(monkeypatch, preset, gamma2, n_points):
-    # the tail takes C(w - nu) = (S - J)/2 from the sample at nu - w; on the
-    # shipped presets, fig3-bottom's sweep widths and the benchmark's
-    # 3601-point sweep grid the self-energy is bitwise that of sampling the
-    # noise power at each sign on its own
-    raw = preset_config(preset)
-    if n_points is not None:
-        raw["grid"]["n_points"] = n_points
-    plan = _Plan(config_from_dict(raw))
-    cfg = plan.cfg
-    baths = plan.site_baths
-    if gamma2 is not None:
-        baths = [OhmicBath(alpha=gamma2 / cfg.bath.temperature, cutoff=cfg.bath.cutoff,
-                           temperature=cfg.bath.temperature)] * cfg.system.n_sites
-    args = (plan.h, baths, cfg.system.beta, plan.grid)
-    sigma = dephasing_self_energy(*args)
-    monkeypatch.setattr(keldysh, "_tail_rates", dephasing_tail_direct)
-    ref = dephasing_self_energy(*args)
-    assert np.array_equal(sigma.retarded, ref.retarded)
-    assert np.array_equal(sigma.keldysh, ref.keldysh)
-    assert np.any(sigma.retarded.real)  # the shift, tails included, is compared
+def test_born_self_energy_matches_exact_first_order(name, bound):
+    # one empty level at eps = 2 (beta_sys = inf) on each preset bath and
+    # grid, against the exact first-order self-energy by direct quadrature
+    # over the whole bath support: at the eight points at either end of the
+    # window and every 25th point between. Measured, as fractions of
+    # max|Sigma|: Re 1.07e-3, 8.2e-4 and 4.6e-4 (both fig3 widths), Im
+    # 1.11e-3, 9.6e-4 and 5.3e-4; the bounds are about 1.2x the larger.
+    # That is the eta floor: the free Lorentzian is cut at the window edge.
+    # With the shift taken as the rate's transform on geometric tail grids
+    # the Re error was 9.1e-2 to 9.3e-2, next to the window edges
+    bath, (lo, hi, n) = _PRESET_BATHS[name]
+    grid = FreqGrid(lo, hi, n)
+    h = build_chain(1, 2.0, 0.0, boundary="open")
+    sigma = dephasing_self_energy(h, [bath], np.inf, grid).retarded[:, 0]
+    idx = np.r_[0:8, 8 : n - 8 : 25, n - 8 : n]
+    ref = born_sigma_direct(bath, 2.0, grid.eta, grid.omegas[idx])
+    err = sigma[idx] - ref
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(err.real)) < bound * scale
+    assert np.max(np.abs(err.imag)) < bound * scale
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("fig2-upper", 6e-7),
+    ("fig2-lower", 2e-8),
+    ("fig3-0.4", 3e-9),
+])
+def test_noise_power_transform_matches_half_transform(name, bound):
+    # the bath transform H on the difference grid against Bloch-Redfield's
+    # half-sided transform C/2 - (i/2pi) H, every 37th point and both ends.
+    # Measured, as fractions of max|C/2 - (i/2pi) H|: 4.4e-7 (fig2-upper,
+    # at the kink of C at 0), 1.25e-8 and 1.7e-9
+    bath, (lo, hi, n) = _PRESET_BATHS[name]
+    m = np.arange(-(n - 1), n) * ((hi - lo) / (n - 1))
+    c, transform = noise_power_transform(bath, m)
+    idx = np.r_[0 : m.size : 37, m.size - 1]
+    ref = qme._half_transform(bath, m[idx])
+    mine = 0.5 * c[idx] - 1j * transform[idx] / (2.0 * np.pi)
+    assert np.max(np.abs(mine - ref)) < bound * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
