@@ -8,9 +8,11 @@ rates, is noise_power = (S + J)/2 = J*(n_bose + 1); it vanishes for
 absorption out of a T = 0 bath.
 
 A bath evaluates its own spectrum: OhmicBath.parts(omega) returns (S, J)
-in one pass, OhmicBath.support the half-width beyond which both vanish
-numerically, and noise_power, its Hilbert transform and the Redfield
-generator read no more.
+in one pass and OhmicBath.support the half-width beyond which both vanish
+numerically; no caller reads more of a bath. The Hilbert transform H of
+the noise power is computed here only: noise_power_transform on the Keldysh
+self-energy's difference grid, and half_transform, Bloch-Redfield's
+C/2 - (i/2pi) H (Breuer & Petruccione 2002, section 3.3), at register gaps.
 
 All frequency arguments accept scalars or arrays.
 """
@@ -31,7 +33,7 @@ __all__ = [
     "fft_convolve",
     "gauss_panels",
     "noise_power_transform",
-    "principal_value_transform",
+    "half_transform",
     "sample_tls_bath",
 ]
 
@@ -186,24 +188,18 @@ def _next_fast_len(n):
 
 
 def fft_convolve(a, b):
-    """Full linear convolution of a and b along axis 0, by FFT.
+    """Full linear convolution of real arrays a and b along axis 0, by FFT.
 
     a and b have the same number of dimensions; the other axes broadcast.
-    The transforms run at the next 5-smooth length of the full output, real
-    (rfft/irfft) for real inputs and complex (fft/ifft) otherwise, and the
-    result is cut to the full length a.shape[0] + b.shape[0] - 1. On real
-    inputs longer than one sample along axis 0 that is the path, and so the
-    rounding, of scipy's fftconvolve(a, b, axes=0); complex inputs run at
-    other lengths than scipy picks and agree with it to roundoff.
+    The real transforms (rfft/irfft) run at the next 5-smooth length of the
+    full output, and the result is cut to the full length
+    a.shape[0] + b.shape[0] - 1. On inputs longer than one sample along
+    axis 0 that is the path, and so the rounding, of scipy's
+    fftconvolve(a, b, axes=0). Complex input raises TypeError in rfft.
     """
 
-    a = np.asarray(a)
-    b = np.asarray(b)
     n = a.shape[0] + b.shape[0] - 1
     size = _next_fast_len(n)
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        spectrum = np.fft.fft(a, size, axis=0) * np.fft.fft(b, size, axis=0)
-        return np.fft.ifft(spectrum, size, axis=0)[:n]
     spectrum = np.fft.rfft(a, size, axis=0) * np.fft.rfft(b, size, axis=0)
     return np.fft.irfft(spectrum, size, axis=0)[:n]
 
@@ -224,62 +220,38 @@ def gauss_panels(edges, order):
     return (mid + half * x).reshape(shape), (half * w).reshape(shape)
 
 
-def principal_value_transform(values, omegas):
-    """P integral of values(nu)/(omega - nu) d nu for omega on the same grid.
+def _grid_pv(f, h):
+    """Trapezoid sum of (f(nu) - f(omega))/(omega - nu) over the uniform grid,
+    spacing h, that the real samples f lie on, at every grid point; the pole
+    cell adds -h w f'(omega). With trapezoid weights w and k_m = 1/m
+    (k_0 = 0) the sum is the Toeplitz product (w f) * k - f (w * k), both
+    convolutions one FFT convolution."""
 
-    Uniform-grid quadrature of the curvature-regularized integrand: off the
-    pole (f(nu) - f(omega))/(omega - nu) with trapezoid weights, the pole
-    cell contributing -f'(omega), plus the analytic f(omega)*log term for
-    the constant part. The two endpoints use a half-cell-extended interval
-    to keep the log finite; values in the outer few percent of the grid are
-    less reliable, as is anything this close to the integration boundary.
-
-    The off-pole sum is a Toeplitz product in the grid index: with
-    trapezoid weights w and k_m = 1/m (k_0 = 0) it equals
-    (w f) * k - f (w * k), and both discrete convolutions run as one FFT
-    convolution.
-    """
-
-    f = np.asarray(values)
-    omegas = np.asarray(omegas, dtype=float)
-    n = omegas.size
-    if omegas.ndim != 1 or f.shape != omegas.shape:
-        raise ValueError("values must have the shape (n,) of the n omegas")
-    if n < 3:
-        raise ValueError("need at least 3 grid points")
-    h = omegas[1] - omegas[0]
-    lo = omegas - omegas[0]
-    hi = omegas[-1] - omegas
-    lo[0] = hi[-1] = 0.5 * h
-    log_term = np.log(lo / hi)
-
+    n = f.size
     weights = np.ones(n)
     weights[0] = weights[-1] = 0.5
     m = np.arange(-(n - 1), n, dtype=float)
     kernel = np.divide(1.0, m, out=np.zeros_like(m), where=m != 0)
     conv = fft_convolve(np.column_stack([weights * f, weights]), kernel[:, None])
     conv = conv[n - 1 : 2 * n - 1]
-    pole = -h * weights * np.gradient(f, h)
-    return conv[:, 0] - f * conv[:, 1] + pole + f * log_term
+    return conv[:, 0] - f * conv[:, 1] - h * weights * np.gradient(f, h)
 
 
 def noise_power_transform(bath, m):
     """Noise power C and its Hilbert transform H(u) = P int C(nu)/(u - nu) d nu
     on a uniform grid m symmetric about 0. H is the grid's own sum of
-    (C(nu) - C(u))/(u - nu), principal_value_transform less its log term;
-    plus C(u) log((L + u)/(L - u)), the subtracted constant over [-L, L] with
-    L = bath.support (at least one cell past the grid); plus that regular
-    integrand past either end of the grid out to L on 10-node Gauss-Legendre
-    panels, the first one cell wide and flush with the end, each later one
-    from a to 4a, summed 512 rows of m at a time."""
+    (C(nu) - C(u))/(u - nu), _grid_pv; plus C(u) log((L + u)/(L - u)), the
+    subtracted constant over [-L, L] with L = bath.support (at least one
+    cell past the grid); plus that regular integrand past either end of the
+    grid out to L on 10-node Gauss-Legendre panels, the first one cell wide
+    and flush with the end, each later one from a to 4a, summed 512 rows of
+    m at a time. Its panel sum is not half_transform's: these nodes never
+    land on a grid point, while a gap's own row can hold the gap."""
 
     h = m[1] - m[0]
     c = noise_power(bath, m)
-    lo = m - m[0]
-    hi = m[-1] - m
-    lo[0] = hi[-1] = 0.5 * h
     big = max(bath.support, m[-1] + h)
-    out = principal_value_transform(c, m) - c * np.log(lo / hi)
+    out = _grid_pv(c, h)
     out += c * np.log((big + m) / (big - m))
     edges = [m[-1], m[-1] + h]
     while edges[-1] < big:
@@ -291,6 +263,29 @@ def noise_power_transform(bath, m):
         blk = slice(start, start + 512)
         out[blk] += ((c_nu - c[blk, None]) / (m[blk, None] - nu)) @ w
     return c, out
+
+
+def half_transform(bath, gaps):
+    """C(gap)/2 - (i/2pi) P int C(nu)/(gap - nu) d nu at every gap, rounded to 1e-12.
+
+    The principal value is the regular integral of (C(nu) - C(gap))/(gap - nu)
+    plus the analytic log term of the subtracted constant. The regular part
+    runs on 16-node Gauss-Legendre panels split at the gap and at nu = 0,
+    the kink of e^(-|nu|/cutoff), and halved 40 times toward it from the
+    support's edges: that grades the rule onto the Bose factor's poles at
+    2 pi i T k at any temperature.
+    """
+
+    half = bath.support
+    keys, where = np.unique(np.round(gaps.ravel(), 12), return_inverse=True)
+    grade = half * 0.5 ** np.arange(40)
+    edges = np.tile(np.concatenate([-grade, [0.0], grade[::-1]]), (keys.size, 1))
+    nu, w = gauss_panels(np.sort(np.column_stack([edges, np.clip(keys, -half, half)])), 16)
+    c = noise_power(bath, np.column_stack([keys, nu]))  # C(gap), then C on the nodes
+    d = keys[:, None] - nu
+    regular = np.divide(c[:, 1:] - c[:, :1], d, out=np.zeros_like(nu), where=d != 0)
+    pv = np.sum(w * regular, axis=1) + c[:, 0] * np.log(np.abs((keys + half) / (half - keys)))
+    return (0.5 * c[:, 0] - 1j * pv / (2.0 * np.pi))[where].reshape(gaps.shape)
 
 
 def sample_tls_bath(target_rate, n_tls, band, seed, temperature=0.0):

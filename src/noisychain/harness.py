@@ -433,29 +433,40 @@ def _cross_validate(cfg):
 def _spectra_bytes(cfg):
     """Traced-memory rule of a run's spectra, by grid point. Spectra hold a
     few (n_points, s, s) tables of the s pair sites and (n_points, N) site
-    rows; keldysh adds its bath tables and self-energy diagonals, one column
-    per site except on an ohmic ring, which keeps one column and h's dense
-    eigensystem, and on tls baths one site's complex (n_points, n_tls) pole
-    denominators and quotients, 32 B per point and level. Peaks measured
-    with tracemalloc, per point: keldysh 2.6, 3.2, 4.5 and 7.1 kB at N = 5,
-    10, 20 and 40 on open chains, 0.5-1.4 kB on rings of 5 to 400 sites
-    (plus 49-57 B per N^2 at N = 700 and 1000), pairs (0, 0) and (0, 1), one
-    or four sweep widths, 2001 to 32001 points; lindblad and blochredfield
-    0.3 kB at s = 2 and 1.7-5.0 kB at s = 5-10. A run that compares two or
-    more spectra reads both files back at once, 240 B per point and pair:
-    compare_artifacts measured 186-194 B over 1 to 25 pairs and 4001 to
-    100001 points."""
+    rows. keldysh adds bath tables and self-energy diagonals, one column per
+    site except on an ohmic ring; tls baths add one site's complex
+    (n_points, n_tls) pole tables, ohmic baths h's dense eigensystem, open
+    or ring. lindblad and blochredfield add the artifact's columns, 120 B
+    per point and pair, and one write block; blochredfield also qme_greens'
+    two 512-frequency resolvent tables over C(2N, N - 1) modes. Traced
+    peaks per point: keldysh 2.6, 3.2, 4.5 and 7.1 kB at N = 5, 10, 20 and
+    40 on open chains and 0.5-1.4 kB on rings of 5 to 400 sites (plus
+    49-57 B per N^2 at N = 700 and 1000), pairs (0, 0) and (0, 1), one or
+    four sweep widths, 2001 to 32001 points; an open 1000-site chain over
+    101 points peaked at 0.46 of the rule. Warm
+    fig2-upper runs over 101 to 20001 points at s = 2, 5 and 10: lindblad
+    0.05-0.70 of the rule, blochredfield 0.09-0.65. A run that compares two
+    or more spectra reads both files back at once, 240 B per point and
+    pair: compare_artifacts measured 186-194 B over 1 to 25 pairs and 4001
+    to 100001 points."""
 
     n = cfg.system.n_sites
     s = len(_pair_sites(cfg.grid.pairs))
     engines = _computing(cfg, "spectra")
-    ring = "keldysh" in engines and (cfg.system.boundary, cfg.bath.kind) == ("periodic", "ohmic")
+    ohmic = "keldysh" in engines and cfg.bath.kind == "ohmic"
+    ring = ohmic and cfg.system.boundary == "periodic"
     per_point = 64 * s * s + 32 * n
+    fixed = 64 * n * n if ohmic else 0
     if "keldysh" in engines:  # n_tls is None off tls baths
         per_point += 1500 if ring else 4800 + 250 * n + 32 * (cfg.bath.n_tls or 0)
+    if {"lindblad", "blochredfield"} & set(engines):
+        per_point += 120 * len(cfg.grid.pairs)
+        fixed += 600 * _WRITE_BLOCK
+    if "blochredfield" in engines:
+        fixed += 32 * 512 * math.comb(2 * n, n - 1)
     if len(engines) > 1:
         per_point += 240 * len(cfg.grid.pairs)
-    return per_point * cfg.grid.n_points + (64 * n * n if ring else 0)
+    return per_point * cfg.grid.n_points + fixed
 
 
 def _artifact_bytes(n_t, n):

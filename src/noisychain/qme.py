@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baths import TlsBath, check_site_baths, gauss_panels, noise_power
+from .baths import TlsBath, check_site_baths, half_transform, noise_power
 from .errors import CapacityError
 from .lattice import FreqGreens, ideal_greens
 
@@ -160,29 +160,6 @@ class BlochRedfieldGenerator:
         return rot @ lv @ rot.conj().T
 
 
-def _half_transform(bath, gaps):
-    """C(gap)/2 - (i/2pi) P int C(nu)/(gap - nu) d nu at every gap, rounded to 1e-12.
-
-    The principal value is the regular integral of (C(nu) - C(gap))/(gap - nu)
-    plus the analytic log term of the subtracted constant. The regular part
-    runs on 16-node Gauss-Legendre panels split at the gap and at nu = 0,
-    the kink of e^(-|nu|/cutoff), and halved 40 times toward it from the
-    support's edges: that grades the rule onto the Bose factor's poles at
-    2 pi i T k at any temperature.
-    """
-
-    half = bath.support
-    keys, where = np.unique(np.round(gaps.ravel(), 12), return_inverse=True)
-    grade = half * 0.5 ** np.arange(40)
-    edges = np.tile(np.concatenate([-grade, [0.0], grade[::-1]]), (keys.size, 1))
-    nu, w = gauss_panels(np.sort(np.column_stack([edges, np.clip(keys, -half, half)])), 16)
-    c = noise_power(bath, np.column_stack([keys, nu]))  # C(gap), then C on the nodes
-    d = keys[:, None] - nu
-    regular = np.divide(c[:, 1:] - c[:, :1], d, out=np.zeros_like(nu), where=d != 0)
-    pv = np.sum(w * regular, axis=1) + c[:, 0] * np.log(np.abs((keys + half) / (half - keys)))
-    return (0.5 * c[:, 0] - 1j * pv / (2.0 * np.pi))[where].reshape(gaps.shape)
-
-
 def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
     """Redfield generator of density-coupled baths on the register, per sector.
 
@@ -219,7 +196,7 @@ def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
         if bath is None:
             continue
         if bath not in thetas:
-            table = (_half_transform(bath, gaps) if lamb_shift
+            table = (half_transform(bath, gaps) if lamb_shift
                      else 0.5 * noise_power(bath, gaps))
             thetas[bath] = [t.reshape(e.size, e.size)
                             for t, e in zip(np.split(table, splits), energies)]

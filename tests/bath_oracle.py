@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from noisychain.baths import OhmicBath, TlsBath, principal_value_transform
+from noisychain.baths import OhmicBath, TlsBath
 from noisychain.keldysh import RateFunction, _bath_groups
 from noisychain.lattice import FreqGreens, diagonalize, thermal_factor
+from quadrature_oracle import principal_value_direct
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def boson_correlators(bath, grid):
             stacklevel=2,
         )
     s, j = bath.parts(w)
-    re_dr = principal_value_transform(j, w) / (2.0 * np.pi)
+    re_dr = principal_value_direct(j, w) / (2.0 * np.pi)
     dr = (re_dr - 0.5j * j)[:, None, None]
     dk = (-1j * s)[:, None, None].astype(complex)
     return FreqGreens(grid=grid, retarded=dr, keldysh=dk)

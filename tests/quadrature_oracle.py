@@ -1,12 +1,16 @@
 """Quadratures by direct summation, as test oracles.
 
-noisychain.baths.principal_value_transform and the four convolutions of
-noisychain.keldysh.dephasing_self_energy (the rate and the shift, each with
-an empty and an occupied term) evaluate Toeplitz sums on the frequency grid
-by FFT convolution; these helpers reach the same numbers by summing every
-term (O(n^2) per profile), to check that they do. dephasing_self_energy
-computes one column per symmetry orbit; dephasing_site_by_site is the
-column-per-site route every other bath group takes, applied to every group.
+The grid principal-value sum of noisychain.baths.noise_power_transform and
+the four convolutions of noisychain.keldysh.dephasing_self_energy (the rate
+and the shift, each with an empty and an occupied term) evaluate Toeplitz
+sums on the frequency grid by FFT convolution; these helpers reach the same
+numbers by summing every term (O(n^2) per profile), to check that they do.
+principal_value_direct is the whole on-grid transform of one profile: that
+sum plus the log term of the subtracted constant over the grid, whose
+endpoints take a half-cell-extended interval to keep the log finite.
+dephasing_self_energy computes one column per symmetry orbit;
+dephasing_site_by_site is the column-per-site route every other bath group
+takes, applied to every group.
 born_sigma_direct is the exact first-order self-energy of one bare level,
 by adaptive quadrature over the whole bath support, which the grid route
 approximates.
@@ -23,7 +27,11 @@ from noisychain.lattice import fermi_occupation
 
 
 def principal_value_direct(values, omegas):
-    """principal_value_transform of one profile (n,), term by term."""
+    """P int values(nu)/(omega - nu) d nu over the grid, at every omega of the
+    grid, for one profile (n,), term by term: the trapezoid sum of
+    (f(nu) - f(omega))/(omega - nu) with -f'(omega) on the pole cell, plus
+    f(omega) log((omega - omega_0)/(omega_last - omega)) with each endpoint's
+    zero distance taken as half a cell."""
 
     f = np.asarray(values)
     omegas = np.asarray(omegas, dtype=float)

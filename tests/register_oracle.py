@@ -19,10 +19,10 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from noisychain.baths import noise_power
+from noisychain.baths import half_transform, noise_power
 from noisychain.errors import CapacityError
 from noisychain.lattice import FreqGreens
-from noisychain.qme import BlochRedfieldGenerator, _half_transform, _propagate, _register_guard
+from noisychain.qme import BlochRedfieldGenerator, _propagate, _register_guard
 
 JW_MAX_SITES = 12
 
@@ -298,7 +298,7 @@ def global_redfield_superoperator(h, baths, secular=False, lamb_shift=True):
         if bath is None:
             continue
         if bath not in thetas:
-            thetas[bath] = (_half_transform(bath, gaps) if lamb_shift
+            thetas[bath] = (half_transform(bath, gaps) if lamb_shift
                             else 0.5 * noise_power(bath, gaps))
         a_site = 0.5 * np.asarray(_site_pauli(_SZ, i, n).todense(), dtype=complex)
         a_op = v.conj().T @ a_site @ v

@@ -787,9 +787,9 @@ def test_spectra_comparison_stays_within_its_rule(tmp_path):
     # a run that compares two spectra reads both files back at once, one
     # row per point and pair: fig2-upper's lindblad and blochredfield
     # spectra on all 25 pairs of its 5 sites over 20001 points peak at
-    # 95 MB under tracemalloc, 93 MB of it in the comparison. That is 0.61
-    # of the spectra rule, which counted 35 MB before it counted the
-    # read-back
+    # 95 MB under tracemalloc, 93 MB of it in the comparison. That is 0.43
+    # of the spectra rule (0.61 before the rule counted the artifact's
+    # columns and fixed costs, 35 MB before it counted the read-back)
     raw = preset_config("fig2-upper")
     raw["engines"] = ["lindblad", "blochredfield"]
     raw["grid"]["pairs"] = [[i, j] for i in range(5) for j in range(5)]
@@ -802,6 +802,30 @@ def test_spectra_comparison_stays_within_its_rule(tmp_path):
     finally:
         tracemalloc.stop()
     assert not result.engine_errors and len(result.reports) == 1
+    assert peak < harness._spectra_bytes(cfg)
+
+
+@pytest.mark.parametrize("engine", ["lindblad", "blochredfield"])
+@pytest.mark.parametrize("n_points", [101, 1601])
+def test_master_equation_spectra_stay_within_their_rule(tmp_path, engine, n_points):
+    # fig2-upper with one master-equation engine, warm: the rule charges the
+    # artifact's columns and one write block, and blochredfield's resolvent
+    # tables, beside the per-point tables. Measured 0.13 and 1.85 MB for
+    # lindblad (0.05 and 0.53 of the rule) and 1.37 and 3.93 MB for
+    # blochredfield (0.23 and 0.57); a rule of 64 s^2 + 32 N bytes per point
+    # alone counted 0.04 and 0.67 MB
+    raw = preset_config("fig2-upper")
+    raw["engines"] = [engine]
+    raw["grid"]["n_points"] = n_points
+    cfg = config_from_dict(raw)
+    run_experiment(cfg, out_root=tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg, out_root=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok
     assert peak < harness._spectra_bytes(cfg)
 
 

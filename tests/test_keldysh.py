@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from noisychain import harness, keldysh, qme
-from noisychain.baths import OhmicBath, TlsBath, WideBandBath, noise_power_transform
+from noisychain.baths import OhmicBath, TlsBath, WideBandBath, half_transform, noise_power_transform
 from noisychain.errors import SingularFrequencyError
 from noisychain.harness import _Plan, config_from_dict, find_spectral_peaks
 from noisychain.kbe import MemorySelfEnergy, equal_time_occupations
@@ -444,6 +444,27 @@ def test_keldysh_runs_stay_within_traced_peaks(tmp_path, preset, n_sites, bound)
     assert peak < harness._spectra_bytes(cfg)
 
 
+def test_open_chain_run_stays_within_its_memory_rule(tmp_path):
+    # every keldysh run on an ohmic bath diagonalizes h, open chains too, so
+    # the rule charges h's dense eigensystem there as well: fig3-bottom on
+    # an open 1000-site chain over 101 points and one width traced 42.7 MB,
+    # 0.46 of its rule; without that term the rule was 29.0 MB
+    raw = preset_config("fig3-bottom")
+    raw["system"].update(n_sites=1000, boundary="open")
+    raw["grid"]["n_points"] = 101
+    raw["sweep"]["gamma2"] = [0.05]
+    cfg = config_from_dict(raw)
+    np.fft, np.polynomial.legendre  # reading the attributes loads them
+    tracemalloc.start()
+    try:
+        result = harness.run_experiment(cfg, out_root=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    assert peak < harness._spectra_bytes(cfg)
+
+
 def test_non_chain_hamiltonian_refused():
     # a next-nearest-neighbor hopping is neither a band entry nor a ring
     # corner; refused before any solve, also for a vanishing self-energy
@@ -636,7 +657,7 @@ def test_noise_power_transform_matches_half_transform(name, bound):
     m = np.arange(-(n - 1), n) * ((hi - lo) / (n - 1))
     c, transform = noise_power_transform(bath, m)
     idx = np.r_[0 : m.size : 37, m.size - 1]
-    ref = qme._half_transform(bath, m[idx])
+    ref = half_transform(bath, m[idx])
     mine = 0.5 * c[idx] - 1j * transform[idx] / (2.0 * np.pi)
     assert np.max(np.abs(mine - ref)) < bound * np.max(np.abs(ref))
 

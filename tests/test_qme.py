@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisychain import qme
-from noisychain.baths import OhmicBath, TlsBath, noise_power
+from noisychain.baths import OhmicBath, TlsBath, half_transform, noise_power
 from noisychain.errors import CapacityError
 from noisychain.harness import _Plan, config_from_dict
 from noisychain.lattice import FreqGreens, FreqGrid, HoppingHamiltonian, build_chain
@@ -261,8 +261,7 @@ def test_gap_table_shared_across_equal_baths(monkeypatch):
     # one gap table per distinct bath, and lambda_ops bit-identical to
     # building each site's bath on its own, with and without Lamb shifts
     tables = []
-    half_transform = qme._half_transform
-    monkeypatch.setattr(qme, "_half_transform",
+    monkeypatch.setattr(qme, "half_transform",
                         lambda bath, gaps: tables.append(bath) or half_transform(bath, gaps))
     cold = OhmicBath(alpha=0.002, cutoff=4.0, temperature=0.2)
     hot = OhmicBath(alpha=0.01, cutoff=2.0, temperature=1.0)
@@ -318,7 +317,7 @@ def test_half_transform_matches_tight_quad():
         pv += c_key * np.log(abs((key + half) / (half - key)))
         ref.append(0.5 * c_key - 1j * pv / (2.0 * np.pi))
     ref = np.array(ref)
-    got = qme._half_transform(bath, keys)
+    got = half_transform(bath, keys)
     assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref.imag))
 
 
