@@ -443,12 +443,12 @@ def _spectra_bytes(cfg):
     40 on open chains and 0.5-1.4 kB on rings of 5 to 400 sites (plus
     49-57 B per N^2 at N = 700 and 1000), pairs (0, 0) and (0, 1), one or
     four sweep widths, 2001 to 32001 points; an open 1000-site chain over
-    101 points peaked at 0.46 of the rule. Warm
-    fig2-upper runs over 101 to 20001 points at s = 2, 5 and 10: lindblad
-    0.05-0.70 of the rule, blochredfield 0.09-0.65. A run that compares two
-    or more spectra reads both files back at once, 240 B per point and
-    pair: compare_artifacts measured 186-194 B over 1 to 25 pairs and 4001
-    to 100001 points."""
+    101 points peaked at 0.46 of the rule. Warm fig2-upper runs over 101 to
+    20001 points: lindblad 0.05-0.70 of the rule at s = 2, 5 and 10,
+    blochredfield 0.17-0.69 at s = 2 and 5. A run that compares two or more
+    spectra reads both files back at once, 240 B per point and pair:
+    compare_artifacts measured 186-194 B over 1 to 25 pairs and 4001 to
+    100001 points."""
 
     n = cfg.system.n_sites
     s = len(_pair_sites(cfg.grid.pairs))

@@ -9,15 +9,14 @@ every site. Advanced components are never stored; they are hermitian
 conjugates of the retarded ones. The dephasing rate is the free spectral
 function convolved with the bath's noise power C, and its level shift the
 same function convolved with C's Hilbert transform: Toeplitz products,
-evaluated by FFT once per symmetry orbit. A dephasing bath on every site of
-a chain with np.roll(h.matrix, 1, axis=(0, 1)) equal to h.matrix is
-computed at site 0, as one column. The dressed Green functions come from
-a direct Dyson solve, G^+ = (omega + i*eta - h - Sigma^+)^-1, for the
-requested sites only, 512 frequencies at a time: in the chain's eigenbasis
-for a uniform self-energy, else on its band structure. The Keldysh
-component carries an explicit 2*eta boundary term at the system
-temperature so the bare limit is recovered exactly when the self-energy
-vanishes.
+evaluated by FFT once per symmetry orbit: one dephasing bath on every site
+of a ring (lattice.ring_orbit) is computed at site 0, as one column. The
+dressed Green functions come from a direct Dyson solve,
+G^+ = (omega + i*eta - h - Sigma^+)^-1, for the requested sites only, 512
+frequencies at a time: in the chain's eigenbasis for a uniform
+self-energy, else on its band structure. The Keldysh component carries an
+explicit 2*eta boundary term at the system temperature so the bare limit
+is recovered exactly when the self-energy vanishes.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .lattice import (
     FreqGrid,
     diagonalize,
     fermi_occupation,
+    ring_orbit,
     thermal_factor,
     uniform_greens,
 )
@@ -176,10 +176,9 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     is the same sum with C(u) replaced by H(u) = P int C(nu)/(u - nu) d nu
     (noise_power_transform), the occupied term negated and the whole divided
     by 2pi. Sites with equal baths form a group, which samples C and H once
-    on the difference grid. A group on every site of a chain with
-    np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix) is one
-    orbit, computed for site 0 alone as one site-uniform column; any other
-    group is computed column by column. Returns a SelfEnergy.
+    on the difference grid. One group on every site of a ring (ring_orbit)
+    is computed for site 0 alone as one site-uniform column; any other group
+    is computed column by column. Returns a SelfEnergy.
 
     Every term is linear in the baths' alpha: J and S = J/tanh, H and the
     four convolutions. Scaling every alpha by r scales the result by r, bit
@@ -190,8 +189,7 @@ def dephasing_self_energy(h, baths, beta_sys, grid):
     # the transform reads each bath's support
     baths = check_site_baths(baths, lambda b: isinstance(b, OhmicBath), h.n_sites)
     groups = _bath_groups(baths)
-    ring = np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix)
-    orbit = ring and [len(sites) for sites in groups.values()] == [h.n_sites]
+    orbit = ring_orbit(h, baths)
     a0, eig = _site_spectral_diag(h, grid, [0] if orbit else None)
     n_pts = grid.n_points
     hstep = grid.spacing

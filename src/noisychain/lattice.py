@@ -27,6 +27,7 @@ __all__ = [
     "EigenDecomposition",
     "build_chain",
     "diagonalize",
+    "ring_orbit",
     "fermi_occupation",
     "thermal_factor",
     "ideal_greens",
@@ -162,6 +163,14 @@ def diagonalize(h):
     pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
     u *= np.conj(pivot) / np.abs(pivot)
     return EigenDecomposition(energies=energies, transform=u)
+
+
+def ring_orbit(h, baths=None):
+    """Whether the sites form one translation orbit: h is circulant (np.roll(h.matrix, 1,
+    axis=(0, 1)) equals h.matrix) and, if baths are given, every site has the same bath."""
+
+    return (np.array_equal(np.roll(h.matrix, 1, axis=(0, 1)), h.matrix)
+            and (baths is None or None not in baths and len(set(baths)) == 1))
 
 
 def fermi_occupation(omega, beta):

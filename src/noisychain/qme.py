@@ -8,16 +8,16 @@ equation has no such closure and runs on the 2^N Jordan-Wigner register
 (site s is bit N - 1 - s, through N = 5), but never builds it whole: the
 chain Hamiltonian and the density coupling conserve particle number, so the
 generator maps each (n_bra, n_ket) sector of the density matrix into itself
-(a weak symmetry: Buca & Prosen, New J. Phys. 14, 073007 (2012)). Each
-sector's Hamiltonian and each c_p come straight from the register
-bitstrings, with the Jordan-Wigner signs, and the generator is built sector
-by sector, with each sector's own eigenbasis and gap table. Its spectra come
-from one eigendecomposition of each of the 2N + 1 sector blocks that quantum
-regression reaches (Minganti et al., PRA 98, 042118 (2018)), so each block
-must be diagonalizable, guarded by its own cond(V), and each sector's
-steady state is the identity's projection onto that block's zero modes; its
-single-excitation trajectories step the N^2-dimensional (1, 1) block alone.
-No 4^N matrix is built. Site densities map onto (1 - sigma^z)/2 there, so a
+(a weak symmetry: Buca & Prosen, New J. Phys. 14, 073007 (2012)). H is
+quadratic, so the generator is built per sector in eigenbases of Slater
+determinants; on a ring with one bath on every site it also conserves each
+coherence's momentum transfer, so every block splits into N groups. Spectra
+come from one eigendecomposition of each group of the 2N + 1 sector blocks
+that quantum regression reaches (Minganti et al., PRA 98, 042118 (2018)),
+each guarded by its own cond(V), and the steady state is the identity's
+projection onto their zero modes; single-excitation trajectories step the
+N^2-dimensional (1, 1) block alone. No 4^N matrix is built. Site densities
+map onto (1 - sigma^z)/2 on the register, so a
 density-coupled bath acts through sigma^z/2 = 1/2 - n (the identity part
 commutes out of every dissipator) and linewidths line up with the
 frequency-domain solver without any rescaling.
@@ -33,6 +33,7 @@ Superoperators use row-major vec: vec(A rho B) = kron(A, B.T) vec(rho).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from .baths import TlsBath, check_site_baths, half_transform, noise_power
 from .errors import CapacityError
-from .lattice import FreqGreens, ideal_greens
+from .lattice import FreqGreens, diagonalize, ideal_greens, ring_orbit
 
 __all__ = [
     "DENSE_MAX_SITES",
@@ -57,8 +58,9 @@ DENSE_MAX_SITES = 5
 COND_MAX = 1e8
 # eig moves an exact zero of L by about cond(V) eps ||L||_1 (Bauer-Fike), at
 # most 2.2e-8 ||L||_1 on a block that COND_MAX admits, so an eigenvalue with
-# |lam| <= ZERO_MODE ||L||_1 is a zero mode. On fig2-upper the zero modes lie
-# within 3.3e-16 and the slowest decay rate is 8.25e-5, with ||L||_1 <= 4.
+# |lam| <= ZERO_MODE ||L||_1 is a zero mode, ||L||_1 over all (k, k) blocks (a
+# 1 x 1 one holds only roundoff). On fig2-upper the zero modes lie within
+# 3.3e-16 and the slowest decay rate is 8.25e-5, with ||L||_1 <= 4.
 ZERO_MODE = 1e-7
 
 
@@ -67,42 +69,36 @@ def _register_guard(n_sites):
         raise CapacityError(f"register of {n_sites} sites exceeds the supported {DENSE_MAX_SITES}")
 
 
-def _sector_bases(n_sites):
-    """Register indices of each particle number 0..N (site s is bit N - 1 - s)."""
-
-    counts = np.array([bin(i).count("1") for i in range(2**n_sites)])
-    return [np.flatnonzero(counts == k) for k in range(n_sites + 1)]
-
-
 def _occupations(basis, n_sites):
     """(len(basis), N) site occupations 0/1 of register indices."""
 
     return (basis[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
 
 
-def _sector_hamiltonian(h, basis):
-    """sum_ij h_ij c_i^dag c_j on the register indices of one particle-number sector.
+def _slater_sectors(h, labelled):
+    """Register indices, energies, eigenvectors and momentum labels of each sector.
 
-    The diagonal is sum_i h_ii n_i, summed over sites in ascending order; a hop
-    from j to i carries the Jordan-Wigner sign (-1)^(occupied sites strictly
-    between i and j).
+    Sector k's register states x (occupied sites) and eigenstates K (occupied
+    orbitals U of h, plane waves e^(2 pi i q s / N) / sqrt(N) on a ring) are
+    both the k-subsets of range(N), whose register indices descend in
+    lexicographic order. <x|K> = det U[sites(x), K], both ascending as in
+    _annihilator; K's energy is its orbitals' sum and its label sum q mod N
+    when labelled (one bath on every site of a ring), else 0.
     """
 
     n = h.n_sites
-    occ = _occupations(basis, n)
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    diag = np.zeros(basis.size, dtype=complex)
-    for i in range(n):
-        diag += occ[:, i] * h.matrix[i, i]
-    out[np.diag_indices(basis.size)] = diag
-    for i, j in zip(*np.nonzero(h.matrix)):
-        if i == j:
-            continue
-        ket = np.flatnonzero(occ[:, j] & (1 - occ[:, i]))
-        between = occ[ket, min(i, j) + 1:max(i, j)].sum(axis=1)
-        bra = np.searchsorted(basis, basis[ket] - (1 << (n - 1 - j)) + (1 << (n - 1 - i)))
-        out[bra, ket] = h.matrix[i, j] * (1 - 2 * (between % 2))
-    return out
+    if ring_orbit(h):
+        u = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+        orbital_energies = np.einsum("sq,st,tq->q", u.conj(), h.matrix, u).real
+    else:
+        eig = diagonalize(h)
+        u, orbital_energies = eig.transform, eig.energies
+    subsets = [np.array(list(itertools.combinations(range(n), k)), dtype=int)
+               .reshape(math.comb(n, k), k) for k in range(n + 1)]
+    return ([(1 << (n - 1 - x[::-1])).sum(axis=1) for x in subsets],
+            [orbital_energies[x].sum(axis=1) for x in subsets],
+            [np.linalg.det(u[x[::-1, None, :, None], x[None, :, None, :]]) for x in subsets],
+            [x.sum(axis=1) % n * labelled for x in subsets])
 
 
 def _annihilator(site, n_sites):
@@ -123,95 +119,85 @@ class BlochRedfieldGenerator:
     so the generator maps each (n_bra, n_ket) sector of the density matrix
     into itself, and only sectors are ever stored or built. Stored per
     sector k: the register indices bases[k] (site s is bit N - 1 - s), the
-    sector's energies and eigenvectors, and for every coupled site the
-    coupling operator A_n and its half-transformed partner Lambda_n in the
-    sector eigenbasis (coupling_ops[site][k], lambda_ops[site][k]).
+    sector's energies, eigenvectors and labels (_slater_sectors), and each
+    coupled site's coupling operator A_n and half-transformed partner
+    Lambda_n in the sector eigenbasis (coupling_ops[site][k], lambda_ops[site][k]).
     """
 
     n_sites: int
     bases: list
     energies: list
     transforms: list
+    labels: list
     coupling_ops: list
     lambda_ops: list
     secular: bool = False
 
-    def block(self, n_bra, n_ket):
-        """The generator on the (n_bra, n_ket) sector, in the register basis.
-
-        Acts on the row-major vec of rho[bases[n_bra]][:, bases[n_ket]].
-        """
+    def eigen_block(self, n_bra, n_ket):
+        """The (n_bra, n_ket) block in the sector eigenbases V = transforms: it acts on
+        the row-major vec of V_bra^dag rho[bases[n_bra]][:, bases[n_ket]] V_ket."""
 
         e_bra, e_ket = self.energies[n_bra], self.energies[n_ket]
-        id_bra, id_ket = np.eye(e_bra.size), np.eye(e_ket.size)
-        lv = -1j * (np.kron(np.diag(e_bra), id_ket) - np.kron(id_bra, np.diag(e_ket)))
-        for a_ops, lam_ops in zip(self.coupling_ops, self.lambda_ops):
-            a_bra, a_ket = a_ops[n_bra], a_ops[n_ket]
-            lam_bra, lam_ket = lam_ops[n_bra], lam_ops[n_ket]
-            lv = lv + np.kron(lam_bra, a_ket.T)
-            lv = lv + np.kron(a_bra, np.conj(lam_ket))
-            lv = lv - np.kron(a_bra @ lam_bra, id_ket)
-            lv = lv - np.kron(id_bra, (lam_ket.conj().T @ a_ket).T)
+        a_bra, lam_bra, a_ket, lam_ket = (
+            np.array([op[k] for op in ops]).reshape(-1, e.size, e.size)
+            for k, e in ((n_bra, e_bra), (n_ket, e_ket))
+            for ops in (self.coupling_ops, self.lambda_ops))
+        # sum_n kron(Lambda_n, A_n^T) + kron(A_n, conj(Lambda_n)), one product over the sites
+        lv = np.tensordot(np.concatenate([lam_bra, a_bra]),
+                          np.concatenate([a_ket.transpose(0, 2, 1), lam_ket.conj()]), axes=(0, 0))
+        lv = lv.transpose(0, 2, 1, 3).reshape(e_bra.size * e_ket.size, -1)
+        left = (a_bra @ lam_bra).sum(axis=0) + 1j * np.diag(e_bra)
+        right = (lam_ket.conj().transpose(0, 2, 1) @ a_ket).sum(axis=0) - 1j * np.diag(e_ket)
+        lv -= np.kron(left, np.eye(e_ket.size)) + np.kron(np.eye(e_bra.size), right.T)
         if self.secular:
             flat = (e_bra[:, None] - e_ket[None, :]).reshape(-1)
             top = max(float(np.max(np.abs(e))) for e in self.energies)
             lv = lv * (np.abs(flat[:, None] - flat[None, :]) <= 1e-8 * max(1.0, top))
+        return lv
+
+    def block(self, n_bra, n_ket):
+        """The generator on the row-major vec of rho[bases[n_bra]][:, bases[n_ket]]."""
+
         rot = np.kron(self.transforms[n_bra], np.conj(self.transforms[n_ket]))
-        return rot @ lv @ rot.conj().T
+        return rot @ self.eigen_block(n_bra, n_ket) @ rot.conj().T
 
 
 def bloch_redfield_generator(h, baths, secular=False, lamb_shift=True):
     """Redfield generator of density-coupled baths on the register, per sector.
 
-    The chain Hamiltonian is built and diagonalized once per particle-number
-    sector. Coupling operators are sigma^z_i/2 = 1/2 - n_i (the site density,
-    up to sign and its identity part); they are diagonal in the register
-    basis, so each sector keeps its own block of them. Each eigenbasis
-    element picks up the half Fourier transform of the bath correlation at
-    its own gap: C(gap)/2 plus, when lamb_shift is on, -i/(2 pi) times the
-    principal-value integral of C across the bath support. The gap table is
-    built once per distinct bath and only on gaps within a sector: coupling
-    elements between sectors vanish, so their gaps are never used. The
-    principal values are what moves peak positions; dropping them leaves
-    pure linewidths. baths holds one entry per site: None, or a hashable
-    bath with parts and support, such as an OhmicBath.
+    Sector eigenbases are Slater determinants (_slater_sectors). Coupling
+    operators are sigma^z_i/2 = 1/2 - n_i (the site density, up to sign and
+    its identity part), diagonal in the register, so each sector keeps its
+    own block. Each eigenbasis element picks up the half Fourier transform of
+    the bath correlation at its own gap: C(gap)/2 plus, when lamb_shift is
+    on, -i/(2 pi) times the principal-value integral of C across the bath
+    support, which moves peak positions (without it, pure linewidths). One
+    gap table per distinct bath covers the gaps within sectors only: coupling
+    elements between sectors vanish. baths holds one entry per site: None,
+    or a hashable bath with parts and support, such as an OhmicBath.
     """
 
     n = h.n_sites
     _register_guard(n)
     baths = check_site_baths(baths, lambda b: hasattr(b, "parts"), n)
-    bases = _sector_bases(n)
-    energies, transforms = [], []
-    for basis in bases:
-        e, v = np.linalg.eigh(_sector_hamiltonian(h, basis))
-        energies.append(e)
-        transforms.append(np.asarray(v, dtype=complex))
+    bases, energies, transforms, labels = _slater_sectors(h, ring_orbit(h, baths))
     gaps = np.concatenate([(e[:, None] - e[None, :]).reshape(-1) for e in energies])
     splits = np.cumsum([e.size**2 for e in energies])[:-1]
     occs = [_occupations(basis, n) for basis in bases]
-    coupling_ops = []
-    lambda_ops = []
+    coupling_ops, lambda_ops = [], []
     thetas = {}  # one gap table per distinct (frozen, hashable) bath
     for i, bath in enumerate(baths):
         if bath is None:
             continue
         if bath not in thetas:
-            table = (half_transform(bath, gaps) if lamb_shift
-                     else 0.5 * noise_power(bath, gaps))
+            table = half_transform(bath, gaps) if lamb_shift else 0.5 * noise_power(bath, gaps)
             thetas[bath] = [t.reshape(e.size, e.size)
                             for t, e in zip(np.split(table, splits), energies)]
         a_eig = [v.conj().T @ ((0.5 - occ[:, i, None]) * v) for occ, v in zip(occs, transforms)]
         coupling_ops.append(a_eig)
         lambda_ops.append([a * t for a, t in zip(a_eig, thetas[bath])])
-    return BlochRedfieldGenerator(
-        n_sites=n,
-        bases=bases,
-        energies=energies,
-        transforms=transforms,
-        coupling_ops=coupling_ops,
-        lambda_ops=lambda_ops,
-        secular=secular,
-    )
+    return BlochRedfieldGenerator(n, bases, energies, transforms, labels, coupling_ops,
+                                  lambda_ops, secular)
 
 
 # Higham's theta_m: the 1-norm up to which the degree-m Pade approximant of
@@ -305,7 +291,7 @@ def _distinct_sites(sites, n_sites):
 
 
 def _block_eig(lv, sector):
-    """L = V diag(lam) V^-1 of one sector block, refused above COND_MAX in 1-norm cond(V)."""
+    """L = V diag(lam) V^-1 of one block group, refused above COND_MAX in 1-norm cond(V)."""
 
     lam, vecs = np.linalg.eig(lv)
     vinv = np.linalg.inv(vecs)
@@ -316,67 +302,74 @@ def _block_eig(lv, sector):
     return lam, vecs, vinv
 
 
-def _stationary_state(gen, bases):
-    """The t -> infinity limit of the identity state under gen, on the whole register.
+def _transfer_groups(gen, n_bra, n_ket):
+    """Positions of |a><b| in the (n_bra, n_ket) eigenbasis block, grouped by (Q_a - Q_b) mod N."""
 
-    Each (k, k) block keeps its sector of the identity state projected onto
-    the block's zero modes, V[:, zero] V^-1[zero] rho0: every other mode
-    decays, so this is exactly lim exp(L t) rho0, and a block with several
-    zero modes keeps the identity's part in each of them.
+    transfer = ((gen.labels[n_bra][:, None] - gen.labels[n_ket][None, :]) % gen.n_sites).ravel()
+    return [np.flatnonzero(transfer == q) for q in np.unique(transfer)]
+
+
+def _stationary_state(gen):
+    """The t -> infinity limit of the identity state under gen: one (k, k) block per sector.
+
+    Each block, in its sector's eigenbasis, is the identity projected onto
+    the zero modes of the (k, k) block's transfer-0 group (which holds every
+    |a><a|), V[:, zero] V^-1[zero] rho0: every other mode decays, so this is
+    exactly lim exp(L t) rho0, with the identity's part in every zero mode.
     """
 
-    dim = 2**gen.n_sites
-    rho = np.zeros((dim, dim), dtype=complex)
-    for k, basis in enumerate(bases):
-        lv = gen.block(k, k)
-        lam, vecs, vinv = _block_eig(lv, (k, k))
-        zero = np.abs(lam) <= ZERO_MODE * np.linalg.norm(lv, 1)
-        v = vecs[:, zero] @ (vinv[zero] @ np.eye(basis.size).reshape(-1) / dim)
-        rho[np.ix_(basis, basis)] = v.reshape(basis.size, basis.size)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    blocks = [gen.eigen_block(k, k) for k in range(gen.n_sites + 1)]
+    scale = ZERO_MODE * max(np.linalg.norm(lv, 1) for lv in blocks)
+    rho = []
+    for k, lv in enumerate(blocks):
+        d, idx = gen.bases[k].size, _transfer_groups(gen, k, k)[0]
+        lam, vecs, vinv = _block_eig(lv[np.ix_(idx, idx)], (k, k))
+        zero = np.abs(lam) <= scale
+        block = np.zeros((d, d), dtype=complex)
+        block.flat[idx] = vecs[:, zero] @ (vinv[zero] @ np.eye(d).flat[idx] / 2**gen.n_sites)
+        rho.append(0.5 * (block + block.conj().T))
+    trace = sum(np.trace(block).real for block in rho)
+    return [block / trace for block in rho]
 
 
 def qme_greens(gen, sites, grid):
     """Steady-state Green functions among sites from quantum regression on the register.
 
-    gen conserves particle number, so only 2N + 1 of its (n_bra, n_ket)
-    sector blocks are reached, each taken from gen.block and diagonalized
-    once, L = V diag(lam) V^-1. The domain is generators whose blocks are
-    diagonalizable: a 1-norm cond(V) above COND_MAX in any block raises
-    LinAlgError. The steady state lives on the (k, k) blocks: the identity
-    state's projection onto each block's zero modes (_stationary_state). The
-    columns c_p^dag rho and rho c_p^dag both land in the (k + 1, k) blocks,
-    where the correlators <c_n(tau) c_m^dag> and <c_m^dag c_n(tau)> are
-    exponential sums sum_m w_m exp(lam_m tau), whose one-sided transform at
-    z = omega + i eta is exactly sum_m w_m (-1 / (lam_m + i z)): the lines
-    carry the grid's eta Lorentzian, as the Dyson solve's do. No Re lam
-    exceeds 0 beyond roundoff and FreqGrid keeps eta at two spacings or more,
-    so no mode, the zero modes included, needs special handling. No 4^N
-    matrix is built. Entries are (n_points, s, s) arrays indexed by position
-    among the distinct sites.
+    gen conserves particle number, so only 2N + 1 of its sector blocks are
+    reached, each built once (gen.eigen_block), and each momentum-transfer
+    group of a block (_transfer_groups) is diagonalized once,
+    L = V diag(lam) V^-1; a 1-norm cond(V) above COND_MAX raises LinAlgError
+    naming the block. The steady state lives on the (k, k) blocks; the
+    columns c_p^dag rho and rho c_p^dag land in the (k + 1, k) blocks, where
+    <c_n(tau) c_m^dag> and <c_m^dag c_n(tau)> are sums sum_m w_m exp(lam_m tau)
+    whose one-sided transforms at z = omega + i eta are exactly
+    sum_m w_m (-1 / (lam_m + i z)): the lines carry the grid's eta
+    Lorentzian, as the Dyson solve's do. No Re lam exceeds 0 beyond roundoff
+    and FreqGrid keeps eta at two or more spacings, so no mode needs special
+    handling. Entries are (n_points, s, s) arrays indexed by position among
+    the distinct sites.
     """
 
     sites = _distinct_sites(sites, gen.n_sites)
-    dim = 2**gen.n_sites
-    bases = _sector_bases(gen.n_sites)
-    rho = _stationary_state(gen, bases)
-
-    cs = [_annihilator(s, gen.n_sites) for s in sites]
-    # G^> = -i <c_q(tau) c_p^dag> and G^< = i <c_p^dag c_q(tau)>, so G^R's
-    # G^> - G^< and the Keldysh half G^> + G^< are the meter c_q read off the
-    # evolved columns -i (c_p^dag rho +- rho c_p^dag)
-    cols = np.stack([(-1j * (c.conj().T @ rho + sign * rho @ c.conj().T)).reshape(-1)
-                     for c in cs for sign in (1, -1)], axis=1)
-    meters = np.stack([c.T.reshape(-1) for c in cs])
+    rho = _stationary_state(gen)
+    register = [_annihilator(s, gen.n_sites) for s in sites]
     lams, weights = [], []
     for k in range(gen.n_sites):
-        idx = (bases[k + 1][:, None] * dim + bases[k][None, :]).reshape(-1)
-        lam, vecs, vinv = _block_eig(gen.block(k + 1, k), (k + 1, k))
-        # weights[m, q * 2s + col] = (meter_q V)_m (V^-1 col)_m
-        weights.append(((meters[:, idx] @ vecs).T[:, :, None]
-                        * (vinv @ cols[idx])[:, None, :]).reshape(lam.size, -1))
-        lams.append(lam)
+        cs = [gen.transforms[k].conj().T @ c[np.ix_(gen.bases[k], gen.bases[k + 1])]
+              @ gen.transforms[k + 1] for c in register]  # c_p from sector k + 1 to k
+        # G^> = -i <c_q(tau) c_p^dag> and G^< = i <c_p^dag c_q(tau)>, so G^R's
+        # G^> - G^< and the Keldysh half G^> + G^< are the meter c_q read off
+        # the evolved columns -i (c_p^dag rho +- rho c_p^dag)
+        cols = np.stack([(-1j * (c.conj().T @ rho[k] + sign * rho[k + 1] @ c.conj().T)).ravel()
+                         for c in cs for sign in (1, -1)], axis=1)
+        meters = np.stack([c.T.ravel() for c in cs])
+        lv = gen.eigen_block(k + 1, k)
+        for idx in _transfer_groups(gen, k + 1, k):
+            lam, vecs, vinv = _block_eig(lv[np.ix_(idx, idx)], (k + 1, k))
+            # weights[m, q * 2s + col] = (meter_q V)_m (V^-1 col)_m
+            weights.append(((meters[:, idx] @ vecs).T[:, :, None]
+                            * (vinv @ cols[idx])[:, None, :]).reshape(lam.size, -1))
+            lams.append(lam)
     lam = np.concatenate(lams)
     weights = np.concatenate(weights)
     z = grid.omegas + 1j * grid.eta

@@ -2,11 +2,13 @@
 
 noisychain.qme computes the chain's Lindblad spectra and occupations on
 N x N matrices, and builds the Bloch-Redfield generator, its spectra and its
-single-excitation trajectories per particle-number sector, straight from
-register bitstrings; these helpers (dense through N = 5) reach the same
-numbers on the 2^N spin register built from Kronecker products: by time
-stepping the 4^N generator, by one linear solve per frequency, and by
+single-excitation trajectories per particle-number sector, in sector
+eigenbases of Slater determinants; these helpers (dense through N = 5) reach
+the same numbers on the 2^N spin register built from Kronecker products: by
+time stepping the 4^N generator, by one linear solve per frequency, and by
 building that generator in one global eigenbasis, to check that it does.
+sector_hamiltonian builds one sector's many-body Hamiltonian straight from
+the register bitstrings, a third route to the sector energies.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import scipy.sparse as sp
 from noisychain.baths import half_transform, noise_power
 from noisychain.errors import CapacityError
 from noisychain.lattice import FreqGreens
-from noisychain.qme import BlochRedfieldGenerator, _propagate, _register_guard
+from noisychain.qme import BlochRedfieldGenerator, _occupations, _propagate, _register_guard
 
 JW_MAX_SITES = 12
 
@@ -84,6 +86,38 @@ def spin_hamiltonian(h):
     for i, j in zip(rows, cols):
         out = out + h.matrix[i, j] * (cs[i].conj().T @ cs[j])
     return np.asarray(out.todense(), dtype=complex)
+
+
+def sector_bases(n_sites):
+    """Register indices of each particle number 0..N, by counting set bits."""
+
+    counts = np.array([bin(i).count("1") for i in range(2**n_sites)])
+    return [np.flatnonzero(counts == k) for k in range(n_sites + 1)]
+
+
+def sector_hamiltonian(h, basis):
+    """sum_ij h_ij c_i^dag c_j on the register indices of one particle-number sector.
+
+    The diagonal is sum_i h_ii n_i, summed over sites in ascending order; a hop
+    from j to i carries the Jordan-Wigner sign (-1)^(occupied sites strictly
+    between i and j).
+    """
+
+    n = h.n_sites
+    occ = _occupations(basis, n)
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    diag = np.zeros(basis.size, dtype=complex)
+    for i in range(n):
+        diag += occ[:, i] * h.matrix[i, i]
+    out[np.diag_indices(basis.size)] = diag
+    for i, j in zip(*np.nonzero(h.matrix)):
+        if i == j:
+            continue
+        ket = np.flatnonzero(occ[:, j] & (1 - occ[:, i]))
+        between = occ[ket, min(i, j) + 1:max(i, j)].sum(axis=1)
+        bra = np.searchsorted(basis, basis[ket] - (1 << (n - 1 - j)) + (1 << (n - 1 - i)))
+        out[bra, ket] = h.matrix[i, j] * (1 - 2 * (between % 2))
+    return out
 
 
 def assembled_superoperator(gen):

@@ -811,8 +811,8 @@ def test_master_equation_spectra_stay_within_their_rule(tmp_path, engine, n_poin
     # fig2-upper with one master-equation engine, warm: the rule charges the
     # artifact's columns and one write block, and blochredfield's resolvent
     # tables, beside the per-point tables. Measured 0.13 and 1.85 MB for
-    # lindblad (0.05 and 0.53 of the rule) and 1.37 and 3.93 MB for
-    # blochredfield (0.23 and 0.57); a rule of 64 s^2 + 32 N bytes per point
+    # lindblad (0.05 and 0.53 of the rule) and 1.01 and 3.83 MB for
+    # blochredfield (0.17 and 0.55); a rule of 64 s^2 + 32 N bytes per point
     # alone counted 0.04 and 0.67 MB
     raw = preset_config("fig2-upper")
     raw["engines"] = [engine]
