@@ -36,7 +36,7 @@ from .keldysh import (
     extract_rates,
     steady_state_greens,
 )
-from .lattice import FreqGreens, FreqGrid, build_chain, ideal_greens
+from .lattice import FreqGreens, FreqGrid, build_chain
 from .presets import preset_config, preset_names
 from .qme import (
     bloch_redfield_generator,
@@ -71,7 +71,6 @@ __all__ = [
     "FreqGreens",
     "FreqGrid",
     "build_chain",
-    "ideal_greens",
     "preset_config",
     "preset_names",
     "bloch_redfield_generator",

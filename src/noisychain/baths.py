@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import FREQ_BLOCK
+
 __all__ = [
     "OhmicBath",
     "TlsBath",
@@ -244,8 +246,8 @@ def noise_power_transform(bath, m):
     subtracted constant over [-L, L] with L = bath.support (at least one
     cell past the grid); plus that regular integrand past either end of the
     grid out to L on 10-node Gauss-Legendre panels, the first one cell wide
-    and flush with the end, each later one from a to 4a, summed 512 rows of
-    m at a time. Its panel sum is not half_transform's: these nodes never
+    and flush with the end, each later one from a to 4a, summed FREQ_BLOCK
+    rows of m at a time. Its panel sum is not half_transform's: these nodes never
     land on a grid point, while a gap's own row can hold the gap."""
 
     h = m[1] - m[0]
@@ -259,8 +261,8 @@ def noise_power_transform(bath, m):
     nu, w = gauss_panels(edges, 10)
     nu, w = np.concatenate([-nu[::-1], nu]), np.concatenate([w[::-1], w])
     c_nu = noise_power(bath, nu)
-    for start in range(0, m.size, 512):
-        blk = slice(start, start + 512)
+    for start in range(0, m.size, FREQ_BLOCK):
+        blk = slice(start, start + FREQ_BLOCK)
         out[blk] += ((c_nu - c[blk, None]) / (m[blk, None] - nu)) @ w
     return c, out
 

@@ -54,7 +54,7 @@ from .kbe import (
     stream_bytes,
 )
 from .keldysh import SelfEnergy, dyson_solve, extract_rates, steady_state_greens
-from .lattice import FreqGrid, build_chain
+from .lattice import FREQ_BLOCK, FreqGrid, build_chain
 
 __all__ = [
     "ENGINES",
@@ -438,7 +438,7 @@ def _spectra_bytes(cfg):
     (n_points, n_tls) pole tables, ohmic baths h's dense eigensystem, open
     or ring. lindblad and blochredfield add the artifact's columns, 120 B
     per point and pair, and one write block; blochredfield also qme_greens'
-    two 512-frequency resolvent tables over C(2N, N - 1) modes. Traced
+    two FREQ_BLOCK-frequency resolvent tables over C(2N, N - 1) modes. Traced
     peaks per point: keldysh 2.6, 3.2, 4.5 and 7.1 kB at N = 5, 10, 20 and
     40 on open chains and 0.5-1.4 kB on rings of 5 to 400 sites (plus
     49-57 B per N^2 at N = 700 and 1000), pairs (0, 0) and (0, 1), one or
@@ -463,7 +463,7 @@ def _spectra_bytes(cfg):
         per_point += 120 * len(cfg.grid.pairs)
         fixed += 600 * _WRITE_BLOCK
     if "blochredfield" in engines:
-        fixed += 32 * 512 * math.comb(2 * n, n - 1)
+        fixed += 32 * FREQ_BLOCK * math.comb(2 * n, n - 1)
     if len(engines) > 1:
         per_point += 240 * len(cfg.grid.pairs)
     return per_point * cfg.grid.n_points + fixed

@@ -150,8 +150,7 @@ def check_step(h, sigma, dt):
 
 
 def _start(h, sigma, site, t_max, dt):
-    """Check the job before any step; return the time count m and the
-    occupation matrix f0 at t = 0 (one particle on `site`)."""
+    """Check the job before any step; return the time count m."""
 
     n = h.n_sites
     if sigma.n_sites != n:
@@ -166,9 +165,7 @@ def _start(h, sigma, site, t_max, dt):
             f"the integrator needs about {need / 1e9:.1f} GB "
             f"(cap {MEMORY_CAP_BYTES / 1e9:.0f} GB); increase dt or shorten t_max"
         )
-    f0 = np.zeros((n, n))
-    f0[site, site] = 1.0
-    return m, f0
+    return m
 
 
 def equal_time_occupations(h, sigma, site, t_max, dt):
@@ -182,7 +179,7 @@ def equal_time_occupations(h, sigma, site, t_max, dt):
     an occupation far below 1 keeps its digits, which (1 + Im K) / 2 loses.
     """
 
-    m, _ = _start(h, sigma, site, t_max, dt)
+    m = _start(h, sigma, site, t_max, dt)
     return _memory_occupations(h.matrix, sigma, site, m, dt)
 
 

@@ -12,11 +12,12 @@ same function convolved with C's Hilbert transform: Toeplitz products,
 evaluated by FFT once per symmetry orbit: one dephasing bath on every site
 of a ring (lattice.ring_orbit) is computed at site 0, as one column. The
 dressed Green functions come from a direct Dyson solve,
-G^+ = (omega + i*eta - h - Sigma^+)^-1, for the requested sites only, 512
-frequencies at a time: in the chain's eigenbasis for a uniform
-self-energy, else on its band structure. The Keldysh component carries an
-explicit 2*eta boundary term at the system temperature so the bare limit
-is recovered exactly when the self-energy vanishes.
+G^+ = (omega + i*eta - h - Sigma^+)^-1, for the requested sites only,
+FREQ_BLOCK frequencies at a time: in the chain's eigenbasis for a uniform
+self-energy, else on its band structure. G^K = G^+ (Sigma^K - 2i*eta*F) G^-
+with F = tanh(beta*omega/2) at the system temperature; under a uniform
+self-energy one distribution function fixes it, G^K = F_eff (G^+ - G^-),
+and F_eff = F exactly when the self-energy vanishes.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from .baths import (
     noise_power_transform,
 )
 from .errors import SingularFrequencyError
-from .lattice import FREQ_BLOCK as _DYSON_BLOCK
 from .lattice import (
+    FREQ_BLOCK,
     FreqGreens,
     FreqGrid,
-    diagonalize,
     fermi_occupation,
     ring_orbit,
     thermal_factor,
@@ -138,12 +138,12 @@ def extract_rates(sigma):
 def _site_spectral_diag(h, grid, sites=None):
     """(w, len(sites)) free spectral functions of `sites` (default: all), and h's eigensystem."""
 
-    eig = diagonalize(h)
+    eig = h.eig
     eta = grid.eta
     weights = np.abs(eig.transform if sites is None else eig.transform[sites]) ** 2
     out = np.empty((grid.n_points, weights.shape[0]))
-    for start in range(0, grid.n_points, _DYSON_BLOCK):
-        blk = slice(start, start + _DYSON_BLOCK)
+    for start in range(0, grid.n_points, FREQ_BLOCK):
+        blk = slice(start, start + FREQ_BLOCK)
         lor = 2.0 * eta / ((grid.omegas[blk, None] - eig.energies[None, :]) ** 2 + eta**2)
         out[blk] = lor @ weights.T
     return out, eig
@@ -298,11 +298,10 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
     (n_points, s, s) arrays indexed by position in `sites`. h must be a
     chain, tridiagonal plus the two ring corners (hopping phases allowed);
     any other h raises ValueError before any solve. Both routes run 512
-    frequencies at a time: memory is the outputs plus O(512 N (s + 1)).
+    (FREQ_BLOCK) frequencies at a time: memory is the outputs plus O(512 N (s + 1)).
 
     A site-uniform Sigma^+ (one stored column, or vanishing) commutes with
-    h: lattice.uniform_greens solves it in the eigenbasis, in
-    O(N^3 + n_points N s^2), and at sigma = 0 gives ideal_greens bit for bit.
+    h: lattice.uniform_greens solves it on h.eig, in O(N^3 + n_points N s^2).
     Any other is solved on the band (_chain_rows), in O(n_points N (s + 1)):
     the rows G^+_i. solve A y = e_i, A = omega + i*eta - h^T - Sigma^+, by
     Thomas elimination on the open chain of sites 0..N-2, and a Schur
@@ -312,6 +311,9 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
     positive definite, so no pivot or Schur complement vanishes. A zero or
     non-finite pivot, Schur complement or z - sigma - E_k (only a non-causal
     Sigma^+ makes one) raises SingularFrequencyError at its first frequency.
+    In the eigenbasis G^K = F_eff (G^+ - G^-) with F_eff = F_sys +
+    (Sigma^K - 2i*F_sys*Im Sigma^+) / (-2i(eta - Im Sigma^+)), non-finite
+    only where Im Sigma^+ = eta, which is a singular frequency too.
     """
 
     grid = sigma.grid
@@ -322,7 +324,11 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
     sub, sup, col, row = _chain_couplings(h)
     sr, sk = sigma.columns
     if sr.shape[1] == 1 or not (np.any(sr) or np.any(sk)):
-        return uniform_greens(h, beta_sys, grid, sites, sr[:, 0], sk[:, 0])
+        sr, sk = sr[:, 0], sk[:, 0]
+        f = thermal_factor(grid.omegas, beta_sys)
+        with np.errstate(all="ignore"):  # non-finite only where Im sigma^R = eta
+            f_eff = f + (sk - 2j * f * sr.imag) / (-2j * (grid.eta - sr.imag))
+        return uniform_greens(h, grid, sites, sr, f_eff)
 
     sites = list(range(h.n_sites)) if sites is None else list(sites)
     w = grid.omegas
@@ -330,8 +336,8 @@ def dyson_solve(h, beta_sys, sigma, sites=None):
     boundary = 2j * grid.eta * thermal_factor(w, beta_sys)
     gr = np.empty((grid.n_points, len(sites), len(sites)), dtype=complex)
     gk = np.empty_like(gr)
-    for start in range(0, grid.n_points, _DYSON_BLOCK):
-        blk = slice(start, start + _DYSON_BLOCK)
+    for start in range(0, grid.n_points, FREQ_BLOCK):
+        blk = slice(start, start + FREQ_BLOCK)
         y = _chain_rows(h, (sub, sup, col, row), z[blk], sr[blk], sites)
         bad = ~np.isfinite(y).all(axis=(0, 2))
         if np.any(bad):

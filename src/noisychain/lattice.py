@@ -1,16 +1,16 @@
 """Tight-binding chains and their free Green functions on a frequency grid.
 
-Single-particle Hamiltonians live here as hermitian matrices in a small
-dataclass, with the uniform frequency grid every frequency-domain solver uses
-and the retarded and Keldysh components under a site-uniform self-energy (ideal
-at zero) from the eigendecomposition; advanced ones are derived.
+Single-particle Hamiltonians live here as read-only hermitian matrices that
+own their eigensystem, with the uniform frequency grid every frequency-domain
+solver uses and the Green functions under a site-uniform self-energy: G^R from
+the eigenbasis resolvent, G^K = F_eff (G^R - G^A); advanced ones are derived.
 
 Units: energies in units of the chain hopping unless stated otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,11 +26,9 @@ __all__ = [
     "HoppingHamiltonian",
     "EigenDecomposition",
     "build_chain",
-    "diagonalize",
     "ring_orbit",
     "fermi_occupation",
     "thermal_factor",
-    "ideal_greens",
     "uniform_greens",
 ]
 
@@ -100,21 +98,6 @@ class FreqGreens:
 
 
 @dataclass
-class HoppingHamiltonian:
-    """Hermitian single-particle Hamiltonian of an n_sites chain."""
-
-    n_sites: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix)
-        if self.matrix.shape != (self.n_sites, self.n_sites):
-            raise ValueError("matrix shape does not match n_sites")
-        if np.max(np.abs(self.matrix - self.matrix.conj().T)) > HERM_TOL:
-            raise ValueError("matrix is not hermitian")
-
-
-@dataclass
 class EigenDecomposition:
     """Ascending eigenvalues and the unitary that diagonalizes the chain.
 
@@ -123,6 +106,43 @@ class EigenDecomposition:
 
     energies: np.ndarray
     transform: np.ndarray
+
+
+@dataclass(frozen=True)
+class HoppingHamiltonian:
+    """Hermitian single-particle Hamiltonian of an n_sites chain.
+
+    matrix is a read-only copy of the one given, so the eigensystem `eig`,
+    computed on its first read, stays the chain's for the object's life.
+    """
+
+    n_sites: int
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        if matrix.shape != (self.n_sites, self.n_sites):
+            raise ValueError("matrix shape does not match n_sites")
+        if np.max(np.abs(matrix - matrix.conj().T)) > HERM_TOL:
+            raise ValueError("matrix is not hermitian")
+
+    @cached_property
+    def eig(self):
+        """Eigendecomposition with a deterministic gauge, read-only.
+
+        Each eigenvector is rescaled so its largest-magnitude component is
+        real and positive (first such component on ties), which pins the
+        phase freedom and keeps repeated runs bit-identical.
+        """
+
+        energies, u = np.linalg.eigh(self.matrix)
+        u = np.asarray(u, dtype=complex)
+        pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        u *= np.conj(pivot) / np.abs(pivot)
+        energies.flags.writeable = u.flags.writeable = False
+        return EigenDecomposition(energies=energies, transform=u)
 
 
 def build_chain(n_sites, onsite, hopping, boundary="periodic"):
@@ -148,21 +168,6 @@ def build_chain(n_sites, onsite, hopping, boundary="periodic"):
         m[n_sites - 1, 0] += t
         m[0, n_sites - 1] += t
     return HoppingHamiltonian(n_sites, m)
-
-
-def diagonalize(h):
-    """Eigendecomposition with a deterministic gauge.
-
-    Each eigenvector is rescaled so its largest-magnitude component is real
-    and positive (first such component on ties), which pins the phase freedom
-    and keeps repeated runs bit-identical.
-    """
-
-    energies, u = np.linalg.eigh(h.matrix)
-    u = np.asarray(u, dtype=complex)
-    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    u *= np.conj(pivot) / np.abs(pivot)
-    return EigenDecomposition(energies=energies, transform=u)
 
 
 def ring_orbit(h, baths=None):
@@ -191,46 +196,36 @@ def thermal_factor(omega, beta):
     return np.tanh(0.5 * beta * omega)
 
 
-def ideal_greens(h, beta, grid, sites=None):
-    """Bath-free Green functions of the chain at inverse temperature beta.
-
-    The retarded resolvent carries the grid's eta broadening; the Keldysh
-    component is the equilibrium combination (G+ - G-)*tanh(beta*omega/2).
-    Only the entries between `sites` (default: every site) are built, as
-    (n_points, s, s) arrays indexed by position in `sites` (uniform_greens).
-    """
-
-    return uniform_greens(h, beta, grid, sites)
-
-
-def uniform_greens(h, beta, grid, sites=None, sigma_r=0.0, sigma_k=0.0):
+def uniform_greens(h, grid, sites, sigma_r, f_eff):
     """Green functions of the chain under a site-uniform self-energy.
 
-    sigma_r and sigma_k ((n_points,) or scalars) sit on every site and commute
-    with h = U diag(E) U^dag: G^+ = U D U^dag with
-    D = (omega + i*eta - sigma_r - E)^-1, and G^K = (sigma_k - 2i*eta*F)
-    U |D|^2 U^dag, F = tanh(beta*omega/2) as in keldysh.dyson_solve. Built
-    from the weights u_ik conj(u_jk), FREQ_BLOCK frequencies at a time; a
-    singular D raises SingularFrequencyError at its first frequency.
+    sigma_r sits on every site and commutes with h = U diag(E) U^dag:
+    G^+ = U D U^dag, D = (omega + i*eta - sigma_r - E)^-1, from the weights
+    u_ik conj(u_jk) of `sites` (None: all), FREQ_BLOCK frequencies at a time;
+    one distribution function f_eff fixes G^K = f_eff (G^+ - G^-) (Kamenev &
+    Levchenko, Adv. Phys. 58, 197 (2009)). sigma_r and f_eff are (n_points,)
+    or scalars. A singular D or a non-finite f_eff raises
+    SingularFrequencyError at its first frequency.
     """
 
-    eig = diagonalize(h)
+    eig = h.eig
     u = eig.transform if sites is None else eig.transform[list(sites)]
     s = u.shape[0]
     weights = (u.conj()[None, :, :] * u[:, None, :]).reshape(s * s, -1)
     w = grid.omegas
     z = w + 1j * grid.eta - sigma_r
-    kern = sigma_k - 2j * grid.eta * thermal_factor(w, beta)
+    f_eff = np.broadcast_to(f_eff, w.shape)
     gr = np.empty((grid.n_points, s, s), dtype=complex)
     gk = np.empty_like(gr)
+    table = np.empty((min(FREQ_BLOCK, grid.n_points), eig.energies.size), dtype=complex)
     for start in range(0, grid.n_points, FREQ_BLOCK):
         blk = slice(start, start + FREQ_BLOCK)
+        d = table[: w[blk].size]  # the one resolvent table, D of this block
         with np.errstate(all="ignore"):
-            d = 1.0 / (z[blk, None] - eig.energies)
-        bad = ~np.isfinite(d).all(axis=1)
+            np.divide(1.0, np.subtract(z[blk, None], eig.energies, out=d), out=d)
+        bad = ~(np.isfinite(d).all(axis=1) & np.isfinite(f_eff[blk]))
         if np.any(bad):
             raise SingularFrequencyError(w[blk][int(np.argmax(bad))])
-        gr[blk] = np.dot(weights, d.T).T.reshape(-1, s, s)
-        d = d.real**2 + d.imag**2  # |D|^2, real, so diagonal G^K stays imaginary
-        gk[blk] = kern[blk, None, None] * np.dot(weights, d.T).T.reshape(-1, s, s)
+        g = gr[blk] = np.dot(weights, d.T).T.reshape(-1, s, s)
+        gk[blk] = f_eff[blk, None, None] * (g - np.conj(np.swapaxes(g, 1, 2)))
     return FreqGreens(grid=grid, retarded=gr, keldysh=gk)

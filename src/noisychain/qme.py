@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baths import TlsBath, check_site_baths, half_transform, noise_power
 from .errors import CapacityError
-from .lattice import FreqGreens, diagonalize, ideal_greens, ring_orbit
+from .lattice import FREQ_BLOCK, FreqGreens, ring_orbit, uniform_greens
 
 __all__ = [
     "DENSE_MAX_SITES",
@@ -91,8 +91,7 @@ def _slater_sectors(h, labelled):
         u = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
         orbital_energies = np.einsum("sq,st,tq->q", u.conj(), h.matrix, u).real
     else:
-        eig = diagonalize(h)
-        u, orbital_energies = eig.transform, eig.energies
+        u, orbital_energies = h.eig.transform, h.eig.energies
     subsets = [np.array(list(itertools.combinations(range(n), k)), dtype=int)
                .reshape(math.comb(n, k), k) for k in range(n + 1)]
     return ([(1 << (n - 1 - x[::-1])).sum(axis=1) for x in subsets],
@@ -374,8 +373,9 @@ def qme_greens(gen, sites, grid):
     weights = np.concatenate(weights)
     z = grid.omegas + 1j * grid.eta
     out = np.empty((z.size, weights.shape[1]), dtype=complex)
-    for start in range(0, z.size, 512):  # blocks bound the resolvent table
-        out[start:start + 512] = (-1.0 / (lam + 1j * z[start:start + 512, None])) @ weights
+    for start in range(0, z.size, FREQ_BLOCK):  # blocks bound the resolvent table
+        blk = slice(start, start + FREQ_BLOCK)
+        out[blk] = (-1.0 / (lam + 1j * z[blk, None])) @ weights
     out = out.reshape(z.size, len(sites), len(sites), 2)
     half = out[..., 1]
     return FreqGreens(grid, out[..., 0], half - np.conj(np.swapaxes(half, 1, 2)))
@@ -412,18 +412,16 @@ def lindblad_greens(h, gamma1, gamma2star, sites, grid):
     with U = exp(-i (h - i Gamma) tau) and Gamma = gamma2star + gamma1/2.
     n = 0 is the vacuum, the steady state when gamma1 > 0; n = 1/2 is the
     identity state, stationary when gamma1 = 0. The one-sided transform at
-    z = omega + i eta is exactly G^R = (z - h + i Gamma)^-1, the bare
-    resolvent on the grid broadened by Gamma, and G^K = (1 - 2n)(G^R - G^A).
-    Entries are (n_points, s, s) arrays indexed by position among the
-    distinct sites.
+    z = omega + i eta is exactly G^R = (z - h + i Gamma)^-1, the chain under
+    the site-uniform self-energy -i Gamma, and G^K = (1 - 2n)(G^R - G^A)
+    (lattice.uniform_greens). Entries are (n_points, s, s) arrays indexed by
+    position among the distinct sites.
     """
 
     _check_rates(gamma1, gamma2star)
     sites = _distinct_sites(sites, h.n_sites)
-    damped = replace(grid, eta=grid.eta + gamma2star + 0.5 * gamma1)
-    gr = ideal_greens(h, np.inf, damped, sites).retarded
     filling = 0.0 if gamma1 > 0 else 0.5
-    return FreqGreens(grid, gr, (1.0 - 2.0 * filling) * (gr - np.conj(np.swapaxes(gr, 1, 2))))
+    return uniform_greens(h, grid, sites, -1j * (gamma2star + 0.5 * gamma1), 1.0 - 2.0 * filling)
 
 
 def lindblad_occupations(h, gamma1, gamma2star, site, t_grid):

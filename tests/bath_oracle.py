@@ -22,7 +22,7 @@ import numpy as np
 
 from noisychain.baths import OhmicBath, TlsBath
 from noisychain.keldysh import RateFunction, _bath_groups
-from noisychain.lattice import FreqGreens, diagonalize, thermal_factor
+from noisychain.lattice import FreqGreens, thermal_factor
 from quadrature_oracle import principal_value_direct
 
 
@@ -127,7 +127,7 @@ def dephasing_rate_function(h, baths, beta_sys, grid):
     function.
     """
 
-    eig = diagonalize(h)
+    eig = h.eig
     weights = np.abs(eig.transform) ** 2  # (site, k)
     f_k = thermal_factor(eig.energies, beta_sys)
     gamma = np.zeros((grid.n_points, h.n_sites))

@@ -12,7 +12,8 @@ two agree to their O(dt^2) gap and both converge to the exact solve.
 analytic_gk is the closed form the integrator converges to when the decay
 rates commute with the chain, and late_time_spectrum turns the final-time
 slice of a run into frequency-domain functions through a tapered Fourier
-sum. wide_bands builds the memoryless closure from a list of rates.
+sum. wide_bands builds the memoryless closure from a list of rates, and
+excited the occupation matrix of one particle on one site.
 """
 
 from __future__ import annotations
@@ -70,12 +71,21 @@ def wide_bands(rates):
     return MemorySelfEnergy([WideBandBath(float(r)) for r in rates])
 
 
+def excited(n_sites, site):
+    """(n, n) occupation matrix f0 at t = 0: one particle on `site`."""
+
+    f0 = np.zeros((n_sites, n_sites))
+    f0[site, site] = 1.0
+    return f0
+
+
 def kbe_integrate(h, sigma, site, t_max, dt):
     """Full two-time planes after exciting `site` at t = 0, with the checks
     of noisychain.kbe.equal_time_occupations run first. The closure's baths are
     all wide bands or all two-level environments (or None)."""
 
-    m, f0 = _start(h, sigma, site, t_max, dt)
+    m = _start(h, sigma, site, t_max, dt)
+    f0 = excited(h.n_sites, site)
     wide = [isinstance(b, WideBandBath) for b in sigma.baths]
     if all(wide):
         rows = _markov_rows(h.matrix, sigma.rates, f0, m, dt)

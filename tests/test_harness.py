@@ -496,7 +496,8 @@ def test_find_peaks_unresolved_width_is_nan():
 
 
 def test_find_peaks_counts_ideal_chain():
-    from noisychain.lattice import FreqGrid, build_chain, ideal_greens
+    from dyson_oracle import ideal_greens
+    from noisychain.lattice import FreqGrid, build_chain
 
     h = build_chain(20, 2.0, 1.0)
     grid = FreqGrid(0.2, 3.8, 3601)

@@ -29,6 +29,7 @@ from noisychain.presets import preset_config
 
 from kbe_oracle import (
     analytic_gk,
+    excited,
     kbe_integrate,
     keldysh_kernels,
     late_time_spectrum,
@@ -429,7 +430,7 @@ def test_oracle_retarded_rows_are_lag_only():
     h, sigma, t_max, dt = _fig4_top(286046148)
     coarse = (h, sigma, t_max, 2 * dt)
     for (h, sigma, t_max, dt), bound in ((coarse, 2e-16), (narrow, 0.0)):
-        m, f0 = _start(h, sigma, 0, t_max, dt)
+        m, f0 = _start(h, sigma, 0, t_max, dt), excited(h.n_sites, 0)
         col0 = np.empty((m, h.n_sites, h.n_sites), dtype=complex)
         worst = 0.0
         for i, (ret, _) in enumerate(per_site_memory_rows(h.matrix, sigma, f0, m, dt)):

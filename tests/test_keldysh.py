@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from noisychain import harness, keldysh, qme
+from noisychain import harness, keldysh, lattice, qme
 from noisychain.baths import OhmicBath, TlsBath, WideBandBath, half_transform, noise_power_transform
 from noisychain.errors import SingularFrequencyError
 from noisychain.harness import _Plan, config_from_dict, find_spectral_peaks
@@ -24,12 +24,11 @@ from noisychain.lattice import (
     FreqGrid,
     HoppingHamiltonian,
     build_chain,
-    ideal_greens,
     thermal_factor,
 )
 from noisychain.presets import preset_config
 from bath_oracle import FlatNoise, dephasing_rate_function
-from dyson_oracle import lu_dyson_solve, ring_site_greens
+from dyson_oracle import eigenbasis_greens, ideal_greens, lu_dyson_solve, ring_site_greens
 from quadrature_oracle import (
     born_sigma_direct,
     dephasing_convolutions_direct,
@@ -332,6 +331,80 @@ def test_singular_frequency_reported_on_one_column():
         assert err.value.omega == grid.omegas[k]
 
 
+def test_distribution_form_matches_retired_eigenbasis_route():
+    # G^K = F_eff (G^+ - G^-) against the |D|^2 route it replaced,
+    # (sigma^K - 2i*eta*F) U |D|^2 U^dag, at 1e-13 of max|G^K|: on every
+    # ring from 2 to 160 sites under a frequency-dependent sigma, on open
+    # chains under a uniform wide-band sigma, and on the 40-site ring under
+    # fig3's dephasing sigma at its narrowest and widest widths. Measured
+    # worst 9.2e-16 for G^K; G^+, the same product, agreed bit for bit
+    beta = 2.0
+    grid = FreqGrid(-2.0, 3.0, 1201)
+    w = grid.omegas
+    gamma = 0.1 + 0.03 * np.cos(w)
+    cases = [(build_chain(n, 0.5, 1.0), beta, grid, 0.02 * w - 0.5j * gamma,
+              -1j * gamma * np.tanh(0.3 * w)) for n in range(2, 161)]
+    rate = np.full(grid.n_points, 0.2)
+    cases += [(build_chain(n, 0.5, 1.0, boundary="open"), beta, grid, -0.5j * rate, -1j * rate)
+              for n in (2, 7, 40)]
+    fig3 = FreqGrid(0.2, 3.8, 7201)
+    h40 = build_chain(40, 2.0, 1.0)
+    for g2 in (0.05, 0.4):
+        bath = OhmicBath(alpha=g2 / 300.0, cutoff=800.0, temperature=300.0)
+        sr, sk = dephasing_self_energy(h40, [bath] * 40, 1.0 / 300.0, fig3).columns
+        cases.append((h40, 1.0 / 300.0, fig3, sr[:, 0], sk[:, 0]))
+    worst = 0.0
+    for h, b, g, sr, sk in cases:
+        n = h.n_sites
+        one = SelfEnergy(grid=g, retarded=sr[:, None], keldysh=sk[:, None], n_sites=n)
+        sites = [n - 1, 0, n // 2]
+        mine = dyson_solve(h, b, one, sites)
+        ref = eigenbasis_greens(h, b, g, sites, sr, sk)
+        for new, old in ((mine.retarded, ref.retarded), (mine.keldysh, ref.keldysh)):
+            worst = max(worst, np.max(np.abs(new - old)) / np.max(np.abs(old)))
+    assert worst <= 1e-13
+
+
+def test_singular_distribution_function_reported():
+    # a non-causal uniform Sigma^+ with Im Sigma^+ = eta at one grid point:
+    # there z - sigma - E_k is real and nonzero on the 2-site ring (eps_k =
+    # +-1, exact; the point sits at -1/4 on the dyadic grid), so G^+ is
+    # finite, but eta - Im Sigma^+ = 0 leaves F_eff non-finite. No numpy
+    # warning may escape
+    h = build_chain(2, 0.0, 1.0)
+    grid = FreqGrid(-1.0, 1.0, 33)
+    k = 12
+    col = np.full((grid.n_points, 1), -0.1j)
+    col[k] = 1j * grid.eta
+    sigma = SelfEnergy(grid=grid, retarded=col, keldysh=-2j * col.imag, n_sites=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFrequencyError) as err:
+            dyson_solve(h, 1.0, sigma, sites=[0])
+    assert err.value.omega == grid.omegas[k]
+
+
+@pytest.mark.parametrize("presets, calls", [
+    (["fig3-bottom"], 1),
+    (["fig2-lower", "fig2-upper"], 2),
+], ids=["dephasing-sweep", "register-spectra"])
+def test_one_eigensolve_per_chain(tmp_path, monkeypatch, presets, calls):
+    # the self-energy, every width's solve and the lindblad and register
+    # engines all read the plan's h.eig, so each config diagonalizes its
+    # chain once: the dephasing-sweep workload's fig3-bottom (3601 points,
+    # two widths) and the register-spectra workload's two configs
+    count = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: count.append(1) or eigh(a))
+    for name in presets:
+        raw = preset_config(name)
+        if name == "fig3-bottom":
+            raw["grid"]["n_points"] = 3601
+            raw["sweep"]["gamma2"] = [0.05, 0.4]
+        assert harness.run_experiment(config_from_dict(raw), out_root=tmp_path).ok
+    assert len(count) == calls
+
+
 def test_banded_solve_matches_refined_lu():
     # the band-structure solve against refined LU on open chains and rings
     # of 1, 2, 3 and 7 sites, with a self-energy that varies by site and
@@ -363,7 +436,7 @@ def test_banded_solve_matches_refined_lu():
 
 
 def test_blocked_solve_matches_refined_lu_across_block_edges():
-    # the band solve runs in blocks of keldysh._DYSON_BLOCK = 512 frequencies;
+    # the band solve runs in blocks of lattice.FREQ_BLOCK = 512 frequencies;
     # grids of one block less one point, exactly one, one plus one point
     # and three plus one (the last block then holds a single point), on a
     # 7-site ring and open chain, for one site and for every site.
@@ -371,7 +444,7 @@ def test_blocked_solve_matches_refined_lu_across_block_edges():
     beta = 2.0
     n = 7
     site = np.arange(n)[None, :]
-    assert keldysh._DYSON_BLOCK == 512
+    assert lattice.FREQ_BLOCK == 512
     for n_points in (2, 511, 512, 513, 1537):
         grid = FreqGrid(-2.0, 3.0, n_points)
         w = grid.omegas[:, None]
@@ -468,7 +541,7 @@ def test_open_chain_run_stays_within_its_memory_rule(tmp_path):
 def test_non_chain_hamiltonian_refused():
     # a next-nearest-neighbor hopping is neither a band entry nor a ring
     # corner; refused before any solve, also for a vanishing self-energy
-    m = build_chain(5, 0.5, 1.0).matrix
+    m = build_chain(5, 0.5, 1.0).matrix.copy()
     m[0, 2] = m[2, 0] = 0.1
     h = HoppingHamiltonian(5, m)
     grid = FreqGrid(-2.0, 3.0, 101)

@@ -11,28 +11,27 @@ from noisychain.lattice import (
     FreqGreens,
     HoppingHamiltonian,
     build_chain,
-    diagonalize,
     fermi_occupation,
-    ideal_greens,
     thermal_factor,
 )
+from dyson_oracle import ideal_greens
 
 
 def test_ring_spectrum_matches_cosine_band():
     # 4-site ring at half hopping t = g/2: energies g*cos(2*pi*j/4)
     h = build_chain(4, 0.0, 1.0)
-    eig = diagonalize(h)
+    eig = h.eig
     assert np.allclose(np.sort(eig.energies), [-1.0, 0.0, 0.0, 1.0], atol=1e-12)
 
     h = build_chain(4, 1.0, 1.0)
-    eig = diagonalize(h)
+    eig = h.eig
     assert np.allclose(np.sort(eig.energies), [0.0, 1.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_ring_spectrum_eight_sites():
     h = build_chain(8, 2.0, 1.0)
     expected = np.sort(2.0 + np.cos(2.0 * np.pi * np.arange(8) / 8))
-    assert np.allclose(np.sort(diagonalize(h).energies), expected, atol=1e-12)
+    assert np.allclose(np.sort(h.eig.energies), expected, atol=1e-12)
 
 
 def test_open_chain_spectrum():
@@ -40,7 +39,7 @@ def test_open_chain_spectrum():
     h = build_chain(n, 0.7, 1.2, boundary="open")
     j = np.arange(1, n + 1)
     expected = np.sort(0.7 + 1.2 * np.cos(np.pi * j / (n + 1)))
-    assert np.allclose(np.sort(diagonalize(h).energies), expected, atol=1e-12)
+    assert np.allclose(np.sort(h.eig.energies), expected, atol=1e-12)
 
 
 def test_small_ring_edge_cases():
@@ -49,7 +48,7 @@ def test_small_ring_edge_cases():
     assert h1.matrix[0, 0] == pytest.approx(0.5 + 0.8)
     # two-site ring doubles the single bond
     h2 = build_chain(2, 0.0, 0.8)
-    assert np.allclose(np.sort(diagonalize(h2).energies), [-0.8, 0.8], atol=1e-12)
+    assert np.allclose(np.sort(h2.eig.energies), [-0.8, 0.8], atol=1e-12)
 
 
 def test_nonhermitian_matrix_rejected():
@@ -113,8 +112,8 @@ def test_thermal_factor_identities():
 
 def test_diagonalize_gauge_is_deterministic():
     h = build_chain(6, 1.0, 0.7)
-    a = diagonalize(h)
-    b = diagonalize(h)
+    a = h.eig
+    b = HoppingHamiltonian(6, h.matrix).eig  # a second eigensolve of the same matrix
     assert np.array_equal(a.transform, b.transform)
     # pinned gauge: the dominant component of each eigenvector is real positive
     for k in range(6):
@@ -123,9 +122,22 @@ def test_diagonalize_gauge_is_deterministic():
         assert abs(pivot.imag) < 1e-14 and pivot.real > 0
 
 
+def test_matrix_is_a_read_only_copy():
+    # h owns its eigensystem, so neither the caller's array nor a write into
+    # h.matrix or h.eig can change the chain under it
+    m = np.array([[0.0, 0.5], [0.5, 1.0]])
+    h = HoppingHamiltonian(2, m)
+    m[0, 0] = 3.0
+    assert h.matrix[0, 0] == 0.0
+    for arr in (h.matrix, h.eig.energies, h.eig.transform):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    assert h.eig is h.eig
+
+
 def test_eigendecomposition_reconstructs():
     h = build_chain(5, 0.3, 0.9, boundary="open")
-    eig = diagonalize(h)
+    eig = h.eig
     u = eig.transform
     assert np.max(np.abs((u * eig.energies) @ u.conj().T - h.matrix)) < 1e-12
 
@@ -149,7 +161,7 @@ def test_freq_greens_shape_checks():
 def test_chain_spectra_stay_inside_band(n, onsite, hopping, boundary):
     h = build_chain(n, onsite, hopping, boundary=boundary)
     assert np.max(np.abs(h.matrix - h.matrix.conj().T)) == 0.0
-    energies = diagonalize(h).energies
+    energies = h.eig.energies
     assert np.all(np.isreal(energies))
     # nearest-neighbor dispersion is confined to [onsite - g, onsite + g]
     assert np.all(energies >= onsite - hopping - 1e-9)
